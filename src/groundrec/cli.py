@@ -60,20 +60,28 @@ def _default_threads():
         return 1
 
 
+def _parse_int(text, what, lineno, path):
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"non-integer {what} {text!r} at line {lineno} in {path}") from None
+
+
 def _read_popularity_tsv(path, catalog) -> PopularityTable:
     counts = np.zeros(len(catalog), dtype=np.int64)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) < 2:
-                raise DataError(f"malformed popularity line in {path}")
+                raise DataError(f"malformed popularity line {lineno} in {path}")
             idx = catalog.index_of.get(parts[0])
             if idx is None:
-                raise DataError(f"popularity item {parts[0]!r} not in catalog")
-            counts[idx] = int(parts[1])
+                raise DataError(f"popularity item {parts[0]!r} not in catalog "
+                                f"(line {lineno} in {path})")
+            counts[idx] = _parse_int(parts[1], "popularity count", lineno, path)
     total = counts.sum()
     factor = counts / total if total > 0 else np.zeros(len(catalog))
     from .pop import minmax
@@ -94,8 +102,15 @@ def _make_generator(name, catalog, train_log, seed, ngram_order):
     raise UsageError(f"unknown generator {name!r}")
 
 
-def _pipeline_from_args(args, catalog, samples_for_fit=None):
-    train_log = parse_interactions(args.train) if getattr(args, "train", None) else None
+def _train_log(args):
+    """The --train log, parsed only when the pop generator or pop/collab
+    injection reads it; None otherwise. The file is still hashed as an input."""
+    reads = args.generator == "pop" or getattr(args, "inject", "none") in ("pop", "collab")
+    return parse_interactions(args.train) if reads and args.train else None
+
+
+def _pipeline_from_args(args, catalog):
+    train_log = _train_log(args)
     if getattr(args, "emb", None):
         mat = load_embeddings(args.emb, catalog)
         provider = HashEmbedder(dim=mat.dim, seed=args.seed)
@@ -119,10 +134,10 @@ def _pipeline_from_args(args, catalog, samples_for_fit=None):
         generator, provider, mat, catalog,
         injection=injection, gamma=args.gamma,
         pop_table=pop_table, scorer=scorer,
-    ), train_log
+    )
 
 
-def _fingerprint(args, inputs):
+def _fingerprint(args, input_digests):
     fp = {
         "generator": args.generator,
         "inject": args.inject,
@@ -131,8 +146,8 @@ def _fingerprint(args, inputs):
         "strategy": "l2",
         "sampler": "python-random-mt19937",
     }
-    for name, path in inputs.items():
-        fp[f"sha256.{name}"] = manifest.sha256_file(path)
+    for name, digest in input_digests.items():
+        fp[f"sha256.{name}"] = digest
     return fp
 
 
@@ -159,7 +174,7 @@ def cmd_split(args):
     manifest.write_manifest(
         out / "run.manifest", "split",
         {"interactions": args.interactions, "out": args.out},
-        {"interactions": args.interactions},
+        manifest.digests({"interactions": args.interactions}),
     )
     print(f"split: {len(split.train)} train / {len(split.valid)} valid / "
           f"{len(split.test)} test -> {out}")
@@ -187,7 +202,7 @@ def cmd_popularity(args):
         str(args.out) + ".manifest", "popularity",
         {"train": args.train, "catalog": args.catalog, "out": args.out,
          "deciles": args.deciles or ""},
-        {"train": args.train, "catalog": args.catalog},
+        manifest.digests({"train": args.train, "catalog": args.catalog}),
     )
     print(f"popularity: {len(catalog)} items, {table.rejected} unknown-item "
           f"interactions ignored -> {args.out}")
@@ -208,7 +223,7 @@ def cmd_embed(args):
         str(args.out) + ".manifest", "embed",
         {"catalog": args.catalog, "provider": args.provider, "dim": args.dim,
          "seed": args.seed, "normalize": args.normalize, "out": args.out},
-        {"catalog": args.catalog},
+        manifest.digests({"catalog": args.catalog}),
     )
     print(f"embed: {len(catalog)} items x dim {mat.dim} -> {args.out}")
     return 0
@@ -217,8 +232,7 @@ def cmd_embed(args):
 def cmd_generate(args):
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.samples)
-    train_log = parse_interactions(args.train) if args.train else None
-    generator = _make_generator(args.generator, catalog, train_log, args.seed,
+    generator = _make_generator(args.generator, catalog, _train_log(args), args.seed,
                                 args.ngram_order)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, sample in enumerate(samples):
@@ -233,7 +247,7 @@ def cmd_generate(args):
          "generator": args.generator, "seed": args.seed,
          "ngram-order": args.ngram_order, "train": args.train or "",
          "out": args.out},
-        inputs,
+        manifest.digests(inputs),
     )
     print(f"generate: {len(samples)} samples via {args.generator} -> {args.out}")
     return 0
@@ -248,7 +262,7 @@ def cmd_collab_fit(args):
         str(args.out) + ".manifest", "collab-fit",
         {"train": args.train, "catalog": args.catalog, "alpha": args.alpha,
          "out": args.out},
-        {"train": args.train, "catalog": args.catalog},
+        manifest.digests({"train": args.train, "catalog": args.catalog}),
     )
     print(f"collab-fit: {len(scorer.counts)} transition pairs -> {args.out}")
     return 0
@@ -257,14 +271,14 @@ def cmd_collab_fit(args):
 def _read_generated(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) < 2:
-                raise DataError(f"malformed generated-text line in {path}")
-            rows.append((int(parts[0]), parts[1]))
+                raise DataError(f"malformed generated-text line {lineno} in {path}")
+            rows.append((_parse_int(parts[0], "sample index", lineno, path), parts[1]))
     return rows
 
 
@@ -300,7 +314,7 @@ def cmd_ground(args):
                 if i in catalog.index_of
             ) if sample is not None else frozenset()
             if bm25 is not None:
-                ranked = bm25_rank(text, bm25, exclusions)
+                ranked = bm25_rank(text, bm25, exclusions, k=args.topk)
             else:
                 norm = normalize_distances(l2_distances(mat, provider.embed(text)))
                 if injection == "popularity" and args.gamma > 0:
@@ -311,8 +325,8 @@ def cmd_ground(args):
                                       args.gamma)
                 else:
                     adjusted = norm
-                ranked = rank(adjusted, exclusions)
-            for pos in range(min(args.topk, len(ranked.indices))):
+                ranked = rank(adjusted, exclusions, k=args.topk)
+            for pos in range(len(ranked.indices)):
                 idx = int(ranked.indices[pos])
                 fh.write(f"{sample_idx}\t{pos + 1}\t{catalog.ids[idx]}"
                          f"\t{ranked.values[pos]:.10g}\n")
@@ -327,7 +341,7 @@ def cmd_ground(args):
          "strategy": args.strategy, "seed": args.seed,
          "samples": args.samples or "", "popularity": args.popularity or "",
          "scorer": args.scorer or "", "alpha": args.alpha, "out": args.out},
-        inputs,
+        manifest.digests(inputs),
     )
     print(f"ground: {len(rows)} queries, top-{args.topk} -> {args.out}")
     return 0
@@ -343,7 +357,8 @@ def cmd_eval(args):
         inputs["train"] = args.train
     if args.emb:
         inputs["emb"] = args.emb
-    fp = _fingerprint(args, inputs)
+    input_digests = manifest.digests(inputs)
+    fp = _fingerprint(args, input_digests)
     if args.generator == "most-pop":
         if not args.train:
             raise UsageError("--generator most-pop requires --train")
@@ -351,7 +366,7 @@ def cmd_eval(args):
         table = compute_popularity(train_log, catalog)
         report = harness.most_pop_baseline(table, samples, catalog, fingerprint=fp)
     else:
-        pipeline, _ = _pipeline_from_args(args, catalog)
+        pipeline = _pipeline_from_args(args, catalog)
         if args.dump_ranks:
             report, positions = harness.evaluate(
                 samples, pipeline, threads=args.threads, fingerprint=fp,
@@ -372,7 +387,7 @@ def cmd_eval(args):
          "dim": args.dim, "normalize": args.normalize, "alpha": args.alpha,
          "sample-n": args.sample_n or "", "json": args.json,
          "ngram-order": args.ngram_order, "out": args.out},
-        inputs,
+        input_digests,
     )
     for k in report.ks:
         print(f"hr@{k}={report.hr[k]:.4f} ndcg@{k}={report.ndcg[k]:.4f}")
@@ -386,7 +401,7 @@ def cmd_tune_gamma(args):
     samples = read_samples(args.valid)
     if args.sample_n:
         samples = sample_eval(samples, args.sample_n, args.seed)
-    pipeline, _ = _pipeline_from_args(args, catalog)
+    pipeline = _pipeline_from_args(args, catalog)
     best, table = tune.tune_gamma(samples, pipeline, metric=args.metric,
                                   threads=args.threads)
     tune.write_sweep(args.out, table)
@@ -403,7 +418,7 @@ def cmd_tune_gamma(args):
          "dim": args.dim, "normalize": args.normalize, "alpha": args.alpha,
          "sample-n": args.sample_n or "", "ngram-order": args.ngram_order,
          "out": args.out},
-        inputs,
+        manifest.digests(inputs),
     )
     print(f"best_gamma={best:.10g} metric={args.metric}")
     return 0

@@ -9,6 +9,14 @@ gamma grid (<= 100) the smallest adjusted distance is ~1e-31 -- far above the
 double underflow threshold (gamma would need to exceed ~1000 to underflow).
 Direct division therefore stays exact and order-preserving; no log-space
 fallback is needed.
+
+The ranking kernels are exact by construction. Distances are computed block
+by block with the same per-item float operations as the one-shot diff
+formula; there is no GEMM (||v||^2 - 2 v.q + ||q||^2), whose rounding would
+reorder near-ties. A target's rank is found by counting the kept items that
+sort before it, with no sort; a top-k list sorts only the items at or below
+the k-th smallest value; BM25 adds each query term's contribution through its
+posting list in query order, exactly as a per-document loop would.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +32,8 @@ from .errors import DataError
 from .ingest import ItemCatalog
 from .pop import minmax
 from .text import tokenize
+
+L2_BLOCK = 512  # rows per float64 block in l2_distances
 
 
 @dataclass
@@ -56,14 +67,28 @@ class RankedList:
 
 
 def l2_distances(matrix, oracle) -> np.ndarray:
+    """Euclidean distance from the oracle to every row, in float64.
+
+    Rows are taken L2_BLOCK at a time: each block is widened to float64 and
+    differenced into one reused buffer, so no full-size copy of the matrix is
+    made. Every row sees the same float operations as the one-shot formula
+    sqrt(sum((row.astype(float64) - oracle) ** 2)).
+    """
     vectors = matrix.vectors if hasattr(matrix, "vectors") else np.asarray(matrix)
     oracle = np.asarray(oracle, dtype=np.float64)
     if vectors.shape[1] != oracle.shape[0]:
         raise DataError(
             f"dim mismatch: matrix dim {vectors.shape[1]}, oracle dim {oracle.shape[0]}"
         )
-    diff = vectors.astype(np.float64) - oracle
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    n = vectors.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    buf = np.empty((min(n, L2_BLOCK), oracle.shape[0]), dtype=np.float64)
+    for s in range(0, n, L2_BLOCK):
+        e = min(s + L2_BLOCK, n)
+        diff = buf[: e - s]
+        np.subtract(vectors[s:e], oracle, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=out[s:e])
+    return np.sqrt(out, out=out)
 
 
 def normalize_distances(raw) -> np.ndarray:
@@ -88,20 +113,60 @@ def inject(normalized, weights, gamma) -> np.ndarray:
     return normalized / (1.0 + weights) ** gamma
 
 
-def rank(adjusted, exclusions=frozenset()) -> RankedList:
-    adjusted = np.asarray(adjusted, dtype=np.float64)
-    n = adjusted.shape[0]
+def exclusion_mask(n, exclusions) -> np.ndarray:
+    """Boolean mask over n items: False at every excluded canonical index."""
+    idx = np.fromiter(exclusions, dtype=np.int64, count=len(exclusions))
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise DataError(f"exclusion index {bad[0]} out of range")
     keep = np.ones(n, dtype=bool)
-    for idx in exclusions:
-        if not 0 <= idx < n:
-            raise DataError(f"exclusion index {idx} out of range")
-        keep[idx] = False
+    keep[idx] = False
+    return keep
+
+
+def _ranked(values, keep, k, strategy) -> RankedList:
+    """Kept items by (value, canonical index) ascending; the first k if given.
+
+    With k, np.partition finds the k-th smallest value and only the items at
+    or below it are sorted, so a tie group straddling k stays whole and is cut
+    by index exactly as the full sort would cut it.
+    """
     candidates = np.nonzero(keep)[0]
     if candidates.size == 0:
         raise DataError("all items excluded; nothing to rank")
-    vals = adjusted[candidates]
-    order = np.lexsort((candidates, vals))  # value asc, canonical index asc
-    return RankedList(indices=candidates[order], values=vals[order], strategy="l2")
+    vals = values[candidates]
+    if k is not None and k < candidates.size:
+        if k <= 0:
+            return RankedList(indices=candidates[:0], values=vals[:0], strategy=strategy)
+        kth = np.partition(vals, k - 1)[k - 1]
+        within = vals <= kth
+        candidates = candidates[within]
+        vals = vals[within]
+    order = np.lexsort((candidates, vals))[:k]  # value asc, canonical index asc
+    return RankedList(indices=candidates[order], values=vals[order], strategy=strategy)
+
+
+def rank(adjusted, exclusions=frozenset(), k=None) -> RankedList:
+    """Rank by adjusted distance ascending, ties by canonical index; the
+    whole list, or its first k entries."""
+    adjusted = np.asarray(adjusted, dtype=np.float64)
+    return _ranked(adjusted, exclusion_mask(adjusted.shape[0], exclusions), k, "l2")
+
+
+def target_position(adjusted, keep, target) -> int:
+    """1-based rank of target among the kept items, found by counting.
+
+    Equal to rank(adjusted, excluded).position(target): the kept items with a
+    smaller value, plus the kept items with an equal value and a smaller
+    canonical index, come before it. Values must not be NaN, which
+    normalize_distances guarantees.
+    """
+    if not keep[target]:
+        raise DataError(f"item index {target} is not in the ranked list")
+    at = adjusted[target]
+    before = np.count_nonzero(keep & (adjusted < at))
+    before += np.count_nonzero(keep[:target] & (adjusted[:target] == at))
+    return int(before) + 1
 
 
 def ground(matrix, oracle, weights=None, gamma=0.0, exclusions=frozenset()) -> RankedList:
@@ -115,49 +180,62 @@ def ground(matrix, oracle, weights=None, gamma=0.0, exclusions=frozenset()) -> R
 
 
 class BM25Index:
-    """Okapi BM25 over catalog titles, tokenized with the shared tokenizer."""
+    """Okapi BM25 over catalog titles, tokenized with the shared tokenizer.
+
+    Stored as posting lists: postings[term] = (lo, hi) selects that term's
+    doc indices (ascending) in post_docs and its term frequencies (float64)
+    in post_tf. norm holds each doc's k1*(1 - b + b*dl/avgdl).
+    """
 
     def __init__(self, catalog: ItemCatalog, k1=1.5, b=0.75):
         self.k1 = k1
         self.b = b
-        self.docs = [tokenize(catalog.title(i)) for i in catalog.ids]
-        self.n_docs = len(self.docs)
-        self.doc_lens = np.array([len(d) for d in self.docs], dtype=np.float64)
+        docs = [tokenize(catalog.title(i)) for i in catalog.ids]
+        self.n_docs = len(docs)
+        self.doc_lens = np.array([len(d) for d in docs], dtype=np.float64)
         self.avgdl = float(self.doc_lens.mean()) if self.n_docs else 0.0
-        df: dict[str, int] = {}
-        self.term_freqs = []
-        for doc in self.docs:
-            tf: dict[str, int] = {}
-            for t in doc:
-                tf[t] = tf.get(t, 0) + 1
-            self.term_freqs.append(tf)
-            for t in tf:
-                df[t] = df.get(t, 0) + 1
+        term_ids: dict[str, int] = {}
+        token_terms = np.array(
+            [term_ids.setdefault(t, len(term_ids)) for doc in docs for t in doc],
+            dtype=np.int64)
+        token_docs = np.repeat(np.arange(self.n_docs, dtype=np.int64),
+                               self.doc_lens.astype(np.int64))
+        # one key per distinct (term, doc) pair; sorted, they run term-major
+        # with docs ascending
+        stride = max(self.n_docs, 1)
+        keys, tf = np.unique(token_terms * stride + token_docs, return_counts=True)
+        self.post_docs = keys % stride
+        self.post_tf = tf.astype(np.float64)
+        df = np.bincount(keys // stride, minlength=len(term_ids)).tolist()
+        ends = list(accumulate(df))
+        self.postings = {t: (ends[i] - df[i], ends[i]) for t, i in term_ids.items()}
         # non-negative idf variant: ln(1 + (N - df + 0.5)/(df + 0.5))
         self.idf = {
-            t: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
-            for t, n in df.items()
+            t: math.log(1.0 + (self.n_docs - df[i] + 0.5) / (df[i] + 0.5))
+            for t, i in term_ids.items()
         }
+        if self.avgdl > 0:
+            self.norm = k1 * (1.0 - b + b * self.doc_lens / self.avgdl)
+        else:  # no tokens anywhere: no term can match, so norm is never read
+            self.norm = np.zeros(self.n_docs, dtype=np.float64)
 
     def scores(self, query_tokens) -> np.ndarray:
+        """Per-doc score: the terms' contributions added in query-token order,
+        a repeated term once per occurrence."""
         scores = np.zeros(self.n_docs, dtype=np.float64)
-        terms = [t for t in query_tokens if t in self.idf]
-        if not terms:
-            return scores
-        for i, tf in enumerate(self.term_freqs):
-            dl = self.doc_lens[i]
-            norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-            s = 0.0
-            for t in terms:
-                f = tf.get(t)
-                if f:
-                    s += self.idf[t] * f * (self.k1 + 1.0) / (f + norm)
-            scores[i] = s
+        for t in query_tokens:
+            span = self.postings.get(t)
+            if span is None:
+                continue
+            docs = self.post_docs[span[0]:span[1]]
+            f = self.post_tf[span[0]:span[1]]
+            scores[docs] += self.idf[t] * f * (self.k1 + 1.0) / (f + self.norm[docs])
         return scores
 
 
-def bm25_rank(query_tokens, index: BM25Index, exclusions=frozenset()) -> RankedList:
-    """Rank catalog items by BM25 score descending, ties by canonical index.
+def bm25_rank(query_tokens, index: BM25Index, exclusions=frozenset(), k=None) -> RankedList:
+    """Rank catalog items by BM25 score descending, ties by canonical index;
+    the whole list, or its first k entries.
 
     Zero-score items share the tie-break and thus land after all positive-score
     items, in canonical index order.
@@ -168,15 +246,5 @@ def bm25_rank(query_tokens, index: BM25Index, exclusions=frozenset()) -> RankedL
     if not query_tokens:
         warnings.warn("empty BM25 query after tokenization; ranking by index order")
     scores = index.scores(query_tokens)
-    n = scores.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for idx in exclusions:
-        if not 0 <= idx < n:
-            raise DataError(f"exclusion index {idx} out of range")
-        keep[idx] = False
-    candidates = np.nonzero(keep)[0]
-    if candidates.size == 0:
-        raise DataError("all items excluded; nothing to rank")
-    vals = -scores[candidates]  # negate: descending score == ascending value
-    order = np.lexsort((candidates, vals))
-    return RankedList(indices=candidates[order], values=vals[order], strategy="bm25")
+    keep = exclusion_mask(scores.shape[0], exclusions)
+    return _ranked(-scores, keep, k, "bm25")  # descending score == ascending value

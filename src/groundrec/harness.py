@@ -18,7 +18,15 @@ import numpy as np
 
 from . import collab as collab_mod
 from .errors import DataError
-from .ground import RankedList, inject, l2_distances, normalize_distances, rank
+from .ground import (
+    RankedList,
+    exclusion_mask,
+    inject,
+    l2_distances,
+    normalize_distances,
+    rank,
+    target_position,
+)
 from .ingest import ItemCatalog, SequenceSample
 
 DEFAULT_KS = (1, 3, 5, 10, 20)
@@ -99,12 +107,15 @@ class Pipeline:
             if i in self.catalog.index_of
         )
 
-    def rank_sample(self, sample: SequenceSample, gamma=None) -> RankedList:
+    def adjusted(self, sample: SequenceSample, gamma=None) -> np.ndarray:
+        """Normalized distances, divided by (1 + w)^gamma when injecting."""
         gamma = self.gamma if gamma is None else gamma
         norm = self.normalized_distances(sample)
         w = self.weights(sample)
-        adjusted = inject(norm, w, gamma) if (w is not None and gamma > 0) else norm
-        return rank(adjusted, self.exclusions(sample))
+        return inject(norm, w, gamma) if (w is not None and gamma > 0) else norm
+
+    def rank_sample(self, sample: SequenceSample, gamma=None) -> RankedList:
+        return rank(self.adjusted(sample, gamma), self.exclusions(sample))
 
 
 def _target_position(pipeline, sample):
@@ -114,8 +125,9 @@ def _target_position(pipeline, sample):
     idx = pipeline.catalog.index_of.get(sample.target)
     if idx is None:
         raise DataError(f"sample target {sample.target!r} not in catalog")
-    ranked = pipeline.rank_sample(sample)
-    return ranked.position(idx)
+    adjusted = pipeline.adjusted(sample)
+    keep = exclusion_mask(adjusted.shape[0], pipeline.exclusions(sample))
+    return target_position(adjusted, keep, idx)
 
 
 def evaluate(samples, pipeline: Pipeline, ks=DEFAULT_KS, threads=1,

@@ -20,11 +20,17 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(path, command, flags, inputs):
+def digests(inputs):
+    """Input name -> sha256 hex digest of the file at its path."""
+    return {name: sha256_file(path) for name, path in inputs.items()}
+
+
+def write_manifest(path, command, flags, input_digests):
+    """input_digests maps each input name to its digests() value."""
     lines = [f"command={command}", f"version={__version__}"]
     for key in sorted(flags):
         lines.append(f"flag.{key}={flags[key]}")
-    for name, in_path in sorted(inputs.items()):
-        lines.append(f"input.{name}={sha256_file(in_path)}")
+    for name, digest in sorted(input_digests.items()):
+        lines.append(f"input.{name}={digest}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

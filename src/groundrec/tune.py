@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DataError
-from .ground import inject, rank
+from .ground import exclusion_mask, inject, target_position
 from .harness import DEFAULT_KS, Pipeline, aggregate
 
 
@@ -43,7 +43,8 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
         target = pipeline.catalog.index_of.get(sample.target)
         if target is None:
             raise DataError(f"sample target {sample.target!r} not in catalog")
-        return norm, weights, pipeline.exclusions(sample), target
+        keep = exclusion_mask(norm.shape[0], pipeline.exclusions(sample))
+        return norm, weights, keep, target
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -57,12 +58,12 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
             if entry is None:
                 positions.append(None)
                 continue
-            norm, weights, exclusions, target = entry
+            norm, weights, keep, target = entry
             if weights is not None and gamma > 0:
                 adjusted = inject(norm, weights, gamma)
             else:
                 adjusted = norm
-            positions.append(rank(adjusted, exclusions).position(target))
+            positions.append(target_position(adjusted, keep, target))
         report = aggregate(positions, ks)
         metrics = {f"hr@{k}": report.hr[k] for k in ks}
         metrics.update({f"ndcg@{k}": report.ndcg[k] for k in ks})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from groundrec import cli
+from groundrec import cli, manifest
 
 from groundrec.harness import read_report
 
@@ -257,3 +257,70 @@ class TestDeterminism:
                     "--out", out])
             reports[threads] = out.read_bytes()
         assert reports[1] == reports[8]
+
+
+class TestGroundInputErrors:
+    @pytest.fixture
+    def ground_inputs(self, tmp_path):
+        inter, cat = write_fixture(tmp_path)
+        run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 1,
+                "--out", tmp_path / "emb.bin"])
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("0\ttale 1 of the saga\toracle\n")
+        return tmp_path, cat, gen
+
+    def ground(self, tmp_path, cat, gen, *extra):
+        return cli.main([str(a) for a in (
+            "ground", "--emb", tmp_path / "emb.bin", "--gen", gen,
+            "--catalog", cat, "--out", tmp_path / "out.tsv", *extra)])
+
+    def test_non_integer_sample_index(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        gen.write_text("0\tfirst text\toracle\nx7\tsecond text\toracle\n")
+        assert self.ground(tmp_path, cat, gen) == 2
+        err = capsys.readouterr().err
+        assert "'x7'" in err and "line 2" in err and str(gen) in err
+
+    def test_non_integer_popularity_count(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        pop = tmp_path / "pop.tsv"
+        pop.write_text("# item_id\tcount\ni000\t3\ni001\tmany\n")
+        assert self.ground(tmp_path, cat, gen, "--inject", "pop", "--gamma", 1,
+                           "--popularity", pop) == 2
+        err = capsys.readouterr().err
+        assert "'many'" in err and "line 3" in err and str(pop) in err
+
+
+class TestEvalInputs:
+    def test_train_hashed_but_not_parsed_when_unused(self, tmp_path, monkeypatch):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+
+        def unused(path):
+            raise AssertionError("--train was parsed though nothing reads it")
+
+        monkeypatch.setattr(cli, "parse_interactions", unused)
+        report_path = tmp_path / "report.tsv"
+        run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
+                "--train", out / "train.tsv", "--generator", "ngram",
+                "--inject", "none", "--seed", 3, "--dim", 32, "--out", report_path])
+        digest = manifest.sha256_file(out / "train.tsv")
+        assert read_report(report_path).fingerprint["sha256.train"] == digest
+        assert f"input.train={digest}" in \
+            (tmp_path / "report.tsv.manifest").read_text().splitlines()
+
+    def test_each_input_hashed_once(self, tmp_path, monkeypatch):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        hashed = []
+        original = manifest.sha256_file
+        monkeypatch.setattr(manifest, "sha256_file",
+                            lambda path: hashed.append(str(path)) or original(path))
+        run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
+                "--train", out / "train.tsv", "--generator", "oracle",
+                "--inject", "pop", "--gamma", 0.5, "--seed", 3, "--dim", 32,
+                "--out", tmp_path / "report.tsv"])
+        assert sorted(hashed) == sorted(str(p) for p in (
+            out / "samples_test.tsv", cat, out / "train.tsv"))

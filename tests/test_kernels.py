@@ -1,0 +1,218 @@
+"""The ranking kernels against the formulas they replace: every output must be
+bit-identical, not merely close."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_catalog
+from groundrec.errors import DataError
+from groundrec.ground import (
+    L2_BLOCK,
+    BM25Index,
+    bm25_rank,
+    exclusion_mask,
+    l2_distances,
+    rank,
+    target_position,
+)
+from groundrec.text import tokenize
+
+
+def one_shot_l2(vectors, oracle):
+    """The full-copy formula: widen the whole matrix, then one diff."""
+    diff = vectors.astype(np.float64) - np.asarray(oracle, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def per_document_bm25(catalog, query_tokens, k1=1.5, b=0.75):
+    """The per-document scoring loop over term-frequency dicts."""
+    docs = [tokenize(catalog.title(i)) for i in catalog.ids]
+    doc_lens = np.array([len(d) for d in docs], dtype=np.float64)
+    avgdl = float(doc_lens.mean())
+    df, term_freqs = {}, []
+    for doc in docs:
+        tf = {}
+        for t in doc:
+            tf[t] = tf.get(t, 0) + 1
+        term_freqs.append(tf)
+        for t in tf:
+            df[t] = df.get(t, 0) + 1
+    idf = {t: math.log(1.0 + (len(docs) - n + 0.5) / (n + 0.5)) for t, n in df.items()}
+    scores = np.zeros(len(docs), dtype=np.float64)
+    terms = [t for t in query_tokens if t in idf]
+    for i, tf in enumerate(term_freqs):
+        norm = k1 * (1.0 - b + b * doc_lens[i] / avgdl)
+        s = 0.0
+        for t in terms:
+            f = tf.get(t)
+            if f:
+                s += idf[t] * f * (k1 + 1.0) / (f + norm)
+        scores[i] = s
+    return scores
+
+
+def mixed_magnitude(rng, n, dim):
+    """float32 values spread over many orders of magnitude, with exact ties."""
+    scale = 10.0 ** rng.integers(-6, 7, size=(n, dim))
+    vectors = (rng.standard_normal((n, dim)) * scale).astype(np.float32)
+    vectors[n // 2:: 3] = vectors[0]  # duplicate rows: equal distances
+    return vectors
+
+
+def assert_prefix(got, full, k):
+    """got is the first k entries of full, values with the same sign bits
+    (zero BM25 scores are printed as -0)."""
+    assert np.array_equal(got.indices, full.indices[:k])
+    assert np.array_equal(got.values, full.values[:k])
+    assert np.array_equal(np.signbit(got.values), np.signbit(full.values[:k]))
+    assert got.strategy == full.strategy
+
+
+class TestBlockedL2:
+    @pytest.mark.parametrize("n", [1, L2_BLOCK - 1, L2_BLOCK, L2_BLOCK + 1,
+                                   2 * L2_BLOCK + 3])
+    @pytest.mark.parametrize("dim", [1, 7, 300])
+    def test_equals_one_shot_formula(self, n, dim):
+        rng = np.random.default_rng(n * 1000 + dim)
+        vectors = mixed_magnitude(rng, n, dim)
+        oracle = rng.standard_normal(dim) * 10.0 ** rng.integers(-6, 7, size=dim)
+        got = l2_distances(vectors, oracle)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, one_shot_l2(vectors, oracle))
+
+    def test_float64_and_matrix_object(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.standard_normal((L2_BLOCK + 9, 4))
+
+        class Matrix:
+            pass
+
+        m = Matrix()
+        m.vectors = vectors.astype(np.float32)
+        oracle = rng.standard_normal(4)
+        assert np.array_equal(l2_distances(vectors, oracle), one_shot_l2(vectors, oracle))
+        assert np.array_equal(l2_distances(m, oracle), one_shot_l2(m.vectors, oracle))
+
+    def test_empty_matrix(self):
+        assert l2_distances(np.zeros((0, 3), dtype=np.float32), [1.0, 2.0, 3.0]).size == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_random_shapes(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        vectors = mixed_magnitude(rng, n, dim)
+        oracle = vectors[rng.integers(n)].astype(np.float64) + rng.standard_normal(dim)
+        assert np.array_equal(l2_distances(vectors, oracle), one_shot_l2(vectors, oracle))
+
+
+# values from a small set, so tie groups are large
+tied_values = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0]),
+                       min_size=1, max_size=60)
+
+
+class TestTargetPosition:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_values, st.data())
+    def test_equals_rank_position(self, values, data):
+        adjusted = np.array(values)
+        n = adjusted.size
+        target = data.draw(st.integers(0, n - 1))
+        others = [i for i in range(n) if i != target]
+        excluded = frozenset(data.draw(st.lists(st.sampled_from(others), unique=True))
+                             if others else [])
+        keep = exclusion_mask(n, excluded)
+        assert target_position(adjusted, keep, target) == \
+            rank(adjusted, excluded).position(target)
+
+    def test_all_tied_is_index_order(self):
+        adjusted = np.zeros(10)
+        keep = exclusion_mask(10, {1, 3})
+        assert [target_position(adjusted, keep, t) for t in (0, 2, 4, 9)] == [1, 2, 3, 8]
+
+    def test_excluded_target_fatal(self):
+        with pytest.raises(DataError, match="not in the ranked list"):
+            target_position(np.zeros(3), exclusion_mask(3, {1}), 1)
+
+
+class TestExclusionMask:
+    def test_marks_excluded(self):
+        assert list(exclusion_mask(4, {0, 2})) == [False, True, False, True]
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_fatal(self, bad):
+        with pytest.raises(DataError, match=f"exclusion index {bad} out of range"):
+            exclusion_mask(4, {1, bad})
+
+
+class TestTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_values, st.data())
+    def test_rank_prefix_of_full_rank(self, values, data):
+        adjusted = np.array(values)
+        n = adjusted.size
+        excluded = frozenset(data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                                max_size=n - 1)))
+        k = data.draw(st.integers(0, n + 2))
+        full = rank(adjusted, excluded)
+        got = rank(adjusted, excluded, k=k)
+        assert_prefix(got, full, k)
+
+    def test_tie_group_crossing_k_cut_by_index(self):
+        adjusted = np.array([0.5, 0.1, 0.5, 0.9, 0.5, 0.5])
+        got = rank(adjusted, {2}, k=3)
+        assert list(got.indices) == [1, 0, 4]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 100])
+    def test_edge_k(self, k):
+        adjusted = np.array([0.3, 0.3, 0.1, 0.2])
+        full = rank(adjusted, {3})
+        got = rank(adjusted, {3}, k=k)
+        assert list(got.indices) == list(full.indices[:k])
+
+    def test_all_excluded_fatal_even_for_k_zero(self):
+        with pytest.raises(DataError, match="all items excluded"):
+            rank(np.array([0.1]), {0}, k=0)
+
+
+TITLES = [
+    "red fox jumps", "red red fox", "blue whale song", "fox and hound",
+    "quiet night", "red sky at night", "whale of a tale", "hound dog blues",
+    "the red fox returns", "night fox", "a b c", "blue blue blue", "...",
+]
+VOCAB = sorted({t for title in TITLES for t in tokenize(title)}) + ["unknown", "zzz"]
+
+
+class TestBM25PostingLists:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(VOCAB), max_size=8),
+           st.sampled_from([(1.5, 0.75), (1.2, 0.0), (2.0, 1.0)]))
+    def test_scores_equal_per_document_loop(self, query, params):
+        catalog = make_catalog({f"i{k}": t for k, t in enumerate(TITLES)})
+        k1, b = params
+        index = BM25Index(catalog, k1=k1, b=b)
+        assert np.array_equal(index.scores(query),
+                              per_document_bm25(catalog, query, k1=k1, b=b))
+
+    def test_repeated_and_unknown_terms(self):
+        catalog = make_catalog({f"i{k}": t for k, t in enumerate(TITLES)})
+        index = BM25Index(catalog)
+        query = ["red", "zzz", "fox", "red", "unknown", "red"]
+        got = index.scores(query)
+        assert np.array_equal(got, per_document_bm25(catalog, query))
+        assert got[1] > index.scores(["red", "fox"])[1]  # repeats count again
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(VOCAB), max_size=5),
+           st.lists(st.integers(0, len(TITLES) - 1), unique=True,
+                    max_size=len(TITLES) - 1),
+           st.integers(0, len(TITLES) + 2))
+    def test_bm25_rank_prefix_of_full_rank(self, query, excluded, k):
+        catalog = make_catalog({f"i{k}": t for k, t in enumerate(TITLES)})
+        index = BM25Index(catalog)
+        full = bm25_rank(query or ["zzz"], index, frozenset(excluded))
+        got = bm25_rank(query or ["zzz"], index, frozenset(excluded), k=k)
+        assert_prefix(got, full, k)
