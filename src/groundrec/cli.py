@@ -24,7 +24,7 @@ from .embed import (
     save_embeddings_bin,
     save_embeddings_tsv,
 )
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, open_input
 from .generate import (
     NGramGenerator,
     OracleEchoGenerator,
@@ -37,7 +37,6 @@ from .ingest import (
     parse_catalog,
     parse_interactions,
     read_samples,
-    sample_eval,
     temporal_split,
     write_interactions,
     write_samples,
@@ -69,7 +68,7 @@ def _parse_int(text, what, lineno, path):
 
 def _read_popularity_tsv(path, catalog) -> PopularityTable:
     counts = np.zeros(len(catalog), dtype=np.int64)
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "popularity") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -159,8 +158,8 @@ def cmd_split(args):
     write_interactions(out / "train.tsv", split.train)
     write_interactions(out / "valid.tsv", split.valid)
     write_interactions(out / "test.tsv", split.test)
-    for part in ("train", "valid", "test"):
-        write_samples(out / f"samples_{part}.tsv", build_samples(split, part))
+    for part, samples in build_samples(split).items():
+        write_samples(out / f"samples_{part}.tsv", samples)
     with open(out / "split.meta", "w", encoding="utf-8") as fh:
         fh.write(f"n_total={len(log)}\n")
         fh.write(f"n_train={len(split.train)}\n")
@@ -270,7 +269,7 @@ def cmd_collab_fit(args):
 
 def _read_generated(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "generated-text") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -349,9 +348,7 @@ def cmd_ground(args):
 
 def cmd_eval(args):
     catalog = parse_catalog(args.catalog)
-    samples = read_samples(args.test)
-    if args.sample_n:
-        samples = sample_eval(samples, args.sample_n, args.seed)
+    samples = read_samples(args.test, args.sample_n or None, args.seed)
     inputs = {"test": args.test, "catalog": args.catalog}
     if args.train:
         inputs["train"] = args.train
@@ -398,9 +395,7 @@ def cmd_eval(args):
 
 def cmd_tune_gamma(args):
     catalog = parse_catalog(args.catalog)
-    samples = read_samples(args.valid)
-    if args.sample_n:
-        samples = sample_eval(samples, args.sample_n, args.seed)
+    samples = read_samples(args.valid, args.sample_n or None, args.seed)
     pipeline = _pipeline_from_args(args, catalog)
     best, table = tune.tune_gamma(samples, pipeline, metric=args.metric,
                                   threads=args.threads)

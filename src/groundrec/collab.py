@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_input
 from .ingest import PAD, InteractionLog, ItemCatalog, SequenceSample
 from .pop import minmax
 
@@ -88,7 +88,7 @@ def save_scorer(path, scorer: CoScorer):
 
 
 def load_scorer(path, n_items, alpha=0.0) -> CoScorer:
-    with open(path, "rb") as fh:
+    with open_input(path, "scorer", "rb") as fh:
         header = fh.read(8)
         if len(header) < 8 or header[:4] != MAGIC:
             raise DataError(f"{path} is not a GRCO scorer file")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_input
 from .ingest import ItemCatalog
 from .text import tokenize
 
@@ -146,7 +146,7 @@ def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
 
 def load_embeddings(path, catalog: ItemCatalog) -> EmbeddingMatrix:
     """Dispatch on file content: binary magic first, else TSV."""
-    with open(path, "rb") as fh:
+    with open_input(path, "embedding", "rb") as fh:
         magic = fh.read(4)
     if magic == MAGIC:
         return load_embeddings_bin(path, catalog)

@@ -104,16 +104,22 @@ class NGramGenerator:
         self.catalog = catalog
         self.model = model
         self.seed = seed
+        # context -> its sorted most-frequent successors, filled on first use;
+        # a fill is idempotent, so threads sharing the generator may race on it
+        self._tied: dict[tuple[str, ...], list[str]] = {}
 
     def _next(self, ctx, rng):
         model = self.model
         while ctx not in model.transitions and ctx:
             ctx = ctx[1:]
-        choices = model.transitions.get(ctx)
-        if not choices:
-            return END
-        best = max(choices.values())
-        tied = sorted(t for t, c in choices.items() if c == best)
+        tied = self._tied.get(ctx)
+        if tied is None:
+            choices = model.transitions.get(ctx)
+            if not choices:
+                return END
+            best = max(choices.values())
+            tied = sorted(t for t, c in choices.items() if c == best)
+            self._tied[ctx] = tied
         return tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
 
     def generate(self, sample: SequenceSample) -> GeneratedText:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collab as collab_mod
-from .errors import DataError
+from .errors import DataError, open_input
 from .ground import (
     RankedList,
     exclusion_mask,
@@ -228,7 +228,7 @@ def write_report(path, report: MetricsReport, as_json=False):
 
 
 def read_report(path) -> MetricsReport:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "report") as fh:
         content = fh.read()
     if content.lstrip().startswith("{"):
         payload = json.loads(content)

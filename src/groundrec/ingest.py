@@ -5,6 +5,11 @@ The split cuts the temporally sorted log into 10 contiguous equal-count periods
 train, 9 valid, 10 test. Samples use a fixed history window of 10 items,
 left-padded with the reserved PAD token; histories may cross partition
 boundaries, so a test sample can see valid-period interactions.
+
+Sample construction is linear per user: build_samples walks each user's
+timeline once for all three partitions, growing the known set as the walk
+passes each timestamp, and write_samples sorts and checks each shared
+known-set snapshot once.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 PAD = "<PAD>"
 HISTORY_LEN = 10
 NUM_PERIODS = 10
+PARTITIONS = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,7 @@ def parse_interactions(path, catalog=None) -> InteractionLog:
     records = []
     rejected = 0
     total = 0
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read interactions file {path}: {e}") from e
-    with fh:
+    with open_input(path, "interactions") as fh:
         for lineno, line in enumerate(fh):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -159,11 +161,7 @@ def parse_catalog(path) -> ItemCatalog:
     """Parse a TSV of item_id, title[, domain_tag]."""
     entries = {}
     tag = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read catalog file {path}: {e}") from e
-    with fh:
+    with open_input(path, "catalog") as fh:
         for lineno, line in enumerate(fh):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -200,41 +198,59 @@ def temporal_split(log: InteractionLog) -> SplitLog:
     return SplitLog(log, boundaries)
 
 
-def build_samples(split: SplitLog, partition: str) -> list[SequenceSample]:
-    """One sample per interaction in the partition that has >=1 predecessor.
+def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
+    """Samples of all three partitions, from one walk over each user's timeline.
 
-    History is the 10 immediately preceding interactions from the user's full
-    timeline (crossing partition boundaries), left-padded with PAD. known_items
-    holds everything the user touched strictly before the target timestamp.
+    One sample per interaction that has >=1 predecessor, filed under the
+    partition holding the interaction. History is the 10 immediately
+    preceding interactions from the user's full timeline (crossing partition
+    boundaries), left-padded with PAD. known_items holds everything the user
+    touched strictly before the target timestamp.
+
+    Linear per user: the known set grows as the walk passes each timestamp,
+    and a new frozenset is taken only when it has grown, so consecutive
+    samples share one immutable snapshot. Copying a snapshot costs its size,
+    which the samples file writes out anyway.
     """
-    lo, hi = split.partition_range(partition)
-    by_user: dict[str, list[tuple[int, Interaction]]] = {}
-    for gidx, rec in enumerate(split.full.records):
-        by_user.setdefault(rec.user_id, []).append((gidx, rec))
+    labels = [
+        name for name in PARTITIONS for _ in range(*split.partition_range(name))
+    ]
+    by_user: dict[str, list[tuple[str, Interaction]]] = {}
+    for part, rec in zip(labels, split.full.records):
+        by_user.setdefault(rec.user_id, []).append((part, rec))
 
-    samples = []
+    out: dict[str, list[SequenceSample]] = {name: [] for name in PARTITIONS}
     for user in sorted(by_user):
         timeline = by_user[user]  # already in global (timestamp, pos) order
-        items = [rec.item_id for _, rec in timeline]
-        for t, (gidx, rec) in enumerate(timeline):
-            if t == 0 or not (lo <= gidx < hi):
-                continue
-            window = items[max(0, t - HISTORY_LEN) : t]
-            history = tuple([PAD] * (HISTORY_LEN - len(window)) + window)
-            known = frozenset(
-                r.item_id for _, r in timeline if r.timestamp < rec.timestamp
-            )
-            samples.append(
-                SequenceSample(
-                    history=history,
-                    target=rec.item_id,
-                    user_id=user,
-                    target_timestamp=rec.timestamp,
-                    known_items=known,
+        items: list[str] = []
+        seen: set[str] = set()
+        known: frozenset[str] = frozenset()
+        pending: list[str] = []  # items at the current timestamp, not yet known
+        now = None
+        for part, rec in timeline:
+            if rec.timestamp != now:
+                now = rec.timestamp
+                size = len(seen)
+                seen.update(pending)
+                pending.clear()
+                if len(seen) != size:
+                    known = frozenset(seen)
+            if items:
+                window = items[-HISTORY_LEN:]
+                out[part].append(
+                    SequenceSample(
+                        history=(PAD,) * (HISTORY_LEN - len(window)) + tuple(window),
+                        target=rec.item_id,
+                        user_id=user,
+                        target_timestamp=rec.timestamp,
+                        known_items=known,
+                    )
                 )
-            )
-    samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
-    return samples
+            items.append(rec.item_id)
+            pending.append(rec.item_id)
+    for samples in out.values():
+        samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
+    return out
 
 
 def write_interactions(path, log: InteractionLog):
@@ -246,63 +262,86 @@ def write_interactions(path, log: InteractionLog):
             fh.write("\t".join(fields) + "\n")
 
 
+def _check_ids(ids, clean):
+    """Raise DataError for an id holding a separator. `clean` holds the ids
+    already checked and gains the ones that pass, so each is checked once."""
+    if clean.issuperset(ids):
+        return
+    for item in sorted(set(ids) - clean):
+        if "," in item or "\t" in item:
+            raise DataError(
+                f"item_id {item!r} contains a separator; cannot serialize samples"
+            )
+        clean.add(item)
+
+
 def write_samples(path, samples):
     """TSV: user, comma-joined history, target, timestamp, comma-joined known set.
 
-    Item ids must not contain commas or tabs (enforced at write time).
+    Item ids must not contain commas or tabs (enforced at write time). A known
+    set is checked, sorted and joined once for each run of a user's samples
+    that share it; build_samples shares one snapshot until the set grows.
     """
+    clean: set[str] = set()
+    last_known: dict[str, tuple[frozenset[str], str]] = {}  # user -> set, text
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            for item in (*s.history, s.target, *s.known_items):
-                if "," in item or "\t" in item:
-                    raise DataError(
-                        f"item_id {item!r} contains a separator; "
-                        "cannot serialize samples"
-                    )
+            _check_ids((*s.history, s.target), clean)
+            cached = last_known.get(s.user_id)
+            if cached is None or cached[0] is not s.known_items:
+                _check_ids(s.known_items, clean)
+                cached = (s.known_items, ",".join(sorted(s.known_items)))
+                last_known[s.user_id] = cached
             fh.write(
-                "\t".join(
-                    [
-                        s.user_id,
-                        ",".join(s.history),
-                        s.target,
-                        str(s.target_timestamp),
-                        ",".join(sorted(s.known_items)),
-                    ]
-                )
-                + "\n"
+                f"{s.user_id}\t{','.join(s.history)}\t{s.target}"
+                f"\t{s.target_timestamp}\t{cached[1]}\n"
             )
 
 
-def read_samples(path) -> list[SequenceSample]:
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
+    """Samples from a samples TSV. With n, only the seeded draw of n of them:
+    exactly sample_eval(read_samples(path), n, seed).
+
+    Every line is checked (5 fields, a history of HISTORY_LEN ids, an integer
+    timestamp); a SequenceSample is built only for the lines returned.
+    """
+    rows = []
+    with open_input(path, "samples") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 5:
-                raise DataError(f"malformed sample line {lineno + 1} in {path}")
-            user, hist, target, ts, known = parts
-            history = tuple(hist.split(","))
-            if len(history) != HISTORY_LEN:
+                raise DataError(f"malformed sample line {lineno} in {path}")
+            length = parts[1].count(",") + 1
+            if length != HISTORY_LEN:
                 raise DataError(
-                    f"sample line {lineno + 1}: history length "
-                    f"{len(history)} != {HISTORY_LEN}"
+                    f"sample line {lineno} in {path}: history length "
+                    f"{length} != {HISTORY_LEN}"
                 )
-            samples.append(
-                SequenceSample(
-                    history=history,
-                    target=target,
-                    user_id=user,
-                    target_timestamp=int(ts),
-                    known_items=frozenset(known.split(",")) if known else frozenset(),
-                )
-            )
-    return samples
+            try:
+                parts[3] = int(parts[3])
+            except ValueError:
+                raise DataError(
+                    f"non-integer timestamp {parts[3]!r} at line {lineno} in {path}"
+                ) from None
+            rows.append(parts)
+    if n is not None:
+        rows = sample_eval(rows, n, seed)
+    return [
+        SequenceSample(
+            history=tuple(hist.split(",")),
+            target=target,
+            user_id=user,
+            target_timestamp=ts,
+            known_items=frozenset(known.split(",")) if known else frozenset(),
+        )
+        for user, hist, target, ts, known in rows
+    ]
 
 
-def sample_eval(samples, n, seed) -> list[SequenceSample]:
+def sample_eval(samples, n, seed) -> list:
     """Seeded uniform draw without replacement (Mersenne Twister via random.Random)."""
     if n < 1:
         raise ValueError("sample count must be >= 1")

@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 
 from . import __version__
+from .errors import open_input
 
 
 def sha256_file(path):
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open_input(path, "input", "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()

@@ -234,7 +234,7 @@ class TestCriterion8TemporalLeakage:
         log, catalog = synthetic_dataset(n_users=50, n_items=40, events_per_user=10)
         split = temporal_split(log)
         max_train_ts = max(r.timestamp for r in split.train.records)
-        samples = build_samples(split, "test")
+        samples = build_samples(split)["test"]
         assert samples
         provider = HashEmbedder(dim=128, seed=2)
         matrix = embed_catalog(catalog, provider)

@@ -324,3 +324,57 @@ class TestEvalInputs:
                 "--out", tmp_path / "report.tsv"])
         assert sorted(hashed) == sorted(str(p) for p in (
             out / "samples_test.tsv", cat, out / "train.tsv"))
+
+
+class TestSampleInputErrors:
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 1,
+                "--out", tmp_path / "emb.bin"])
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("0\ttale 1 of the saga\toracle\n")
+        return tmp_path, cat, out, gen
+
+    @staticmethod
+    def main(argv):
+        return cli.main([str(a) for a in argv])
+
+    @pytest.mark.parametrize("sample_n", [None, 1])
+    def test_non_integer_timestamp(self, workspace, capsys, sample_n):
+        tmp_path, cat, out, _ = workspace
+        bad = tmp_path / "bad_samples.tsv"
+        lines = (out / "samples_test.tsv").read_text().splitlines()[:2]
+        user, hist, target, _, known = lines[1].split("\t")
+        bad.write_text("\n".join([lines[0], f"{user}\t{hist}\t{target}\t12:30"
+                                  f"\t{known}"]) + "\n")
+        extra = ["--sample-n", sample_n] if sample_n else []
+        assert self.main(["eval", "--test", bad, "--catalog", cat, "--seed", 3,
+                          "--dim", 16, "--out", tmp_path / "r.tsv", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "'12:30'" in err and "line 2" in err and str(bad) in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--test"), ("eval", "--emb"), ("tune-gamma", "--valid"),
+        ("generate", "--samples"), ("ground", "--samples"), ("ground", "--emb"),
+        ("ground", "--gen"),
+    ])
+    def test_missing_input_names_path(self, workspace, capsys, command, flag):
+        tmp_path, cat, out, gen = workspace
+        args = {
+            "eval": {"--test": out / "samples_test.tsv", "--seed": 3},
+            "tune-gamma": {"--valid": out / "samples_valid.tsv", "--seed": 3},
+            "generate": {"--samples": out / "samples_test.tsv"},
+            "ground": {"--emb": tmp_path / "emb.bin", "--gen": gen,
+                       "--samples": out / "samples_test.tsv"},
+        }[command]
+        missing = tmp_path / "absent" / "input.file"
+        args[flag] = missing
+        argv = [command, "--catalog", cat, "--out", tmp_path / "o.tsv"]
+        for name, value in args.items():
+            argv += [name, value]
+        assert self.main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err

@@ -3,6 +3,7 @@ import pytest
 from conftest import make_catalog, make_log, make_sample
 from groundrec.errors import DataError
 from groundrec.generate import (
+    END,
     NGramGenerator,
     OracleEchoGenerator,
     PopTitleGenerator,
@@ -119,3 +120,34 @@ class TestNGram:
         gen = NGramGenerator(cat, model, seed=0)
         out = gen.generate(make_sample(["a"], "b"))
         assert len(out.tokens) <= 16
+
+
+class ScanEveryStep(NGramGenerator):
+    """The walk that ran max and sorted over all successors at every step."""
+
+    def _next(self, ctx, rng):
+        while ctx not in self.model.transitions and ctx:
+            ctx = ctx[1:]
+        choices = self.model.transitions.get(ctx)
+        if not choices:
+            return END
+        best = max(choices.values())
+        tied = sorted(t for t, c in choices.items() if c == best)
+        return tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+
+
+class TestNGramTiedMemo:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_same_text_as_scanning_every_step(self, order):
+        # "volume" has 60 tied successors; order 3 backs off to shorter contexts
+        cat = make_catalog({f"m{k:03d}": f"{('lost', 'red', 'far')[k % 3]} "
+                                          f"{('river', 'echo')[k % 2]} volume {k}"
+                            for k in range(60)})
+        model = train_ngram(cat.titles(), order=order)
+        memo = NGramGenerator(cat, model, seed=5)
+        scan = ScanEveryStep(cat, model, seed=5)
+        for k in range(60):
+            sample = make_sample([f"m{(7 * k) % 60:03d}"], "m000", ts=k)
+            assert memo.generate(sample) == scan.generate(sample)
+        assert memo.generate(make_sample([], "m000")) == \
+            scan.generate(make_sample([], "m000"))

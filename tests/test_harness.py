@@ -89,7 +89,7 @@ def oracle_pipeline(catalog, dim=256, seed=5, **kw):
 class TestEvaluate:
     def test_oracle_echo_perfect(self):
         log, catalog = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         report = evaluate(samples, oracle_pipeline(catalog))
         assert report.hr[1] == 1.0
         assert report.ndcg[1] == 1.0
@@ -122,7 +122,7 @@ class TestEvaluate:
 
     def test_skips_repeat_consumption(self):
         log, catalog = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         bad = make_sample(["i000"], "i000", known={"i000"})
         report = evaluate(samples + [bad], oracle_pipeline(catalog))
         assert report.skipped == 1
@@ -130,7 +130,7 @@ class TestEvaluate:
 
     def test_order_invariance(self):
         log, catalog = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         pipe = oracle_pipeline(catalog)
         a = evaluate(samples, pipe)
         b = evaluate(list(reversed(samples)), pipe)
@@ -138,7 +138,7 @@ class TestEvaluate:
 
     def test_thread_count_invariance(self):
         log, catalog = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         pipe = oracle_pipeline(catalog)
         a = evaluate(samples, pipe, threads=1)
         b = evaluate(samples, pipe, threads=8)
@@ -146,7 +146,7 @@ class TestEvaluate:
 
     def test_exclusions_never_ranked(self):
         log, catalog = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         pipe = oracle_pipeline(catalog)
         for s in samples:
             ranked = pipe.rank_sample(s)
@@ -157,7 +157,7 @@ class TestEvaluate:
         # naive re-sort per sample must agree with the harness on tiny instances
         rng = random.Random(3)
         log, catalog = synthetic_dataset(n_users=6, n_items=15, events_per_user=5)
-        samples = build_samples(temporal_split(log), "test")[:10]
+        samples = build_samples(temporal_split(log))["test"][:10]
         pipe = oracle_pipeline(catalog, dim=64)
         report = evaluate(samples, pipe)
         positions = []

@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log, synthetic_dataset
+from conftest import make_log, make_sample, synthetic_dataset
 from groundrec.errors import DataError
 from groundrec.ingest import (
+    HISTORY_LEN,
     PAD,
+    SequenceSample,
     build_samples,
     parse_interactions,
     period_sizes,
@@ -111,7 +113,7 @@ class TestBuildSamples:
         # force b into the test partition by timestamps: rebuild a clean case
         log = make_log([(f"v{k}", "f", k) for k in range(9)] + [("u", "a", 0), ("u", "b", 100)])
         split = temporal_split(log)
-        samples = [s for s in build_samples(split, "test") if s.user_id == "u"]
+        samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
         assert len(samples) == 1
         s = samples[0]
         assert s.history == tuple([PAD] * 9 + ["a"])
@@ -124,7 +126,7 @@ class TestBuildSamples:
             + [("u", it, 100 + k) for k, it in enumerate(items)]
         )
         split = temporal_split(log)
-        samples = [s for s in build_samples(split, "test") if s.user_id == "u"]
+        samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
         last = [s for s in samples if s.target == items[11]]
         assert len(last) == 1
         assert last[0].history == tuple(items[1:11])
@@ -138,7 +140,7 @@ class TestBuildSamples:
         )
         split = temporal_split(log)
         assert split.test.records[0].item_id == "c"
-        samples = [s for s in build_samples(split, "test") if s.user_id == "u"]
+        samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
         assert len(samples) == 1
         s = samples[0]
         assert s.history == tuple([PAD] * 8 + ["a", "b"])
@@ -148,13 +150,13 @@ class TestBuildSamples:
     def test_single_interaction_user_yields_nothing(self):
         log = make_log([("u", "a", 0)] + [(f"v{k}", "f", k + 1) for k in range(9)])
         split = temporal_split(log)
-        assert [s for s in build_samples(split, "train") if s.user_id == "u"] == []
+        assert [s for s in build_samples(split)["train"] if s.user_id == "u"] == []
 
     def test_padding_is_contiguous_left_prefix(self):
         log, _ = synthetic_dataset()
         split = temporal_split(log)
-        for part in ("train", "valid", "test"):
-            for s in build_samples(split, part):
+        for samples in build_samples(split).values():
+            for s in samples:
                 real_seen = False
                 for tok in s.history:
                     if tok != PAD:
@@ -166,8 +168,8 @@ class TestBuildSamples:
         log, _ = synthetic_dataset()
         split = temporal_split(log)
         allsamples = []
-        for part in ("train", "valid", "test"):
-            allsamples.extend(build_samples(split, part))
+        for samples in build_samples(split).values():
+            allsamples.extend(samples)
         by_user = {}
         for rec in split.full.records:
             by_user.setdefault(rec.user_id, []).append(rec.item_id)
@@ -183,32 +185,32 @@ class TestBuildSamples:
         times = {}
         for rec in split.full.records:
             times.setdefault(rec.user_id, []).append(rec)
-        for s in build_samples(split, "test"):
+        for s in build_samples(split)["test"]:
             for item in s.known_items:
                 ts = [r.timestamp for r in times[s.user_id] if r.item_id == item]
                 assert min(ts) < s.target_timestamp
 
     def test_determinism(self):
         log, _ = synthetic_dataset()
-        a = build_samples(temporal_split(log), "test")
-        b = build_samples(temporal_split(log), "test")
+        a = build_samples(temporal_split(log))["test"]
+        b = build_samples(temporal_split(log))["test"]
         assert a == b
 
 
 class TestSampleEval:
     def test_n_at_least_population_keeps_order(self):
         log, _ = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         assert sample_eval(samples, len(samples) + 5, seed=1) == samples
 
     def test_same_seed_same_selection(self):
         log, _ = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "valid")
+        samples = build_samples(temporal_split(log))["valid"]
         assert sample_eval(samples, 5, seed=42) == sample_eval(samples, 5, seed=42)
 
     def test_different_seeds_differ(self):
         log, _ = synthetic_dataset(n_users=60)
-        samples = build_samples(temporal_split(log), "train")
+        samples = build_samples(temporal_split(log))["train"]
         assert len(samples) >= 100
         a = sample_eval(samples, 10, seed=1)
         b = sample_eval(samples, 10, seed=2)
@@ -223,7 +225,184 @@ class TestSampleEval:
 class TestSamplesRoundtrip:
     def test_write_read_roundtrip(self, tmp_path):
         log, _ = synthetic_dataset()
-        samples = build_samples(temporal_split(log), "test")
+        samples = build_samples(temporal_split(log))["test"]
         path = tmp_path / "samples.tsv"
         write_samples(path, samples)
         assert read_samples(path) == samples
+
+
+def reference_samples(split, partition):
+    """The quadratic scan build_samples replaced: per partition, each
+    sample's known set rebuilt from the user's whole timeline."""
+    lo, hi = split.partition_range(partition)
+    by_user = {}
+    for gidx, rec in enumerate(split.full.records):
+        by_user.setdefault(rec.user_id, []).append((gidx, rec))
+    samples = []
+    for user in sorted(by_user):
+        timeline = by_user[user]
+        items = [rec.item_id for _, rec in timeline]
+        for t, (gidx, rec) in enumerate(timeline):
+            if t == 0 or not (lo <= gidx < hi):
+                continue
+            window = items[max(0, t - HISTORY_LEN) : t]
+            history = tuple([PAD] * (HISTORY_LEN - len(window)) + window)
+            known = frozenset(
+                r.item_id for _, r in timeline if r.timestamp < rec.timestamp
+            )
+            samples.append(SequenceSample(history, rec.item_id, user,
+                                          rec.timestamp, known))
+    samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
+    return samples
+
+
+def reference_write(path, samples):
+    """The writer that sorted, joined and checked every known set per sample."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in samples:
+            for item in (*s.history, s.target, *s.known_items):
+                if "," in item or "\t" in item:
+                    raise DataError(f"item_id {item!r} contains a separator")
+            fh.write("\t".join([s.user_id, ",".join(s.history), s.target,
+                                str(s.target_timestamp),
+                                ",".join(sorted(s.known_items))]) + "\n")
+
+
+# few users, items and timestamps: equal timestamps within a user, repeat
+# items and users whose timelines cross partition boundaries are the rule
+EVENTS = st.lists(
+    st.tuples(st.sampled_from(["u0", "u1", "u2", "u3", "u4"]),
+              st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+              st.integers(0, 8)),
+    min_size=10, max_size=80,
+)
+# u1's two events share a timestamp, so its one sample knows nothing;
+# u2 and u3 have one event each and yield no sample
+EDGE_EVENTS = ([("u0", "a", 0), ("u1", "b", 0), ("u0", "b", 0), ("u1", "c", 0),
+                ("u2", "a", 1)]
+               + [("u0", it, t) for t, it in enumerate("abcabcab", 1)]
+               + [("u3", "f", 9)])
+
+
+class TestLinearBuildSamples:
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS)
+    @example(EDGE_EVENTS)
+    def test_matches_quadratic_reference(self, events):
+        split = temporal_split(make_log(events))
+        got = build_samples(split)
+        assert list(got) == ["train", "valid", "test"]
+        for part, samples in got.items():
+            assert samples == reference_samples(split, part)
+
+    def test_edge_cases(self):
+        samples = build_samples(temporal_split(make_log(EDGE_EVENTS)))
+        flat = [s for part in samples.values() for s in part]
+        assert {s.user_id for s in flat} == {"u0", "u1"}  # u2, u3: one event
+        (u1,) = [s for s in flat if s.user_id == "u1"]
+        assert u1.target == "c" and u1.known_items == frozenset()
+        u0 = sorted((s for s in flat if s.user_id == "u0"),
+                    key=lambda s: s.target_timestamp)
+        # "b" shares timestamp 0 with "a": neither knows the other
+        assert u0[0].target == "b" and u0[0].known_items == frozenset()
+        assert u0[1].known_items == frozenset("ab")
+
+    def test_unchanged_known_set_is_one_shared_snapshot(self):
+        # after "a b c" every later event repeats an item: one snapshot
+        log = make_log([(f"v{k}", "f", k) for k in range(10)]
+                       + [("u", it, 100 + t) for t, it in enumerate("abcabcab")])
+        flat = [s for part in build_samples(temporal_split(log)).values()
+                for s in part if s.user_id == "u"]
+        later = [s for s in flat if s.target_timestamp >= 103]
+        assert len(later) == 5
+        assert all(s.known_items is later[0].known_items for s in later)
+        assert later[0].known_items == frozenset("abc")
+
+    def test_unknown_partition_rejected(self):
+        split = temporal_split(make_log([("u", f"i{k}", k) for k in range(10)]))
+        with pytest.raises(ValueError, match="unknown partition"):
+            split.partition_range("holdout")
+
+
+IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+class TestWriteSamples:
+    @settings(max_examples=100, deadline=None)
+    @given(EVENTS)
+    def test_bytes_match_reference_writer(self, tmp_path_factory, events):
+        tmp = tmp_path_factory.mktemp("w")
+        for part, samples in build_samples(temporal_split(make_log(events))).items():
+            write_samples(tmp / "new.tsv", samples)
+            reference_write(tmp / "old.tsv", samples)
+            assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["u", "w"]),
+                              st.integers(0, 3), IDS), max_size=30))
+    def test_arbitrary_sharing_matches_reference_writer(self, tmp_path_factory,
+                                                        rows):
+        # known sets from a small pool, so one object recurs, also out of order
+        pool = [frozenset(), frozenset("ab"), frozenset("ba"), frozenset("cde")]
+        samples = [SequenceSample((PAD,) * 9 + ("a",), target, user, k, pool[i])
+                   for k, (user, i, target) in enumerate(rows)]
+        tmp = tmp_path_factory.mktemp("w")
+        write_samples(tmp / "new.tsv", samples)
+        reference_write(tmp / "old.tsv", samples)
+        assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
+
+    @given(st.sampled_from(["history", "target", "known", "known-later"]),
+           st.sampled_from([",", "\t"]), st.sampled_from(["x", "zz", "0"]))
+    def test_separator_in_any_id_rejected(self, tmp_path_factory, where, sep,
+                                          stem):
+        bad = stem + sep + "y"
+        shared = frozenset({"a", "b"})
+        rows = [make_sample(["a"], "b", ts=1, known=shared),
+                make_sample(["a"], "b", ts=2, known=shared)]
+        # the bad id arrives beside a good one ("c") that is also new
+        if where == "history":
+            rows.append(make_sample(["c", bad], "b", ts=3, known=shared))
+        elif where == "target":
+            rows.append(make_sample(["c"], bad, ts=3, known=shared))
+        elif where == "known":
+            rows.append(make_sample(["a"], "b", ts=3, known={"c", bad}))
+        else:  # a user whose shared set is already cached gains a bad id
+            rows.append(make_sample(["a"], "b", ts=3, known=shared | {"c", bad}))
+        path = tmp_path_factory.mktemp("w") / "s.tsv"
+        with pytest.raises(DataError) as err:
+            write_samples(path, rows)
+        assert repr(bad) in str(err.value)
+
+
+class TestReadSamples:
+    @pytest.fixture(scope="class")
+    def samples_file(self, tmp_path_factory):
+        log, _ = synthetic_dataset()
+        path = tmp_path_factory.mktemp("r") / "samples.tsv"
+        write_samples(path, build_samples(temporal_split(log))["valid"])
+        return path
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 2**32))
+    def test_drawn_read_is_sample_eval_of_full_read(self, samples_file, n, seed):
+        full = read_samples(samples_file)
+        assert read_samples(samples_file, n, seed) == sample_eval(full, n, seed)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("u\t" + ",".join("a" * 10) + "\tb\tnoon\t", "non-integer timestamp 'noon'"),
+        ("u\t" + ",".join("a" * 9) + "\tb\t1\t", "history length 9"),
+        ("u\tb\t1\t", "malformed sample line"),
+    ])
+    def test_every_line_checked_when_drawing(self, tmp_path, samples_file, bad,
+                                             message):
+        lines = samples_file.read_text().splitlines()
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(lines + [bad]) + "\n")
+        with pytest.raises(DataError, match=message) as err:
+            read_samples(path, 1, seed=0)
+        assert f"line {len(lines) + 1}" in str(err.value)
+        assert str(path) in str(err.value)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read samples file"):
+            read_samples(tmp_path / "nope.tsv")

@@ -47,7 +47,7 @@ class TestTuneGamma:
         split = temporal_split(log)
         # force uniform counts with a synthetic train log
         uniform = make_log([("u", i, t) for t, i in enumerate(sorted(catalog.ids))])
-        samples = build_samples(split, "valid")
+        samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, uniform)
         assert np.all(pipe.pop_table.normalized == 0.0)
         best, table = tune_gamma(samples, pipe, grid=[0.0, 0.5, 1.0, 100.0])
@@ -56,7 +56,7 @@ class TestTuneGamma:
     def test_sweep_table_has_200_rows(self):
         log, catalog = synthetic_dataset(n_users=8, n_items=8, events_per_user=5)
         split = temporal_split(log)
-        samples = build_samples(split, "valid")
+        samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         best, table = tune_gamma(samples, pipe)
         assert len(table) == 200
@@ -104,7 +104,7 @@ class TestTuneGamma:
     def test_cached_sweep_matches_fresh_run(self):
         log, catalog = synthetic_dataset(n_users=12, n_items=12, events_per_user=6)
         split = temporal_split(log)
-        samples = build_samples(split, "valid")
+        samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         _, table = tune_gamma(samples, pipe, grid=[0.0, 0.5, 7.0])
         for row in table:
@@ -118,7 +118,7 @@ class TestTuneGamma:
     def test_determinism(self):
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
         split = temporal_split(log)
-        samples = build_samples(split, "valid")
+        samples = build_samples(split)["valid"]
         a = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         b = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         assert a[0] == b[0]
@@ -127,7 +127,7 @@ class TestTuneGamma:
     def test_thread_invariance(self):
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
         split = temporal_split(log)
-        samples = build_samples(split, "valid")
+        samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         a = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=1)
         b = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=8)
@@ -139,7 +139,7 @@ class TestWriteSweep:
     def test_tsv_shape(self, tmp_path):
         log, catalog = synthetic_dataset(n_users=8, n_items=8, events_per_user=5)
         split = temporal_split(log)
-        samples = build_samples(split, "valid")
+        samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         _, table = tune_gamma(samples, pipe, grid=[0.0, 0.5])
         path = tmp_path / "sweep.tsv"
