@@ -59,6 +59,17 @@ def _default_threads():
         return 1
 
 
+def _sample_count(text):
+    """--sample-n: a count of at least 1 (omit the flag to use every sample)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_int(text, what, lineno, path):
     try:
         return int(text)
@@ -169,7 +180,7 @@ def cmd_split(args):
         for i, b in enumerate(split.boundaries):
             fh.write(f"boundary_{i + 1}={b}\n")
         for i, b in enumerate(split.boundaries):
-            fh.write(f"boundary_ts_{i + 1}={log.records[b].timestamp}\n")
+            fh.write(f"boundary_ts_{i + 1}={log.timestamps[b]}\n")
     manifest.write_manifest(
         out / "run.manifest", "split",
         {"interactions": args.interactions, "out": args.out},
@@ -348,7 +359,7 @@ def cmd_ground(args):
 
 def cmd_eval(args):
     catalog = parse_catalog(args.catalog)
-    samples = read_samples(args.test, args.sample_n or None, args.seed)
+    samples = read_samples(args.test, args.sample_n, args.seed)
     inputs = {"test": args.test, "catalog": args.catalog}
     if args.train:
         inputs["train"] = args.train
@@ -395,7 +406,7 @@ def cmd_eval(args):
 
 def cmd_tune_gamma(args):
     catalog = parse_catalog(args.catalog)
-    samples = read_samples(args.valid, args.sample_n or None, args.seed)
+    samples = read_samples(args.valid, args.sample_n, args.seed)
     pipeline = _pipeline_from_args(args, catalog)
     best, table = tune.tune_gamma(samples, pipeline, metric=args.metric,
                                   threads=args.threads)
@@ -476,7 +487,7 @@ def _add_pipeline_flags(p, require_samples_flag):
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--ngram-order", type=int, default=1)
-    p.add_argument("--sample-n", type=int, default=None)
+    p.add_argument("--sample-n", type=_sample_count, default=None)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True)
 

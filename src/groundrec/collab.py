@@ -4,14 +4,20 @@ A first-order transition scorer over adjacent (prev, next) item pairs in each
 user's training timeline. Scoring a sample combines the last up-to-3 real
 history items with geometric recency weights 1.0, 0.5, 0.25.
 
+Fitting counts the adjacent pairs of each user's timeline with one np.unique
+over (prev, next) canonical-index keys; a pair with an item outside the
+catalog is not counted.
+
 Scorer file format: magic b"GRCO", u32 pair count, then (u32 prev, u32 next,
-u32 count) triples, all little-endian, keyed by canonical item index.
+u32 count) triples sorted by (prev, next), all little-endian, keyed by
+canonical item index.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +26,7 @@ from .ingest import PAD, InteractionLog, ItemCatalog, SequenceSample
 from .pop import minmax
 
 MAGIC = b"GRCO"
+U32_MAX = 0xFFFFFFFF
 RECENCY_WEIGHTS = (1.0, 0.5, 0.25)
 
 
@@ -40,18 +47,19 @@ class CoScorer:
 def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog, alpha=0.0) -> CoScorer:
     if len(train) == 0:
         raise DataError("cannot fit co-occurrence scorer on an empty training log")
-    by_user: dict[str, list[str]] = {}
-    for rec in train.records:  # records already in (timestamp, pos) order
-        by_user.setdefault(rec.user_id, []).append(rec.item_id)
-    counts: dict[tuple[int, int], int] = {}
-    for items in by_user.values():
-        for prev, nxt in zip(items, items[1:]):
-            pi = catalog.index_of.get(prev)
-            ni = catalog.index_of.get(nxt)
-            if pi is None or ni is None:
-                continue
-            counts[(pi, ni)] = counts.get((pi, ni), 0) + 1
-    return CoScorer(n_items=len(catalog), counts=counts, alpha=alpha)
+    order = train.user_order()  # each user's timeline, in (timestamp, pos) order
+    users = train.user_codes[order]
+    idx = catalog.indices(train.item_ids)[order]
+    prev, nxt = idx[:-1], idx[1:]
+    adjacent = (users[:-1] == users[1:]) & (prev >= 0) & (nxt >= 0)
+    n = len(catalog)
+    keys, counts = np.unique(prev[adjacent] * n + nxt[adjacent], return_counts=True)
+    return CoScorer(n_items=n, counts=_pair_counts(keys // n, keys % n, counts),
+                    alpha=alpha)
+
+
+def _pair_counts(prev, nxt, counts) -> dict[tuple[int, int], int]:
+    return dict(zip(zip(prev.tolist(), nxt.tolist()), counts.tolist()))
 
 
 def score(scorer: CoScorer, sample: SequenceSample, catalog: ItemCatalog) -> np.ndarray:
@@ -80,11 +88,16 @@ def normalize_scores(raw) -> np.ndarray:
 
 
 def save_scorer(path, scorer: CoScorer):
+    n = len(scorer.counts)
+    pairs = np.fromiter(chain.from_iterable(scorer.counts), np.int64, 2 * n).reshape(n, 2)
+    counts = np.fromiter(scorer.counts.values(), np.int64, n)
+    triples = np.column_stack((pairs, counts))[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    if n and (triples.min() < 0 or triples.max() > U32_MAX):
+        raise DataError(f"scorer holds a value outside u32; cannot write {path}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(scorer.counts)))
-        for (pi, ni) in sorted(scorer.counts):
-            fh.write(struct.pack("<III", pi, ni, scorer.counts[(pi, ni)]))
+        fh.write(struct.pack("<I", n))
+        fh.write(triples.astype("<u4").tobytes())
 
 
 def load_scorer(path, n_items, alpha=0.0) -> CoScorer:
@@ -93,11 +106,9 @@ def load_scorer(path, n_items, alpha=0.0) -> CoScorer:
         if len(header) < 8 or header[:4] != MAGIC:
             raise DataError(f"{path} is not a GRCO scorer file")
         (n_pairs,) = struct.unpack("<I", header[4:])
-        counts = {}
-        for _ in range(n_pairs):
-            chunk = fh.read(12)
-            if len(chunk) < 12:
-                raise DataError(f"truncated scorer file {path}")
-            pi, ni, c = struct.unpack("<III", chunk)
-            counts[(pi, ni)] = c
+        body = fh.read(12 * n_pairs)
+    if len(body) < 12 * n_pairs:
+        raise DataError(f"truncated scorer file {path}")
+    triples = np.frombuffer(body, dtype="<u4").reshape(-1, 3)
+    counts = _pair_counts(triples[:, 0], triples[:, 1], triples[:, 2])
     return CoScorer(n_items=n_items, counts=counts, alpha=alpha)

@@ -50,29 +50,39 @@ class HashEmbedder:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.seed = seed
+        # token -> (index, sign), filled on first use; a fill is idempotent,
+        # so threads sharing the embedder may race on it
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def embed(self, text):
-        return hash_embed(text, self.dim, self.seed)
+        return hash_embed(text, self.dim, self.seed, self._slots)
 
     def describe(self):
         return f"hash(dim={self.dim},seed={self.seed})"
 
 
-def hash_embed(text, dim, seed):
+def hash_embed(text, dim, seed, slots=None):
+    """slots, if given, memoizes token -> (index, sign) for this dim and seed."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     vec = np.zeros(dim, dtype=np.float32)
     tokens = tokenize(text)
     for tok in tokens:
-        digest = hashlib.blake2b(
-            f"{seed}\x00{tok}".encode(), digest_size=8
-        ).digest()
-        h = int.from_bytes(digest, "little")
-        idx = (h >> 1) % dim
-        sign = 1.0 if h & 1 else -1.0
+        slot = slots.get(tok) if slots is not None else None
+        if slot is None:
+            slot = _token_slot(tok, dim, seed)
+            if slots is not None:
+                slots[tok] = slot
+        idx, sign = slot
         vec[idx] += sign
     vec /= max(1, len(tokens))
     return vec
+
+
+def _token_slot(tok, dim, seed):
+    digest = hashlib.blake2b(f"{seed}\x00{tok}".encode(), digest_size=8).digest()
+    h = int.from_bytes(digest, "little")
+    return (h >> 1) % dim, 1.0 if h & 1 else -1.0
 
 
 def embed_catalog(catalog: ItemCatalog, provider, normalize=False) -> EmbeddingMatrix:

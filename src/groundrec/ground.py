@@ -100,14 +100,21 @@ def normalize_distances(raw) -> np.ndarray:
     return minmax(raw)
 
 
-def inject(normalized, weights, gamma) -> np.ndarray:
-    """adjusted_i = normalized_i / (1 + w_i)^gamma, w in [0,1], gamma >= 0."""
+def check_weights(normalized, weights):
+    """Both as float64 arrays; DataError unless the weights match the
+    distances in length and lie in [0,1]."""
     normalized = np.asarray(normalized, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != normalized.shape:
         raise DataError("weights and normalized distances differ in length")
     if not np.isfinite(weights).all() or weights.min() < 0 or weights.max() > 1:
         raise DataError("injection weights must lie in [0,1]; normalize the score source")
+    return normalized, weights
+
+
+def inject(normalized, weights, gamma) -> np.ndarray:
+    """adjusted_i = normalized_i / (1 + w_i)^gamma, w in [0,1], gamma >= 0."""
+    normalized, weights = check_weights(normalized, weights)
     if gamma == 0:
         return normalized.copy()
     return normalized / (1.0 + weights) ** gamma

@@ -6,6 +6,12 @@ train, 9 valid, 10 test. Samples use a fixed history window of 10 items,
 left-padded with the reserved PAD token; histories may cross partition
 boundaries, so a test sample can see valid-period interactions.
 
+The log is held as columns (user ids, item ids, timestamps, tags) put in
+(timestamp, file-position) order by one stable index sort; the partitions are
+slices of them. Timestamps stay Python ints, so values beyond int64
+round-trip. Each user also gets an integer code, which lets popularity and
+co-occurrence counting group and count with numpy instead of per-record loops.
+
 Sample construction is linear per user: build_samples walks each user's
 timeline once for all three partitions, growing the known set as the walk
 passes each timestamp, and write_samples sorts and checks each shared
@@ -17,6 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataError, open_input
 
 PAD = "<PAD>"
@@ -25,33 +33,47 @@ NUM_PERIODS = 10
 PARTITIONS = ("train", "valid", "test")
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user_id: str
-    item_id: str
-    timestamp: int
-    domain_tag: str | None = None
-    pos: int = 0  # input-file position, breaks timestamp ties
-
-
 @dataclass
 class InteractionLog:
-    """Interactions stably sorted by (timestamp, input-file position)."""
+    """Interaction columns, stably sorted by (timestamp, input-file position).
 
-    records: list[Interaction]
+    user_codes numbers the users by first appearance in that order. A slice
+    keeps the codes of the log it was cut from.
+    """
+
+    user_ids: list[str]
+    item_ids: list[str]
+    timestamps: list[int]
+    tags: list[str | None]
+    user_codes: np.ndarray
     rejected: int = 0
 
-    def __post_init__(self):
-        self.records = sorted(self.records, key=lambda r: (r.timestamp, r.pos))
+    @classmethod
+    def from_columns(cls, user_ids, item_ids, timestamps, tags, rejected=0):
+        """A log from columns in input-file order, sorted by one stable index
+        sort on the timestamps, so file order breaks timestamp ties."""
+        n = len(timestamps)
+        order = sorted(range(n), key=timestamps.__getitem__)
+        if order != list(range(n)):
+            user_ids, item_ids, timestamps, tags = (
+                [col[i] for i in order]
+                for col in (user_ids, item_ids, timestamps, tags)
+            )
+        code_of = {user: k for k, user in enumerate(dict.fromkeys(user_ids))}
+        codes = np.fromiter(map(code_of.__getitem__, user_ids), np.int64, n)
+        return cls(user_ids, item_ids, timestamps, tags, codes, rejected)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.timestamps)
 
-    def users(self):
-        return {r.user_id for r in self.records}
+    def slice(self, lo, hi) -> InteractionLog:
+        return InteractionLog(self.user_ids[lo:hi], self.item_ids[lo:hi],
+                              self.timestamps[lo:hi], self.tags[lo:hi],
+                              self.user_codes[lo:hi])
 
-    def items(self):
-        return {r.item_id for r in self.records}
+    def user_order(self) -> np.ndarray:
+        """Positions grouped by user code, in log order within each user."""
+        return np.argsort(self.user_codes, kind="stable")
 
 
 @dataclass
@@ -85,6 +107,11 @@ class ItemCatalog:
     def titles(self):
         return [self.entries[i] for i in self.ids]
 
+    def indices(self, item_ids) -> np.ndarray:
+        """Canonical index of each id, -1 for an id not in the catalog."""
+        get = self.index_of.get
+        return np.fromiter((get(i, -1) for i in item_ids), np.int64, len(item_ids))
+
 
 @dataclass
 class SplitLog:
@@ -95,11 +122,8 @@ class SplitLog:
     test: InteractionLog = field(init=False)
 
     def __post_init__(self):
-        recs = self.full.records
-        b = self.boundaries
-        self.train = InteractionLog(list(recs[: b[7]]))
-        self.valid = InteractionLog(list(recs[b[7] : b[8]]))
-        self.test = InteractionLog(list(recs[b[8] :]))
+        for name in PARTITIONS:
+            setattr(self, name, self.full.slice(*self.partition_range(name)))
 
     def partition_range(self, name):
         b = self.boundaries
@@ -127,34 +151,36 @@ def parse_interactions(path, catalog=None) -> InteractionLog:
 
     Malformed lines are counted and skipped; more than 10% rejects is fatal.
     """
-    records = []
+    users, items, stamps, tags = [], [], [], []
     rejected = 0
     total = 0
     with open_input(path, "interactions") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            total += 1
-            parts = line.split("\t")
-            if len(parts) < 3 or not parts[0] or not parts[1]:
-                rejected += 1
-                continue
-            try:
-                ts = int(parts[2])
-            except ValueError:
-                rejected += 1
-                continue
-            if parts[1] == PAD:
-                raise DataError(f"item_id collides with PAD token at line {lineno + 1}")
-            tag = parts[3] if len(parts) > 3 and parts[3] else None
-            records.append(Interaction(parts[0], parts[1], ts, tag, pos=lineno))
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines):
+        if not line or line.startswith("#"):
+            continue
+        total += 1
+        parts = line.split("\t")
+        if len(parts) < 3 or not parts[0] or not parts[1]:
+            rejected += 1
+            continue
+        try:
+            ts = int(parts[2])
+        except ValueError:
+            rejected += 1
+            continue
+        if parts[1] == PAD:
+            raise DataError(f"item_id collides with PAD token at line {lineno + 1}")
+        users.append(parts[0])
+        items.append(parts[1])
+        stamps.append(ts)
+        tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
     if total and rejected / total > 0.10:
         raise DataError(
             f"{rejected}/{total} lines rejected in {path} (>10%); "
             "check the file format (user \\t item \\t integer timestamp)"
         )
-    return InteractionLog(records, rejected=rejected)
+    return InteractionLog.from_columns(users, items, stamps, tags, rejected)
 
 
 def parse_catalog(path) -> ItemCatalog:
@@ -212,24 +238,26 @@ def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
     samples share one immutable snapshot. Copying a snapshot costs its size,
     which the samples file writes out anyway.
     """
+    full = split.full
     labels = [
         name for name in PARTITIONS for _ in range(*split.partition_range(name))
     ]
-    by_user: dict[str, list[tuple[str, Interaction]]] = {}
-    for part, rec in zip(labels, split.full.records):
-        by_user.setdefault(rec.user_id, []).append((part, rec))
+    order = full.user_order()
+    cuts = np.flatnonzero(np.diff(full.user_codes[order])) + 1
+    timelines = np.split(order, cuts) if len(full) else []
 
     out: dict[str, list[SequenceSample]] = {name: [] for name in PARTITIONS}
-    for user in sorted(by_user):
-        timeline = by_user[user]  # already in global (timestamp, pos) order
+    for timeline in timelines:  # each in global (timestamp, pos) order
+        user = full.user_ids[timeline[0]]
         items: list[str] = []
         seen: set[str] = set()
         known: frozenset[str] = frozenset()
         pending: list[str] = []  # items at the current timestamp, not yet known
         now = None
-        for part, rec in timeline:
-            if rec.timestamp != now:
-                now = rec.timestamp
+        for pos in timeline.tolist():
+            item, ts = full.item_ids[pos], full.timestamps[pos]
+            if ts != now:
+                now = ts
                 size = len(seen)
                 seen.update(pending)
                 pending.clear()
@@ -237,17 +265,17 @@ def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
                     known = frozenset(seen)
             if items:
                 window = items[-HISTORY_LEN:]
-                out[part].append(
+                out[labels[pos]].append(
                     SequenceSample(
                         history=(PAD,) * (HISTORY_LEN - len(window)) + tuple(window),
-                        target=rec.item_id,
+                        target=item,
                         user_id=user,
-                        target_timestamp=rec.timestamp,
+                        target_timestamp=ts,
                         known_items=known,
                     )
                 )
-            items.append(rec.item_id)
-            pending.append(rec.item_id)
+            items.append(item)
+            pending.append(item)
     for samples in out.values():
         samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
     return out
@@ -255,11 +283,11 @@ def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
 
 def write_interactions(path, log: InteractionLog):
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in log.records:
-            fields = [rec.user_id, rec.item_id, str(rec.timestamp)]
-            if rec.domain_tag:
-                fields.append(rec.domain_tag)
-            fh.write("\t".join(fields) + "\n")
+        fh.writelines(
+            f"{user}\t{item}\t{ts}\t{tag}\n" if tag else f"{user}\t{item}\t{ts}\n"
+            for user, item, ts, tag in zip(log.user_ids, log.item_ids,
+                                           log.timestamps, log.tags)
+        )
 
 
 def _check_ids(ids, clean):

@@ -3,6 +3,8 @@
 C_i is each item's share of training interactions; P_i is its min-max
 normalization over the catalog. When all counts are equal (including all-zero)
 P is defined as 0 everywhere, which makes popularity injection a no-op.
+The counts come from one np.bincount over the canonical indices of the
+training log's item column.
 """
 
 from __future__ import annotations
@@ -43,14 +45,10 @@ def minmax(values: np.ndarray) -> np.ndarray:
 def compute_popularity(train: InteractionLog, catalog: ItemCatalog) -> PopularityTable:
     if len(catalog) == 0:
         raise DataError("cannot compute popularity over an empty catalog")
-    counts = np.zeros(len(catalog), dtype=np.int64)
-    rejected = 0
-    for rec in train.records:
-        idx = catalog.index_of.get(rec.item_id)
-        if idx is None:
-            rejected += 1
-        else:
-            counts[idx] += 1
+    idx = catalog.indices(train.item_ids)
+    known = idx[idx >= 0]
+    counts = np.bincount(known, minlength=len(catalog)).astype(np.int64, copy=False)
+    rejected = len(idx) - len(known)
     total = counts.sum()
     if total > 0:
         factor = counts / total

@@ -2,8 +2,10 @@
 
 The grid is 0.00 to 1.00 in steps of 0.01 plus the integers 2 through 100:
 exactly 200 strictly increasing values. Distances are gamma-independent, so
-per-sample normalized distances and weights are computed once and the sweep
-only redoes the cheap inject-and-rank step.
+per-sample normalized distances and weights are computed (and the weights
+checked) once, and the sweep only redoes the cheap inject-and-rank step.
+Samples that share one weight array (popularity injection) share its divisor
+(1 + w)^gamma, computed once per gamma.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DataError
-from .ground import exclusion_mask, inject, target_position
+from .ground import check_weights, exclusion_mask, target_position
 from .harness import DEFAULT_KS, Pipeline, aggregate
 
 
@@ -40,6 +42,8 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
             return None
         norm = pipeline.normalized_distances(sample)
         weights = pipeline.weights(sample)
+        if weights is not None:
+            norm, weights = check_weights(norm, weights)
         target = pipeline.catalog.index_of.get(sample.target)
         if target is None:
             raise DataError(f"sample target {sample.target!r} not in catalog")
@@ -54,13 +58,16 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
 
     def sweep_point(gamma):
         positions = []
+        shared = divisor = None  # the last weight array and its divisor
         for entry in prepared:
             if entry is None:
                 positions.append(None)
                 continue
             norm, weights, keep, target = entry
             if weights is not None and gamma > 0:
-                adjusted = inject(norm, weights, gamma)
+                if weights is not shared:
+                    shared, divisor = weights, (1.0 + weights) ** gamma
+                adjusted = norm / divisor
             else:
                 adjusted = norm
             positions.append(target_position(adjusted, keep, target))

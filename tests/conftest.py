@@ -3,7 +3,6 @@ import random
 import pytest
 
 from groundrec.ingest import (
-    Interaction,
     InteractionLog,
     ItemCatalog,
     SequenceSample,
@@ -13,8 +12,9 @@ from groundrec.ingest import (
 
 def make_log(triples):
     """triples: (user, item, timestamp) in file order."""
-    return InteractionLog(
-        [Interaction(u, i, t, pos=k) for k, (u, i, t) in enumerate(triples)]
+    return InteractionLog.from_columns(
+        [u for u, _, _ in triples], [i for _, i, _ in triples],
+        [t for _, _, t in triples], [None] * len(triples),
     )
 
 

@@ -233,7 +233,7 @@ class TestCriterion8TemporalLeakage:
     def test_no_leakage_and_no_excluded_items_ranked(self):
         log, catalog = synthetic_dataset(n_users=50, n_items=40, events_per_user=10)
         split = temporal_split(log)
-        max_train_ts = max(r.timestamp for r in split.train.records)
+        max_train_ts = max(split.train.timestamps)
         samples = build_samples(split)["test"]
         assert samples
         provider = HashEmbedder(dim=128, seed=2)

@@ -378,3 +378,21 @@ class TestSampleInputErrors:
         assert self.main(argv) == 2
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
+
+
+class TestSampleCountFlag:
+    @pytest.mark.parametrize("command, flag", [("eval", "--test"),
+                                               ("tune-gamma", "--valid")])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_below_one_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        part = "test" if command == "eval" else "valid"
+        argv = [command, flag, out / f"samples_{part}.tsv", "--catalog", cat,
+                "--seed", 3, "--dim", 16, "--sample-n", value,
+                "--out", tmp_path / "o.tsv"]
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --sample-n: must be at least 1, got {value}" in err
+        assert "Traceback" not in err and not (tmp_path / "o.tsv").exists()

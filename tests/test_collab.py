@@ -1,10 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from groundrec import cli
 from groundrec.collab import (
+    CoScorer,
     fit_cooccurrence,
     load_scorer,
     normalize_scores,
@@ -47,14 +51,51 @@ class TestFitCooccurrence:
         scorer = fit_cooccurrence(split.train, catalog)
         # rebuild pair multiset from train alone; scorer must contain no more
         by_user = {}
-        for rec in split.train.records:
-            by_user.setdefault(rec.user_id, []).append(rec.item_id)
+        for user, item in zip(split.train.user_ids, split.train.item_ids):
+            by_user.setdefault(user, []).append(item)
         expected = {}
         for items in by_user.values():
             for p, n in zip(items, items[1:]):
                 key = (catalog.index_of[p], catalog.index_of[n])
                 expected[key] = expected.get(key, 0) + 1
         assert scorer.counts == expected
+
+
+def reference_counts(log, catalog):
+    """The per-record loop fit_cooccurrence replaced."""
+    by_user = {}
+    for user, item in zip(log.user_ids, log.item_ids):
+        by_user.setdefault(user, []).append(item)
+    counts = {}
+    for items in by_user.values():
+        for prev, nxt in zip(items, items[1:]):
+            pi = catalog.index_of.get(prev)
+            ni = catalog.index_of.get(nxt)
+            if pi is None or ni is None:
+                continue
+            counts[(pi, ni)] = counts.get((pi, ni), 0) + 1
+    return counts
+
+
+class TestFitMatchesRecordLoop:
+    # "zz" is not in abc_catalog; users interleave and timestamps repeat
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2"]),
+                              st.sampled_from(["a", "b", "c", "x", "zz"]),
+                              st.integers(0, 6)),
+                    min_size=1, max_size=60))
+    def test_unique_pairs_equal_per_record_loop(self, events):
+        catalog = make_catalog({"a": "ta", "b": "tb", "c": "tc", "x": "tx"})
+        log = make_log(events)
+        counts = fit_cooccurrence(log, catalog).counts
+        assert counts == reference_counts(log, catalog)
+        assert all(type(v) is int for (pi, ni), c in counts.items() for v in (pi, ni, c))
+
+    def test_partition_slice_matches(self):
+        log, catalog = synthetic_dataset(n_users=12, n_items=9, events_per_user=7)
+        split = temporal_split(log)
+        for part in (split.train, split.valid, split.test):
+            assert fit_cooccurrence(part, catalog).counts == reference_counts(part, catalog)
 
 
 class TestScore:
@@ -131,8 +172,47 @@ class TestScorerIO:
         with pytest.raises(DataError):
             load_scorer(path, 3)
 
+    @given(st.dictionaries(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                           st.integers(0, 2**32 - 1), max_size=30))
+    def test_roundtrip_bytes_match_struct_writer(self, tmp_path_factory, counts):
+        path = tmp_path_factory.mktemp("s") / "scorer.bin"
+        save_scorer(path, CoScorer(n_items=3, counts=counts))
+        expected = b"GRCO" + struct.pack("<I", len(counts)) + b"".join(
+            struct.pack("<III", pi, ni, counts[(pi, ni)]) for pi, ni in sorted(counts))
+        assert path.read_bytes() == expected
+        assert load_scorer(path, 3).counts == counts
+
+    def test_value_outside_u32_fatal(self, tmp_path):
+        with pytest.raises(DataError, match="outside u32"):
+            save_scorer(tmp_path / "s.bin", CoScorer(n_items=3, counts={(0, 1): 2**32}))
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        path = tmp_path / "scorer.bin"
+        path.write_bytes(b"GRCO" + struct.pack("<I4I", 1, 0, 2, 5, 99))
+        assert load_scorer(path, 3).counts == {(0, 2): 5}
+
     def test_truncated_fatal(self, tmp_path):
         path = tmp_path / "scorer.bin"
         path.write_bytes(b"GRCO" + (2).to_bytes(4, "little") + b"\x00" * 12)
         with pytest.raises(DataError, match="truncated"):
             load_scorer(path, 3)
+
+    def test_truncated_exits_2_from_ground(self, tmp_path, abc_catalog, capsys):
+        cat = tmp_path / "catalog.tsv"
+        cat.write_text("".join(f"{i}\tt{i}\n" for i in abc_catalog.ids))
+        assert cli.main(["embed", "--catalog", str(cat), "--dim", "8", "--seed", "1",
+                         "--out", str(tmp_path / "emb.bin")]) == 0
+        samples = tmp_path / "samples.tsv"
+        samples.write_text("u\t" + ",".join(["<PAD>"] * 9 + ["a"]) + "\tb\t5\ta\n")
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("0\ttb\toracle\n")
+        save_scorer(tmp_path / "co.bin", fit_cooccurrence(
+            make_log([("u", "a", 1), ("u", "b", 2), ("u", "c", 3)]), abc_catalog))
+        scorer = tmp_path / "co.bin"
+        scorer.write_bytes(scorer.read_bytes()[:-1])
+        argv = ["ground", "--emb", tmp_path / "emb.bin", "--gen", gen, "--catalog", cat,
+                "--samples", samples, "--inject", "collab", "--scorer", scorer,
+                "--gamma", "1", "--out", tmp_path / "ranks.tsv"]
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"truncated scorer file {scorer}" in err and "Traceback" not in err

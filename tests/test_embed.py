@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from groundrec.embed import (
     save_embeddings_tsv,
 )
 from groundrec.errors import DataError
+from groundrec.text import tokenize
 
 
 def cosine(a, b):
@@ -75,6 +79,48 @@ class TestEmbedCatalog:
         mat = embed_catalog(small_catalog, HashEmbedder(dim=64, seed=9), normalize=True)
         norms = np.linalg.norm(mat.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-6)
+
+
+class TestMemoizedHashEmbedder:
+    TEXTS = ["silent river volume 1", "silent river volume 2", "lost echo volume 1",
+             "", "Silent  RIVER!", "volume volume volume 3"] * 3
+
+    def test_vectors_bit_identical_to_unmemoized(self):
+        provider = HashEmbedder(dim=32, seed=4)
+        for text in self.TEXTS:
+            assert provider.embed(text).tobytes() == hash_embed(text, 32, 4).tobytes()
+
+    def test_each_distinct_token_hashed_once(self, monkeypatch):
+        from groundrec import embed
+
+        hashed = []
+        original = embed._token_slot
+        monkeypatch.setattr(embed, "_token_slot",
+                            lambda tok, dim, seed: hashed.append(tok) or original(tok, dim, seed))
+        provider = HashEmbedder(dim=32, seed=4)
+        for text in self.TEXTS:
+            provider.embed(text)
+        assert sorted(hashed) == sorted({t for text in self.TEXTS for t in tokenize(text)})
+
+    def test_threads_sharing_one_embedder(self):
+        provider = HashEmbedder(dim=16, seed=2)
+        texts = [f"title {k % 7} volume {k % 13}" for k in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-fill
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(provider.embed, texts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for text, vec in zip(texts, got):
+            assert vec.tobytes() == hash_embed(text, 16, 2).tobytes()
+
+    def test_catalog_file_bytes_unchanged(self, tmp_path):
+        cat = make_catalog({f"m{k:03d}": f"gentle storm volume {k % 40}" for k in range(120)})
+        path = tmp_path / "items.emb"
+        save_embeddings_bin(path, embed_catalog(cat, HashEmbedder(dim=24, seed=7)))
+        rows = np.vstack([hash_embed(cat.title(i), 24, 7) for i in cat.ids])
+        assert path.read_bytes()[8:] == rows.astype("<f4").tobytes()
 
 
 class TestLoadEmbeddings:

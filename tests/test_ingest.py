@@ -14,6 +14,7 @@ from groundrec.ingest import (
     read_samples,
     sample_eval,
     temporal_split,
+    write_interactions,
     write_samples,
 )
 
@@ -27,7 +28,7 @@ class TestParseInteractions:
         f = tmp_path / "x.tsv"
         write_lines(f, ["u\ta\t5", "u\tb\t1", "u\tc\t3"])
         log = parse_interactions(f)
-        assert [r.timestamp for r in log.records] == [1, 3, 5]
+        assert log.timestamps == [1, 3, 5]
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "x.tsv"
@@ -39,7 +40,7 @@ class TestParseInteractions:
         f = tmp_path / "x.tsv"
         write_lines(f, ["u\tA\t7", "u\tB\t7"])
         log = parse_interactions(f)
-        assert [r.item_id for r in log.records] == ["A", "B"]
+        assert log.item_ids == ["A", "B"]
 
     def test_bad_timestamp_rejected_and_counted(self, tmp_path):
         f = tmp_path / "x.tsv"
@@ -69,6 +70,110 @@ class TestParseInteractions:
             parse_interactions(f)
 
 
+def reference_parse(path):
+    """The record-based parser the columnar one replaced: one record per kept
+    line, sorted by (timestamp, file position) with a Python key. Returns
+    (records, rejected); a record is (user, item, timestamp, tag)."""
+    records = []
+    rejected = total = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            total += 1
+            parts = line.split("\t")
+            if len(parts) < 3 or not parts[0] or not parts[1]:
+                rejected += 1
+                continue
+            try:
+                ts = int(parts[2])
+            except ValueError:
+                rejected += 1
+                continue
+            if parts[1] == PAD:
+                raise DataError(f"item_id collides with PAD token at line {lineno + 1}")
+            tag = parts[3] if len(parts) > 3 and parts[3] else None
+            records.append((ts, lineno, parts[0], parts[1], tag))
+    if total and rejected / total > 0.10:
+        raise DataError(f"{rejected}/{total} lines rejected in {path} (>10%)")
+    records.sort(key=lambda r: (r[0], r[1]))
+    return [(u, i, ts, tag) for ts, _, u, i, tag in records], rejected
+
+
+def reference_write_interactions(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for user, item, ts, tag in records:
+            fields = [user, item, str(ts)]
+            if tag:
+                fields.append(tag)
+            fh.write("\t".join(fields) + "\n")
+
+
+# equal timestamps out of file order, and timestamps beyond int64
+STAMPS = st.sampled_from([3, 0, 1, 1, -7, 2**63, -(2**63) - 1, 10**30])
+VALID_LINE = st.builds(
+    lambda user, item, ts, rest: "\t".join([user, item, str(ts), *rest]),
+    st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(["a", "b", "c"]), STAMPS,
+    st.sampled_from([[], [""], ["tag1"], ["tag2", "extra"]]),
+)
+BAD_LINE = st.sampled_from([
+    "", "# comment", "#u0\ta\t1",  # skipped, not counted
+    "u0", "u0\ta", "\ta\t1", "u0\t\t1",  # short: rejected
+    "u0\ta\tnope", "u0\ta\t1.5", "u0\ta\t",  # non-integer: rejected
+])
+LINES = st.lists(st.one_of(VALID_LINE, VALID_LINE, VALID_LINE, BAD_LINE), max_size=40)
+
+
+class TestColumnarParse:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_matches_record_reference(self, tmp_path_factory, lines, newline):
+        path = tmp_path_factory.mktemp("p") / "x.tsv"
+        path.write_bytes(newline.join(lines).encode())
+        try:
+            records, rejected = reference_parse(path)
+        except DataError as e:
+            with pytest.raises(DataError) as got:
+                parse_interactions(path)
+            assert str(got.value).startswith(str(e).split(" (>10%)")[0])
+            return
+        log = parse_interactions(path)
+        assert log.rejected == rejected and len(log) == len(records)
+        assert list(zip(log.user_ids, log.item_ids, log.timestamps, log.tags)) == records
+        assert all(type(ts) is int for ts in log.timestamps)
+        # one code per user, numbered by first appearance
+        firsts = list(dict.fromkeys(log.user_ids))
+        assert log.user_codes.tolist() == [firsts.index(u) for u in log.user_ids]
+        out, expected = path.with_suffix(".out"), path.with_suffix(".ref")
+        write_interactions(out, log)
+        reference_write_interactions(expected, records)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_pad_collision_names_line(self, tmp_path):
+        f = tmp_path / "x.tsv"
+        write_lines(f, ["# header", "u\ta\t1", "", f"u\t{PAD}\t2"])
+        with pytest.raises(DataError, match="PAD token at line 4"):
+            parse_interactions(f)
+
+    def test_reject_limit_message(self, tmp_path):
+        f = tmp_path / "x.tsv"
+        write_lines(f, ["u\ta"] + [f"u\ta\t{i}" for i in range(8)] + ["u\ta\tx"])
+        with pytest.raises(DataError, match=r"2/10 lines rejected .* \(>10%\)"):
+            parse_interactions(f)
+
+    def test_partitions_are_slices_of_the_sorted_columns(self):
+        log = make_log([("u", f"i{k}", 20 - k) for k in range(20)])
+        split = temporal_split(log)
+        assert split.full.timestamps == list(range(1, 21))
+        for name in ("train", "valid", "test"):
+            lo, hi = split.partition_range(name)
+            part = getattr(split, name)
+            assert part.item_ids == log.item_ids[lo:hi]
+            assert part.timestamps == log.timestamps[lo:hi]
+            assert part.user_codes.tolist() == log.user_codes[lo:hi].tolist()
+
+
 class TestTemporalSplit:
     def test_20_records(self):
         log = make_log([("u", f"i{k}", k) for k in range(20)])
@@ -94,9 +199,9 @@ class TestTemporalSplit:
     def test_no_temporal_leakage(self):
         log, _ = synthetic_dataset()
         split = temporal_split(log)
-        max_train = max(r.timestamp for r in split.train.records)
-        assert all(r.timestamp >= max_train for r in split.test.records)
-        assert all(r.timestamp >= max_train for r in split.valid.records)
+        max_train = max(split.train.timestamps)
+        assert all(ts >= max_train for ts in split.test.timestamps)
+        assert all(ts >= max_train for ts in split.valid.timestamps)
 
     @given(st.integers(min_value=10, max_value=500))
     def test_period_sizes_partition(self, n):
@@ -139,7 +244,7 @@ class TestBuildSamples:
             + [("u", "c", 100)]
         )
         split = temporal_split(log)
-        assert split.test.records[0].item_id == "c"
+        assert split.test.item_ids[0] == "c"
         samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
         assert len(samples) == 1
         s = samples[0]
@@ -171,8 +276,8 @@ class TestBuildSamples:
         for samples in build_samples(split).values():
             allsamples.extend(samples)
         by_user = {}
-        for rec in split.full.records:
-            by_user.setdefault(rec.user_id, []).append(rec.item_id)
+        for user, item in zip(split.full.user_ids, split.full.item_ids):
+            by_user.setdefault(user, []).append(item)
         got = {}
         for s in sorted(allsamples, key=lambda s: s.target_timestamp):
             got.setdefault(s.user_id, []).append(s.target)
@@ -183,11 +288,12 @@ class TestBuildSamples:
         log, _ = synthetic_dataset()
         split = temporal_split(log)
         times = {}
-        for rec in split.full.records:
-            times.setdefault(rec.user_id, []).append(rec)
+        for user, item, ts in zip(split.full.user_ids, split.full.item_ids,
+                                  split.full.timestamps):
+            times.setdefault(user, []).append((item, ts))
         for s in build_samples(split)["test"]:
             for item in s.known_items:
-                ts = [r.timestamp for r in times[s.user_id] if r.item_id == item]
+                ts = [t for i, t in times[s.user_id] if i == item]
                 assert min(ts) < s.target_timestamp
 
     def test_determinism(self):
@@ -236,22 +342,24 @@ def reference_samples(split, partition):
     sample's known set rebuilt from the user's whole timeline."""
     lo, hi = split.partition_range(partition)
     by_user = {}
-    for gidx, rec in enumerate(split.full.records):
-        by_user.setdefault(rec.user_id, []).append((gidx, rec))
+    full = split.full
+    for gidx, user in enumerate(full.user_ids):
+        by_user.setdefault(user, []).append(gidx)
     samples = []
     for user in sorted(by_user):
         timeline = by_user[user]
-        items = [rec.item_id for _, rec in timeline]
-        for t, (gidx, rec) in enumerate(timeline):
+        items = [full.item_ids[g] for g in timeline]
+        for t, gidx in enumerate(timeline):
             if t == 0 or not (lo <= gidx < hi):
                 continue
             window = items[max(0, t - HISTORY_LEN) : t]
             history = tuple([PAD] * (HISTORY_LEN - len(window)) + window)
+            now = full.timestamps[gidx]
             known = frozenset(
-                r.item_id for _, r in timeline if r.timestamp < rec.timestamp
+                full.item_ids[g] for g in timeline if full.timestamps[g] < now
             )
-            samples.append(SequenceSample(history, rec.item_id, user,
-                                          rec.timestamp, known))
+            samples.append(SequenceSample(history, full.item_ids[gidx], user,
+                                          now, known))
     samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
     return samples
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_log
@@ -93,6 +93,35 @@ class TestComputePopularity:
             for j in range(len(counts)):
                 if counts[i] > counts[j]:
                     assert table.normalized[i] >= table.normalized[j]
+
+
+# "zz" and "q" are not in the catalog below
+EVENTS = st.lists(
+    st.tuples(st.sampled_from(["u0", "u1", "u2"]),
+              st.sampled_from(["i000", "i001", "i002", "i003", "zz", "q"]),
+              st.integers(0, 6)),
+    max_size=60,
+)
+
+
+class TestCountsMatchRecordLoop:
+    @settings(deadline=None)
+    @given(EVENTS)
+    def test_bincount_equals_per_record_loop(self, events):
+        cat = catalog_of(5)
+        log = make_log(events)
+        counts = np.zeros(len(cat), dtype=np.int64)
+        rejected = 0
+        for item in log.item_ids:  # the loop compute_popularity replaced
+            idx = cat.index_of.get(item)
+            if idx is None:
+                rejected += 1
+            else:
+                counts[idx] += 1
+        table = compute_popularity(log, cat)
+        assert table.counts.dtype == np.int64
+        assert table.counts.tolist() == counts.tolist()
+        assert table.rejected == rejected
 
 
 class TestDecileReport:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import GeneratedText, OracleEchoGenerator
-from groundrec.harness import Pipeline, evaluate
+from groundrec.ground import exclusion_mask, target_position
+from groundrec.harness import Pipeline, aggregate, evaluate
 from groundrec.ingest import build_samples, temporal_split
 from groundrec.pop import compute_popularity
 from groundrec.tune import gamma_grid, tune_gamma, write_sweep
@@ -133,6 +135,58 @@ class TestTuneGamma:
         b = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=8)
         assert a[0] == b[0]
         assert [r.metrics for r in a[1]] == [r.metrics for r in b[1]]
+
+
+def reference_sweep(samples, pipeline, grid):
+    """The sweep before the weights were checked once per sample: inject (and
+    its checks) once per (gamma, sample), through Pipeline.adjusted."""
+    table = []
+    for gamma in grid:
+        positions = []
+        for s in samples:
+            if s.target in s.known_items:
+                positions.append(None)
+                continue
+            adjusted = pipeline.adjusted(s, gamma)
+            keep = exclusion_mask(adjusted.shape[0], pipeline.exclusions(s))
+            positions.append(target_position(adjusted, keep,
+                                             pipeline.catalog.index_of[s.target]))
+        report = aggregate(positions)
+        table.append({**{f"hr@{k}": v for k, v in report.hr.items()},
+                      **{f"ndcg@{k}": v for k, v in report.ndcg.items()}})
+    return table
+
+
+class TestSweepMatchesPerPointInjection:
+    @pytest.mark.parametrize("injection", ["popularity", "collaborative"])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_bit_identical_table(self, injection, threads):
+        log, catalog = synthetic_dataset(n_users=14, n_items=15, events_per_user=7)
+        split = temporal_split(log)
+        samples = build_samples(split)["valid"]
+        provider = HashEmbedder(dim=16, seed=5)
+
+        class OneTextGen:  # the weights, not the text, decide most ranks
+            def generate(self, sample):
+                return GeneratedText(("story", "chronicle"), "fixed")
+
+        pipe = Pipeline(
+            OneTextGen(), provider, embed_catalog(catalog, provider),
+            catalog, injection=injection,
+            pop_table=compute_popularity(split.train, catalog),
+            scorer=fit_cooccurrence(split.train, catalog),
+        )
+        _, table = tune_gamma(samples, pipe, threads=threads)
+        assert [row.metrics for row in table] == reference_sweep(samples, pipe,
+                                                                 gamma_grid())
+
+    def test_weights_out_of_range_fatal(self):
+        log, catalog = synthetic_dataset(n_users=6, n_items=8, events_per_user=5)
+        split = temporal_split(log)
+        pipe = pop_pipeline(catalog, split.train)
+        pipe.pop_table.normalized = pipe.pop_table.normalized + 1.5
+        with pytest.raises(DataError, match=r"must lie in \[0,1\]"):
+            tune_gamma(build_samples(split)["valid"], pipe, grid=[0.0, 1.0])
 
 
 class TestWriteSweep:
