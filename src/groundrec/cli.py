@@ -9,6 +9,7 @@ never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .generate import (
     PopTitleGenerator,
     train_ngram,
 )
-from .ground import BM25Index, bm25_rank, inject, l2_distances, normalize_distances, rank
+from .ground import BM25Index, bm25_rank, rank
 from .ingest import (
     build_samples,
     parse_catalog,
@@ -70,6 +71,17 @@ def _sample_count(text):
     return value
 
 
+def _gamma(text):
+    """--gamma: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _parse_int(text, what, lineno, path):
     try:
         return int(text)
@@ -92,11 +104,7 @@ def _read_popularity_tsv(path, catalog) -> PopularityTable:
                 raise DataError(f"popularity item {parts[0]!r} not in catalog "
                                 f"(line {lineno} in {path})")
             counts[idx] = _parse_int(parts[1], "popularity count", lineno, path)
-    total = counts.sum()
-    factor = counts / total if total > 0 else np.zeros(len(catalog))
-    from .pop import minmax
-
-    return PopularityTable(counts=counts, factor=factor, normalized=minmax(factor))
+    return PopularityTable.from_counts(counts)
 
 
 def _make_generator(name, catalog, train_log, seed, ngram_order):
@@ -119,16 +127,16 @@ def _train_log(args):
     return parse_interactions(args.train) if reads and args.train else None
 
 
-def _pipeline_from_args(args, catalog):
+def _pipeline_from_args(args, catalog, gamma=0.0):
     train_log = _train_log(args)
-    if getattr(args, "emb", None):
+    if args.emb:
         mat = load_embeddings(args.emb, catalog)
         provider = HashEmbedder(dim=mat.dim, seed=args.seed)
     else:
         provider = HashEmbedder(dim=args.dim, seed=args.seed)
         mat = embed_catalog(catalog, provider, normalize=args.normalize)
     generator = _make_generator(args.generator, catalog, train_log, args.seed,
-                                getattr(args, "ngram_order", 1))
+                                args.ngram_order)
     injection = INJECT_MODES[args.inject]
     pop_table = None
     scorer = None
@@ -139,12 +147,18 @@ def _pipeline_from_args(args, catalog):
     elif injection == "collaborative":
         if train_log is None:
             raise UsageError("--inject collab requires --train")
-        scorer = collab_mod.fit_cooccurrence(train_log, catalog, alpha=args.alpha)
+        scorer = collab_mod.fit_cooccurrence(train_log, catalog)
     return harness.Pipeline(
         generator, provider, mat, catalog,
-        injection=injection, gamma=args.gamma,
+        injection=injection, gamma=gamma,
         pop_table=pop_table, scorer=scorer,
     )
+
+
+def _digests(args, *names):
+    """sha256 of the input file behind each named flag that was given."""
+    return manifest.digests({name: getattr(args, name) for name in names
+                             if getattr(args, name)})
 
 
 def _fingerprint(args, input_digests):
@@ -181,11 +195,7 @@ def cmd_split(args):
             fh.write(f"boundary_{i + 1}={b}\n")
         for i, b in enumerate(split.boundaries):
             fh.write(f"boundary_ts_{i + 1}={log.timestamps[b]}\n")
-    manifest.write_manifest(
-        out / "run.manifest", "split",
-        {"interactions": args.interactions, "out": args.out},
-        manifest.digests({"interactions": args.interactions}),
-    )
+    manifest.write_manifest(out / "run.manifest", args, _digests(args, "interactions"))
     print(f"split: {len(split.train)} train / {len(split.valid)} valid / "
           f"{len(split.test)} test -> {out}")
     return 0
@@ -208,12 +218,8 @@ def cmd_popularity(args):
                 fh.write("# small-catalog mode: fewer items than buckets\n")
             for k, (group, share) in enumerate(zip(report.groups, report.share)):
                 fh.write(f"{k}\t{len(group)}\t{share:.10g}\n")
-    manifest.write_manifest(
-        str(args.out) + ".manifest", "popularity",
-        {"train": args.train, "catalog": args.catalog, "out": args.out,
-         "deciles": args.deciles or ""},
-        manifest.digests({"train": args.train, "catalog": args.catalog}),
-    )
+    manifest.write_manifest(str(args.out) + ".manifest", args,
+                            _digests(args, "train", "catalog"))
     print(f"popularity: {len(catalog)} items, {table.rejected} unknown-item "
           f"interactions ignored -> {args.out}")
     return 0
@@ -221,20 +227,13 @@ def cmd_popularity(args):
 
 def cmd_embed(args):
     catalog = parse_catalog(args.catalog)
-    if args.provider != "hash":
-        raise UsageError(f"unknown provider {args.provider!r}")
     provider = HashEmbedder(dim=args.dim, seed=args.seed)
     mat = embed_catalog(catalog, provider, normalize=args.normalize)
     if str(args.out).endswith(".tsv"):
         save_embeddings_tsv(args.out, mat, catalog)
     else:
         save_embeddings_bin(args.out, mat)
-    manifest.write_manifest(
-        str(args.out) + ".manifest", "embed",
-        {"catalog": args.catalog, "provider": args.provider, "dim": args.dim,
-         "seed": args.seed, "normalize": args.normalize, "out": args.out},
-        manifest.digests({"catalog": args.catalog}),
-    )
+    manifest.write_manifest(str(args.out) + ".manifest", args, _digests(args, "catalog"))
     print(f"embed: {len(catalog)} items x dim {mat.dim} -> {args.out}")
     return 0
 
@@ -248,17 +247,8 @@ def cmd_generate(args):
         for i, sample in enumerate(samples):
             gen = generator.generate(sample)
             fh.write(f"{i}\t{gen.text()}\t{gen.source}\n")
-    inputs = {"samples": args.samples, "catalog": args.catalog}
-    if args.train:
-        inputs["train"] = args.train
-    manifest.write_manifest(
-        str(args.out) + ".manifest", "generate",
-        {"samples": args.samples, "catalog": args.catalog,
-         "generator": args.generator, "seed": args.seed,
-         "ngram-order": args.ngram_order, "train": args.train or "",
-         "out": args.out},
-        manifest.digests(inputs),
-    )
+    manifest.write_manifest(str(args.out) + ".manifest", args,
+                            _digests(args, "samples", "catalog", "train"))
     print(f"generate: {len(samples)} samples via {args.generator} -> {args.out}")
     return 0
 
@@ -266,14 +256,10 @@ def cmd_generate(args):
 def cmd_collab_fit(args):
     catalog = parse_catalog(args.catalog)
     train = parse_interactions(args.train)
-    scorer = collab_mod.fit_cooccurrence(train, catalog, alpha=args.alpha)
+    scorer = collab_mod.fit_cooccurrence(train, catalog)
     collab_mod.save_scorer(args.out, scorer)
-    manifest.write_manifest(
-        str(args.out) + ".manifest", "collab-fit",
-        {"train": args.train, "catalog": args.catalog, "alpha": args.alpha,
-         "out": args.out},
-        manifest.digests({"train": args.train, "catalog": args.catalog}),
-    )
+    manifest.write_manifest(str(args.out) + ".manifest", args,
+                            _digests(args, "train", "catalog"))
     print(f"collab-fit: {len(scorer.counts)} transition pairs -> {args.out}")
     return 0
 
@@ -295,20 +281,23 @@ def _read_generated(path):
 def cmd_ground(args):
     catalog = parse_catalog(args.catalog)
     mat = load_embeddings(args.emb, catalog)
-    provider = HashEmbedder(dim=mat.dim, seed=args.seed)
     rows = _read_generated(args.gen)
     samples = read_samples(args.samples) if args.samples else None
     injection = INJECT_MODES[args.inject]
-    pop_weights = None
+    pop_table = None
     scorer = None
     if injection == "popularity":
         if not args.popularity:
             raise UsageError("--inject pop requires --popularity")
-        pop_weights = _read_popularity_tsv(args.popularity, catalog).normalized
+        pop_table = _read_popularity_tsv(args.popularity, catalog)
     elif injection == "collaborative":
         if not (args.scorer and args.samples):
             raise UsageError("--inject collab requires --scorer and --samples")
-        scorer = collab_mod.load_scorer(args.scorer, len(catalog), alpha=args.alpha)
+        scorer = collab_mod.load_scorer(args.scorer, len(catalog))
+    pipeline = harness.Pipeline(
+        None, HashEmbedder(dim=mat.dim, seed=args.seed), mat, catalog,
+        injection=injection, gamma=args.gamma, pop_table=pop_table, scorer=scorer,
+    )
     bm25 = BM25Index(catalog, k1=args.bm25_k1, b=args.bm25_b) \
         if args.strategy == "bm25" else None
 
@@ -319,39 +308,20 @@ def cmd_ground(args):
                 if not 0 <= sample_idx < len(samples):
                     raise DataError(f"sample index {sample_idx} out of range")
                 sample = samples[sample_idx]
-            exclusions = frozenset(
-                catalog.index_of[i] for i in sample.known_items
-                if i in catalog.index_of
-            ) if sample is not None else frozenset()
+            exclusions = pipeline.exclusions(sample) if sample is not None else frozenset()
             if bm25 is not None:
                 ranked = bm25_rank(text, bm25, exclusions, k=args.topk)
             else:
-                norm = normalize_distances(l2_distances(mat, provider.embed(text)))
-                if injection == "popularity" and args.gamma > 0:
-                    adjusted = inject(norm, pop_weights, args.gamma)
-                elif injection == "collaborative" and args.gamma > 0:
-                    raw = collab_mod.score(scorer, sample, catalog)
-                    adjusted = inject(norm, collab_mod.normalize_scores(raw),
-                                      args.gamma)
-                else:
-                    adjusted = norm
+                adjusted = pipeline.reweighted(pipeline.distances(text),
+                                               pipeline.weights(sample))
                 ranked = rank(adjusted, exclusions, k=args.topk)
             for pos in range(len(ranked.indices)):
                 idx = int(ranked.indices[pos])
                 fh.write(f"{sample_idx}\t{pos + 1}\t{catalog.ids[idx]}"
                          f"\t{ranked.values[pos]:.10g}\n")
-    inputs = {"emb": args.emb, "gen": args.gen, "catalog": args.catalog}
-    for name in ("samples", "popularity", "scorer"):
-        if getattr(args, name):
-            inputs[name] = getattr(args, name)
     manifest.write_manifest(
-        str(args.out) + ".manifest", "ground",
-        {"emb": args.emb, "gen": args.gen, "catalog": args.catalog,
-         "inject": args.inject, "gamma": args.gamma, "topk": args.topk,
-         "strategy": args.strategy, "seed": args.seed,
-         "samples": args.samples or "", "popularity": args.popularity or "",
-         "scorer": args.scorer or "", "alpha": args.alpha, "out": args.out},
-        manifest.digests(inputs),
+        str(args.out) + ".manifest", args,
+        _digests(args, "emb", "gen", "catalog", "samples", "popularity", "scorer"),
     )
     print(f"ground: {len(rows)} queries, top-{args.topk} -> {args.out}")
     return 0
@@ -360,12 +330,7 @@ def cmd_ground(args):
 def cmd_eval(args):
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.test, args.sample_n, args.seed)
-    inputs = {"test": args.test, "catalog": args.catalog}
-    if args.train:
-        inputs["train"] = args.train
-    if args.emb:
-        inputs["emb"] = args.emb
-    input_digests = manifest.digests(inputs)
+    input_digests = _digests(args, "test", "catalog", "train", "emb")
     fp = _fingerprint(args, input_digests)
     if args.generator == "most-pop":
         if not args.train:
@@ -374,7 +339,7 @@ def cmd_eval(args):
         table = compute_popularity(train_log, catalog)
         report = harness.most_pop_baseline(table, samples, catalog, fingerprint=fp)
     else:
-        pipeline = _pipeline_from_args(args, catalog)
+        pipeline = _pipeline_from_args(args, catalog, args.gamma)
         if args.dump_ranks:
             report, positions = harness.evaluate(
                 samples, pipeline, threads=args.threads, fingerprint=fp,
@@ -387,16 +352,7 @@ def cmd_eval(args):
             report = harness.evaluate(samples, pipeline, threads=args.threads,
                                       fingerprint=fp)
     harness.write_report(args.out, report, as_json=args.json)
-    manifest.write_manifest(
-        str(args.out) + ".manifest", "eval",
-        {"test": args.test, "catalog": args.catalog, "emb": args.emb or "",
-         "train": args.train or "", "generator": args.generator,
-         "inject": args.inject, "gamma": args.gamma, "seed": args.seed,
-         "dim": args.dim, "normalize": args.normalize, "alpha": args.alpha,
-         "sample-n": args.sample_n or "", "json": args.json,
-         "ngram-order": args.ngram_order, "out": args.out},
-        input_digests,
-    )
+    manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
         print(f"hr@{k}={report.hr[k]:.4f} ndcg@{k}={report.ndcg[k]:.4f}")
     print(f"eval: {report.n_samples} samples ({report.skipped} skipped) "
@@ -411,21 +367,8 @@ def cmd_tune_gamma(args):
     best, table = tune.tune_gamma(samples, pipeline, metric=args.metric,
                                   threads=args.threads)
     tune.write_sweep(args.out, table)
-    inputs = {"valid": args.valid, "catalog": args.catalog}
-    if args.train:
-        inputs["train"] = args.train
-    if args.emb:
-        inputs["emb"] = args.emb
-    manifest.write_manifest(
-        str(args.out) + ".manifest", "tune-gamma",
-        {"valid": args.valid, "catalog": args.catalog, "emb": args.emb or "",
-         "train": args.train or "", "generator": args.generator,
-         "inject": args.inject, "metric": args.metric, "seed": args.seed,
-         "dim": args.dim, "normalize": args.normalize, "alpha": args.alpha,
-         "sample-n": args.sample_n or "", "ngram-order": args.ngram_order,
-         "out": args.out},
-        manifest.digests(inputs),
-    )
+    manifest.write_manifest(str(args.out) + ".manifest", args,
+                            _digests(args, "valid", "catalog", "train", "emb"))
     print(f"best_gamma={best:.10g} metric={args.metric}")
     return 0
 
@@ -470,22 +413,19 @@ def cmd_report(args):
     return 0
 
 
-def _add_pipeline_flags(p, require_samples_flag):
-    p.add_argument(require_samples_flag, required=True,
+def _add_pipeline_flags(p, samples_flag, generators):
+    p.add_argument(samples_flag, required=True,
                    help="samples TSV emitted by the split command")
     p.add_argument("--catalog", required=True)
     p.add_argument("--emb", default=None,
                    help="embedding file (TSV or GREC binary); omit to hash-embed")
     p.add_argument("--train", default=None,
                    help="training interactions (for pop/collab injection)")
-    p.add_argument("--generator", default="oracle",
-                   choices=["oracle", "pop", "ngram", "most-pop"])
+    p.add_argument("--generator", default="oracle", choices=generators)
     p.add_argument("--inject", default="none", choices=sorted(INJECT_MODES))
-    p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--ngram-order", type=int, default=1)
     p.add_argument("--sample-n", type=_sample_count, default=None)
     p.add_argument("--threads", type=int, default=_default_threads())
@@ -511,7 +451,6 @@ def build_parser():
 
     p = sub.add_parser("embed", help="embed catalog titles")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--provider", default="hash")
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--normalize", action="store_true")
@@ -531,7 +470,6 @@ def build_parser():
     p = sub.add_parser("collab-fit", help="fit the co-occurrence scorer")
     p.add_argument("--train", required=True)
     p.add_argument("--catalog", required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_collab_fit)
 
@@ -543,8 +481,7 @@ def build_parser():
     p.add_argument("--inject", default="none", choices=sorted(INJECT_MODES))
     p.add_argument("--popularity", default=None)
     p.add_argument("--scorer", default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--gamma", type=_gamma, default=0.0)
     p.add_argument("--topk", type=int, default=20)
     p.add_argument("--strategy", default="l2", choices=["l2", "bm25"])
     p.add_argument("--bm25-k1", type=float, default=1.5)
@@ -554,13 +491,14 @@ def build_parser():
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("eval", help="all-ranking HR/NDCG evaluation")
-    _add_pipeline_flags(p, "--test")
+    _add_pipeline_flags(p, "--test", ["oracle", "pop", "ngram", "most-pop"])
+    p.add_argument("--gamma", type=_gamma, default=0.0)
     p.add_argument("--dump-ranks", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tune-gamma", help="gamma grid search on validation")
-    _add_pipeline_flags(p, "--valid")
+    _add_pipeline_flags(p, "--valid", ["oracle", "pop", "ngram"])
     p.add_argument("--metric", default="ndcg@20")
     p.set_defaults(func=cmd_tune_gamma)
 

@@ -34,17 +34,14 @@ RECENCY_WEIGHTS = (1.0, 0.5, 0.25)
 class CoScorer:
     n_items: int
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    alpha: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
         self.by_prev: dict[int, dict[int, int]] = {}
         for (pi, ni), c in self.counts.items():
             self.by_prev.setdefault(pi, {})[ni] = c
 
 
-def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog, alpha=0.0) -> CoScorer:
+def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
     if len(train) == 0:
         raise DataError("cannot fit co-occurrence scorer on an empty training log")
     order = train.user_order()  # each user's timeline, in (timestamp, pos) order
@@ -54,8 +51,7 @@ def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog, alpha=0.0) -> 
     adjacent = (users[:-1] == users[1:]) & (prev >= 0) & (nxt >= 0)
     n = len(catalog)
     keys, counts = np.unique(prev[adjacent] * n + nxt[adjacent], return_counts=True)
-    return CoScorer(n_items=n, counts=_pair_counts(keys // n, keys % n, counts),
-                    alpha=alpha)
+    return CoScorer(n_items=n, counts=_pair_counts(keys // n, keys % n, counts))
 
 
 def _pair_counts(prev, nxt, counts) -> dict[tuple[int, int], int]:
@@ -73,7 +69,6 @@ def score(scorer: CoScorer, sample: SequenceSample, catalog: ItemCatalog) -> np.
         prev = catalog.index_of.get(item_id)
         if prev is None:
             continue
-        raw += w * scorer.alpha
         for ni, c in scorer.by_prev.get(prev, {}).items():
             raw[ni] += w * c
     return raw
@@ -100,7 +95,7 @@ def save_scorer(path, scorer: CoScorer):
         fh.write(triples.astype("<u4").tobytes())
 
 
-def load_scorer(path, n_items, alpha=0.0) -> CoScorer:
+def load_scorer(path, n_items) -> CoScorer:
     with open_input(path, "scorer", "rb") as fh:
         header = fh.read(8)
         if len(header) < 8 or header[:4] != MAGIC:
@@ -111,4 +106,4 @@ def load_scorer(path, n_items, alpha=0.0) -> CoScorer:
         raise DataError(f"truncated scorer file {path}")
     triples = np.frombuffer(body, dtype="<u4").reshape(-1, 3)
     counts = _pair_counts(triples[:, 0], triples[:, 1], triples[:, 2])
-    return CoScorer(n_items=n_items, counts=counts, alpha=alpha)
+    return CoScorer(n_items=n_items, counts=counts)

@@ -17,6 +17,10 @@ reorder near-ties. A target's rank is found by counting the kept items that
 sort before it, with no sort; a top-k list sorts only the items at or below
 the k-th smallest value; BM25 adds each query term's contribution through its
 posting list in query order, exactly as a per-document loop would.
+
+These are the kernels only. harness.Pipeline composes them into the one
+grounding path that the ground, eval and tune-gamma commands share; the CLI
+requires gamma to be a finite number >= 0 before it reaches inject.
 """
 
 from __future__ import annotations
@@ -34,22 +38,6 @@ from .pop import minmax
 from .text import tokenize
 
 L2_BLOCK = 512  # rows per float64 block in l2_distances
-
-
-@dataclass
-class GroundingConfig:
-    injection: str = "none"  # none | popularity | collaborative
-    gamma: float = 0.0
-    normalize_embeddings: bool = False
-    strategy: str = "l2"  # l2 | bm25
-    bm25_k1: float = 1.5
-    bm25_b: float = 0.75
-
-    def __post_init__(self):
-        if self.injection not in ("none", "popularity", "collaborative"):
-            raise ValueError(f"unknown injection mode {self.injection!r}")
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError("gamma must be finite and >= 0")
 
 
 @dataclass
@@ -174,16 +162,6 @@ def target_position(adjusted, keep, target) -> int:
     before = np.count_nonzero(keep & (adjusted < at))
     before += np.count_nonzero(keep[:target] & (adjusted[:target] == at))
     return int(before) + 1
-
-
-def ground(matrix, oracle, weights=None, gamma=0.0, exclusions=frozenset()) -> RankedList:
-    """Full kernel in one call: distances, normalize, inject, rank."""
-    norm = normalize_distances(l2_distances(matrix, oracle))
-    if weights is not None and gamma > 0:
-        adjusted = inject(norm, weights, gamma)
-    else:
-        adjusted = norm
-    return rank(adjusted, exclusions)
 
 
 class BM25Index:

@@ -2,6 +2,12 @@
 and aggregate HR@K / NDCG@K, plus the Most-Pop baseline and the relative
 improvement of a combined model over the better of its two parts.
 
+Pipeline is the one grounding path. ground ranks the top k for the text it
+is given through Pipeline.distances, weights, reweighted and exclusions.
+eval and tune-gamma take each sample's gamma-independent part from
+Pipeline.prepare; eval divides by (1 + w)^gamma at one gamma, tune-gamma at
+every point of the grid.
+
 Every item the user has not interacted with is a candidate; there is no
 negative sampling. NDCG uses the single-relevant-item convention (IDCG = 1),
 so per sample it is 1/log2(rank+1) when the target lands within K, else 0.
@@ -20,6 +26,7 @@ from . import collab as collab_mod
 from .errors import DataError, open_input
 from .ground import (
     RankedList,
+    check_weights,
     exclusion_mask,
     inject,
     l2_distances,
@@ -70,7 +77,15 @@ def ndcg_at_k(ranked: RankedList, target, k):
 
 
 class Pipeline:
-    """Bundles generator, embedding provider, item matrix, and injection source."""
+    """The one grounding path of the ground, eval and tune-gamma commands:
+    query text -> normalized L2 distances -> checked weights -> division by
+    (1 + w)^gamma -> exclusion of the items seen before the target.
+
+    The generator turns a sample into query text; ground passes its text in
+    directly and has no generator. The injection source is a popularity table
+    (one weight array for every sample) or a co-occurrence scorer (weights
+    from each sample's history).
+    """
 
     def __init__(self, generator, provider, matrix, catalog: ItemCatalog,
                  injection="none", gamma=0.0, pop_table=None, scorer=None):
@@ -87,12 +102,15 @@ class Pipeline:
         self.pop_table = pop_table
         self.scorer = scorer
 
+    def distances(self, text) -> np.ndarray:
+        """Min-max normalized L2 distances from the embedded text to every item."""
+        return normalize_distances(l2_distances(self.matrix, self.provider.embed(text)))
+
     def normalized_distances(self, sample: SequenceSample) -> np.ndarray:
-        gen = self.generator.generate(sample)
-        oracle = self.provider.embed(gen.text())
-        return normalize_distances(l2_distances(self.matrix, oracle))
+        return self.distances(self.generator.generate(sample).text())
 
     def weights(self, sample: SequenceSample):
+        """Per-item injection weights in [0,1], or None without injection."""
         if self.injection == "popularity":
             return self.pop_table.normalized
         if self.injection == "collaborative":
@@ -107,12 +125,33 @@ class Pipeline:
             if i in self.catalog.index_of
         )
 
+    def reweighted(self, norm, weights, gamma=None) -> np.ndarray:
+        """norm divided by (1 + w)^gamma; norm itself without weights or at
+        gamma 0. gamma defaults to the pipeline's."""
+        gamma = self.gamma if gamma is None else gamma
+        return inject(norm, weights, gamma) if (weights is not None and gamma > 0) else norm
+
+    def prepare(self, sample: SequenceSample):
+        """(normalized distances, checked weights or None, keep mask, target
+        index) for one sample; None when the sample is skipped because its
+        target is a repeat consumption (the target would be its own exclusion).
+        Everything here is gamma-independent."""
+        if sample.target in sample.known_items:
+            return None
+        target = self.catalog.index_of.get(sample.target)
+        if target is None:
+            raise DataError(f"sample target {sample.target!r} not in catalog")
+        norm = self.normalized_distances(sample)
+        weights = self.weights(sample)
+        if weights is not None:
+            norm, weights = check_weights(norm, weights)
+        keep = exclusion_mask(norm.shape[0], self.exclusions(sample))
+        return norm, weights, keep, target
+
     def adjusted(self, sample: SequenceSample, gamma=None) -> np.ndarray:
         """Normalized distances, divided by (1 + w)^gamma when injecting."""
-        gamma = self.gamma if gamma is None else gamma
-        norm = self.normalized_distances(sample)
-        w = self.weights(sample)
-        return inject(norm, w, gamma) if (w is not None and gamma > 0) else norm
+        return self.reweighted(self.normalized_distances(sample), self.weights(sample),
+                               gamma)
 
     def rank_sample(self, sample: SequenceSample, gamma=None) -> RankedList:
         return rank(self.adjusted(sample, gamma), self.exclusions(sample))
@@ -120,14 +159,11 @@ class Pipeline:
 
 def _target_position(pipeline, sample):
     """1-based rank of the target, or None when the sample is skipped."""
-    if sample.target in sample.known_items:
-        return None  # repeat consumption: target would be its own exclusion
-    idx = pipeline.catalog.index_of.get(sample.target)
-    if idx is None:
-        raise DataError(f"sample target {sample.target!r} not in catalog")
-    adjusted = pipeline.adjusted(sample)
-    keep = exclusion_mask(adjusted.shape[0], pipeline.exclusions(sample))
-    return target_position(adjusted, keep, idx)
+    prepared = pipeline.prepare(sample)
+    if prepared is None:
+        return None
+    norm, weights, keep, target = prepared
+    return target_position(pipeline.reweighted(norm, weights), keep, target)
 
 
 def evaluate(samples, pipeline: Pipeline, ks=DEFAULT_KS, threads=1,

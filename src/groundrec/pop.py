@@ -24,6 +24,17 @@ class PopularityTable:
     normalized: np.ndarray  # P_i
     rejected: int = 0  # train interactions referencing unknown items
 
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, rejected=0) -> PopularityTable:
+        """C_i = count_i / total (all zeros when the total is 0), P = minmax(C)."""
+        total = counts.sum()
+        if total > 0:
+            factor = counts / total
+        else:
+            factor = np.zeros(len(counts), dtype=np.float64)
+        return cls(counts=counts, factor=factor, normalized=minmax(factor),
+                   rejected=rejected)
+
 
 @dataclass
 class DecileReport:
@@ -48,15 +59,7 @@ def compute_popularity(train: InteractionLog, catalog: ItemCatalog) -> Popularit
     idx = catalog.indices(train.item_ids)
     known = idx[idx >= 0]
     counts = np.bincount(known, minlength=len(catalog)).astype(np.int64, copy=False)
-    rejected = len(idx) - len(known)
-    total = counts.sum()
-    if total > 0:
-        factor = counts / total
-    else:
-        factor = np.zeros(len(catalog), dtype=np.float64)
-    return PopularityTable(
-        counts=counts, factor=factor, normalized=minmax(factor), rejected=rejected
-    )
+    return PopularityTable.from_counts(counts, rejected=len(idx) - len(known))
 
 
 def decile_report(table: PopularityTable, num_buckets: int = 10) -> DecileReport:

@@ -2,8 +2,9 @@
 
 The grid is 0.00 to 1.00 in steps of 0.01 plus the integers 2 through 100:
 exactly 200 strictly increasing values. Distances are gamma-independent, so
-per-sample normalized distances and weights are computed (and the weights
-checked) once, and the sweep only redoes the cheap inject-and-rank step.
+Pipeline.prepare computes each sample's normalized distances, checked
+weights, keep mask and target once, and the sweep only redoes the cheap
+divide-and-count step.
 Samples that share one weight array (popularity injection) share its divisor
 (1 + w)^gamma, computed once per gamma.
 """
@@ -14,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DataError
-from .ground import check_weights, exclusion_mask, target_position
+from .ground import target_position
 from .harness import DEFAULT_KS, Pipeline, aggregate
 
 
@@ -37,24 +38,11 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
         raise DataError("validation set is empty; cannot tune gamma")
     grid = gamma_grid() if grid is None else list(grid)
 
-    def prepare(sample):
-        if sample.target in sample.known_items:
-            return None
-        norm = pipeline.normalized_distances(sample)
-        weights = pipeline.weights(sample)
-        if weights is not None:
-            norm, weights = check_weights(norm, weights)
-        target = pipeline.catalog.index_of.get(sample.target)
-        if target is None:
-            raise DataError(f"sample target {sample.target!r} not in catalog")
-        keep = exclusion_mask(norm.shape[0], pipeline.exclusions(sample))
-        return norm, weights, keep, target
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            prepared = list(pool.map(prepare, samples))
+            prepared = list(pool.map(pipeline.prepare, samples))
     else:
-        prepared = [prepare(s) for s in samples]
+        prepared = [pipeline.prepare(s) for s in samples]
 
     def sweep_point(gamma):
         positions = []

@@ -1,10 +1,13 @@
+import argparse
 import random
+from pathlib import Path
 
 import pytest
 
 from groundrec import cli, manifest
 
 from groundrec.harness import read_report
+from groundrec.ingest import read_samples
 
 
 def write_fixture(tmp_path, n_users=30, n_items=20, events_per_user=8, seed=13):
@@ -80,10 +83,10 @@ class TestPipelineCommands:
 
     def test_embed_binary_and_tsv(self, workspace):
         tmp_path, inter, cat, out = workspace
-        run_ok(["embed", "--catalog", cat, "--provider", "hash", "--dim", 64,
+        run_ok(["embed", "--catalog", cat, "--dim", 64,
                 "--seed", 17, "--out", tmp_path / "emb.bin"])
         assert (tmp_path / "emb.bin").read_bytes()[:4] == b"GREC"
-        run_ok(["embed", "--catalog", cat, "--provider", "hash", "--dim", 64,
+        run_ok(["embed", "--catalog", cat, "--dim", 64,
                 "--seed", 17, "--out", tmp_path / "emb.tsv"])
         assert (tmp_path / "emb.tsv").read_text().count("\n") == 20
 
@@ -396,3 +399,153 @@ class TestSampleCountFlag:
         err = capsys.readouterr().err
         assert f"argument --sample-n: must be at least 1, got {value}" in err
         assert "Traceback" not in err and not (tmp_path / "o.tsv").exists()
+
+
+class TestGammaFlag:
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 1,
+                "--out", tmp_path / "emb.bin"])
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("0\ttale 1 of the saga\toracle\n")
+        return tmp_path, cat, out, gen
+
+    @pytest.mark.parametrize("command", ["eval", "ground"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_not_finite_non_negative_is_usage_error(self, workspace, capsys,
+                                                    command, value):
+        tmp_path, cat, out, gen = workspace
+        inputs = {
+            "eval": ["--test", out / "samples_test.tsv", "--train", out / "train.tsv",
+                     "--inject", "pop", "--seed", 3, "--dim", 16],
+            "ground": ["--emb", tmp_path / "emb.bin", "--gen", gen,
+                       "--inject", "pop", "--popularity", tmp_path / "absent.tsv"],
+        }[command]
+        argv = [command, "--catalog", cat, *inputs, "--gamma", value,
+                "--out", tmp_path / "o.tsv"]
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --gamma: must be a finite number >= 0, got {value}" in err
+        assert "Traceback" not in err and not (tmp_path / "o.tsv").exists()
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestManifests:
+    """Each manifest records every flag of its command except --threads."""
+
+    @pytest.fixture(scope="class")
+    def manifests(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("manifests")
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        test, train = out / "samples_test.tsv", out / "train.tsv"
+        commands = {
+            "split": ["--interactions", inter, "--out", out],
+            "popularity": ["--train", train, "--catalog", cat,
+                           "--out", tmp_path / "pop.tsv"],
+            "embed": ["--catalog", cat, "--dim", 16, "--seed", 3,
+                      "--out", tmp_path / "emb.bin"],
+            "collab-fit": ["--train", train, "--catalog", cat,
+                           "--out", tmp_path / "co.bin"],
+            "generate": ["--samples", test, "--catalog", cat,
+                         "--out", tmp_path / "gen.tsv"],
+            "ground": ["--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
+                       "--catalog", cat, "--seed", 3, "--out", tmp_path / "ranks.tsv"],
+            "eval": ["--test", test, "--catalog", cat, "--seed", 3, "--dim", 16,
+                     "--out", tmp_path / "report.tsv"],
+            "tune-gamma": ["--valid", out / "samples_valid.tsv", "--catalog", cat,
+                           "--seed", 3, "--dim", 16, "--out", tmp_path / "sweep.tsv"],
+        }
+        paths = {}
+        for command, argv in commands.items():
+            run_ok([command, *argv])
+            target = argv[argv.index("--out") + 1]
+            paths[command] = (target / "run.manifest" if command == "split"
+                              else Path(f"{target}.manifest"))
+        return paths
+
+    def test_one_command_per_manifest(self, manifests):
+        assert set(manifests) == set(_subcommands()) - {"report"}
+
+    @pytest.mark.parametrize("command", ["split", "popularity", "embed", "collab-fit",
+                                         "generate", "ground", "eval", "tune-gamma"])
+    def test_flags_equal_parser_arguments(self, manifests, command):
+        parser = _subcommands()[command]
+        expected = {action.option_strings[-1][2:] for action in parser._actions
+                    if action.option_strings and action.dest != "help"}
+        lines = manifests[command].read_text().splitlines()
+        assert lines[0] == f"command={command}"
+        recorded = {line[len("flag."):].partition("=")[0]
+                    for line in lines if line.startswith("flag.")}
+        assert recorded == expected - {"threads"}
+
+    @pytest.mark.parametrize("command, flag", [("eval", "--test"),
+                                               ("tune-gamma", "--valid")])
+    def test_threads_not_recorded(self, tmp_path, command, flag):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        part = "test" if command == "eval" else "valid"
+        written = []
+        for threads in (1, 8):
+            run_ok([command, flag, out / f"samples_{part}.tsv", "--catalog", cat,
+                    "--train", out / "train.tsv", "--inject", "pop", "--seed", 3,
+                    "--dim", 16, "--threads", threads, "--out", tmp_path / "o.tsv"])
+            written.append((tmp_path / "o.tsv.manifest").read_bytes())
+        assert written[0] == written[1]
+
+
+class TestGroundMatchesEval:
+    """ground and eval rank through one path: the position ground lists for a
+    sample's target is the position eval dumps, though ground reads its
+    weights from files and eval fits them from --train. The oracle generator
+    puts every target first; the pop generator's text moves them."""
+
+    @pytest.mark.parametrize("generator", ["oracle", "pop"])
+    @pytest.mark.parametrize("inject, source", [("pop", "--popularity"),
+                                                ("collab", "--scorer")])
+    def test_listed_target_positions_equal(self, tmp_path, generator, inject, source):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        test, train = out / "samples_test.tsv", out / "train.tsv"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        files = {"--popularity": tmp_path / "pop.tsv", "--scorer": tmp_path / "co.bin"}
+        run_ok(["popularity", "--train", train, "--catalog", cat,
+                "--out", files["--popularity"]])
+        run_ok(["collab-fit", "--train", train, "--catalog", cat,
+                "--out", files["--scorer"]])
+        run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 3,
+                "--out", tmp_path / "emb.bin"])
+        run_ok(["generate", "--samples", test, "--catalog", cat, "--train", train,
+                "--generator", generator, "--out", tmp_path / "gen.tsv"])
+        run_ok(["ground", "--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
+                "--catalog", cat, "--samples", test, "--inject", inject,
+                source, files[source], "--gamma", 2, "--topk", 20, "--seed", 3,
+                "--out", tmp_path / "ranks.tsv"])
+        run_ok(["eval", "--test", test, "--catalog", cat, "--emb", tmp_path / "emb.bin",
+                "--train", train, "--generator", generator, "--inject", inject,
+                "--gamma", 2, "--seed", 3, "--dump-ranks", tmp_path / "dump.tsv",
+                "--out", tmp_path / "report.tsv"])
+        targets = [s.target for s in read_samples(test)]
+        listed = {}
+        for line in (tmp_path / "ranks.tsv").read_text().splitlines():
+            idx, pos, item, _ = line.split("\t")
+            if item == targets[int(idx)]:
+                listed[int(idx)] = pos
+        dumped = dict(line.split("\t")
+                      for line in (tmp_path / "dump.tsv").read_text().splitlines())
+        assert len(dumped) == len(targets)
+        # the top 20 of a 20-item catalog lists every target that is not excluded
+        assert listed == {int(i): pos for i, pos in dumped.items() if pos != "skipped"}
+        if generator == "oracle":
+            assert set(listed.values()) == {"1"}
+        else:
+            assert len(set(listed.values())) > 1

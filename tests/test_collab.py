@@ -110,7 +110,7 @@ class TestScore:
 
     def test_empty_history_all_zero(self, abc_catalog):
         log = make_log([("u", "a", 1), ("u", "b", 2)])
-        scorer = fit_cooccurrence(log, abc_catalog, alpha=1.0)
+        scorer = fit_cooccurrence(log, abc_catalog)
         raw = score(scorer, make_sample([], "b"), abc_catalog)
         assert np.all(raw == 0.0)
 
@@ -124,12 +124,6 @@ class TestScore:
         raw = score(scorer, make_sample(["x", "a"], "b"), abc_catalog)
         ib = abc_catalog.index_of["b"]
         assert raw[ib] == pytest.approx(1.0 * 2 + 0.5 * 1)
-
-    def test_alpha_positivity(self, abc_catalog):
-        log = make_log([("u", "a", 1), ("u", "b", 2)])
-        scorer = fit_cooccurrence(log, abc_catalog, alpha=0.5)
-        raw = score(scorer, make_sample(["a"], "b"), abc_catalog)
-        assert np.all(raw > 0.0)
 
     def test_only_last_three_items_count(self, abc_catalog):
         log = make_log([("u", "a", 1), ("u", "b", 2)])
@@ -159,10 +153,10 @@ class TestNormalizeScores:
 class TestScorerIO:
     def test_roundtrip(self, tmp_path, abc_catalog):
         log = make_log([("u", "a", 1), ("u", "b", 2), ("u", "c", 3)])
-        scorer = fit_cooccurrence(log, abc_catalog, alpha=0.25)
+        scorer = fit_cooccurrence(log, abc_catalog)
         path = tmp_path / "scorer.bin"
         save_scorer(path, scorer)
-        loaded = load_scorer(path, len(abc_catalog), alpha=0.25)
+        loaded = load_scorer(path, len(abc_catalog))
         assert loaded.counts == scorer.counts
         assert path.read_bytes()[:4] == b"GRCO"
 

@@ -10,7 +10,6 @@ from conftest import make_catalog
 from groundrec.errors import DataError
 from groundrec.ground import (
     BM25Index,
-    GroundingConfig,
     bm25_rank,
     inject,
     l2_distances,
@@ -198,18 +197,6 @@ class TestGammaMonotonicity:
                 if prev_above is not None:
                     assert above <= prev_above
                 prev_above = above
-
-
-class TestGroundingConfig:
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            GroundingConfig(gamma=-1.0)
-        with pytest.raises(ValueError):
-            GroundingConfig(gamma=float("nan"))
-
-    def test_rejects_bad_injection(self):
-        with pytest.raises(ValueError):
-            GroundingConfig(injection="bogus")
 
 
 class TestBM25:
