@@ -34,13 +34,12 @@ from .generate import (
 )
 from .ground import BM25Index, bm25_rank, rank
 from .ingest import (
-    build_samples,
     parse_catalog,
     parse_interactions,
     read_samples,
     temporal_split,
     write_interactions,
-    write_samples,
+    write_sample_files,
 )
 from .pop import PopularityTable, compute_popularity, decile_report
 
@@ -60,8 +59,8 @@ def _default_threads():
         return 1
 
 
-def _sample_count(text):
-    """--sample-n: a count of at least 1 (omit the flag to use every sample)."""
+def _positive_int(text):
+    """An integer flag of at least 1: --sample-n, --dim, --ngram-order, --topk."""
     try:
         value = int(text)
     except ValueError:
@@ -183,8 +182,7 @@ def cmd_split(args):
     write_interactions(out / "train.tsv", split.train)
     write_interactions(out / "valid.tsv", split.valid)
     write_interactions(out / "test.tsv", split.test)
-    for part, samples in build_samples(split).items():
-        write_samples(out / f"samples_{part}.tsv", samples)
+    write_sample_files(split, out)
     with open(out / "split.meta", "w", encoding="utf-8") as fh:
         fh.write(f"n_total={len(log)}\n")
         fh.write(f"n_train={len(split.train)}\n")
@@ -279,6 +277,9 @@ def _read_generated(path):
 
 
 def cmd_ground(args):
+    if args.strategy == "bm25" and args.inject != "none":
+        raise UsageError(f"--strategy bm25 cannot take --inject {args.inject}: "
+                         "injection reweights min-max L2 distances, not BM25 scores")
     catalog = parse_catalog(args.catalog)
     mat = load_embeddings(args.emb, catalog)
     rows = _read_generated(args.gen)
@@ -328,6 +329,9 @@ def cmd_ground(args):
 
 
 def cmd_eval(args):
+    if args.generator == "most-pop" and (args.inject != "none" or args.gamma != 0):
+        raise UsageError("--generator most-pop ranks by popularity alone and "
+                         "takes no --inject or --gamma")
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.test, args.sample_n, args.seed)
     input_digests = _digests(args, "test", "catalog", "train", "emb")
@@ -384,7 +388,7 @@ def cmd_report(args):
         raise DataError(
             "reports were computed on different sample sets; pass --force to compare"
         )
-    names = [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    names = tune.metric_names(ks)
     lines = []
     if args.mode == "compare":
         header = ["metric"] + [Path(p).name for p in args.reports]
@@ -424,10 +428,10 @@ def _add_pipeline_flags(p, samples_flag, generators):
     p.add_argument("--generator", default="oracle", choices=generators)
     p.add_argument("--inject", default="none", choices=sorted(INJECT_MODES))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=256)
+    p.add_argument("--dim", type=_positive_int, default=256)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--ngram-order", type=int, default=1)
-    p.add_argument("--sample-n", type=_sample_count, default=None)
+    p.add_argument("--ngram-order", type=_positive_int, default=1)
+    p.add_argument("--sample-n", type=_positive_int, default=None)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True)
 
@@ -451,7 +455,7 @@ def build_parser():
 
     p = sub.add_parser("embed", help="embed catalog titles")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--dim", type=int, default=256)
+    p.add_argument("--dim", type=_positive_int, default=256)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
@@ -463,7 +467,7 @@ def build_parser():
     p.add_argument("--generator", default="oracle", choices=["oracle", "pop", "ngram"])
     p.add_argument("--train", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ngram-order", type=int, default=1)
+    p.add_argument("--ngram-order", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -482,7 +486,7 @@ def build_parser():
     p.add_argument("--popularity", default=None)
     p.add_argument("--scorer", default=None)
     p.add_argument("--gamma", type=_gamma, default=0.0)
-    p.add_argument("--topk", type=int, default=20)
+    p.add_argument("--topk", type=_positive_int, default=20)
     p.add_argument("--strategy", default="l2", choices=["l2", "bm25"])
     p.add_argument("--bm25-k1", type=float, default=1.5)
     p.add_argument("--bm25-b", type=float, default=0.75)
@@ -499,7 +503,7 @@ def build_parser():
 
     p = sub.add_parser("tune-gamma", help="gamma grid search on validation")
     _add_pipeline_flags(p, "--valid", ["oracle", "pop", "ngram"])
-    p.add_argument("--metric", default="ndcg@20")
+    p.add_argument("--metric", default="ndcg@20", choices=tune.metric_names())
     p.set_defaults(func=cmd_tune_gamma)
 
     p = sub.add_parser("report", help="compare metric reports")

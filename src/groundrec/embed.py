@@ -102,7 +102,7 @@ def embed_catalog(catalog: ItemCatalog, provider, normalize=False) -> EmbeddingM
 def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
     seen: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "embedding") as fh:
         for lineno, line in enumerate(fh):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

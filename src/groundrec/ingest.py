@@ -12,16 +12,27 @@ slices of them. Timestamps stay Python ints, so values beyond int64
 round-trip. Each user also gets an integer code, which lets popularity and
 co-occurrence counting group and count with numpy instead of per-record loops.
 
-Sample construction is linear per user: build_samples walks each user's
-timeline once for all three partitions, growing the known set as the walk
-passes each timestamp, and write_samples sorts and checks each shared
-known-set snapshot once.
+Samples come from one lazy walk per user timeline, linear in its length: it
+keeps the 10-item window and the sorted known set, which grows as the walk
+passes each timestamp, and joins the known set's text again only when it
+grows. heapq.merge puts the walks' rows into global (timestamp, user) order.
+Each partition is a contiguous range of the sorted log, so routing each row
+to its partition gives every partition in its own (timestamp, user) order.
+write_sample_files streams the rows into the three samples files, holding
+O(users x known set) in memory rather than O(samples); build_samples reads
+the same stream into SequenceSamples.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import insort
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -224,60 +235,126 @@ def temporal_split(log: InteractionLog) -> SplitLog:
     return SplitLog(log, boundaries)
 
 
-def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
-    """Samples of all three partitions, from one walk over each user's timeline.
+def _timelines(full: InteractionLog):
+    """Each user's log positions, in global (timestamp, position) order."""
+    order = full.user_order()
+    cuts = np.flatnonzero(np.diff(full.user_codes[order])) + 1
+    return [t.tolist() for t in np.split(order, cuts)] if len(full) else []
+
+
+def _check_id(item, clean):
+    """Raise DataError if an item id holds a separator; `clean` gains the ids
+    that pass, so each is checked once."""
+    if "," in item or "\t" in item:
+        raise DataError(
+            f"item_id {item!r} contains a separator; cannot serialize samples"
+        )
+    clean.add(item)
+
+
+def _walk(split: SplitLog, timeline, clean):
+    """One user's samples as (timestamp, user, partition index, history text,
+    target, known text) rows, in timeline order.
+
+    The window holds the last HISTORY_LEN items, PAD-filled. The known set
+    grows as the walk passes each timestamp; its sorted list gains each new
+    item by insertion, and the joined text is rebuilt only when it grows, so
+    rows with an unchanged set share one text object.
+    """
+    full = split.full
+    train_end = split.partition_range("train")[1]
+    valid_end = split.partition_range("valid")[1]
+    user = full.user_ids[timeline[0]]
+    window = deque([PAD] * HISTORY_LEN, maxlen=HISTORY_LEN)
+    seen: set[str] = set()
+    known: list[str] = []  # seen, sorted
+    known_text = ""
+    pending: list[str] = []  # items at the current timestamp, not yet known
+    now = None
+    for k, pos in enumerate(timeline):
+        item, ts = full.item_ids[pos], full.timestamps[pos]
+        if item not in clean:
+            _check_id(item, clean)
+        if ts != now:
+            now = ts
+            size = len(seen)
+            for new in pending:
+                if new not in seen:
+                    seen.add(new)
+                    insort(known, new)
+            pending.clear()
+            if len(seen) != size:
+                known_text = ",".join(known)
+        if k:
+            part = 0 if pos < train_end else 1 if pos < valid_end else 2
+            yield ts, user, part, ",".join(window), item, known_text
+        window.append(item)
+        pending.append(item)
+
+
+def _sample_rows(split: SplitLog):
+    """The rows of every partition's samples file, merged into global
+    (timestamp, user) order; a user's rows at one timestamp keep timeline
+    order.
 
     One sample per interaction that has >=1 predecessor, filed under the
     partition holding the interaction. History is the 10 immediately
     preceding interactions from the user's full timeline (crossing partition
-    boundaries), left-padded with PAD. known_items holds everything the user
-    touched strictly before the target timestamp.
+    boundaries), left-padded with PAD. The known set holds everything the
+    user touched strictly before the target timestamp. Each partition is a
+    contiguous range of the sorted log, so the rows of one partition come out
+    in the order of its (timestamp, user) stable sort.
 
-    Linear per user: the known set grows as the walk passes each timestamp,
-    and a new frozenset is taken only when it has grown, so consecutive
-    samples share one immutable snapshot. Copying a snapshot costs its size,
-    which the samples file writes out anyway.
+    Linear per user, and lazy: memory is one walk's state per user, not the
+    samples.
     """
-    full = split.full
-    labels = [
-        name for name in PARTITIONS for _ in range(*split.partition_range(name))
-    ]
-    order = full.user_order()
-    cuts = np.flatnonzero(np.diff(full.user_codes[order])) + 1
-    timelines = np.split(order, cuts) if len(full) else []
+    clean: set[str] = set()
+    # a one-event timeline yields no row, so its item id is never written
+    walks = [_walk(split, t, clean) for t in _timelines(split.full) if len(t) > 1]
+    return heapq.merge(*walks, key=itemgetter(0, 1))
 
+
+def _line(user, history, target, ts, known):
+    return f"{user}\t{history}\t{target}\t{ts}\t{known}\n"
+
+
+def _sample(user, history, target, ts, known):
+    """A SequenceSample from the text fields of a samples row; `known` is the
+    known set, already a frozenset."""
+    return SequenceSample(tuple(history.split(",")), target, user, ts, known)
+
+
+def _known_set(text):
+    return frozenset(text.split(",")) if text else frozenset()
+
+
+def write_sample_files(split: SplitLog, out_dir):
+    """Write samples_{train,valid,test}.tsv into out_dir from one pass over
+    _sample_rows, each row to its partition's file."""
+    with ExitStack() as stack:
+        writes = [
+            stack.enter_context(
+                open(Path(out_dir) / f"samples_{name}.tsv", "w", encoding="utf-8")
+            ).write
+            for name in PARTITIONS
+        ]
+        for ts, user, part, history, target, known in _sample_rows(split):
+            writes[part](_line(user, history, target, ts, known))
+
+
+def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
+    """The samples of all three partitions, in memory: the rows of
+    _sample_rows, each in (timestamp, user) order. Rows whose known text is
+    one object share one frozenset, so consecutive samples with an unchanged
+    known set share one immutable snapshot."""
     out: dict[str, list[SequenceSample]] = {name: [] for name in PARTITIONS}
-    for timeline in timelines:  # each in global (timestamp, pos) order
-        user = full.user_ids[timeline[0]]
-        items: list[str] = []
-        seen: set[str] = set()
-        known: frozenset[str] = frozenset()
-        pending: list[str] = []  # items at the current timestamp, not yet known
-        now = None
-        for pos in timeline.tolist():
-            item, ts = full.item_ids[pos], full.timestamps[pos]
-            if ts != now:
-                now = ts
-                size = len(seen)
-                seen.update(pending)
-                pending.clear()
-                if len(seen) != size:
-                    known = frozenset(seen)
-            if items:
-                window = items[-HISTORY_LEN:]
-                out[labels[pos]].append(
-                    SequenceSample(
-                        history=(PAD,) * (HISTORY_LEN - len(window)) + tuple(window),
-                        target=item,
-                        user_id=user,
-                        target_timestamp=ts,
-                        known_items=known,
-                    )
-                )
-            items.append(item)
-            pending.append(item)
-    for samples in out.values():
-        samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
+    lists = [out[name] for name in PARTITIONS]
+    last: dict[str, tuple[str, frozenset[str]]] = {}  # user -> text, set
+    for ts, user, part, history, target, known in _sample_rows(split):
+        memo = last.get(user)
+        if memo is None or memo[0] is not known:
+            memo = last[user] = (known, _known_set(known))
+        lists[part].append(_sample(user, history, target, ts, memo[1]))
     return out
 
 
@@ -290,40 +367,20 @@ def write_interactions(path, log: InteractionLog):
         )
 
 
-def _check_ids(ids, clean):
-    """Raise DataError for an id holding a separator. `clean` holds the ids
-    already checked and gains the ones that pass, so each is checked once."""
-    if clean.issuperset(ids):
-        return
-    for item in sorted(set(ids) - clean):
-        if "," in item or "\t" in item:
-            raise DataError(
-                f"item_id {item!r} contains a separator; cannot serialize samples"
-            )
-        clean.add(item)
-
-
 def write_samples(path, samples):
-    """TSV: user, comma-joined history, target, timestamp, comma-joined known set.
+    """TSV: user, comma-joined history, target, timestamp, comma-joined
+    sorted known set, from in-memory samples.
 
-    Item ids must not contain commas or tabs (enforced at write time). A known
-    set is checked, sorted and joined once for each run of a user's samples
-    that share it; build_samples shares one snapshot until the set grows.
+    Item ids must not contain commas or tabs (enforced at write time).
     """
     clean: set[str] = set()
-    last_known: dict[str, tuple[frozenset[str], str]] = {}  # user -> set, text
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            _check_ids((*s.history, s.target), clean)
-            cached = last_known.get(s.user_id)
-            if cached is None or cached[0] is not s.known_items:
-                _check_ids(s.known_items, clean)
-                cached = (s.known_items, ",".join(sorted(s.known_items)))
-                last_known[s.user_id] = cached
-            fh.write(
-                f"{s.user_id}\t{','.join(s.history)}\t{s.target}"
-                f"\t{s.target_timestamp}\t{cached[1]}\n"
-            )
+            for item in (*s.history, s.target, *s.known_items):
+                if item not in clean:
+                    _check_id(item, clean)
+            fh.write(_line(s.user_id, ",".join(s.history), s.target,
+                           s.target_timestamp, ",".join(sorted(s.known_items))))
 
 
 def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
@@ -357,16 +414,8 @@ def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
             rows.append(parts)
     if n is not None:
         rows = sample_eval(rows, n, seed)
-    return [
-        SequenceSample(
-            history=tuple(hist.split(",")),
-            target=target,
-            user_id=user,
-            target_timestamp=ts,
-            known_items=frozenset(known.split(",")) if known else frozenset(),
-        )
-        for user, hist, target, ts, known in rows
-    ]
+    return [_sample(user, hist, target, ts, _known_set(known))
+            for user, hist, target, ts, known in rows]
 
 
 def sample_eval(samples, n, seed) -> list:

@@ -25,6 +25,10 @@ def gamma_grid():
     return fine + coarse
 
 
+def metric_names(ks=DEFAULT_KS):
+    return [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+
+
 @dataclass
 class SweepRow:
     gamma: float
@@ -75,7 +79,7 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
 
 
 def write_sweep(path, table, ks=DEFAULT_KS):
-    names = [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    names = metric_names(ks)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gamma\t" + "\t".join(names) + "\n")
         for row in table:

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from groundrec import cli, manifest
-
+from groundrec import cli, ingest, manifest
+from groundrec.embed import load_embeddings
+from groundrec.errors import DataError
 from groundrec.harness import read_report
 from groundrec.ingest import read_samples
 
@@ -57,6 +58,89 @@ class TestSplitCommand:
     def test_missing_file_data_error(self, tmp_path):
         assert cli.main(["split", "--interactions", str(tmp_path / "no.tsv"),
                         "--out", str(tmp_path / "o")]) == 2
+
+    def test_separator_in_item_id_data_error(self, tmp_path, capsys):
+        inter, _ = write_fixture(tmp_path)
+        with open(inter, "a", encoding="utf-8") as fh:
+            fh.write("u000\tbad,id\t99999\n")
+        assert cli.main(["split", "--interactions", str(inter),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "'bad,id' contains a separator" in capsys.readouterr().err
+
+
+CATALOG = ingest.ItemCatalog({"a": "an item"})
+READERS = {  # what, reader of a path, a good first line
+    "interactions": (ingest.parse_interactions, "u\ta\t1"),
+    "catalog": (ingest.parse_catalog, "a\tan item"),
+    "samples": (ingest.read_samples, "u\t" + ",".join("a" * 10) + "\tb\t1\t"),
+    "popularity": (lambda p: cli._read_popularity_tsv(p, CATALOG), "a\t3"),
+    "generated-text": (cli._read_generated, "0\tsome text"),
+    "report": (read_report, "hr@1\t0.5"),
+    "embedding": (lambda p: load_embeddings(p, CATALOG), "a\t0.5\t0.25"),
+}
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("what", sorted(READERS))
+    def test_reader_names_file_and_line(self, tmp_path, what, newline):
+        reader, good = READERS[what]
+        path = tmp_path / "input.tsv"
+        path.write_bytes(newline.join([good, "# note", "x\xff\ty", good])
+                         .encode("latin-1"))
+        with pytest.raises(DataError) as err:
+            reader(path)
+        message = str(err.value)
+        assert f"{what} file {path} is not UTF-8" in message
+        assert "byte 0xff at line 3" in message
+
+    def test_split_exits_2(self, tmp_path, capsys):
+        inter, _ = write_fixture(tmp_path)
+        inter.write_bytes(inter.read_bytes() + b"u000\t\xe9t\xe9\t99999\n")
+        assert cli.main(["split", "--interactions", str(inter),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"interactions file {inter} is not UTF-8: byte 0xe9 at line 241" in err
+        assert "Traceback" not in err
+
+
+class TestFlagValues:
+    """Bad flag values and conflicting flags exit 1 before any input is read."""
+
+    REQUIRED = {
+        "embed": ["--catalog", "c.tsv", "--seed", "1"],
+        "eval": ["--test", "s.tsv", "--catalog", "c.tsv", "--seed", "1"],
+        "tune-gamma": ["--valid", "s.tsv", "--catalog", "c.tsv", "--seed", "1"],
+        "generate": ["--samples", "s.tsv", "--catalog", "c.tsv"],
+        "ground": ["--emb", "e.bin", "--gen", "g.tsv", "--catalog", "c.tsv"],
+    }
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("embed", ["--dim", "0"], "argument --dim: must be at least 1, got 0"),
+        ("eval", ["--dim", "-2"], "argument --dim: must be at least 1, got -2"),
+        ("eval", ["--ngram-order", "0"],
+         "argument --ngram-order: must be at least 1, got 0"),
+        ("generate", ["--ngram-order", "0"],
+         "argument --ngram-order: must be at least 1, got 0"),
+        ("ground", ["--topk", "-3"], "argument --topk: must be at least 1, got -3"),
+        ("tune-gamma", ["--metric", "bogus"],
+         "argument --metric: invalid choice: 'bogus'"),
+        ("ground", ["--strategy", "bm25", "--inject", "pop", "--popularity", "p.tsv"],
+         "--strategy bm25 cannot take --inject pop"),
+        ("ground", ["--strategy", "bm25", "--inject", "collab", "--scorer", "co.bin"],
+         "--strategy bm25 cannot take --inject collab"),
+        ("eval", ["--generator", "most-pop", "--inject", "pop", "--train", "t.tsv"],
+         "--generator most-pop ranks by popularity alone"),
+        ("eval", ["--generator", "most-pop", "--gamma", "2", "--train", "t.tsv"],
+         "--generator most-pop ranks by popularity alone"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "o.tsv"
+        argv = [command, *self.REQUIRED[command], *flags, "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPipelineCommands:

@@ -7,6 +7,7 @@ from groundrec.errors import DataError
 from groundrec.ingest import (
     HISTORY_LEN,
     PAD,
+    PARTITIONS,
     SequenceSample,
     build_samples,
     parse_interactions,
@@ -15,6 +16,7 @@ from groundrec.ingest import (
     sample_eval,
     temporal_split,
     write_interactions,
+    write_sample_files,
     write_samples,
 )
 
@@ -430,6 +432,40 @@ class TestLinearBuildSamples:
         split = temporal_split(make_log([("u", f"i{k}", k) for k in range(10)]))
         with pytest.raises(ValueError, match="unknown partition"):
             split.partition_range("holdout")
+
+
+# 20 events: train is the first 16, valid the next 2, test the last 2.
+# Timestamp 20 spans the train/valid cut (u0 in train, u1 in valid), and
+# timestamp 21 the valid/test cut, with u2's two events on either side of it.
+BOUNDARY_EVENTS = ([(f"u{k % 3}", "abcdef"[k % 6], k) for k in range(15)]
+                   + [("u0", "a", 20), ("u1", "b", 20), ("u2", "c", 21),
+                      ("u2", "d", 21), ("u1", "e", 21)])
+
+
+class TestSampleFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS)
+    @example(EDGE_EVENTS)
+    @example(BOUNDARY_EVENTS)
+    def test_stream_matches_reference_and_build_samples(self, tmp_path_factory,
+                                                        events):
+        split = temporal_split(make_log(events))
+        tmp = tmp_path_factory.mktemp("f")
+        write_sample_files(split, tmp)
+        built = build_samples(split)
+        for part in PARTITIONS:
+            got = tmp / f"samples_{part}.tsv"
+            reference_write(tmp / "ref.tsv", reference_samples(split, part))
+            assert got.read_bytes() == (tmp / "ref.tsv").read_bytes()
+            assert read_samples(got) == built[part]
+
+    @pytest.mark.parametrize("bad", ["x,y", "x\ty"])
+    def test_separator_in_item_id_rejected(self, tmp_path, bad):
+        log = make_log([(f"v{k}", "f", k) for k in range(10)]
+                       + [("u", "a", 20), ("u", bad, 21)])
+        with pytest.raises(DataError) as err:
+            write_sample_files(temporal_split(log), tmp_path)
+        assert repr(bad) in str(err.value)
 
 
 IDS = st.sampled_from(["a", "b", "c", "d", "e"])
