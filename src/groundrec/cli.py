@@ -70,14 +70,26 @@ def _positive_int(text):
     return value
 
 
-def _gamma(text):
-    """--gamma: a finite number of at least 0."""
+def _float_flag(text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _nonnegative(text):
+    """--gamma, --bm25-k1: a finite number of at least 0."""
+    value = _float_flag(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def _unit_interval(text):
+    """--bm25-b: a number in [0, 1]."""
+    value = _float_flag(text)
+    if not 0 <= value <= 1:  # False for NaN
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
 
@@ -485,18 +497,18 @@ def build_parser():
     p.add_argument("--inject", default="none", choices=sorted(INJECT_MODES))
     p.add_argument("--popularity", default=None)
     p.add_argument("--scorer", default=None)
-    p.add_argument("--gamma", type=_gamma, default=0.0)
+    p.add_argument("--gamma", type=_nonnegative, default=0.0)
     p.add_argument("--topk", type=_positive_int, default=20)
     p.add_argument("--strategy", default="l2", choices=["l2", "bm25"])
-    p.add_argument("--bm25-k1", type=float, default=1.5)
-    p.add_argument("--bm25-b", type=float, default=0.75)
+    p.add_argument("--bm25-k1", type=_nonnegative, default=1.5)
+    p.add_argument("--bm25-b", type=_unit_interval, default=0.75)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("eval", help="all-ranking HR/NDCG evaluation")
     _add_pipeline_flags(p, "--test", ["oracle", "pop", "ngram", "most-pop"])
-    p.add_argument("--gamma", type=_gamma, default=0.0)
+    p.add_argument("--gamma", type=_nonnegative, default=0.0)
     p.add_argument("--dump-ranks", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)

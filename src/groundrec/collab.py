@@ -32,13 +32,20 @@ RECENCY_WEIGHTS = (1.0, 0.5, 0.25)
 
 @dataclass
 class CoScorer:
+    """counts maps (prev, next) canonical indices to a transition count. For
+    scoring, the pairs are also held sorted by prev: the pairs of a prev item
+    p < n_items are nexts[starts[p]:starts[p + 1]], with float64 weights[...]."""
+
     n_items: int
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.by_prev: dict[int, dict[int, int]] = {}
-        for (pi, ni), c in self.counts.items():
-            self.by_prev.setdefault(pi, {})[ni] = c
+        n = len(self.counts)
+        pairs = np.fromiter(chain.from_iterable(self.counts), np.int64, 2 * n).reshape(n, 2)
+        order = np.argsort(pairs[:, 0], kind="stable")
+        self.nexts = pairs[order, 1]
+        self.weights = np.fromiter(self.counts.values(), np.float64, n)[order]
+        self.starts = np.searchsorted(pairs[order, 0], np.arange(self.n_items + 1))
 
 
 def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
@@ -69,8 +76,10 @@ def score(scorer: CoScorer, sample: SequenceSample, catalog: ItemCatalog) -> np.
         prev = catalog.index_of.get(item_id)
         if prev is None:
             continue
-        for ni, c in scorer.by_prev.get(prev, {}).items():
-            raw[ni] += w * c
+        lo, hi = scorer.starts[prev], scorer.starts[prev + 1]
+        # the nexts of one prev are distinct: each item gets the one addition
+        # per recent item, in recency order, that a per-pair loop makes
+        raw[scorer.nexts[lo:hi]] += w * scorer.weights[lo:hi]
     return raw
 
 

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, open_input
+from .ground import SparseL2Plan
 from .ingest import ItemCatalog
 from .text import tokenize
 
@@ -29,10 +31,23 @@ MAGIC = b"GREC"
 class EmbeddingMatrix:
     dim: int
     vectors: np.ndarray  # |I| x dim float32, row order = canonical index
+    _plan: SparseL2Plan | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    _plan_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.vectors).all():
             raise DataError("embedding matrix contains non-finite values")
+
+    def l2_plan(self) -> SparseL2Plan:
+        """The sparse L2 plan of the vectors, built on the first distance query
+        (so commands that never ask for one never pay for it) and shared by
+        eval's threads, which wait for the one build."""
+        with self._plan_lock:
+            if self._plan is None:
+                self._plan = SparseL2Plan(self.vectors)
+            return self._plan
 
     def row(self, idx):
         return self.vectors[idx]

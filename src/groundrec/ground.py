@@ -10,13 +10,43 @@ double underflow threshold (gamma would need to exceed ~1000 to underflow).
 Direct division therefore stays exact and order-preserving; no log-space
 fallback is needed.
 
-The ranking kernels are exact by construction. Distances are computed block
-by block with the same per-item float operations as the one-shot diff
-formula; there is no GEMM (||v||^2 - 2 v.q + ||q||^2), whose rounding would
-reorder near-ties. A target's rank is found by counting the kept items that
-sort before it, with no sort; a top-k list sorts only the items at or below
-the k-th smallest value; BM25 adds each query term's contribution through its
-posting list in query order, exactly as a per-document loop would.
+The ranking kernels are exact. l2_distances has two paths that give the
+same bits wherever both may run:
+
+- dense: rows are taken a block at a time and differenced from the query,
+  the per-item float operations of the one-shot formula
+  sqrt(sum((v - q)^2));
+- sparse: from the nonzeros of the matrix, grouped by column, and those of
+  the query, d2 = sum(v^2) + sum(q^2) - sum_d 2 q_d v_d, with the terms
+  2 q_d v_d subtracted one nonzero query column d at a time; then sqrt(d2).
+
+The sparse path runs only when both inputs are finite and, with e the
+smallest exponent >= 0 such that every entry of the matrix and of the query
+is an integer multiple of 2^-e (the grid exponent; hash embeddings of titles
+with 1, 2, 4, 8 or 16 tokens have e <= 4),
+
+    2^(2e) * 2 * (max over rows of sum(v^2) + sum(q^2)) < 2^52,  and 2e <= 1074.
+
+Why that makes it exact: every entry is a multiple of u = 2^-e, so every
+difference, square, product and partial sum in either formula is an integer
+multiple of u^2 = 2^-2e (representable while 2e <= 1074). In magnitude each
+is at most 2 (sum(v^2) + sum(q^2)): |v - q|^2 <= 2 (v^2 + q^2), and
+|2 q_d v_d| <= q_d^2 + v_d^2, so a sum of any of the terms 2 q_d v_d is at
+most sum(v^2) + sum(q^2). So each is a multiple of u^2 below 2^52 u^2 <
+2^53 u^2, which a float64 holds exactly; every float64 operation is then
+exact, in any order and with or without FMA, and both formulas give the
+exact squared distance, the same double, and the same sqrt. The check itself
+is conservative: a sum of squares that rounded would already be >= 2^53 u^2,
+so the computed bound fails too. Everything else takes the dense path, which
+is correct for every input: non-finite values, and values whose grid is too
+fine for the bound, such as k/3 entries (float32 1/3 needs e = 25) or
+imported TSV embeddings. No GEMM or BLAS call is made: its rounding would
+reorder near-ties on off-grid inputs, and BLAS threads slowed it.
+
+A target's rank is found by counting the kept items that sort before it,
+with no sort; a top-k list sorts only the items at or below the k-th
+smallest value; BM25 adds each query term's contribution through its posting
+list in query order, exactly as a per-document loop would.
 
 These are the kernels only. harness.Pipeline composes them into the one
 grounding path that the ground, eval and tune-gamma commands share; the CLI
@@ -57,10 +87,13 @@ class RankedList:
 def l2_distances(matrix, oracle) -> np.ndarray:
     """Euclidean distance from the oracle to every row, in float64.
 
-    Rows are taken L2_BLOCK at a time: each block is widened to float64 and
-    differenced into one reused buffer, so no full-size copy of the matrix is
-    made. Every row sees the same float operations as the one-shot formula
-    sqrt(sum((row.astype(float64) - oracle) ** 2)).
+    The sparse path runs where it is exact (see the module docstring); its
+    plan comes from matrix.l2_plan() where the matrix has one (an
+    EmbeddingMatrix builds it once), and is built for this call otherwise.
+    Everywhere else the dense path runs: rows are taken L2_BLOCK at a time,
+    each block widened to float64 and differenced into one reused buffer, so
+    no full-size copy of the matrix is made. Both give the bits of the
+    one-shot formula sqrt(sum((row.astype(float64) - oracle) ** 2)).
     """
     vectors = matrix.vectors if hasattr(matrix, "vectors") else np.asarray(matrix)
     oracle = np.asarray(oracle, dtype=np.float64)
@@ -68,6 +101,10 @@ def l2_distances(matrix, oracle) -> np.ndarray:
         raise DataError(
             f"dim mismatch: matrix dim {vectors.shape[1]}, oracle dim {oracle.shape[0]}"
         )
+    plan = matrix.l2_plan() if hasattr(matrix, "l2_plan") else SparseL2Plan(vectors)
+    out = plan.distances(oracle)
+    if out is not None:
+        return out
     n = vectors.shape[0]
     out = np.empty(n, dtype=np.float64)
     buf = np.empty((min(n, L2_BLOCK), oracle.shape[0]), dtype=np.float64)
@@ -77,6 +114,80 @@ def l2_distances(matrix, oracle) -> np.ndarray:
         np.subtract(vectors[s:e], oracle, out=diff)
         np.einsum("ij,ij->i", diff, diff, out=out[s:e])
     return np.sqrt(out, out=out)
+
+
+def grid_exponent(values) -> int:
+    """The smallest e >= 0 such that every value is an integer multiple of
+    2^-e; values are finite float64."""
+    nonzero = values[values != 0]
+    if nonzero.size == 0:
+        return 0
+    mant, exp = np.frexp(nonzero)  # value = mant * 2^exp, 0.5 <= |mant| < 1
+    ints = np.ldexp(np.abs(mant), 53).astype(np.int64)  # value = ints * 2^(exp-53)
+    _, low = np.frexp((ints & -ints).astype(np.float64))  # lowest set bit 2^(low-1)
+    return max(0, int((54 - exp - low).max()))
+
+
+def _within_bound(e, sum_sq) -> bool:
+    """The sparse path's precondition: 2^(2e) * 2 * sum_sq < 2^52, and the
+    squared grid step 2^-2e is a representable double."""
+    return 2 * e <= 1074 and sum_sq < math.ldexp(1.0, 51 - 2 * e)
+
+
+class SparseL2Plan:
+    """What the sparse distance path reads of a matrix: its nonzeros grouped
+    by column (column d's rows and float64 values are rows[starts[d]:
+    starts[d+1]] and vals[...]), each row's sum of squares sq, their maximum
+    and the matrix's grid exponent. rows is None when the matrix alone breaks
+    the precondition (a non-finite entry, or a grid too fine for its sums of
+    squares), so that no query can pass; the build then stops at the first
+    L2_BLOCK rows that show it, and keeps nothing. The matrix must not change
+    after the plan is built.
+    """
+
+    def __init__(self, vectors):
+        n, dim = vectors.shape
+        self.grid, self.max_sq, self.rows = 0, 0.0, None
+        kept = ([np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0)])
+        for s in range(0, n, L2_BLOCK):
+            block = vectors[s:s + L2_BLOCK]
+            rows, cols = np.divmod(np.flatnonzero(block != 0), dim)
+            vals = block[rows, cols].astype(np.float64)
+            if not np.isfinite(vals).all():
+                return
+            self.grid = max(self.grid, grid_exponent(vals))
+            with np.errstate(over="ignore"):  # an infinite square fails the bound
+                sq = np.bincount(rows, weights=vals * vals, minlength=block.shape[0])
+            self.max_sq = max(self.max_sq, float(sq.max()))
+            if not _within_bound(self.grid, self.max_sq):
+                return
+            for part, got in zip(kept, (rows + s, cols, vals, sq)):
+                part.append(got)
+        rows, cols, vals, self.sq = map(np.concatenate, kept)
+        order = np.argsort(cols, kind="stable")  # column-major, rows ascending
+        self.rows = rows[order]
+        self.vals = vals[order]
+        self.starts = [0, *np.cumsum(np.bincount(cols, minlength=dim)).tolist()]
+
+    def distances(self, oracle):
+        """The distances from oracle (float64) to every row, or None where the
+        exactness precondition does not hold and the dense path must run."""
+        if self.rows is None:
+            return None
+        q_cols = np.flatnonzero(oracle)
+        q_vals = oracle[q_cols]
+        if not np.isfinite(q_vals).all():
+            return None
+        e = max(self.grid, grid_exponent(q_vals))
+        with np.errstate(over="ignore"):
+            q_sq = float(np.sum(q_vals * q_vals))
+        if not _within_bound(e, self.max_sq + q_sq):
+            return None
+        d2 = self.sq + q_sq
+        for d, q in zip(q_cols.tolist(), q_vals.tolist()):
+            lo, hi = self.starts[d], self.starts[d + 1]
+            d2[self.rows[lo:hi]] -= (2.0 * q) * self.vals[lo:hi]  # rows unique per column
+        return np.sqrt(d2, out=d2)
 
 
 def normalize_distances(raw) -> np.ndarray:

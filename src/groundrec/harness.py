@@ -264,23 +264,17 @@ def write_report(path, report: MetricsReport, as_json=False):
 
 
 def read_report(path) -> MetricsReport:
+    """A report as write_report writes it, text or JSON. Anything else is a
+    DataError naming the file, and the line where there is one."""
     with open_input(path, "report") as fh:
         content = fh.read()
     if content.lstrip().startswith("{"):
-        payload = json.loads(content)
-        return MetricsReport(
-            hr={int(k): v for k, v in payload["hr"].items()},
-            ndcg={int(k): v for k, v in payload["ndcg"].items()},
-            n_samples=payload["n_samples"],
-            skipped=payload.get("skipped", 0),
-            fingerprint=payload.get("fingerprint", {}),
-        )
+        return _json_report(content, path)
     hr = {}
     ndcg = {}
     fingerprint = {}
-    n_samples = 0
-    skipped = 0
-    for line in content.splitlines():
+    counts = {"n_samples": 0, "skipped": 0}
+    for lineno, line in enumerate(content.splitlines(), 1):
         if line.startswith("# fingerprint: "):
             key, _, val = line[len("# fingerprint: "):].partition("=")
             fingerprint[key] = val
@@ -288,15 +282,57 @@ def read_report(path) -> MetricsReport:
         if not line or line.startswith("#"):
             continue
         name, _, val = line.partition("\t")
-        if name == "n_samples":
-            n_samples = int(val)
-        elif name == "skipped":
-            skipped = int(val)
-        elif name.startswith("hr@"):
-            hr[int(name[3:])] = float(val)
-        elif name.startswith("ndcg@"):
-            ndcg[int(name[5:])] = float(val)
+        where = f"at line {lineno} in report file {path}"
+        kind, _, k = name.partition("@")
+        if name in counts:
+            counts[name] = _report_number(val, int, name, where)
+        elif kind in ("hr", "ndcg") and k:
+            table = hr if kind == "hr" else ndcg
+            table[_report_number(k, int, "K", where)] = _report_number(val, float, name,
+                                                                        where)
         else:
-            raise DataError(f"unrecognized report line {line!r} in {path}")
-    return MetricsReport(hr=hr, ndcg=ndcg, n_samples=n_samples, skipped=skipped,
-                         fingerprint=fingerprint)
+            raise DataError(f"unrecognized report line {line!r} {where}")
+    return MetricsReport(hr=hr, ndcg=ndcg, fingerprint=fingerprint, **counts)
+
+
+def _json_report(content, path) -> MetricsReport:
+    try:
+        payload = json.loads(content)
+    except json.JSONDecodeError as e:
+        raise DataError(f"report file {path} is not valid JSON: {e.msg} "
+                        f"at line {e.lineno}") from None
+    where = f"in report file {path}"
+    tables = {}
+    for kind in ("hr", "ndcg"):
+        table = payload.get(kind)
+        if not isinstance(table, dict):
+            raise DataError(f"{kind!r} must map K to a metric value {where}")
+        tables[kind] = {_report_number(k, int, f"{kind} K", where):
+                        _report_number(v, float, f"{kind}@{k}", where)
+                        for k, v in table.items()}
+    fingerprint = payload.get("fingerprint", {})
+    if not (isinstance(fingerprint, dict)
+            and all(isinstance(v, str) for v in fingerprint.values())):
+        raise DataError(f"'fingerprint' must map names to strings {where}")
+    if "n_samples" not in payload:
+        raise DataError(f"no 'n_samples' {where}")
+    return MetricsReport(
+        **tables,
+        n_samples=_report_number(payload["n_samples"], int, "n_samples", where),
+        skipped=_report_number(payload.get("skipped", 0), int, "skipped", where),
+        fingerprint=fingerprint,
+    )
+
+
+def _report_number(value, kind, what, where):
+    """value, a str from a text report or a JSON value, as an int (kind int)
+    or a finite float (kind float); a DataError otherwise."""
+    if type(value) in ((str, int) if kind is int else (str, int, float)):
+        try:
+            number = kind(value)
+        except (ValueError, OverflowError):
+            number = None
+        if number is not None and (kind is int or math.isfinite(number)):
+            return number
+    noun = "an integer" if kind is int else "a finite number"
+    raise DataError(f"{what} {value!r} is not {noun} {where}")

@@ -133,6 +133,16 @@ class TestFlagValues:
          "--generator most-pop ranks by popularity alone"),
         ("eval", ["--generator", "most-pop", "--gamma", "2", "--train", "t.tsv"],
          "--generator most-pop ranks by popularity alone"),
+        ("ground", ["--bm25-k1", "nan"],
+         "argument --bm25-k1: must be a finite number >= 0, got nan"),
+        ("ground", ["--bm25-k1", "inf"],
+         "argument --bm25-k1: must be a finite number >= 0, got inf"),
+        ("ground", ["--bm25-k1", "-1"],
+         "argument --bm25-k1: must be a finite number >= 0, got -1"),
+        ("ground", ["--bm25-k1", "x"], "argument --bm25-k1: invalid float value: 'x'"),
+        ("ground", ["--bm25-b", "nan"], "argument --bm25-b: must lie in [0, 1], got nan"),
+        ("ground", ["--bm25-b", "-0.1"], "argument --bm25-b: must lie in [0, 1], got -0.1"),
+        ("ground", ["--bm25-b", "1.5"], "argument --bm25-b: must lie in [0, 1], got 1.5"),
     ])
     def test_usage_error(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "o.tsv"
@@ -301,6 +311,31 @@ class TestReportCommand:
         assert cli.main(["report", str(a), str(b)]) == 2
         run_ok(["report", a, b, "--force"])
 
+    @pytest.mark.parametrize("content, message", [
+        ("hr@1\tabc\n", "hr@1 'abc' is not a finite number at line 1 in report file"),
+        ("# c\nhr@1\t0.5\nhr@x\t1\n", "K 'x' is not an integer at line 3 in report file"),
+        ("hr@1\tnan\n", "hr@1 'nan' is not a finite number at line 1 in report file"),
+        ("n_samples\t1.5\n", "n_samples '1.5' is not an integer at line 1 in report file"),
+        ("mrr@1\t0.5\n", "unrecognized report line 'mrr@1\\t0.5' at line 1 in report file"),
+        ('{"hr": 1}', "'hr' must map K to a metric value in report file"),
+        ('{"hr": {"x": 1}, "ndcg": {}}', "hr K 'x' is not an integer in report file"),
+        ('{"hr": {"1": "a"}, "ndcg": {}}', "hr@1 'a' is not a finite number in report file"),
+        ('{"hr": {}, "ndcg": {"1": true}}', "ndcg@1 True is not a finite number in report"),
+        ('{"hr": {}, "ndcg": {}}', "no 'n_samples' in report file"),
+        ('{"hr": {}, "ndcg": {}, "n_samples": 2.5}', "n_samples 2.5 is not an integer"),
+        ('{"hr": {}, "ndcg": {}, "n_samples": 1, "fingerprint": 3}',
+         "'fingerprint' must map names to strings in report file"),
+        ('{"hr": {},\n bad json', "is not valid JSON: Expecting property name enclosed "
+                                   "in double quotes at line 2"),
+    ])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, content, message):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        self.make_report(good, 0.5)
+        bad.write_text(content)
+        assert cli.main(["report", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err and "Traceback" not in err
+
     def test_improve2lv_wrong_count(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         self.make_report(a, 0.5)
@@ -344,6 +379,37 @@ class TestDeterminism:
                     "--out", out])
             reports[threads] = out.read_bytes()
         assert reports[1] == reports[8]
+
+
+class TestThreadsOnBothDistancePaths:
+    def test_eval_and_tune_gamma_byte_identical(self, tmp_path):
+        """Titles of 1 to 6 tokens put the catalog off the grid, so every
+        distance takes the dense path; with 4-token titles every one takes the
+        sparse path, whose plan eight threads share."""
+        outputs = {}
+        for titles in ("mixed", "four"):
+            inter, _ = write_fixture(tmp_path, n_items=30)
+            cat = tmp_path / f"catalog_{titles}.tsv"
+            cat.write_text("".join(
+                f"i{k:03d}\t" + " ".join(["w", f"v{k}", "x", "y", "z", "u"]
+                                        [:(1 + k % 6) if titles == "mixed" else 4]) + "\n"
+                for k in range(30)))
+            split = tmp_path / "splits"
+            run_ok(["split", "--interactions", inter, "--out", split])
+            for threads in (1, 8):
+                d = tmp_path / f"{titles}_{threads}"
+                d.mkdir()
+                common = ["--catalog", cat, "--train", split / "train.tsv",
+                          "--generator", "ngram", "--seed", 5, "--dim", 32,
+                          "--threads", threads]
+                run_ok(["eval", "--test", split / "samples_test.tsv", *common,
+                        "--inject", "collab", "--gamma", 0.7, "--dump-ranks",
+                        d / "ranks.tsv", "--out", d / "report.tsv"])
+                run_ok(["tune-gamma", "--valid", split / "samples_valid.tsv", *common,
+                        "--inject", "pop", "--out", d / "sweep.tsv"])
+                outputs[titles, threads] = [(d / f).read_bytes() for f in
+                                            ("ranks.tsv", "report.tsv", "sweep.tsv")]
+            assert outputs[titles, 1] == outputs[titles, 8]
 
 
 class TestGroundInputErrors:

@@ -16,7 +16,7 @@ from groundrec.collab import (
     score,
 )
 from groundrec.errors import DataError
-from groundrec.ingest import temporal_split
+from groundrec.ingest import PAD, build_samples, temporal_split
 
 
 @pytest.fixture
@@ -131,6 +131,50 @@ class TestScore:
         # 'a' is 4th-most-recent: its transitions must not contribute
         raw = score(scorer, make_sample(["a", "x", "x", "x"], "b"), abc_catalog)
         assert raw[abc_catalog.index_of["b"]] == 0.0
+
+
+def reference_score(scorer, sample, catalog):
+    """The per-pair dict loop that score's sparse rows replaced."""
+    by_prev = {}
+    for (pi, ni), c in scorer.counts.items():
+        by_prev.setdefault(pi, {})[ni] = c
+    raw = np.zeros(scorer.n_items, dtype=np.float64)
+    recent = [h for h in sample.history if h != PAD][-3:]
+    recent.reverse()
+    for w, item_id in zip((1.0, 0.5, 0.25), recent):
+        prev = catalog.index_of.get(item_id)
+        if prev is None:
+            continue
+        for ni, c in by_prev.get(prev, {}).items():
+            raw[ni] += w * c
+    return raw
+
+
+class TestScoreMatchesDictLoop:
+    ITEMS = [f"i{k}" for k in range(8)]
+
+    # "zz" is not in the catalog; pairs may name items never in a history
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                           st.integers(1, 2**32 - 1), max_size=40),
+           st.lists(st.sampled_from(ITEMS + ["zz"]), max_size=10))
+    def test_bit_identical(self, counts, history):
+        catalog = make_catalog({i: f"t{i}" for i in self.ITEMS})
+        scorer = CoScorer(n_items=len(catalog), counts=counts)
+        sample = make_sample(history, "i0")
+        assert np.array_equal(score(scorer, sample, catalog),
+                              reference_score(scorer, sample, catalog))
+
+    def test_fitted_and_loaded_scorers(self, tmp_path):
+        log, catalog = synthetic_dataset(n_users=30, n_items=25, events_per_user=9)
+        split = temporal_split(log)
+        scorer = fit_cooccurrence(split.train, catalog)
+        save_scorer(tmp_path / "co.bin", scorer)
+        loaded = load_scorer(tmp_path / "co.bin", len(catalog))
+        for sample in build_samples(split)["test"]:
+            expected = reference_score(scorer, sample, catalog)
+            assert np.array_equal(score(scorer, sample, catalog), expected)
+            assert np.array_equal(score(loaded, sample, catalog), expected)
 
 
 class TestNormalizeScores:

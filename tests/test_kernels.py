@@ -2,6 +2,8 @@
 bit-identical, not merely close."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog
+from groundrec.embed import EmbeddingMatrix, HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.ground import (
     L2_BLOCK,
     BM25Index,
+    SparseL2Plan,
     bm25_rank,
     exclusion_mask,
+    grid_exponent,
     l2_distances,
     rank,
     target_position,
@@ -107,6 +112,147 @@ class TestBlockedL2:
         vectors = mixed_magnitude(rng, n, dim)
         oracle = vectors[rng.integers(n)].astype(np.float64) + rng.standard_normal(dim)
         assert np.array_equal(l2_distances(vectors, oracle), one_shot_l2(vectors, oracle))
+
+
+def sparse_path(vectors, oracle):
+    """The sparse path's distances, or None where it refuses the inputs."""
+    return SparseL2Plan(vectors).distances(np.asarray(oracle, dtype=np.float64))
+
+
+def assert_both_forms_exact(vectors, oracle):
+    """l2_distances of the plain array and of an EmbeddingMatrix equal the
+    one-shot formula bit for bit; returns whether the sparse path ran."""
+    expected = one_shot_l2(vectors, oracle)
+    assert np.array_equal(l2_distances(vectors, oracle), expected)
+    assert np.array_equal(l2_distances(EmbeddingMatrix(vectors.shape[1], vectors), oracle),
+                          expected)
+    fast = sparse_path(vectors, oracle)
+    if fast is not None:
+        assert np.array_equal(fast, expected)
+    return fast is not None
+
+
+# k/2^m (on the grid) and k/3, k/5, k/7 (off it); mostly zero, like hashed titles
+grid_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda k, m: k / 2.0 ** m, st.integers(-2**12, 2**12), st.integers(0, 30)),
+    st.builds(lambda k, d: k / d, st.integers(-40, 40), st.sampled_from([3, 5, 7])),
+)
+dyadic_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda k, m: k / 2.0 ** m, st.integers(-64, 64), st.integers(0, 6)))
+
+
+def entry_matrix(entries):
+    return st.integers(1, 12).flatmap(lambda dim: st.tuples(
+        st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=30),
+        st.lists(entries, min_size=dim, max_size=dim)))
+
+
+class TestSparseL2:
+    @settings(max_examples=150, deadline=None)
+    @given(entry_matrix(grid_entries))
+    def test_equals_one_shot_formula(self, rows_and_query):
+        rows, query = rows_and_query
+        vectors = np.array(rows, dtype=np.float32)
+        assert_both_forms_exact(vectors, np.array(query, dtype=np.float32))
+        assert_both_forms_exact(vectors.astype(np.float64), np.array(query))
+
+    @settings(max_examples=60, deadline=None)
+    @given(entry_matrix(dyadic_entries))
+    def test_fast_path_taken_on_dyadic_inputs(self, rows_and_query):
+        rows, query = rows_and_query
+        assert assert_both_forms_exact(np.array(rows, dtype=np.float32),
+                                       np.array(query, dtype=np.float32))
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_hash_embedded_titles_of_1_to_16_tokens(self, dim):
+        rng = np.random.default_rng(dim)
+        words = [f"w{k}" for k in range(40)]
+
+        def text(n_tokens):
+            return " ".join(rng.choice(words, size=n_tokens))
+
+        provider = HashEmbedder(dim=dim, seed=3)
+        mixed = make_catalog({f"i{k}": text(1 + k % 16) for k in range(300)})
+        dyadic = make_catalog({f"i{k}": text([1, 2, 4, 8, 16][k % 5]) for k in range(300)})
+        for catalog in (mixed, dyadic):
+            matrix = embed_catalog(catalog, provider)
+            for n_tokens in range(1, 17):
+                query = provider.embed(text(n_tokens))
+                fast = assert_both_forms_exact(matrix.vectors, query)
+                if catalog is dyadic and n_tokens in (1, 2, 4, 8, 16):
+                    assert fast  # hash embeddings stay on the 2^-4 grid
+        assert matrix.l2_plan().grid <= 4
+
+    @pytest.mark.parametrize("vectors, oracle", [
+        ([[1.0, -2.0], [0.0, 0.0], [0.5, 0.25]], [0.0, 0.0]),  # zero query, zero row
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),  # nothing nonzero
+        ([[-0.0, 1.0], [0.0, -0.0]], [-0.0, 1.0]),  # signed zeros
+        ([[5e-324, 0.0], [1.0, 2.0]], [0.0, 1.0]),  # a subnormal entry
+        ([[1.0, 2.0]], [2.2250738585072014e-308, 0.0]),  # smallest normal in the query
+        ([[np.nan, 0.0], [1.0, 2.0]], [0.5, 0.5]),
+        ([[np.inf, 0.0], [1.0, 2.0]], [0.5, 0.5]),
+        ([[1.0, 0.0], [1.0, 2.0]], [-np.inf, 0.5]),
+        ([[1.0, 0.0], [1.0, 2.0]], [np.nan, 0.5]),
+        ([[1e200, 0.0]], [1e200, 0.0]),  # squares overflow: dense path
+    ])
+    def test_edge_inputs(self, vectors, oracle):
+        vectors = np.array(vectors)
+        expected = one_shot_l2(vectors, oracle)
+        got = l2_distances(vectors, oracle)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert not np.signbit(got[~np.isnan(got)]).any()
+
+    def test_edge_paths(self):
+        assert sparse_path(np.array([[-0.0, 1.0]]), [-0.0, 1.0]) is not None
+        assert sparse_path(np.zeros((2, 3)), np.zeros(3)) is not None
+        for vectors, oracle in [([[5e-324]], [0.0]), ([[np.nan]], [0.0]),
+                                ([[1.0]], [np.inf]), ([[1e200]], [0.0])]:
+            assert sparse_path(np.array(vectors), oracle) is None
+
+    def test_refused_at_the_bound(self):
+        # integers (e = 0): the bound is max_row sum(v^2) + sum(q^2) < 2^51
+        vectors = np.array([[2.0 ** 25, 0.0], [3.0, 1.0]])
+        assert sparse_path(vectors, [0.0, 2.0 ** 25]) is None  # 2^50 + 2^50
+        assert sparse_path(vectors, [0.0, 2.0 ** 25 - 1]) is not None
+        # the same shape at e = 3: the values scaled by 2^-3, the bound by 2^-6
+        assert sparse_path(vectors / 8, [0.0, 2.0 ** 22]) is None
+        assert sparse_path(vectors / 8, [0.0, 2.0 ** 22 - 0.125]) is not None
+        for scale in (1, 8):
+            for q in (2.0 ** 25, 2.0 ** 25 - 1, 2.0 ** 26 + 1):
+                oracle = np.array([3.0, q]) / scale
+                assert np.array_equal(l2_distances(vectors / scale, oracle),
+                                      one_shot_l2(vectors / scale, oracle))
+
+    def test_refused_where_the_grid_step_squared_underflows(self):
+        # 2^-538 squared is below the smallest subnormal; 2^-537 squared is not
+        assert sparse_path(np.array([[2.0 ** -538]]), [0.0]) is None
+        assert sparse_path(np.array([[2.0 ** -537]]), [0.0]) is not None
+
+    @pytest.mark.parametrize("values, e", [
+        ([0.0], 0), ([1.0, -3.0, 2.0 ** 60], 0), ([0.75], 2), ([0.5, 0.125], 3),
+        ([-2.0 ** -30], 30), ([5e-324], 1074), ([2.2250738585072014e-308], 1022),
+        ([np.float32(1 / 3)], 25), ([1 / 3], 54),
+    ])
+    def test_grid_exponent(self, values, e):
+        assert grid_exponent(np.array(values, dtype=np.float64)) == e
+
+    def test_plan_built_once_and_lazily(self):
+        catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
+        provider = HashEmbedder(dim=16, seed=1)
+        matrix = embed_catalog(catalog, provider)
+        assert matrix._plan is None  # embedding alone builds no plan
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                plans = list(pool.map(lambda _: matrix.l2_plan(), range(64)))
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(p is plans[0] for p in plans)
+        assert l2_distances(matrix, provider.embed("w1 w2")).shape == (50,)
+        assert matrix.l2_plan() is plans[0]
 
 
 # values from a small set, so tie groups are large
