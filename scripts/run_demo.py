@@ -4,8 +4,12 @@
 Generates a small interaction log plus an item catalog, then drives the CLI
 through the full experiment flow:
 
-    split -> popularity -> embed -> generate -> collab-fit -> ground
+    split -> popularity -> embed -> collab-fit -> generate -> ground
           -> eval -> tune-gamma -> report
+
+ground runs with popularity and collaborative injection and with BM25; eval
+runs plain, with both injections at the tuned gamma, and as the Most-Pop
+baseline.
 
 Everything lands in a scratch directory (default: ./demo_run) and is fully
 deterministic for a given --seed, so running twice gives byte-identical
@@ -88,11 +92,14 @@ def main():
     run(g + ["generate", "--samples", out / "splits" / "samples_test.tsv",
              "--catalog", cat, "--generator", "ngram", "--train", train,
              "--seed", seed, "--out", out / "gen_test.tsv"])
-    run(g + ["ground", "--emb", out / "items.emb", "--gen", out / "gen_test.tsv",
-             "--catalog", cat, "--samples", out / "splits" / "samples_test.tsv",
-             "--inject", "pop", "--popularity", out / "pop.tsv",
-             "--gamma", "1.0", "--topk", "10", "--seed", seed,
-             "--out", out / "ranks.tsv"])
+    ground = g + ["ground", "--emb", out / "items.emb", "--gen", out / "gen_test.tsv",
+                  "--catalog", cat, "--samples", out / "splits" / "samples_test.tsv",
+                  "--topk", "10", "--seed", seed]
+    run(ground + ["--inject", "pop", "--popularity", out / "pop.tsv",
+                  "--gamma", "1.0", "--out", out / "ranks.tsv"])
+    run(ground + ["--inject", "collab", "--scorer", out / "co.bin",
+                  "--gamma", "1.0", "--out", out / "ranks_collab.tsv"])
+    run(ground + ["--strategy", "bm25", "--out", out / "ranks_bm25.tsv"])
 
     common = ["--catalog", cat, "--emb", out / "items.emb", "--train", train,
               "--generator", "ngram", "--seed", seed, "--threads", threads]
@@ -113,6 +120,15 @@ def main():
     run(g + ["eval", "--test", out / "splits" / "samples_test.tsv",
              "--inject", "pop", "--gamma", best] + common +
         ["--out", out / "report_injected.txt"])
+
+    run(g + ["eval", "--test", out / "splits" / "samples_test.tsv",
+             "--inject", "collab", "--gamma", best] + common +
+        ["--out", out / "report_collab.txt"])
+
+    # the Most-Pop baseline ranks by training popularity alone
+    run(g + ["eval", "--test", out / "splits" / "samples_test.tsv",
+             "--catalog", cat, "--train", train, "--generator", "most-pop",
+             "--seed", seed, "--out", out / "report_most_pop.txt"])
 
     run(g + ["report", out / "report_plain.txt", out / "report_injected.txt",
              "--mode", "compare", "--out", out / "compare.txt"])

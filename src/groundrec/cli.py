@@ -43,8 +43,6 @@ from .ingest import (
 )
 from .pop import PopularityTable, compute_popularity, decile_report
 
-INJECT_MODES = {"none": "none", "pop": "popularity", "collab": "collaborative"}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -114,7 +112,11 @@ def _read_popularity_tsv(path, catalog) -> PopularityTable:
             if idx is None:
                 raise DataError(f"popularity item {parts[0]!r} not in catalog "
                                 f"(line {lineno} in {path})")
-            counts[idx] = _parse_int(parts[1], "popularity count", lineno, path)
+            count = _parse_int(parts[1], "popularity count", lineno, path)
+            if not 0 <= count < 2**63:
+                raise DataError(f"popularity count {count} outside 0..2^63-1 "
+                                f"at line {lineno} in {path}")
+            counts[idx] = count
     return PopularityTable.from_counts(counts)
 
 
@@ -126,7 +128,7 @@ def _make_generator(name, catalog, train_log, seed, ngram_order):
             raise UsageError("--generator pop requires --train")
         return PopTitleGenerator(catalog, compute_popularity(train_log, catalog))
     if name == "ngram":
-        model = train_ngram(catalog.titles(), order=ngram_order, corpus_id="catalog")
+        model = train_ngram(catalog.titles(), order=ngram_order)
         return NGramGenerator(catalog, model, seed=seed)
     raise UsageError(f"unknown generator {name!r}")
 
@@ -148,22 +150,13 @@ def _pipeline_from_args(args, catalog, gamma=0.0):
         mat = embed_catalog(catalog, provider, normalize=args.normalize)
     generator = _make_generator(args.generator, catalog, train_log, args.seed,
                                 args.ngram_order)
-    injection = INJECT_MODES[args.inject]
-    pop_table = None
-    scorer = None
-    if injection == "popularity":
+    source = None
+    if args.inject != "none":
         if train_log is None:
-            raise UsageError("--inject pop requires --train")
-        pop_table = compute_popularity(train_log, catalog)
-    elif injection == "collaborative":
-        if train_log is None:
-            raise UsageError("--inject collab requires --train")
-        scorer = collab_mod.fit_cooccurrence(train_log, catalog)
-    return harness.Pipeline(
-        generator, provider, mat, catalog,
-        injection=injection, gamma=gamma,
-        pop_table=pop_table, scorer=scorer,
-    )
+            raise UsageError(f"--inject {args.inject} requires --train")
+        fit = compute_popularity if args.inject == "pop" else collab_mod.fit_cooccurrence
+        source = fit(train_log, catalog)
+    return harness.Pipeline(generator, provider, mat, catalog, gamma, source)
 
 
 def _digests(args, *names):
@@ -293,26 +286,24 @@ def cmd_ground(args):
         raise UsageError(f"--strategy bm25 cannot take --inject {args.inject}: "
                          "injection reweights min-max L2 distances, not BM25 scores")
     catalog = parse_catalog(args.catalog)
-    mat = load_embeddings(args.emb, catalog)
     rows = _read_generated(args.gen)
     samples = read_samples(args.samples) if args.samples else None
-    injection = INJECT_MODES[args.inject]
-    pop_table = None
-    scorer = None
-    if injection == "popularity":
+    source = None
+    if args.inject == "pop":
         if not args.popularity:
             raise UsageError("--inject pop requires --popularity")
-        pop_table = _read_popularity_tsv(args.popularity, catalog)
-    elif injection == "collaborative":
+        source = _read_popularity_tsv(args.popularity, catalog)
+    elif args.inject == "collab":
         if not (args.scorer and args.samples):
             raise UsageError("--inject collab requires --scorer and --samples")
-        scorer = collab_mod.load_scorer(args.scorer, len(catalog))
-    pipeline = harness.Pipeline(
-        None, HashEmbedder(dim=mat.dim, seed=args.seed), mat, catalog,
-        injection=injection, gamma=args.gamma, pop_table=pop_table, scorer=scorer,
-    )
-    bm25 = BM25Index(catalog, k1=args.bm25_k1, b=args.bm25_b) \
-        if args.strategy == "bm25" else None
+        source = collab_mod.load_scorer(args.scorer, len(catalog))
+    if args.strategy == "bm25":  # --emb is hashed into the manifest, never read
+        pipeline = None
+        bm25 = BM25Index(catalog, k1=args.bm25_k1, b=args.bm25_b)
+    else:
+        mat = load_embeddings(args.emb, catalog)
+        pipeline = harness.Pipeline(None, HashEmbedder(dim=mat.dim, seed=args.seed), mat,
+                                    catalog, args.gamma, source)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         for sample_idx, text in rows:
@@ -321,8 +312,8 @@ def cmd_ground(args):
                 if not 0 <= sample_idx < len(samples):
                     raise DataError(f"sample index {sample_idx} out of range")
                 sample = samples[sample_idx]
-            exclusions = pipeline.exclusions(sample) if sample is not None else frozenset()
-            if bm25 is not None:
+            exclusions = catalog.index_set(sample.known_items if sample else ())
+            if pipeline is None:
                 ranked = bm25_rank(text, bm25, exclusions, k=args.topk)
             else:
                 adjusted = pipeline.reweighted(pipeline.distances(text),
@@ -356,17 +347,12 @@ def cmd_eval(args):
         report = harness.most_pop_baseline(table, samples, catalog, fingerprint=fp)
     else:
         pipeline = _pipeline_from_args(args, catalog, args.gamma)
+        report, positions = harness.evaluate(samples, pipeline, threads=args.threads,
+                                             fingerprint=fp, collect_positions=True)
         if args.dump_ranks:
-            report, positions = harness.evaluate(
-                samples, pipeline, threads=args.threads, fingerprint=fp,
-                collect_positions=True,
-            )
             with open(args.dump_ranks, "w", encoding="utf-8") as fh:
                 for i, pos in enumerate(positions):
                     fh.write(f"{i}\t{'skipped' if pos is None else pos}\n")
-        else:
-            report = harness.evaluate(samples, pipeline, threads=args.threads,
-                                      fingerprint=fp)
     harness.write_report(args.out, report, as_json=args.json)
     manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
@@ -438,7 +424,7 @@ def _add_pipeline_flags(p, samples_flag, generators):
     p.add_argument("--train", default=None,
                    help="training interactions (for pop/collab injection)")
     p.add_argument("--generator", default="oracle", choices=generators)
-    p.add_argument("--inject", default="none", choices=sorted(INJECT_MODES))
+    p.add_argument("--inject", default="none", choices=["collab", "none", "pop"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dim", type=_positive_int, default=256)
     p.add_argument("--normalize", action="store_true")
@@ -494,7 +480,7 @@ def build_parser():
     p.add_argument("--gen", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--samples", default=None)
-    p.add_argument("--inject", default="none", choices=sorted(INJECT_MODES))
+    p.add_argument("--inject", default="none", choices=["collab", "none", "pop"])
     p.add_argument("--popularity", default=None)
     p.add_argument("--scorer", default=None)
     p.add_argument("--gamma", type=_nonnegative, default=0.0)

@@ -2,7 +2,8 @@
 
 A first-order transition scorer over adjacent (prev, next) item pairs in each
 user's training timeline. Scoring a sample combines the last up-to-3 real
-history items with geometric recency weights 1.0, 0.5, 0.25.
+history items with geometric recency weights 1.0, 0.5, 0.25. As a Pipeline
+weight source, a CoScorer gives each sample those scores, min-max normalized.
 
 Fitting counts the adjacent pairs of each user's timeline with one np.unique
 over (prev, next) canonical-index keys; a pair with an item outside the
@@ -10,11 +11,13 @@ catalog is not counted.
 
 Scorer file format: magic b"GRCO", u32 pair count, then (u32 prev, u32 next,
 u32 count) triples sorted by (prev, next), all little-endian, keyed by
-canonical item index.
+canonical item index. load_scorer checks the pair count against the file
+size before reading, and every index against the catalog.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -46,6 +49,10 @@ class CoScorer:
         self.nexts = pairs[order, 1]
         self.weights = np.fromiter(self.counts.values(), np.float64, n)[order]
         self.starts = np.searchsorted(pairs[order, 0], np.arange(self.n_items + 1))
+
+    def sample_weights(self, sample: SequenceSample, catalog: ItemCatalog) -> np.ndarray:
+        """The injection weights of one sample: its scores, min-max normalized."""
+        return normalize_scores(score(self, sample, catalog))
 
 
 def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
@@ -110,9 +117,13 @@ def load_scorer(path, n_items) -> CoScorer:
         if len(header) < 8 or header[:4] != MAGIC:
             raise DataError(f"{path} is not a GRCO scorer file")
         (n_pairs,) = struct.unpack("<I", header[4:])
+        if 8 + 12 * n_pairs > os.fstat(fh.fileno()).st_size:
+            raise DataError(f"truncated scorer file {path}: the header counts "
+                            f"{n_pairs} pairs")
         body = fh.read(12 * n_pairs)
-    if len(body) < 12 * n_pairs:
-        raise DataError(f"truncated scorer file {path}")
     triples = np.frombuffer(body, dtype="<u4").reshape(-1, 3)
+    if n_pairs and triples[:, :2].max() >= n_items:
+        raise DataError(f"scorer file {path} holds item index {triples[:, :2].max()}, "
+                        f"outside the catalog of {n_items} items")
     counts = _pair_counts(triples[:, 0], triples[:, 1], triples[:, 2])
     return CoScorer(n_items=n_items, counts=counts)

@@ -49,9 +49,6 @@ class EmbeddingMatrix:
                 self._plan = SparseL2Plan(self.vectors)
             return self._plan
 
-    def row(self, idx):
-        return self.vectors[idx]
-
 
 class HashEmbedder:
     """Deterministic bag-of-hashed-tokens embedder.
@@ -71,9 +68,6 @@ class HashEmbedder:
 
     def embed(self, text):
         return hash_embed(text, self.dim, self.seed, self._slots)
-
-    def describe(self):
-        return f"hash(dim={self.dim},seed={self.seed})"
 
 
 def hash_embed(text, dim, seed, slots=None):
@@ -150,20 +144,21 @@ def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
 
 
 def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
-    with open(path, "rb") as fh:
+    with open_input(path, "embedding", "rb") as fh:
         header = fh.read(8)
         if len(header) < 8 or header[:4] != MAGIC:
             raise DataError(f"{path} is not a GREC embedding file")
         (dim,) = struct.unpack("<I", header[4:])
         if dim < 1:
             raise DataError(f"bad embedding dim {dim} in {path}")
-        data = np.frombuffer(fh.read(), dtype="<f4")
+        body = fh.read()
     n = len(catalog)
-    if data.size != n * dim:
+    if len(body) != 4 * n * dim:
         raise DataError(
-            f"{path} holds {data.size} floats, expected {n}x{dim} for this catalog"
+            f"{path} holds {len(body)} bytes of floats, expected {n}x{dim} f32 "
+            "for this catalog"
         )
-    matrix = data.reshape(n, dim).astype(np.float32)
+    matrix = np.frombuffer(body, dtype="<f4").reshape(n, dim).astype(np.float32)
     if not np.isfinite(matrix).all():
         raise DataError(f"non-finite embedding value in {path}")
     return EmbeddingMatrix(dim=dim, vectors=matrix)

@@ -74,10 +74,9 @@ END = "</s>"
 class NGramModel:
     order: int
     transitions: dict[tuple[str, ...], dict[str, int]]
-    corpus_id: str = ""
 
 
-def train_ngram(titles, order=1, corpus_id="") -> NGramModel:
+def train_ngram(titles, order=1) -> NGramModel:
     if order < 1:
         raise ValueError("order must be >= 1")
     transitions: dict[tuple[str, ...], dict[str, int]] = {}
@@ -90,7 +89,7 @@ def train_ngram(titles, order=1, corpus_id="") -> NGramModel:
             transitions.setdefault(ctx, {})[nxt] = (
                 transitions.get(ctx, {}).get(nxt, 0) + 1
             )
-    return NGramModel(order=order, transitions=transitions, corpus_id=corpus_id)
+    return NGramModel(order=order, transitions=transitions)
 
 
 class NGramGenerator:

@@ -74,7 +74,6 @@ L2_BLOCK = 512  # rows per float64 block in l2_distances
 class RankedList:
     indices: np.ndarray  # best first, excluded items absent
     values: np.ndarray  # adjusted distance (l2) or negated score (bm25)
-    strategy: str = "l2"
 
     def position(self, item_idx):
         """1-based rank of an item; raises if excluded."""
@@ -230,7 +229,7 @@ def exclusion_mask(n, exclusions) -> np.ndarray:
     return keep
 
 
-def _ranked(values, keep, k, strategy) -> RankedList:
+def _ranked(values, keep, k) -> RankedList:
     """Kept items by (value, canonical index) ascending; the first k if given.
 
     With k, np.partition finds the k-th smallest value and only the items at
@@ -243,20 +242,20 @@ def _ranked(values, keep, k, strategy) -> RankedList:
     vals = values[candidates]
     if k is not None and k < candidates.size:
         if k <= 0:
-            return RankedList(indices=candidates[:0], values=vals[:0], strategy=strategy)
+            return RankedList(indices=candidates[:0], values=vals[:0])
         kth = np.partition(vals, k - 1)[k - 1]
         within = vals <= kth
         candidates = candidates[within]
         vals = vals[within]
     order = np.lexsort((candidates, vals))[:k]  # value asc, canonical index asc
-    return RankedList(indices=candidates[order], values=vals[order], strategy=strategy)
+    return RankedList(indices=candidates[order], values=vals[order])
 
 
 def rank(adjusted, exclusions=frozenset(), k=None) -> RankedList:
     """Rank by adjusted distance ascending, ties by canonical index; the
     whole list, or its first k entries."""
     adjusted = np.asarray(adjusted, dtype=np.float64)
-    return _ranked(adjusted, exclusion_mask(adjusted.shape[0], exclusions), k, "l2")
+    return _ranked(adjusted, exclusion_mask(adjusted.shape[0], exclusions), k)
 
 
 def target_position(adjusted, keep, target) -> int:
@@ -343,4 +342,4 @@ def bm25_rank(query_tokens, index: BM25Index, exclusions=frozenset(), k=None) ->
         warnings.warn("empty BM25 query after tokenization; ranking by index order")
     scores = index.scores(query_tokens)
     keep = exclusion_mask(scores.shape[0], exclusions)
-    return _ranked(-scores, keep, k, "bm25")  # descending score == ascending value
+    return _ranked(-scores, keep, k)  # descending score == ascending value

@@ -3,10 +3,11 @@ and aggregate HR@K / NDCG@K, plus the Most-Pop baseline and the relative
 improvement of a combined model over the better of its two parts.
 
 Pipeline is the one grounding path. ground ranks the top k for the text it
-is given through Pipeline.distances, weights, reweighted and exclusions.
-eval and tune-gamma take each sample's gamma-independent part from
-Pipeline.prepare; eval divides by (1 + w)^gamma at one gamma, tune-gamma at
-every point of the grid.
+is given through Pipeline.distances, weights and reweighted. eval and
+tune-gamma take each sample's gamma-independent part from Pipeline.prepare;
+eval divides by (1 + w)^gamma at one gamma, tune-gamma at every point of the
+grid. Pipeline.candidates is the one skip/target/exclusion step, which
+Most-Pop shares. fan_out runs a per-sample or per-gamma step on threads.
 
 Every item the user has not interacted with is a candidate; there is no
 negative sampling. NDCG uses the single-relevant-item convention (IDCG = 1),
@@ -22,16 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import collab as collab_mod
 from .errors import DataError, open_input
 from .ground import (
-    RankedList,
     check_weights,
     exclusion_mask,
     inject,
     l2_distances,
     normalize_distances,
-    rank,
     target_position,
 )
 from .ingest import ItemCatalog, SequenceSample
@@ -68,39 +66,24 @@ def ndcg_from_rank(position, k):
     return 1.0 / math.log2(position + 1) if position <= k else 0.0
 
 
-def hr_at_k(ranked: RankedList, target, k):
-    return hr_from_rank(ranked.position(target), k)
-
-
-def ndcg_at_k(ranked: RankedList, target, k):
-    return ndcg_from_rank(ranked.position(target), k)
-
-
 class Pipeline:
     """The one grounding path of the ground, eval and tune-gamma commands:
     query text -> normalized L2 distances -> checked weights -> division by
     (1 + w)^gamma -> exclusion of the items seen before the target.
 
     The generator turns a sample into query text; ground passes its text in
-    directly and has no generator. The injection source is a popularity table
-    (one weight array for every sample) or a co-occurrence scorer (weights
-    from each sample's history).
+    directly and has no generator. The weight source, if any, is a
+    PopularityTable or a CoScorer: source.sample_weights(sample, catalog).
     """
 
     def __init__(self, generator, provider, matrix, catalog: ItemCatalog,
-                 injection="none", gamma=0.0, pop_table=None, scorer=None):
-        if injection == "popularity" and pop_table is None:
-            raise DataError("popularity injection needs a popularity table")
-        if injection == "collaborative" and scorer is None:
-            raise DataError("collaborative injection needs a co-occurrence scorer")
+                 gamma=0.0, source=None):
         self.generator = generator
         self.provider = provider
         self.matrix = matrix
         self.catalog = catalog
-        self.injection = injection
         self.gamma = gamma
-        self.pop_table = pop_table
-        self.scorer = scorer
+        self.source = source
 
     def distances(self, text) -> np.ndarray:
         """Min-max normalized L2 distances from the embedded text to every item."""
@@ -110,20 +93,12 @@ class Pipeline:
         return self.distances(self.generator.generate(sample).text())
 
     def weights(self, sample: SequenceSample):
-        """Per-item injection weights in [0,1], or None without injection."""
-        if self.injection == "popularity":
-            return self.pop_table.normalized
-        if self.injection == "collaborative":
-            raw = collab_mod.score(self.scorer, sample, self.catalog)
-            return collab_mod.normalize_scores(raw)
-        return None
+        """Per-item injection weights in [0,1], or None without a source."""
+        source = self.source
+        return None if source is None else source.sample_weights(sample, self.catalog)
 
     def exclusions(self, sample: SequenceSample):
-        return frozenset(
-            self.catalog.index_of[i]
-            for i in sample.known_items
-            if i in self.catalog.index_of
-        )
+        return self.catalog.index_set(sample.known_items)
 
     def reweighted(self, norm, weights, gamma=None) -> np.ndarray:
         """norm divided by (1 + w)^gamma; norm itself without weights or at
@@ -131,30 +106,35 @@ class Pipeline:
         gamma = self.gamma if gamma is None else gamma
         return inject(norm, weights, gamma) if (weights is not None and gamma > 0) else norm
 
-    def prepare(self, sample: SequenceSample):
-        """(normalized distances, checked weights or None, keep mask, target
-        index) for one sample; None when the sample is skipped because its
-        target is a repeat consumption (the target would be its own exclusion).
-        Everything here is gamma-independent."""
+    def candidates(self, sample: SequenceSample):
+        """(keep mask, target index): every item not seen before the target.
+        None skips a repeat consumption, whose target is its own exclusion."""
         if sample.target in sample.known_items:
             return None
         target = self.catalog.index_of.get(sample.target)
         if target is None:
             raise DataError(f"sample target {sample.target!r} not in catalog")
+        return exclusion_mask(len(self.catalog), self.exclusions(sample)), target
+
+    def prepare(self, sample: SequenceSample):
+        """(normalized distances, checked weights or None, keep mask, target
+        index), all gamma-independent; None where candidates skips."""
+        found = self.candidates(sample)
+        if found is None:
+            return None
         norm = self.normalized_distances(sample)
         weights = self.weights(sample)
         if weights is not None:
             norm, weights = check_weights(norm, weights)
-        keep = exclusion_mask(norm.shape[0], self.exclusions(sample))
-        return norm, weights, keep, target
+        return (norm, weights, *found)
 
-    def adjusted(self, sample: SequenceSample, gamma=None) -> np.ndarray:
-        """Normalized distances, divided by (1 + w)^gamma when injecting."""
-        return self.reweighted(self.normalized_distances(sample), self.weights(sample),
-                               gamma)
 
-    def rank_sample(self, sample: SequenceSample, gamma=None) -> RankedList:
-        return rank(self.adjusted(sample, gamma), self.exclusions(sample))
+def fan_out(fn, items, threads=1):
+    """[fn(item) for item in items], on a pool of threads when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _target_position(pipeline, sample):
@@ -169,11 +149,7 @@ def _target_position(pipeline, sample):
 def evaluate(samples, pipeline: Pipeline, ks=DEFAULT_KS, threads=1,
              fingerprint=None, collect_positions=False):
     """Mean HR@K / NDCG@K over samples; order- and thread-count-independent."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            positions = list(pool.map(lambda s: _target_position(pipeline, s), samples))
-    else:
-        positions = [_target_position(pipeline, s) for s in samples]
+    positions = fan_out(lambda s: _target_position(pipeline, s), samples, threads)
     report = aggregate(positions, ks, fingerprint)
     if collect_positions:
         return report, positions
@@ -182,44 +158,27 @@ def evaluate(samples, pipeline: Pipeline, ks=DEFAULT_KS, threads=1,
 
 def aggregate(positions, ks=DEFAULT_KS, fingerprint=None) -> MetricsReport:
     kept = [p for p in positions if p is not None]
-    skipped = len(positions) - len(kept)
-    hr = {}
-    ndcg = {}
-    for k in ks:
-        if kept:
-            hr[k] = sum(hr_from_rank(p, k) for p in kept) / len(kept)
-            ndcg[k] = sum(ndcg_from_rank(p, k) for p in kept) / len(kept)
-        else:
-            hr[k] = 0.0
-            ndcg[k] = 0.0
+    n = max(len(kept), 1)  # no kept sample: every metric is 0.0
     return MetricsReport(
-        hr=hr, ndcg=ndcg, n_samples=len(kept), skipped=skipped,
+        hr={k: sum(hr_from_rank(p, k) for p in kept) / n for k in ks},
+        ndcg={k: sum(ndcg_from_rank(p, k) for p in kept) / n for k in ks},
+        n_samples=len(kept), skipped=len(positions) - len(kept),
         fingerprint=dict(fingerprint or {}),
     )
 
 
 def most_pop_baseline(table, samples, catalog: ItemCatalog, ks=DEFAULT_KS,
                       fingerprint=None) -> MetricsReport:
-    """Rank by global training popularity (count desc, index asc), minus exclusions."""
+    """Rank by global training popularity (count desc, index asc), minus the
+    exclusions of Pipeline.candidates; an item's place stands in for its value."""
     n = len(catalog)
-    order = np.lexsort((np.arange(n), -table.counts))
-    pos_in_order = np.empty(n, dtype=np.int64)
-    pos_in_order[order] = np.arange(n)
+    place = np.empty(n, dtype=np.int64)
+    place[np.lexsort((np.arange(n), -table.counts))] = np.arange(n)
+    pipeline = Pipeline(None, None, None, catalog)
     positions = []
     for sample in samples:
-        if sample.target in sample.known_items:
-            positions.append(None)
-            continue
-        idx = catalog.index_of.get(sample.target)
-        if idx is None:
-            raise DataError(f"sample target {sample.target!r} not in catalog")
-        excluded = [
-            catalog.index_of[i]
-            for i in sample.known_items
-            if i in catalog.index_of
-        ]
-        before = sum(1 for e in excluded if pos_in_order[e] < pos_in_order[idx])
-        positions.append(int(pos_in_order[idx]) + 1 - before)
+        found = pipeline.candidates(sample)
+        positions.append(None if found is None else target_position(place, *found))
     return aggregate(positions, ks, fingerprint)
 
 
@@ -301,6 +260,8 @@ def _json_report(content, path) -> MetricsReport:
     except json.JSONDecodeError as e:
         raise DataError(f"report file {path} is not valid JSON: {e.msg} "
                         f"at line {e.lineno}") from None
+    except RecursionError:
+        raise DataError(f"report file {path} nests JSON too deeply") from None
     where = f"in report file {path}"
     tables = {}
     for kind in ("hr", "ndcg"):

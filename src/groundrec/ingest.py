@@ -92,7 +92,6 @@ class ItemCatalog:
     """item_id -> title, with a canonical index from sorted item_id order."""
 
     entries: dict[str, str]
-    domain_tag: str | None = None
     index_of: dict[str, int] = field(init=False)
     ids: list[str] = field(init=False)
 
@@ -122,6 +121,11 @@ class ItemCatalog:
         """Canonical index of each id, -1 for an id not in the catalog."""
         get = self.index_of.get
         return np.fromiter((get(i, -1) for i in item_ids), np.int64, len(item_ids))
+
+    def index_set(self, item_ids) -> frozenset[int]:
+        """The canonical indices of the ids in the catalog; others are ignored."""
+        index_of = self.index_of
+        return frozenset(index_of[i] for i in item_ids if i in index_of)
 
 
 @dataclass
@@ -158,7 +162,7 @@ class SequenceSample:
 
 
 def parse_interactions(path, catalog=None) -> InteractionLog:
-    """Parse a TSV of user_id, item_id, timestamp[, domain_tag].
+    """Parse a TSV of user_id, item_id, timestamp[, tag].
 
     Malformed lines are counted and skipped; more than 10% rejects is fatal.
     """
@@ -195,9 +199,8 @@ def parse_interactions(path, catalog=None) -> InteractionLog:
 
 
 def parse_catalog(path) -> ItemCatalog:
-    """Parse a TSV of item_id, title[, domain_tag]."""
+    """Parse a TSV of item_id, title[, tag]; the tag is accepted and not kept."""
     entries = {}
-    tag = None
     with open_input(path, "catalog") as fh:
         for lineno, line in enumerate(fh):
             line = line.rstrip("\n")
@@ -209,9 +212,7 @@ def parse_catalog(path) -> ItemCatalog:
             if parts[0] in entries:
                 raise DataError(f"duplicate catalog item_id {parts[0]!r}")
             entries[parts[0]] = parts[1]
-            if len(parts) > 2 and parts[2]:
-                tag = parts[2]
-    return ItemCatalog(entries, domain_tag=tag)
+    return ItemCatalog(entries)
 
 
 def period_sizes(n, periods=NUM_PERIODS):

@@ -3,6 +3,8 @@
 C_i is each item's share of training interactions; P_i is its min-max
 normalization over the catalog. When all counts are equal (including all-zero)
 P is defined as 0 everywhere, which makes popularity injection a no-op.
+As a Pipeline weight source, a PopularityTable gives every sample the one
+array P.
 The counts come from one np.bincount over the canonical indices of the
 training log's item column.
 """
@@ -34,6 +36,10 @@ class PopularityTable:
             factor = np.zeros(len(counts), dtype=np.float64)
         return cls(counts=counts, factor=factor, normalized=minmax(factor),
                    rejected=rejected)
+
+    def sample_weights(self, sample, catalog) -> np.ndarray:
+        """The injection weights of any sample: P, the same array each time."""
+        return self.normalized
 
 
 @dataclass

@@ -11,12 +11,11 @@ Samples that share one weight array (popularity injection) share its divisor
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DataError
 from .ground import target_position
-from .harness import DEFAULT_KS, Pipeline, aggregate
+from .harness import DEFAULT_KS, Pipeline, aggregate, fan_out
 
 
 def gamma_grid():
@@ -42,11 +41,7 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
         raise DataError("validation set is empty; cannot tune gamma")
     grid = gamma_grid() if grid is None else list(grid)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            prepared = list(pool.map(pipeline.prepare, samples))
-    else:
-        prepared = [pipeline.prepare(s) for s in samples]
+    prepared = fan_out(pipeline.prepare, samples, threads)
 
     def sweep_point(gamma):
         positions = []
@@ -68,11 +63,7 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
         metrics.update({f"ndcg@{k}": report.ndcg[k] for k in ks})
         return SweepRow(gamma=gamma, metrics=metrics)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            table = list(pool.map(sweep_point, grid))
-    else:
-        table = [sweep_point(g) for g in grid]
+    table = fan_out(sweep_point, grid, threads)
 
     best = max(table, key=lambda row: (row.metrics[metric], -row.gamma))
     return best.gamma, table

@@ -241,7 +241,7 @@ class TestCriterion8TemporalLeakage:
         pipe = Pipeline(OracleEchoGenerator(catalog), provider, matrix, catalog)
         for s in samples:
             assert s.target_timestamp >= max_train_ts
-            ranked = pipe.rank_sample(s)
+            ranked = rank(pipe.normalized_distances(s), pipe.exclusions(s))
             ranked_ids = {catalog.ids[i] for i in ranked.indices}
             assert not (ranked_ids & s.known_items)
         report_line(8, "temporal-leakage freedom")
@@ -293,8 +293,7 @@ class TestCriterion10PopularityInjectionEffect:
         )
         injected = evaluate(
             samples,
-            Pipeline(JunkGen(), provider, matrix, catalog,
-                     injection="popularity", gamma=100.0, pop_table=table),
+            Pipeline(JunkGen(), provider, matrix, catalog, gamma=100.0, source=table),
         )
         assert injected.ndcg[20] > plain.ndcg[20]
         assert injected.hr[20] > plain.hr[20]

@@ -1,10 +1,12 @@
 import argparse
 import random
+import struct
 from pathlib import Path
 
 import pytest
 
 from groundrec import cli, ingest, manifest
+from groundrec.collab import CoScorer, save_scorer
 from groundrec.embed import load_embeddings
 from groundrec.errors import DataError
 from groundrec.harness import read_report
@@ -327,6 +329,8 @@ class TestReportCommand:
          "'fingerprint' must map names to strings in report file"),
         ('{"hr": {},\n bad json', "is not valid JSON: Expecting property name enclosed "
                                    "in double quotes at line 2"),
+        pytest.param('{"hr": ' + "[" * 100_000 + "]" * 100_000 + "}", "nests JSON too deeply",
+                     id="deeply-nested-json"),
     ])
     def test_malformed_report_exits_2(self, tmp_path, capsys, content, message):
         good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
@@ -442,6 +446,65 @@ class TestGroundInputErrors:
                            "--popularity", pop) == 2
         err = capsys.readouterr().err
         assert "'many'" in err and "line 3" in err and str(pop) in err
+
+    @pytest.mark.parametrize("count", ["-1", str(2**63), "9" * 40])
+    def test_popularity_count_outside_int64(self, ground_inputs, capsys, count):
+        tmp_path, cat, gen = ground_inputs
+        pop = tmp_path / "pop.tsv"
+        pop.write_text(f"i000\t3\ni001\t{count}\n")
+        assert self.ground(tmp_path, cat, gen, "--inject", "pop", "--gamma", 1,
+                           "--popularity", pop) == 2
+        err = capsys.readouterr().err
+        assert f"popularity count {count} outside 0..2^63-1 at line 2 in {pop}" in err
+
+    def test_grec_body_not_whole_floats(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        emb = tmp_path / "emb.bin"
+        emb.write_bytes(emb.read_bytes() + b"\x00")
+        assert self.ground(tmp_path, cat, gen) == 2
+        err = capsys.readouterr().err
+        assert f"{emb} holds {20 * 16 * 4 + 1} bytes of floats, expected 20x16 f32" in err
+
+    def collab(self, tmp_path, cat, gen, scorer):
+        samples = tmp_path / "samples.tsv"
+        samples.write_text("u\t" + ",".join(["<PAD>"] * 9 + ["i000"]) + "\ti001\t5\ti000\n")
+        return self.ground(tmp_path, cat, gen, "--samples", samples, "--inject", "collab",
+                           "--scorer", scorer, "--gamma", 1)
+
+    def test_scorer_index_outside_catalog(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        scorer = tmp_path / "co.bin"
+        save_scorer(scorer, CoScorer(n_items=25, counts={(0, 24): 3}))
+        assert self.collab(tmp_path, cat, gen, scorer) == 2
+        err = capsys.readouterr().err
+        assert f"scorer file {scorer} holds item index 24, outside the catalog of 20" in err
+
+    def test_scorer_pair_count_beyond_file(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        scorer = tmp_path / "co.bin"
+        scorer.write_bytes(b"GRCO" + struct.pack("<I4I", 2**32 - 1, 0, 1, 5, 0))
+        assert self.collab(tmp_path, cat, gen, scorer) == 2
+        err = capsys.readouterr().err
+        assert f"truncated scorer file {scorer}: the header counts 4294967295" in err
+
+
+class TestGroundBm25:
+    def test_emb_hashed_but_never_read(self, tmp_path):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        gen = tmp_path / "gen.tsv"
+        run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
+                "--generator", "oracle", "--out", gen])
+        emb = tmp_path / "emb.bin"
+        emb.write_bytes(b"not an embedding file\n")
+        ranks = tmp_path / "bm25.tsv"
+        run_ok(["ground", "--emb", emb, "--gen", gen, "--catalog", cat,
+                "--samples", out / "samples_test.tsv", "--strategy", "bm25",
+                "--topk", 3, "--out", ranks])
+        assert ranks.read_text().splitlines()
+        assert f"input.emb={manifest.sha256_file(emb)}" in \
+            (tmp_path / "bm25.tsv.manifest").read_text().splitlines()
 
 
 class TestEvalInputs:

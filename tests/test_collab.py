@@ -218,7 +218,11 @@ class TestScorerIO:
         expected = b"GRCO" + struct.pack("<I", len(counts)) + b"".join(
             struct.pack("<III", pi, ni, counts[(pi, ni)]) for pi, ni in sorted(counts))
         assert path.read_bytes() == expected
-        assert load_scorer(path, 3).counts == counts
+        if all(i < 3 for pair in counts for i in pair):
+            assert load_scorer(path, 3).counts == counts
+        else:  # a pair names an item outside the 3-item catalog
+            with pytest.raises(DataError, match="outside the catalog of 3 items"):
+                load_scorer(path, 3)
 
     def test_value_outside_u32_fatal(self, tmp_path):
         with pytest.raises(DataError, match="outside u32"):

@@ -17,11 +17,9 @@ from groundrec.harness import (
     Pipeline,
     aggregate,
     evaluate,
-    hr_at_k,
     hr_from_rank,
     improve2lv,
     most_pop_baseline,
-    ndcg_at_k,
     ndcg_from_rank,
     read_report,
     write_report,
@@ -53,14 +51,14 @@ class TestPointMetrics:
     def test_on_ranked_list(self):
         r = rank(np.array([0.3, 0.1, 0.2]))
         # order: 1, 2, 0 -> item 0 at rank 3
-        assert hr_at_k(r, 0, 5) == 1.0
-        assert ndcg_at_k(r, 0, 5) == pytest.approx(0.5)
-        assert hr_at_k(r, 0, 1) == 0.0
+        assert hr_from_rank(r.position(0), 5) == 1.0
+        assert ndcg_from_rank(r.position(0), 5) == pytest.approx(0.5)
+        assert hr_from_rank(r.position(0), 1) == 0.0
 
     def test_excluded_target_errors(self):
         r = rank(np.array([0.3, 0.1]), exclusions={0})
         with pytest.raises(DataError):
-            hr_at_k(r, 0, 5)
+            hr_from_rank(r.position(0), 5)
 
     def test_exhaustive_rank_k_table(self):
         for position in range(1, 26):
@@ -149,7 +147,7 @@ class TestEvaluate:
         samples = build_samples(temporal_split(log))["test"]
         pipe = oracle_pipeline(catalog)
         for s in samples:
-            ranked = pipe.rank_sample(s)
+            ranked = rank(pipe.normalized_distances(s), pipe.exclusions(s))
             ranked_ids = {catalog.ids[i] for i in ranked.indices}
             assert not (ranked_ids & s.known_items)
 

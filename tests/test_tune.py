@@ -36,10 +36,7 @@ def pop_pipeline(catalog, train, generator=None, provider=None):
     matrix = embed_catalog(catalog, provider)
     table = compute_popularity(train, catalog)
     generator = generator or OracleEchoGenerator(catalog)
-    return Pipeline(
-        generator, provider, matrix, catalog,
-        injection="popularity", pop_table=table,
-    )
+    return Pipeline(generator, provider, matrix, catalog, source=table)
 
 
 class TestTuneGamma:
@@ -51,7 +48,7 @@ class TestTuneGamma:
         uniform = make_log([("u", i, t) for t, i in enumerate(sorted(catalog.ids))])
         samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, uniform)
-        assert np.all(pipe.pop_table.normalized == 0.0)
+        assert np.all(pipe.source.normalized == 0.0)
         best, table = tune_gamma(samples, pipe, grid=[0.0, 0.5, 1.0, 100.0])
         assert best == 0.0
 
@@ -88,7 +85,7 @@ class TestTuneGamma:
                 return GeneratedText(("zzz",), "junk")
 
         pipe = Pipeline(JunkGen(), FixedProvider(), FixedMatrix(), catalog,
-                        injection="popularity", pop_table=table_pop)
+                        source=table_pop)
         samples = [make_sample(["a"], "s", known={"a"}) for _ in range(5)]
         best, table = tune_gamma(samples, pipe, metric="ndcg@20",
                                  grid=[0.0, 1.0, 10.0, 100.0])
@@ -139,7 +136,7 @@ class TestTuneGamma:
 
 def reference_sweep(samples, pipeline, grid):
     """The sweep before the weights were checked once per sample: inject (and
-    its checks) once per (gamma, sample), through Pipeline.adjusted."""
+    its checks) once per (gamma, sample), through Pipeline.reweighted."""
     table = []
     for gamma in grid:
         positions = []
@@ -147,7 +144,8 @@ def reference_sweep(samples, pipeline, grid):
             if s.target in s.known_items:
                 positions.append(None)
                 continue
-            adjusted = pipeline.adjusted(s, gamma)
+            adjusted = pipeline.reweighted(pipeline.normalized_distances(s),
+                                           pipeline.weights(s), gamma)
             keep = exclusion_mask(adjusted.shape[0], pipeline.exclusions(s))
             positions.append(target_position(adjusted, keep,
                                              pipeline.catalog.index_of[s.target]))
@@ -170,12 +168,9 @@ class TestSweepMatchesPerPointInjection:
             def generate(self, sample):
                 return GeneratedText(("story", "chronicle"), "fixed")
 
-        pipe = Pipeline(
-            OneTextGen(), provider, embed_catalog(catalog, provider),
-            catalog, injection=injection,
-            pop_table=compute_popularity(split.train, catalog),
-            scorer=fit_cooccurrence(split.train, catalog),
-        )
+        fit = compute_popularity if injection == "popularity" else fit_cooccurrence
+        pipe = Pipeline(OneTextGen(), provider, embed_catalog(catalog, provider),
+                        catalog, source=fit(split.train, catalog))
         _, table = tune_gamma(samples, pipe, threads=threads)
         assert [row.metrics for row in table] == reference_sweep(samples, pipe,
                                                                  gamma_grid())
@@ -184,7 +179,7 @@ class TestSweepMatchesPerPointInjection:
         log, catalog = synthetic_dataset(n_users=6, n_items=8, events_per_user=5)
         split = temporal_split(log)
         pipe = pop_pipeline(catalog, split.train)
-        pipe.pop_table.normalized = pipe.pop_table.normalized + 1.5
+        pipe.source.normalized = pipe.source.normalized + 1.5
         with pytest.raises(DataError, match=r"must lie in \[0,1\]"):
             tune_gamma(build_samples(split)["valid"], pipe, grid=[0.0, 1.0])
 
