@@ -4,6 +4,11 @@ split -> popularity -> embed -> generate -> ground -> eval -> tune-gamma.
 Exit codes: 0 success, 1 usage error, 2 data error. All randomness flows
 through explicit --seed flags; --threads (default from GROUNDREC_THREADS)
 never changes output bytes.
+
+Each command runs as its own process, so start-up is part of its cost. At
+module level this file imports only modules that load no numpy (errors,
+manifest, metrics); each cmd_* imports what it runs when it runs, so report,
+--help and generate with the oracle or ngram generator never load numpy.
 """
 
 from __future__ import annotations
@@ -14,34 +19,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import collab as collab_mod
-from . import harness, manifest, tune
-from .embed import (
-    HashEmbedder,
-    embed_catalog,
-    load_embeddings,
-    save_embeddings_bin,
-    save_embeddings_tsv,
-)
-from .errors import DataError, UsageError, open_input
-from .generate import (
-    NGramGenerator,
-    OracleEchoGenerator,
-    PopTitleGenerator,
-    train_ngram,
-)
-from .ground import BM25Index, bm25_rank, rank
-from .ingest import (
-    parse_catalog,
-    parse_interactions,
-    read_samples,
-    temporal_split,
-    write_interactions,
-    write_sample_files,
-)
-from .pop import PopularityTable, compute_popularity, decile_report
+from . import manifest
+from .errors import DataError, UsageError, open_input, parse_int
+from .metrics import improve2lv, metric_names, read_report, write_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,41 +71,21 @@ def _unit_interval(text):
     return value
 
 
-def _parse_int(text, what, lineno, path):
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"non-integer {what} {text!r} at line {lineno} in {path}") from None
-
-
-def _read_popularity_tsv(path, catalog) -> PopularityTable:
-    counts = np.zeros(len(catalog), dtype=np.int64)
-    with open_input(path, "popularity") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"malformed popularity line {lineno} in {path}")
-            idx = catalog.index_of.get(parts[0])
-            if idx is None:
-                raise DataError(f"popularity item {parts[0]!r} not in catalog "
-                                f"(line {lineno} in {path})")
-            count = _parse_int(parts[1], "popularity count", lineno, path)
-            if not 0 <= count < 2**63:
-                raise DataError(f"popularity count {count} outside 0..2^63-1 "
-                                f"at line {lineno} in {path}")
-            counts[idx] = count
-    return PopularityTable.from_counts(counts)
-
-
 def _make_generator(name, catalog, train_log, seed, ngram_order):
+    from .generate import (
+        NGramGenerator,
+        OracleEchoGenerator,
+        PopTitleGenerator,
+        train_ngram,
+    )
+
     if name == "oracle":
         return OracleEchoGenerator(catalog)
     if name == "pop":
         if train_log is None:
             raise UsageError("--generator pop requires --train")
+        from .pop import compute_popularity
+
         return PopTitleGenerator(catalog, compute_popularity(train_log, catalog))
     if name == "ngram":
         model = train_ngram(catalog.titles(), order=ngram_order)
@@ -137,10 +97,19 @@ def _train_log(args):
     """The --train log, parsed only when the pop generator or pop/collab
     injection reads it; None otherwise. The file is still hashed as an input."""
     reads = args.generator == "pop" or getattr(args, "inject", "none") in ("pop", "collab")
-    return parse_interactions(args.train) if reads and args.train else None
+    if not (reads and args.train):
+        return None
+    from .ingest import parse_interactions
+
+    return parse_interactions(args.train)
 
 
 def _pipeline_from_args(args, catalog, gamma=0.0):
+    from .collab import fit_cooccurrence
+    from .embed import HashEmbedder, embed_catalog, load_embeddings
+    from .harness import Pipeline
+    from .pop import compute_popularity
+
     train_log = _train_log(args)
     if args.emb:
         mat = load_embeddings(args.emb, catalog)
@@ -154,9 +123,9 @@ def _pipeline_from_args(args, catalog, gamma=0.0):
     if args.inject != "none":
         if train_log is None:
             raise UsageError(f"--inject {args.inject} requires --train")
-        fit = compute_popularity if args.inject == "pop" else collab_mod.fit_cooccurrence
+        fit = compute_popularity if args.inject == "pop" else fit_cooccurrence
         source = fit(train_log, catalog)
-    return harness.Pipeline(generator, provider, mat, catalog, gamma, source)
+    return Pipeline(generator, provider, mat, catalog, gamma, source)
 
 
 def _digests(args, *names):
@@ -180,6 +149,13 @@ def _fingerprint(args, input_digests):
 
 
 def cmd_split(args):
+    from .ingest import (
+        parse_interactions,
+        temporal_split,
+        write_interactions,
+        write_sample_files,
+    )
+
     log = parse_interactions(args.interactions)
     split = temporal_split(log)
     out = Path(args.out)
@@ -205,14 +181,13 @@ def cmd_split(args):
 
 
 def cmd_popularity(args):
+    from .ingest import parse_catalog, parse_interactions
+    from .pop import compute_popularity, decile_report, write_popularity
+
     catalog = parse_catalog(args.catalog)
     train = parse_interactions(args.train)
     table = compute_popularity(train, catalog)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("# item_id\tcount\tC\tP\n")
-        for i, item_id in enumerate(catalog.ids):
-            fh.write(f"{item_id}\t{table.counts[i]}\t{table.factor[i]:.10g}"
-                     f"\t{table.normalized[i]:.10g}\n")
+    write_popularity(args.out, table, catalog)
     if args.deciles:
         report = decile_report(table)
         with open(args.deciles, "w", encoding="utf-8") as fh:
@@ -229,6 +204,9 @@ def cmd_popularity(args):
 
 
 def cmd_embed(args):
+    from .embed import HashEmbedder, embed_catalog, save_embeddings_bin, save_embeddings_tsv
+    from .ingest import parse_catalog
+
     catalog = parse_catalog(args.catalog)
     provider = HashEmbedder(dim=args.dim, seed=args.seed)
     mat = embed_catalog(catalog, provider, normalize=args.normalize)
@@ -242,6 +220,8 @@ def cmd_embed(args):
 
 
 def cmd_generate(args):
+    from .ingest import parse_catalog, read_samples
+
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.samples)
     generator = _make_generator(args.generator, catalog, _train_log(args), args.seed,
@@ -257,10 +237,13 @@ def cmd_generate(args):
 
 
 def cmd_collab_fit(args):
+    from .collab import fit_cooccurrence, save_scorer
+    from .ingest import parse_catalog, parse_interactions
+
     catalog = parse_catalog(args.catalog)
     train = parse_interactions(args.train)
-    scorer = collab_mod.fit_cooccurrence(train, catalog)
-    collab_mod.save_scorer(args.out, scorer)
+    scorer = fit_cooccurrence(train, catalog)
+    save_scorer(args.out, scorer)
     manifest.write_manifest(str(args.out) + ".manifest", args,
                             _digests(args, "train", "catalog"))
     print(f"collab-fit: {len(scorer.counts)} transition pairs -> {args.out}")
@@ -277,7 +260,7 @@ def _read_generated(path):
             parts = line.split("\t")
             if len(parts) < 2:
                 raise DataError(f"malformed generated-text line {lineno} in {path}")
-            rows.append((_parse_int(parts[0], "sample index", lineno, path), parts[1]))
+            rows.append((parse_int(parts[0], "sample index", lineno, path), parts[1]))
     return rows
 
 
@@ -285,6 +268,13 @@ def cmd_ground(args):
     if args.strategy == "bm25" and args.inject != "none":
         raise UsageError(f"--strategy bm25 cannot take --inject {args.inject}: "
                          "injection reweights min-max L2 distances, not BM25 scores")
+    from .collab import load_scorer
+    from .embed import HashEmbedder, load_embeddings
+    from .ground import BM25Index, bm25_rank, rank
+    from .harness import Pipeline
+    from .ingest import parse_catalog, read_samples
+    from .pop import read_popularity
+
     catalog = parse_catalog(args.catalog)
     rows = _read_generated(args.gen)
     samples = read_samples(args.samples) if args.samples else None
@@ -292,18 +282,18 @@ def cmd_ground(args):
     if args.inject == "pop":
         if not args.popularity:
             raise UsageError("--inject pop requires --popularity")
-        source = _read_popularity_tsv(args.popularity, catalog)
+        source = read_popularity(args.popularity, catalog)
     elif args.inject == "collab":
         if not (args.scorer and args.samples):
             raise UsageError("--inject collab requires --scorer and --samples")
-        source = collab_mod.load_scorer(args.scorer, len(catalog))
+        source = load_scorer(args.scorer, len(catalog))
     if args.strategy == "bm25":  # --emb is hashed into the manifest, never read
         pipeline = None
         bm25 = BM25Index(catalog, k1=args.bm25_k1, b=args.bm25_b)
     else:
         mat = load_embeddings(args.emb, catalog)
-        pipeline = harness.Pipeline(None, HashEmbedder(dim=mat.dim, seed=args.seed), mat,
-                                    catalog, args.gamma, source)
+        pipeline = Pipeline(None, HashEmbedder(dim=mat.dim, seed=args.seed), mat, catalog,
+                            args.gamma, source)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         for sample_idx, text in rows:
@@ -335,6 +325,10 @@ def cmd_eval(args):
     if args.generator == "most-pop" and (args.inject != "none" or args.gamma != 0):
         raise UsageError("--generator most-pop ranks by popularity alone and "
                          "takes no --inject or --gamma")
+    from .harness import evaluate, most_pop_baseline
+    from .ingest import parse_catalog, parse_interactions, read_samples
+    from .pop import compute_popularity
+
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.test, args.sample_n, args.seed)
     input_digests = _digests(args, "test", "catalog", "train", "emb")
@@ -344,16 +338,16 @@ def cmd_eval(args):
             raise UsageError("--generator most-pop requires --train")
         train_log = parse_interactions(args.train)
         table = compute_popularity(train_log, catalog)
-        report = harness.most_pop_baseline(table, samples, catalog, fingerprint=fp)
+        report = most_pop_baseline(table, samples, catalog, fingerprint=fp)
     else:
         pipeline = _pipeline_from_args(args, catalog, args.gamma)
-        report, positions = harness.evaluate(samples, pipeline, threads=args.threads,
-                                             fingerprint=fp, collect_positions=True)
+        report, positions = evaluate(samples, pipeline, threads=args.threads,
+                                     fingerprint=fp, collect_positions=True)
         if args.dump_ranks:
             with open(args.dump_ranks, "w", encoding="utf-8") as fh:
                 for i, pos in enumerate(positions):
                     fh.write(f"{i}\t{'skipped' if pos is None else pos}\n")
-    harness.write_report(args.out, report, as_json=args.json)
+    write_report(args.out, report, as_json=args.json)
     manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
         print(f"hr@{k}={report.hr[k]:.4f} ndcg@{k}={report.ndcg[k]:.4f}")
@@ -363,12 +357,14 @@ def cmd_eval(args):
 
 
 def cmd_tune_gamma(args):
+    from .ingest import parse_catalog, read_samples
+    from .tune import tune_gamma, write_sweep
+
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.valid, args.sample_n, args.seed)
     pipeline = _pipeline_from_args(args, catalog)
-    best, table = tune.tune_gamma(samples, pipeline, metric=args.metric,
-                                  threads=args.threads)
-    tune.write_sweep(args.out, table)
+    best, table = tune_gamma(samples, pipeline, metric=args.metric, threads=args.threads)
+    write_sweep(args.out, table)
     manifest.write_manifest(str(args.out) + ".manifest", args,
                             _digests(args, "valid", "catalog", "train", "emb"))
     print(f"best_gamma={best:.10g} metric={args.metric}")
@@ -376,17 +372,21 @@ def cmd_tune_gamma(args):
 
 
 def cmd_report(args):
-    reports = [harness.read_report(p) for p in args.reports]
+    reports = [read_report(p) for p in args.reports]
     ks = reports[0].ks
     for r in reports[1:]:
         if r.ks != ks:
             raise DataError("reports have mismatched K sets")
-    sample_keys = {r.fingerprint.get("sha256.test", "") for r in reports}
-    if len(sample_keys) > 1 and not args.force:
-        raise DataError(
-            "reports were computed on different sample sets; pass --force to compare"
-        )
-    names = tune.metric_names(ks)
+    for key, inputs in (("sha256.test", "sample sets"), ("sha256.catalog", "catalogs"),
+                        ("sha256.emb", "embedding files")):
+        recorded = {r.fingerprint.get(key, "") for r in reports}
+        if key != "sha256.test":
+            recorded.discard("")  # Most-Pop reads no --emb, so it conflicts with none
+        if len(recorded) > 1 and not args.force:
+            raise DataError(
+                f"reports were computed on different {inputs}; pass --force to compare"
+            )
+    names = metric_names(ks)
     lines = []
     if args.mode == "compare":
         header = ["metric"] + [Path(p).name for p in args.reports]
@@ -397,7 +397,7 @@ def cmd_report(args):
     else:  # improve2lv
         if len(reports) != 3:
             raise UsageError("improve2lv mode needs exactly 3 reports: a b combined")
-        imp = harness.improve2lv(reports[0], reports[1], reports[2])
+        imp = improve2lv(reports[0], reports[1], reports[2])
         lines.append("metric\ta\tb\tcombined\timprove2lv")
         for name in names:
             val = imp[name]
@@ -501,7 +501,7 @@ def build_parser():
 
     p = sub.add_parser("tune-gamma", help="gamma grid search on validation")
     _add_pipeline_flags(p, "--valid", ["oracle", "pop", "ngram"])
-    p.add_argument("--metric", default="ndcg@20", choices=tune.metric_names())
+    p.add_argument("--metric", default="ndcg@20", choices=metric_names())
     p.set_defaults(func=cmd_tune_gamma)
 
     p = sub.add_parser("report", help="compare metric reports")

@@ -13,6 +13,7 @@ File formats:
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -144,6 +145,9 @@ def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
 
 
 def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
+    """The matrix of a GREC file, read from the file straight into its array
+    once the body is known to hold exactly one row per catalog item."""
+    n = len(catalog)
     with open_input(path, "embedding", "rb") as fh:
         header = fh.read(8)
         if len(header) < 8 or header[:4] != MAGIC:
@@ -151,14 +155,16 @@ def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
         (dim,) = struct.unpack("<I", header[4:])
         if dim < 1:
             raise DataError(f"bad embedding dim {dim} in {path}")
-        body = fh.read()
-    n = len(catalog)
-    if len(body) != 4 * n * dim:
-        raise DataError(
-            f"{path} holds {len(body)} bytes of floats, expected {n}x{dim} f32 "
-            "for this catalog"
-        )
-    matrix = np.frombuffer(body, dtype="<f4").reshape(n, dim).astype(np.float32)
+        body = os.fstat(fh.fileno()).st_size - len(header)
+        if body != 4 * n * dim:
+            raise DataError(
+                f"{path} holds {body} bytes of floats, expected {n}x{dim} f32 "
+                "for this catalog"
+            )
+        values = np.fromfile(fh, dtype="<f4", count=n * dim)
+    if values.size != n * dim:
+        raise DataError(f"embedding file {path} changed while it was read")
+    matrix = values.reshape(n, dim).astype(np.float32, copy=False)
     if not np.isfinite(matrix).all():
         raise DataError(f"non-finite embedding value in {path}")
     return EmbeddingMatrix(dim=dim, vectors=matrix)

@@ -1,4 +1,5 @@
-"""Error types shared across the package, and the opener every input reader uses.
+"""Error types shared across the package, and the opener and integer parser
+the input readers use.
 
 UsageError maps to exit code 1, DataError to exit code 2 in the CLI.
 """
@@ -26,6 +27,14 @@ def open_input(path, what, mode="r"):
     except OSError as e:
         raise DataError(f"cannot read {what} file {path}: {e}") from e
     return fh if "b" in mode else _TextInput(fh, path, what)
+
+
+def parse_int(text, what, lineno, path):
+    """int(text), or a DataError naming the field, the line and the file."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"non-integer {what} {text!r} at line {lineno} in {path}") from None
 
 
 class _TextInput:

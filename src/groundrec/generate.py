@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .ingest import PAD, ItemCatalog, SequenceSample
-from .pop import PopularityTable
 from .text import tokenize
 
 MAX_GEN_TOKENS = 16
@@ -46,11 +45,12 @@ class OracleEchoGenerator:
 
 
 class PopTitleGenerator:
-    """Title of the most popular item outside the user's known set."""
+    """Title of the most popular item outside the user's known set, by the
+    counts of a pop.PopularityTable."""
 
     name = "pop"
 
-    def __init__(self, catalog: ItemCatalog, table: PopularityTable):
+    def __init__(self, catalog: ItemCatalog, table):
         self.catalog = catalog
         # popularity desc, canonical index asc on ties
         order = sorted(range(len(catalog)), key=lambda i: (-table.counts[i], i))
@@ -77,18 +77,20 @@ class NGramModel:
 
 
 def train_ngram(titles, order=1) -> NGramModel:
+    """Successor counts of every context of up to `order` tokens, over the
+    titles (text, or token sequences) each closed by END."""
     if order < 1:
         raise ValueError("order must be >= 1")
     transitions: dict[tuple[str, ...], dict[str, int]] = {}
+    successors_of = transitions.get
     for title in titles:
-        tokens = tokenize(title) if isinstance(title, str) else list(title)
-        seq = tokens + [END]
-        for i in range(len(seq)):
-            ctx = tuple(seq[max(0, i - order) : i])
-            nxt = seq[i]
-            transitions.setdefault(ctx, {})[nxt] = (
-                transitions.get(ctx, {}).get(nxt, 0) + 1
-            )
+        seq = (*(tokenize(title) if isinstance(title, str) else title), END)
+        for i, nxt in enumerate(seq):
+            ctx = seq[i - order if i > order else 0 : i]
+            successors = successors_of(ctx)
+            if successors is None:
+                successors = transitions[ctx] = {}
+            successors[nxt] = successors.get(nxt, 0) + 1
     return NGramModel(order=order, transitions=transitions)
 
 

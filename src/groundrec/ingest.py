@@ -11,6 +11,8 @@ The log is held as columns (user ids, item ids, timestamps, tags) put in
 slices of them. Timestamps stay Python ints, so values beyond int64
 round-trip. Each user also gets an integer code, which lets popularity and
 co-occurrence counting group and count with numpy instead of per-record loops.
+numpy is imported only by the functions that use it, so commands that read
+just a catalog and samples (generate) never load it.
 
 Samples come from one lazy walk per user timeline, linear in its length: it
 keeps the 10-item window and the sorted known set, which grows as the walk
@@ -33,8 +35,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DataError, open_input
 
@@ -63,6 +63,8 @@ class InteractionLog:
     def from_columns(cls, user_ids, item_ids, timestamps, tags, rejected=0):
         """A log from columns in input-file order, sorted by one stable index
         sort on the timestamps, so file order breaks timestamp ties."""
+        import numpy as np
+
         n = len(timestamps)
         order = sorted(range(n), key=timestamps.__getitem__)
         if order != list(range(n)):
@@ -84,6 +86,8 @@ class InteractionLog:
 
     def user_order(self) -> np.ndarray:
         """Positions grouped by user code, in log order within each user."""
+        import numpy as np
+
         return np.argsort(self.user_codes, kind="stable")
 
 
@@ -119,6 +123,8 @@ class ItemCatalog:
 
     def indices(self, item_ids) -> np.ndarray:
         """Canonical index of each id, -1 for an id not in the catalog."""
+        import numpy as np
+
         get = self.index_of.get
         return np.fromiter((get(i, -1) for i in item_ids), np.int64, len(item_ids))
 
@@ -238,6 +244,8 @@ def temporal_split(log: InteractionLog) -> SplitLog:
 
 def _timelines(full: InteractionLog):
     """Each user's log positions, in global (timestamp, position) order."""
+    import numpy as np
+
     order = full.user_order()
     cuts = np.flatnonzero(np.diff(full.user_codes[order])) + 1
     return [t.tolist() for t in np.split(order, cuts)] if len(full) else []

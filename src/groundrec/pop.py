@@ -6,7 +6,8 @@ P is defined as 0 everywhere, which makes popularity injection a no-op.
 As a Pipeline weight source, a PopularityTable gives every sample the one
 array P.
 The counts come from one np.bincount over the canonical indices of the
-training log's item column.
+training log's item column. pop.tsv, which the popularity command writes and
+ground --popularity reads, holds one line per catalog item: id, count, C, P.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_input, parse_int
 from .ingest import InteractionLog, ItemCatalog
 
 
@@ -66,6 +67,48 @@ def compute_popularity(train: InteractionLog, catalog: ItemCatalog) -> Popularit
     known = idx[idx >= 0]
     counts = np.bincount(known, minlength=len(catalog)).astype(np.int64, copy=False)
     return PopularityTable.from_counts(counts, rejected=len(idx) - len(known))
+
+
+def write_popularity(path, table: PopularityTable, catalog: ItemCatalog):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# item_id\tcount\tC\tP\n")
+        for i, item_id in enumerate(catalog.ids):
+            fh.write(f"{item_id}\t{table.counts[i]}\t{table.factor[i]:.10g}"
+                     f"\t{table.normalized[i]:.10g}\n")
+
+
+def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
+    """The table of a pop.tsv, from its counts alone. A malformed line, an
+    item outside the catalog or given twice, and a count outside int64,
+    alone or summed over the file, are each a DataError naming the file."""
+    counts = np.zeros(len(catalog), dtype=np.int64)
+    line_of = {}  # canonical index -> the line that gave its count
+    total = 0
+    with open_input(path, "popularity") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) < 2:
+                raise DataError(f"malformed popularity line {lineno} in {path}")
+            idx = catalog.index_of.get(parts[0])
+            if idx is None:
+                raise DataError(f"popularity item {parts[0]!r} not in catalog "
+                                f"(line {lineno} in {path})")
+            if idx in line_of:
+                raise DataError(f"popularity item {parts[0]!r} is given twice, at "
+                                f"lines {line_of[idx]} and {lineno} in {path}")
+            count = parse_int(parts[1], "popularity count", lineno, path)
+            if not 0 <= count < 2**63:
+                raise DataError(f"popularity count {count} outside 0..2^63-1 "
+                                f"at line {lineno} in {path}")
+            line_of[idx] = lineno
+            counts[idx] = count
+            total += count
+    if total >= 2**63:  # from_counts sums in int64, which would wrap
+        raise DataError(f"popularity counts in {path} sum to {total}, beyond 2^63-1")
+    return PopularityTable.from_counts(counts)
 
 
 def decile_report(table: PopularityTable, num_buckets: int = 10) -> DecileReport:

@@ -15,17 +15,14 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .ground import target_position
-from .harness import DEFAULT_KS, Pipeline, aggregate, fan_out
+from .harness import Pipeline, fan_out
+from .metrics import DEFAULT_KS, aggregate, metric_names
 
 
 def gamma_grid():
     fine = [round(i / 100.0, 2) for i in range(101)]
     coarse = [float(g) for g in range(2, 101)]
     return fine + coarse
-
-
-def metric_names(ks=DEFAULT_KS):
-    return [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
 
 
 @dataclass

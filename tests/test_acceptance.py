@@ -23,8 +23,9 @@ from groundrec.ground import (
     normalize_distances,
     rank,
 )
-from groundrec.harness import Pipeline, evaluate, hr_from_rank, ndcg_from_rank
+from groundrec.harness import Pipeline, evaluate
 from groundrec.ingest import build_samples, temporal_split
+from groundrec.metrics import hr_from_rank, ndcg_from_rank
 from groundrec.pop import compute_popularity
 from groundrec.tune import gamma_grid
 

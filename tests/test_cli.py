@@ -1,6 +1,9 @@
 import argparse
+import os
 import random
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +12,9 @@ from groundrec import cli, ingest, manifest
 from groundrec.collab import CoScorer, save_scorer
 from groundrec.embed import load_embeddings
 from groundrec.errors import DataError
-from groundrec.harness import read_report
 from groundrec.ingest import read_samples
+from groundrec.metrics import read_report
+from groundrec.pop import read_popularity
 
 
 def write_fixture(tmp_path, n_users=30, n_items=20, events_per_user=8, seed=13):
@@ -75,7 +79,7 @@ READERS = {  # what, reader of a path, a good first line
     "interactions": (ingest.parse_interactions, "u\ta\t1"),
     "catalog": (ingest.parse_catalog, "a\tan item"),
     "samples": (ingest.read_samples, "u\t" + ",".join("a" * 10) + "\tb\t1\t"),
-    "popularity": (lambda p: cli._read_popularity_tsv(p, CATALOG), "a\t3"),
+    "popularity": (lambda p: read_popularity(p, CATALOG), "a\t3"),
     "generated-text": (cli._read_generated, "0\tsome text"),
     "report": (read_report, "hr@1\t0.5"),
     "embedding": (lambda p: load_embeddings(p, CATALOG), "a\t0.5\t0.25"),
@@ -272,10 +276,46 @@ class TestPipelineCommands:
         assert len(lines) == 201  # header + 200 grid points
 
 
+# runs the groundrec command given as its arguments, then prints whether numpy
+# was imported
+NUMPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("numpy imported:", "numpy" in sys.modules))
+sys.argv[0] = "groundrec"
+runpy.run_module("groundrec.cli", run_name="__main__")
+"""
+
+
+class TestImportsPerCommand:
+    """Each command is a process of its own, so what it imports is part of
+    its cost: report, --help and the oracle and ngram generators load no numpy.
+    The pop generator counts popularity with numpy, which shows the probe works."""
+
+    @pytest.mark.parametrize("command", ["help", "report", "oracle", "ngram", "pop"])
+    def test_numpy_imported_only_where_used(self, tmp_path, command):
+        inter, cat = write_fixture(tmp_path)
+        run_ok(["split", "--interactions", inter, "--out", tmp_path])
+        report = tmp_path / "report.tsv"
+        report.write_text("hr@1\t0.5\nndcg@1\t0.5\nn_samples\t2\n")
+        argv = {
+            "help": ["--help"],
+            "report": ["report", report, report, "--out", tmp_path / "compare.txt"],
+        }.get(command, ["generate", "--samples", tmp_path / "samples_test.tsv",
+                        "--catalog", cat, "--generator", command,
+                        "--train", tmp_path / "train.tsv", "--out", tmp_path / "gen.tsv"])
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"numpy imported: {command == 'pop'}"
+
+
 class TestReportCommand:
-    def make_report(self, path, value, fingerprint="aaa"):
+    def make_report(self, path, value, fingerprint="aaa", more=""):
         path.write_text(
-            f"# fingerprint: sha256.test={fingerprint}\n"
+            f"# fingerprint: sha256.test={fingerprint}\n" + more
             + "".join(f"hr@{k}\t{value}\n" for k in (1, 3, 5, 10, 20))
             + "".join(f"ndcg@{k}\t{value * 0.8}\n" for k in (1, 3, 5, 10, 20))
             + "n_samples\t10\nskipped\t0\n"
@@ -312,6 +352,23 @@ class TestReportCommand:
         self.make_report(b, 0.5, fingerprint="bbb")
         assert cli.main(["report", str(a), str(b)]) == 2
         run_ok(["report", a, b, "--force"])
+
+    @pytest.mark.parametrize("key, inputs", [("catalog", "catalogs"),
+                                             ("emb", "embedding files")])
+    def test_input_mismatch_fatal_unless_forced(self, tmp_path, capsys, key, inputs):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        self.make_report(a, 0.5, more=f"# fingerprint: sha256.{key}=ccc\n")
+        self.make_report(b, 0.5, more=f"# fingerprint: sha256.{key}=ddd\n")
+        assert cli.main(["report", str(a), str(b)]) == 2
+        assert f"reports were computed on different {inputs}" in capsys.readouterr().err
+        run_ok(["report", a, b, "--force"])
+
+    def test_report_without_emb_compares_with_any(self, tmp_path):
+        # Most-Pop reads no --emb and records no emb digest
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        self.make_report(a, 0.5, more="# fingerprint: sha256.emb=ccc\n")
+        self.make_report(b, 0.5)
+        run_ok(["report", a, b])
 
     @pytest.mark.parametrize("content, message", [
         ("hr@1\tabc\n", "hr@1 'abc' is not a finite number at line 1 in report file"),
@@ -457,6 +514,25 @@ class TestGroundInputErrors:
         err = capsys.readouterr().err
         assert f"popularity count {count} outside 0..2^63-1 at line 2 in {pop}" in err
 
+    def test_popularity_counts_summing_past_int64(self, ground_inputs, capsys):
+        # each count fits int64, their sum wraps it: every P would read 0
+        tmp_path, cat, gen = ground_inputs
+        pop = tmp_path / "pop.tsv"
+        pop.write_text(f"i000\t{2**62}\ni001\t{2**62}\ni002\t1\n")
+        assert self.ground(tmp_path, cat, gen, "--inject", "pop", "--gamma", 1,
+                           "--popularity", pop) == 2
+        err = capsys.readouterr().err
+        assert f"popularity counts in {pop} sum to {2**63 + 1}, beyond 2^63-1" in err
+
+    def test_popularity_item_given_twice(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        pop = tmp_path / "pop.tsv"
+        pop.write_text("# item_id\tcount\ni000\t5\ni001\t1\ni000\t2\n")
+        assert self.ground(tmp_path, cat, gen, "--inject", "pop", "--gamma", 1,
+                           "--popularity", pop) == 2
+        err = capsys.readouterr().err
+        assert f"popularity item 'i000' is given twice, at lines 2 and 4 in {pop}" in err
+
     def test_grec_body_not_whole_floats(self, ground_inputs, capsys):
         tmp_path, cat, gen = ground_inputs
         emb = tmp_path / "emb.bin"
@@ -464,6 +540,17 @@ class TestGroundInputErrors:
         assert self.ground(tmp_path, cat, gen) == 2
         err = capsys.readouterr().err
         assert f"{emb} holds {20 * 16 * 4 + 1} bytes of floats, expected 20x16 f32" in err
+
+    @pytest.mark.parametrize("body_floats", [20 * 16 - 1, 20 * 16 + 1, 0],
+                             ids=["one-float-short", "one-float-long", "header-only"])
+    def test_grec_body_size_off(self, ground_inputs, capsys, body_floats):
+        tmp_path, cat, gen = ground_inputs
+        emb = tmp_path / "emb.bin"
+        data = emb.read_bytes()
+        emb.write_bytes(data[:8] + (data[8:] + bytes(4))[:4 * body_floats])
+        assert self.ground(tmp_path, cat, gen) == 2
+        err = capsys.readouterr().err
+        assert f"{emb} holds {4 * body_floats} bytes of floats, expected 20x16 f32" in err
 
     def collab(self, tmp_path, cat, gen, scorer):
         samples = tmp_path / "samples.tsv"
@@ -516,7 +603,7 @@ class TestEvalInputs:
         def unused(path):
             raise AssertionError("--train was parsed though nothing reads it")
 
-        monkeypatch.setattr(cli, "parse_interactions", unused)
+        monkeypatch.setattr(ingest, "parse_interactions", unused)
         report_path = tmp_path / "report.tsv"
         run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
                 "--train", out / "train.tsv", "--generator", "ngram",

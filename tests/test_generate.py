@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_log, make_sample
 from groundrec.errors import DataError
@@ -151,3 +153,37 @@ class TestNGramTiedMemo:
             assert memo.generate(sample) == scan.generate(sample)
         assert memo.generate(make_sample([], "m000")) == \
             scan.generate(make_sample([], "m000"))
+
+
+def train_ngram_reference(titles, order=1):
+    """The fit that built each context from a list slice and allocated two
+    throwaway dicts per token (setdefault, get)."""
+    transitions = {}
+    for title in titles:
+        tokens = tokenize(title) if isinstance(title, str) else list(title)
+        seq = tokens + [END]
+        for i in range(len(seq)):
+            ctx = tuple(seq[max(0, i - order) : i])
+            nxt = seq[i]
+            transitions.setdefault(ctx, {})[nxt] = (
+                transitions.get(ctx, {}).get(nxt, 0) + 1
+            )
+    return transitions
+
+
+# few distinct tokens, so titles repeat tokens and contexts; "" is an empty title
+token = st.sampled_from(["red", "river", "echo", "volume", "1", "2"])
+title = st.one_of(st.lists(token, max_size=6).map(" ".join),
+                  st.lists(token, max_size=6).map(tuple),
+                  st.sampled_from(["", "Red  RIVER, red!", "-- --"]))
+
+
+class TestTrainNGramOnePass:
+    @given(st.lists(title, max_size=12), st.integers(1, 3))
+    def test_same_transitions_as_reference(self, titles, order):
+        model = train_ngram(titles, order=order)
+        reference = train_ngram_reference(titles, order=order)
+        assert model.transitions == reference
+        # same insertion order too, of contexts and of each context's successors
+        assert [(ctx, list(succ.items())) for ctx, succ in model.transitions.items()] \
+            == [(ctx, list(succ.items())) for ctx, succ in reference.items()]

@@ -11,20 +11,18 @@ from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import OracleEchoGenerator
 from groundrec.ground import rank
-from groundrec.harness import (
+from groundrec.harness import Pipeline, evaluate, most_pop_baseline
+from groundrec.ingest import build_samples, temporal_split
+from groundrec.metrics import (
     DEFAULT_KS,
     MetricsReport,
-    Pipeline,
     aggregate,
-    evaluate,
     hr_from_rank,
     improve2lv,
-    most_pop_baseline,
     ndcg_from_rank,
     read_report,
     write_report,
 )
-from groundrec.ingest import build_samples, temporal_split
 from groundrec.pop import compute_popularity
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_sample
-from groundrec import cli, collab, embed, harness, ingest
+from groundrec import cli, collab, embed, ingest, metrics, pop
 from groundrec.errors import DataError
 
 CATALOG = make_catalog({"a": "alpha movie", "b": "beta film"})
@@ -96,9 +96,9 @@ READERS = {
     "embedding-tsv": (lambda p: embed.load_embeddings(p, CATALOG), text_file),
     "embedding-grec": (lambda p: embed.load_embeddings(p, CATALOG), grec),
     "generated-text": (cli._read_generated, text_file),
-    "popularity": (lambda p: cli._read_popularity_tsv(p, CATALOG), text_file),
+    "popularity": (lambda p: pop.read_popularity(p, CATALOG), text_file),
     "scorer": (scorer_weights, st.one_of(grco, st.binary(max_size=20))),
-    "report": (harness.read_report, st.one_of(text_file, json_report)),
+    "report": (metrics.read_report, st.one_of(text_file, json_report)),
 }
 
 

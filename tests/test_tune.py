@@ -7,8 +7,9 @@ from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import GeneratedText, OracleEchoGenerator
 from groundrec.ground import exclusion_mask, target_position
-from groundrec.harness import Pipeline, aggregate, evaluate
+from groundrec.harness import Pipeline, evaluate
 from groundrec.ingest import build_samples, temporal_split
+from groundrec.metrics import aggregate
 from groundrec.pop import compute_popularity
 from groundrec.tune import gamma_grid, tune_gamma, write_sweep
 
