@@ -9,6 +9,12 @@ Each command runs as its own process, so start-up is part of its cost. At
 module level this file imports only modules that load no numpy (errors,
 manifest, metrics); each cmd_* imports what it runs when it runs, so report,
 --help and generate with the oracle or ngram generator never load numpy.
+
+Each input is declared once. A flag that names a file the command reads has
+the argparse type InputPath, and the manifest (and eval's report
+fingerprint) hashes exactly those flags. --train is parsed and fitted by
+_train_fits alone, once per command. The catalog matrix (embed's too) and
+the query embedder of ground, eval and tune-gamma come from _embeddings.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import manifest
-from .errors import DataError, UsageError, open_input, parse_int
+from .errors import DataError, UsageError, parse_int, rows
 from .metrics import improve2lv, metric_names, read_report, write_report
 
 
@@ -71,7 +77,31 @@ def _unit_interval(text):
     return value
 
 
-def _make_generator(name, catalog, train_log, seed, ngram_order):
+def _train_fits(args, catalog):
+    """The weight sources fitted on --train that the flags ask for, by kind:
+    "pop" (a PopularityTable) for --generator pop|most-pop and --inject pop,
+    "collab" (a CoScorer) for --inject collab. --train is parsed once, and
+    only when one of them is asked for; it is hashed as an input either way."""
+    inject = getattr(args, "inject", "none")
+    needs = {}  # kind -> the first flag that asks for it
+    if args.generator in ("pop", "most-pop"):
+        needs["pop"] = f"--generator {args.generator}"
+    if inject != "none":
+        needs.setdefault(inject, f"--inject {inject}")
+    if not needs:
+        return {}
+    if not args.train:
+        raise UsageError(f"{next(iter(needs.values()))} requires --train")
+    from .collab import fit_cooccurrence
+    from .ingest import parse_interactions
+    from .pop import compute_popularity
+
+    train_log = parse_interactions(args.train)
+    fit = {"pop": compute_popularity, "collab": fit_cooccurrence}
+    return {kind: fit[kind](train_log, catalog) for kind in needs}
+
+
+def _make_generator(args, catalog, fits):
     from .generate import (
         NGramGenerator,
         OracleEchoGenerator,
@@ -79,59 +109,34 @@ def _make_generator(name, catalog, train_log, seed, ngram_order):
         train_ngram,
     )
 
-    if name == "oracle":
+    if args.generator == "oracle":
         return OracleEchoGenerator(catalog)
-    if name == "pop":
-        if train_log is None:
-            raise UsageError("--generator pop requires --train")
-        from .pop import compute_popularity
-
-        return PopTitleGenerator(catalog, compute_popularity(train_log, catalog))
-    if name == "ngram":
-        model = train_ngram(catalog.titles(), order=ngram_order)
-        return NGramGenerator(catalog, model, seed=seed)
-    raise UsageError(f"unknown generator {name!r}")
+    if args.generator == "pop":
+        return PopTitleGenerator(catalog, fits["pop"])
+    model = train_ngram(catalog.titles(), order=args.ngram_order)  # --generator ngram
+    return NGramGenerator(catalog, model, seed=args.seed)
 
 
-def _train_log(args):
-    """The --train log, parsed only when the pop generator or pop/collab
-    injection reads it; None otherwise. The file is still hashed as an input."""
-    reads = args.generator == "pop" or getattr(args, "inject", "none") in ("pop", "collab")
-    if not (reads and args.train):
-        return None
-    from .ingest import parse_interactions
+def _embeddings(args, catalog):
+    """(catalog matrix, query embedder): the --emb file, or without one (as
+    in embed) the catalog hash-embedded at --dim with --normalize; queries
+    are hash-embedded at the matrix's dim with --seed."""
+    from .embed import HashEmbedder, embed_catalog, load_embeddings
 
-    return parse_interactions(args.train)
+    if getattr(args, "emb", None):
+        mat = load_embeddings(args.emb, catalog)
+        return mat, HashEmbedder(dim=mat.dim, seed=args.seed)
+    provider = HashEmbedder(dim=args.dim, seed=args.seed)
+    return embed_catalog(catalog, provider, normalize=args.normalize), provider
 
 
 def _pipeline_from_args(args, catalog, gamma=0.0):
-    from .collab import fit_cooccurrence
-    from .embed import HashEmbedder, embed_catalog, load_embeddings
     from .harness import Pipeline
-    from .pop import compute_popularity
 
-    train_log = _train_log(args)
-    if args.emb:
-        mat = load_embeddings(args.emb, catalog)
-        provider = HashEmbedder(dim=mat.dim, seed=args.seed)
-    else:
-        provider = HashEmbedder(dim=args.dim, seed=args.seed)
-        mat = embed_catalog(catalog, provider, normalize=args.normalize)
-    generator = _make_generator(args.generator, catalog, train_log, args.seed,
-                                args.ngram_order)
-    source = None
-    if args.inject != "none":
-        if train_log is None:
-            raise UsageError(f"--inject {args.inject} requires --train")
-        fit = compute_popularity if args.inject == "pop" else fit_cooccurrence
-        source = fit(train_log, catalog)
-    return Pipeline(generator, provider, mat, catalog, gamma, source)
-
-
-def _digests(args, *names):
-    """sha256 of the input file behind each named flag that was given."""
-    return manifest.digests({name: getattr(args, name) for name in names
-                             if getattr(args, name)})
+    fits = _train_fits(args, catalog)
+    mat, provider = _embeddings(args, catalog)
+    generator = _make_generator(args, catalog, fits)
+    return Pipeline(generator, provider, mat, catalog, gamma, fits.get(args.inject))
 
 
 def _fingerprint(args, input_digests):
@@ -174,7 +179,7 @@ def cmd_split(args):
             fh.write(f"boundary_{i + 1}={b}\n")
         for i, b in enumerate(split.boundaries):
             fh.write(f"boundary_ts_{i + 1}={log.timestamps[b]}\n")
-    manifest.write_manifest(out / "run.manifest", args, _digests(args, "interactions"))
+    manifest.write_manifest(out / "run.manifest", args)
     print(f"split: {len(split.train)} train / {len(split.valid)} valid / "
           f"{len(split.test)} test -> {out}")
     return 0
@@ -196,25 +201,23 @@ def cmd_popularity(args):
                 fh.write("# small-catalog mode: fewer items than buckets\n")
             for k, (group, share) in enumerate(zip(report.groups, report.share)):
                 fh.write(f"{k}\t{len(group)}\t{share:.10g}\n")
-    manifest.write_manifest(str(args.out) + ".manifest", args,
-                            _digests(args, "train", "catalog"))
+    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"popularity: {len(catalog)} items, {table.rejected} unknown-item "
           f"interactions ignored -> {args.out}")
     return 0
 
 
 def cmd_embed(args):
-    from .embed import HashEmbedder, embed_catalog, save_embeddings_bin, save_embeddings_tsv
+    from .embed import save_embeddings_bin, save_embeddings_tsv
     from .ingest import parse_catalog
 
     catalog = parse_catalog(args.catalog)
-    provider = HashEmbedder(dim=args.dim, seed=args.seed)
-    mat = embed_catalog(catalog, provider, normalize=args.normalize)
+    mat, _ = _embeddings(args, catalog)
     if str(args.out).endswith(".tsv"):
         save_embeddings_tsv(args.out, mat, catalog)
     else:
         save_embeddings_bin(args.out, mat)
-    manifest.write_manifest(str(args.out) + ".manifest", args, _digests(args, "catalog"))
+    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"embed: {len(catalog)} items x dim {mat.dim} -> {args.out}")
     return 0
 
@@ -224,14 +227,12 @@ def cmd_generate(args):
 
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.samples)
-    generator = _make_generator(args.generator, catalog, _train_log(args), args.seed,
-                                args.ngram_order)
+    generator = _make_generator(args, catalog, _train_fits(args, catalog))
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, sample in enumerate(samples):
             gen = generator.generate(sample)
             fh.write(f"{i}\t{gen.text()}\t{gen.source}\n")
-    manifest.write_manifest(str(args.out) + ".manifest", args,
-                            _digests(args, "samples", "catalog", "train"))
+    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"generate: {len(samples)} samples via {args.generator} -> {args.out}")
     return 0
 
@@ -244,24 +245,23 @@ def cmd_collab_fit(args):
     train = parse_interactions(args.train)
     scorer = fit_cooccurrence(train, catalog)
     save_scorer(args.out, scorer)
-    manifest.write_manifest(str(args.out) + ".manifest", args,
-                            _digests(args, "train", "catalog"))
+    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"collab-fit: {len(scorer.counts)} transition pairs -> {args.out}")
     return 0
 
 
-def _read_generated(path):
-    rows = []
-    with open_input(path, "generated-text") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"malformed generated-text line {lineno} in {path}")
-            rows.append((parse_int(parts[0], "sample index", lineno, path), parts[1]))
-    return rows
+def _read_generated(path, n_samples=None):
+    """(sample index, text) per line of a generate output; with n_samples,
+    every index must lie in 0..n_samples-1."""
+    found = []
+    for lineno, parts in rows(path, "generated-text"):
+        if len(parts) < 2:
+            raise DataError(f"malformed generated-text line {lineno} in {path}")
+        idx = parse_int(parts[0], "sample index", lineno, path)
+        if n_samples is not None and not 0 <= idx < n_samples:
+            raise DataError(f"sample index {idx} out of range at line {lineno} in {path}")
+        found.append((idx, parts[1]))
+    return found
 
 
 def cmd_ground(args):
@@ -269,15 +269,14 @@ def cmd_ground(args):
         raise UsageError(f"--strategy bm25 cannot take --inject {args.inject}: "
                          "injection reweights min-max L2 distances, not BM25 scores")
     from .collab import load_scorer
-    from .embed import HashEmbedder, load_embeddings
     from .ground import BM25Index, bm25_rank, rank
     from .harness import Pipeline
     from .ingest import parse_catalog, read_samples
     from .pop import read_popularity
 
     catalog = parse_catalog(args.catalog)
-    rows = _read_generated(args.gen)
     samples = read_samples(args.samples) if args.samples else None
+    queries = _read_generated(args.gen, None if samples is None else len(samples))
     source = None
     if args.inject == "pop":
         if not args.popularity:
@@ -291,17 +290,12 @@ def cmd_ground(args):
         pipeline = None
         bm25 = BM25Index(catalog, k1=args.bm25_k1, b=args.bm25_b)
     else:
-        mat = load_embeddings(args.emb, catalog)
-        pipeline = Pipeline(None, HashEmbedder(dim=mat.dim, seed=args.seed), mat, catalog,
-                            args.gamma, source)
+        mat, provider = _embeddings(args, catalog)
+        pipeline = Pipeline(None, provider, mat, catalog, args.gamma, source)
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        for sample_idx, text in rows:
-            sample = None
-            if samples is not None:
-                if not 0 <= sample_idx < len(samples):
-                    raise DataError(f"sample index {sample_idx} out of range")
-                sample = samples[sample_idx]
+        for sample_idx, text in queries:
+            sample = None if samples is None else samples[sample_idx]
             exclusions = catalog.index_set(sample.known_items if sample else ())
             if pipeline is None:
                 ranked = bm25_rank(text, bm25, exclusions, k=args.topk)
@@ -313,11 +307,8 @@ def cmd_ground(args):
                 idx = int(ranked.indices[pos])
                 fh.write(f"{sample_idx}\t{pos + 1}\t{catalog.ids[idx]}"
                          f"\t{ranked.values[pos]:.10g}\n")
-    manifest.write_manifest(
-        str(args.out) + ".manifest", args,
-        _digests(args, "emb", "gen", "catalog", "samples", "popularity", "scorer"),
-    )
-    print(f"ground: {len(rows)} queries, top-{args.topk} -> {args.out}")
+    manifest.write_manifest(str(args.out) + ".manifest", args)
+    print(f"ground: {len(queries)} queries, top-{args.topk} -> {args.out}")
     return 0
 
 
@@ -326,19 +317,15 @@ def cmd_eval(args):
         raise UsageError("--generator most-pop ranks by popularity alone and "
                          "takes no --inject or --gamma")
     from .harness import evaluate, most_pop_baseline
-    from .ingest import parse_catalog, parse_interactions, read_samples
-    from .pop import compute_popularity
+    from .ingest import parse_catalog, read_samples
 
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.test, args.sample_n, args.seed)
-    input_digests = _digests(args, "test", "catalog", "train", "emb")
+    input_digests = manifest.digests(args)
     fp = _fingerprint(args, input_digests)
     if args.generator == "most-pop":
-        if not args.train:
-            raise UsageError("--generator most-pop requires --train")
-        train_log = parse_interactions(args.train)
-        table = compute_popularity(train_log, catalog)
-        report = most_pop_baseline(table, samples, catalog, fingerprint=fp)
+        report = most_pop_baseline(_train_fits(args, catalog)["pop"], samples, catalog,
+                                   fingerprint=fp)
     else:
         pipeline = _pipeline_from_args(args, catalog, args.gamma)
         report, positions = evaluate(samples, pipeline, threads=args.threads,
@@ -365,8 +352,7 @@ def cmd_tune_gamma(args):
     pipeline = _pipeline_from_args(args, catalog)
     best, table = tune_gamma(samples, pipeline, metric=args.metric, threads=args.threads)
     write_sweep(args.out, table)
-    manifest.write_manifest(str(args.out) + ".manifest", args,
-                            _digests(args, "valid", "catalog", "train", "emb"))
+    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"best_gamma={best:.10g} metric={args.metric}")
     return 0
 
@@ -416,12 +402,12 @@ def cmd_report(args):
 
 
 def _add_pipeline_flags(p, samples_flag, generators):
-    p.add_argument(samples_flag, required=True,
+    p.add_argument(samples_flag, type=manifest.InputPath, required=True,
                    help="samples TSV emitted by the split command")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--emb", default=None,
+    p.add_argument("--catalog", type=manifest.InputPath, required=True)
+    p.add_argument("--emb", type=manifest.InputPath, default=None,
                    help="embedding file (TSV or GREC binary); omit to hash-embed")
-    p.add_argument("--train", default=None,
+    p.add_argument("--train", type=manifest.InputPath, default=None,
                    help="training interactions (for pop/collab injection)")
     p.add_argument("--generator", default="oracle", choices=generators)
     p.add_argument("--inject", default="none", choices=["collab", "none", "pop"])
@@ -440,19 +426,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="temporal 10-period 8:1:1 split")
-    p.add_argument("--interactions", required=True)
+    p.add_argument("--interactions", type=manifest.InputPath, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("popularity", help="per-item popularity factors")
-    p.add_argument("--train", required=True)
-    p.add_argument("--catalog", required=True)
+    p.add_argument("--train", type=manifest.InputPath, required=True)
+    p.add_argument("--catalog", type=manifest.InputPath, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--deciles", default=None)
     p.set_defaults(func=cmd_popularity)
 
     p = sub.add_parser("embed", help="embed catalog titles")
-    p.add_argument("--catalog", required=True)
+    p.add_argument("--catalog", type=manifest.InputPath, required=True)
     p.add_argument("--dim", type=_positive_int, default=256)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--normalize", action="store_true")
@@ -460,29 +446,29 @@ def build_parser():
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("generate", help="generate item descriptions from histories")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--catalog", required=True)
+    p.add_argument("--samples", type=manifest.InputPath, required=True)
+    p.add_argument("--catalog", type=manifest.InputPath, required=True)
     p.add_argument("--generator", default="oracle", choices=["oracle", "pop", "ngram"])
-    p.add_argument("--train", default=None)
+    p.add_argument("--train", type=manifest.InputPath, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ngram-order", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("collab-fit", help="fit the co-occurrence scorer")
-    p.add_argument("--train", required=True)
-    p.add_argument("--catalog", required=True)
+    p.add_argument("--train", type=manifest.InputPath, required=True)
+    p.add_argument("--catalog", type=manifest.InputPath, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_collab_fit)
 
     p = sub.add_parser("ground", help="rank the catalog against generated text")
-    p.add_argument("--emb", required=True)
-    p.add_argument("--gen", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--samples", default=None)
+    p.add_argument("--emb", type=manifest.InputPath, required=True)
+    p.add_argument("--gen", type=manifest.InputPath, required=True)
+    p.add_argument("--catalog", type=manifest.InputPath, required=True)
+    p.add_argument("--samples", type=manifest.InputPath, default=None)
     p.add_argument("--inject", default="none", choices=["collab", "none", "pop"])
-    p.add_argument("--popularity", default=None)
-    p.add_argument("--scorer", default=None)
+    p.add_argument("--popularity", type=manifest.InputPath, default=None)
+    p.add_argument("--scorer", type=manifest.InputPath, default=None)
     p.add_argument("--gamma", type=_nonnegative, default=0.0)
     p.add_argument("--topk", type=_positive_int, default=20)
     p.add_argument("--strategy", default="l2", choices=["l2", "bm25"])

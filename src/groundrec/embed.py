@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, open_input
+from .errors import DataError, open_input, rows
 from .ground import SparseL2Plan
 from .ingest import ItemCatalog
 from .text import tokenize
@@ -112,34 +112,31 @@ def embed_catalog(catalog: ItemCatalog, provider, normalize=False) -> EmbeddingM
 def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
     seen: dict[str, np.ndarray] = {}
     dim = None
-    with open_input(path, "embedding") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            item_id = parts[0]
-            if item_id in seen:
-                raise DataError(f"duplicate embedding row for item {item_id!r}")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
-            except ValueError as e:
-                raise DataError(f"bad embedding value at line {lineno + 1}: {e}") from e
-            if not np.isfinite(vec).all():
-                raise DataError(f"non-finite embedding value for item {item_id!r}")
-            if dim is None:
-                dim = len(vec)
-                if dim < 1:
-                    raise DataError(f"empty embedding row at line {lineno + 1}")
-            elif len(vec) != dim:
-                raise DataError(
-                    f"dim mismatch for item {item_id!r}: expected {dim}, got {len(vec)}"
-                )
-            seen[item_id] = vec
+    for lineno, parts in rows(path, "embedding"):
+        item_id = parts[0]
+        where = f"at line {lineno} in {path}"
+        if item_id in seen:
+            raise DataError(f"duplicate embedding row for item {item_id!r} {where}")
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+        except ValueError as e:
+            raise DataError(f"bad embedding value {where}: {e}") from e
+        if not np.isfinite(vec).all():
+            raise DataError(f"non-finite embedding value for item {item_id!r} {where}")
+        if dim is None:
+            dim = len(vec)
+            if dim < 1:
+                raise DataError(f"empty embedding row {where}")
+        elif len(vec) != dim:
+            raise DataError(
+                f"dim mismatch for item {item_id!r} {where}: expected {dim}, got {len(vec)}"
+            )
+        seen[item_id] = vec
     missing = [i for i in catalog.ids if i not in seen]
     if missing:
         shown = ", ".join(missing[:10])
-        raise DataError(f"{len(missing)} catalog items missing embeddings: {shown}")
+        raise DataError(f"{len(missing)} catalog items missing embeddings in {path}: "
+                        f"{shown}")
     matrix = np.vstack([seen[i] for i in catalog.ids])
     return EmbeddingMatrix(dim=dim, vectors=matrix)
 

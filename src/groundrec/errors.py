@@ -1,7 +1,15 @@
-"""Error types shared across the package, and the opener and integer parser
-the input readers use.
+"""Error types shared across the package, and the opener, row reader and
+integer parser the input readers use.
 
 UsageError maps to exit code 1, DataError to exit code 2 in the CLI.
+
+The line-oriented text inputs (catalog, samples, TSV embeddings, popularity,
+generated text) are read through rows(): blank lines and lines starting with
+'#' are skipped, the newline is stripped and the rest is split on tabs. Each
+reader checks only its own fields, and a DataError about a line names the
+file and the line number rows() gave. parse_interactions, which counts
+malformed lines instead of raising, and read_report, whose '# fingerprint:'
+comments carry data, read their files themselves.
 """
 
 
@@ -27,6 +35,16 @@ def open_input(path, what, mode="r"):
     except OSError as e:
         raise DataError(f"cannot read {what} file {path}: {e}") from e
     return fh if "b" in mode else _TextInput(fh, path, what)
+
+
+def rows(path, what):
+    """(1-based line number, tab-split fields) per line of a text input, blank
+    and '#' lines skipped; open_input names the file of an OS or UTF-8 error."""
+    with open_input(path, what) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line and not line.startswith("#"):
+                yield lineno, line.split("\t")
 
 
 def parse_int(text, what, lineno, path):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import DataError, open_input
+from .errors import DataError, open_input, parse_int, rows
 
 PAD = "<PAD>"
 HISTORY_LEN = 10
@@ -191,7 +191,8 @@ def parse_interactions(path, catalog=None) -> InteractionLog:
             rejected += 1
             continue
         if parts[1] == PAD:
-            raise DataError(f"item_id collides with PAD token at line {lineno + 1}")
+            raise DataError(f"item_id collides with PAD token at line {lineno + 1} "
+                            f"in {path}")
         users.append(parts[0])
         items.append(parts[1])
         stamps.append(ts)
@@ -207,17 +208,13 @@ def parse_interactions(path, catalog=None) -> InteractionLog:
 def parse_catalog(path) -> ItemCatalog:
     """Parse a TSV of item_id, title[, tag]; the tag is accepted and not kept."""
     entries = {}
-    with open_input(path, "catalog") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise DataError(f"malformed catalog line {lineno + 1} in {path}")
-            if parts[0] in entries:
-                raise DataError(f"duplicate catalog item_id {parts[0]!r}")
-            entries[parts[0]] = parts[1]
+    for lineno, parts in rows(path, "catalog"):
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise DataError(f"malformed catalog line {lineno} in {path}")
+        if parts[0] in entries:
+            raise DataError(f"duplicate catalog item_id {parts[0]!r} at line {lineno} "
+                            f"in {path}")
+        entries[parts[0]] = parts[1]
     return ItemCatalog(entries)
 
 
@@ -399,32 +396,22 @@ def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
     Every line is checked (5 fields, a history of HISTORY_LEN ids, an integer
     timestamp); a SequenceSample is built only for the lines returned.
     """
-    rows = []
-    with open_input(path, "samples") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"malformed sample line {lineno} in {path}")
-            length = parts[1].count(",") + 1
-            if length != HISTORY_LEN:
-                raise DataError(
-                    f"sample line {lineno} in {path}: history length "
-                    f"{length} != {HISTORY_LEN}"
-                )
-            try:
-                parts[3] = int(parts[3])
-            except ValueError:
-                raise DataError(
-                    f"non-integer timestamp {parts[3]!r} at line {lineno} in {path}"
-                ) from None
-            rows.append(parts)
+    lines = []
+    for lineno, parts in rows(path, "samples"):
+        if len(parts) != 5:
+            raise DataError(f"malformed sample line {lineno} in {path}")
+        length = parts[1].count(",") + 1
+        if length != HISTORY_LEN:
+            raise DataError(
+                f"sample line {lineno} in {path}: history length "
+                f"{length} != {HISTORY_LEN}"
+            )
+        parts[3] = parse_int(parts[3], "timestamp", lineno, path)
+        lines.append(parts)
     if n is not None:
-        rows = sample_eval(rows, n, seed)
+        lines = sample_eval(lines, n, seed)
     return [_sample(user, hist, target, ts, _known_set(known))
-            for user, hist, target, ts, known in rows]
+            for user, hist, target, ts, known in lines]
 
 
 def sample_eval(samples, n, seed) -> list:

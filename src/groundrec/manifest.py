@@ -1,12 +1,14 @@
 """Run manifests: enough context beside each artifact to reproduce it.
 
-Line-oriented key=value: the subcommand, the package version, one flag.
+Line-oriented key=value: the subcommand, the package version, one flag
 line per parsed argument and a sha256 digest per input file. The flags come
 from the parsed arguments themselves, so a flag cannot be left out: keys
 keep the command line's hyphens, an unset optional flag is recorded as an
 empty value, and only --threads is left out, since it never changes an
-output byte. Re-running the recorded command on the same inputs must
-reproduce byte-identical outputs.
+output byte. The inputs come from them too: every flag that names a file the
+command reads has InputPath as its argparse type, and each one given is
+hashed under its name. Re-running the recorded command on the same inputs
+must reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -29,14 +31,22 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def digests(inputs):
-    """Input name -> sha256 hex digest of the file at its path."""
-    return {name: sha256_file(path) for name, path in inputs.items()}
+class InputPath(str):
+    """The argparse type of a flag that names a file the command reads."""
 
 
-def write_manifest(path, args, input_digests):
-    """args is the command's argparse namespace; input_digests maps each
-    input name to its digests() value."""
+def digests(args):
+    """Input name -> sha256 hex digest, for each InputPath flag of the parsed
+    args that was given a non-empty path."""
+    return {name: sha256_file(value) for name, value in vars(args).items()
+            if isinstance(value, InputPath) and value}
+
+
+def write_manifest(path, args, input_digests=None):
+    """args is the command's argparse namespace; input_digests, digests(args)
+    unless the caller has already computed it."""
+    if input_digests is None:
+        input_digests = digests(args)
     flags = {key.replace("_", "-"): "" if value is None else value
              for key, value in vars(args).items() if key not in NOT_RECORDED}
     lines = [f"command={args.command}", f"version={__version__}"]

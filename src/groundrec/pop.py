@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, open_input, parse_int
+from .errors import DataError, parse_int, rows
 from .ingest import InteractionLog, ItemCatalog
 
 
@@ -84,28 +84,23 @@ def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
     counts = np.zeros(len(catalog), dtype=np.int64)
     line_of = {}  # canonical index -> the line that gave its count
     total = 0
-    with open_input(path, "popularity") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"malformed popularity line {lineno} in {path}")
-            idx = catalog.index_of.get(parts[0])
-            if idx is None:
-                raise DataError(f"popularity item {parts[0]!r} not in catalog "
-                                f"(line {lineno} in {path})")
-            if idx in line_of:
-                raise DataError(f"popularity item {parts[0]!r} is given twice, at "
-                                f"lines {line_of[idx]} and {lineno} in {path}")
-            count = parse_int(parts[1], "popularity count", lineno, path)
-            if not 0 <= count < 2**63:
-                raise DataError(f"popularity count {count} outside 0..2^63-1 "
-                                f"at line {lineno} in {path}")
-            line_of[idx] = lineno
-            counts[idx] = count
-            total += count
+    for lineno, parts in rows(path, "popularity"):
+        if len(parts) < 2:
+            raise DataError(f"malformed popularity line {lineno} in {path}")
+        idx = catalog.index_of.get(parts[0])
+        if idx is None:
+            raise DataError(f"popularity item {parts[0]!r} not in catalog "
+                            f"(line {lineno} in {path})")
+        if idx in line_of:
+            raise DataError(f"popularity item {parts[0]!r} is given twice, at "
+                            f"lines {line_of[idx]} and {lineno} in {path}")
+        count = parse_int(parts[1], "popularity count", lineno, path)
+        if not 0 <= count < 2**63:
+            raise DataError(f"popularity count {count} outside 0..2^63-1 "
+                            f"at line {lineno} in {path}")
+        line_of[idx] = lineno
+        counts[idx] = count
+        total += count
     if total >= 2**63:  # from_counts sums in int64, which would wrap
         raise DataError(f"popularity counts in {path} sum to {total}, beyond 2^63-1")
     return PopularityTable.from_counts(counts)

@@ -6,17 +6,25 @@ Pipeline.prepare computes each sample's normalized distances, checked
 weights, keep mask and target once, and the sweep only redoes the cheap
 divide-and-count step.
 Samples that share one weight array (popularity injection) share its divisor
-(1 + w)^gamma, computed once per gamma.
+(1 + w)^gamma, computed once per gamma and chunk.
+
+Samples are prepared and swept CHUNK_SAMPLES at a time, so memory holds one
+chunk's distances and keep masks, plus one position per kept sample and
+gamma, however many samples there are. Each gamma's positions keep sample
+order, so the sums, and the sweep, equal those of one pass over all samples.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import DataError
 from .ground import target_position
 from .harness import Pipeline, fan_out
 from .metrics import DEFAULT_KS, aggregate, metric_names
+
+CHUNK_SAMPLES = 256
 
 
 def gamma_grid():
@@ -38,16 +46,32 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
         raise DataError("validation set is empty; cannot tune gamma")
     grid = gamma_grid() if grid is None else list(grid)
 
-    prepared = fan_out(pipeline.prepare, samples, threads)
+    kept = [array("q") for _ in grid]  # per gamma, the kept samples' positions
+    for start in range(0, len(samples), CHUNK_SAMPLES):
+        chunk = samples[start:start + CHUNK_SAMPLES]
+        found = _sweep(fan_out(pipeline.prepare, chunk, threads), grid, threads)
+        for positions, more in zip(kept, found):
+            positions.extend(more)
+
+    table = []
+    for gamma, positions in zip(grid, kept):
+        report = aggregate(positions, ks)  # skipped samples change no mean
+        metrics = {f"hr@{k}": report.hr[k] for k in ks}
+        metrics.update({f"ndcg@{k}": report.ndcg[k] for k in ks})
+        table.append(SweepRow(gamma=gamma, metrics=metrics))
+
+    best = max(table, key=lambda row: (row.metrics[metric], -row.gamma))
+    return best.gamma, table
+
+
+def _sweep(prepared, grid, threads):
+    """Per gamma, the target positions of the prepared samples not skipped."""
+    prepared = [entry for entry in prepared if entry is not None]
 
     def sweep_point(gamma):
         positions = []
         shared = divisor = None  # the last weight array and its divisor
-        for entry in prepared:
-            if entry is None:
-                positions.append(None)
-                continue
-            norm, weights, keep, target = entry
+        for norm, weights, keep, target in prepared:
             if weights is not None and gamma > 0:
                 if weights is not shared:
                     shared, divisor = weights, (1.0 + weights) ** gamma
@@ -55,15 +79,9 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
             else:
                 adjusted = norm
             positions.append(target_position(adjusted, keep, target))
-        report = aggregate(positions, ks)
-        metrics = {f"hr@{k}": report.hr[k] for k in ks}
-        metrics.update({f"ndcg@{k}": report.ndcg[k] for k in ks})
-        return SweepRow(gamma=gamma, metrics=metrics)
+        return positions
 
-    table = fan_out(sweep_point, grid, threads)
-
-    best = max(table, key=lambda row: (row.metrics[metric], -row.gamma))
-    return best.gamma, table
+    return fan_out(sweep_point, grid, threads)
 
 
 def write_sweep(path, table, ks=DEFAULT_KS):

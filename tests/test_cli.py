@@ -628,6 +628,174 @@ class TestEvalInputs:
         assert sorted(hashed) == sorted(str(p) for p in (
             out / "samples_test.tsv", cat, out / "train.tsv"))
 
+    @pytest.mark.parametrize("command, flag, generator, inject", [
+        ("eval", "--test", "pop", "pop"),
+        ("tune-gamma", "--valid", "pop", "collab"),
+    ])
+    def test_train_parsed_once(self, tmp_path, monkeypatch, command, flag, generator,
+                               inject):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        parsed = []
+        original = ingest.parse_interactions
+        monkeypatch.setattr(ingest, "parse_interactions",
+                            lambda path: parsed.append(str(path)) or original(path))
+        part = "test" if command == "eval" else "valid"
+        run_ok([command, flag, out / f"samples_{part}.tsv", "--catalog", cat,
+                "--train", out / "train.tsv", "--generator", generator,
+                "--inject", inject, "--seed", 3, "--dim", 16, "--out", tmp_path / "o.tsv"])
+        assert parsed == [str(out / "train.tsv")]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("generate", ["--generator", "pop"], "--generator pop requires --train"),
+        ("eval", ["--generator", "pop"], "--generator pop requires --train"),
+        ("eval", ["--generator", "most-pop"], "--generator most-pop requires --train"),
+        ("eval", ["--inject", "pop"], "--inject pop requires --train"),
+        ("tune-gamma", ["--inject", "collab"], "--inject collab requires --train"),
+        ("tune-gamma", ["--generator", "pop", "--inject", "collab"],
+         "--generator pop requires --train"),
+    ])
+    def test_train_required_where_read(self, tmp_path, capsys, command, flags, message):
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        samples = {"generate": ["--samples", out / "samples_test.tsv"],
+                   "eval": ["--test", out / "samples_test.tsv", "--seed", 3],
+                   "tune-gamma": ["--valid", out / "samples_valid.tsv", "--seed", 3]}
+        argv = [command, *samples[command], "--catalog", cat, *flags,
+                "--out", tmp_path / "o.tsv"]
+        assert cli.main([str(a) for a in argv]) == 1
+        assert message in capsys.readouterr().err
+
+
+class TestReaderErrorsNameFileAndLine:
+    """Each reader's own field checks name the file, and the line where there
+    is one; every case exits 2."""
+
+    @pytest.fixture
+    def tmp_inputs(self, tmp_path):
+        cat = tmp_path / "catalog.tsv"
+        cat.write_text("a\tan apple\nb\ta banana\n")
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("0\tan apple\toracle\n")
+        samples = tmp_path / "samples.tsv"
+        samples.write_text("u\t" + ",".join(["<PAD>"] * 9 + ["a"]) + "\tb\t5\ta\n")
+        return tmp_path, cat, gen, samples
+
+    @pytest.mark.parametrize("case, bad, line, message", [
+        pytest.param("catalog", "a\tx\nb\ty\na\tz\n", 3,
+                     "duplicate catalog item_id 'a'", id="catalog-duplicate"),
+        pytest.param("interactions", "u\ta\t1\nu\t<PAD>\t2\n", 2,
+                     "item_id collides with PAD token", id="interactions-pad"),
+        pytest.param("emb", "a\t0.5\nb\t0.25\na\t0.5\n", 3,
+                     "duplicate embedding row for item 'a'", id="emb-duplicate"),
+        pytest.param("emb", "a\t0.5\nb\tx\n", 2, "bad embedding value",
+                     id="emb-bad-value"),
+        pytest.param("emb", "a\t0.5\nb\tnan\n", 2,
+                     "non-finite embedding value for item 'b'", id="emb-non-finite"),
+        pytest.param("emb", "# ids and vectors\na\n", 2, "empty embedding row",
+                     id="emb-empty-row"),
+        pytest.param("emb", "a\t0.5\nb\t0.5\t0.25\n", 2, "dim mismatch for item 'b'",
+                     id="emb-dim-mismatch"),
+        pytest.param("emb", "a\t0.5\n", None, "1 catalog items missing embeddings",
+                     id="emb-missing-items"),
+        pytest.param("gen", "0\tan apple\n5\ta banana\n", 2,
+                     "sample index 5 out of range", id="gen-index-out-of-range"),
+    ])
+    def test_message(self, tmp_inputs, capsys, case, bad, line, message):
+        tmp_path, cat, gen, samples = tmp_inputs
+        path = tmp_path / f"bad_{case}.tsv"
+        path.write_text(bad)
+        out = tmp_path / "out"
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("a\t0.5\nb\t0.25\n")
+        argv = {
+            "catalog": ["embed", "--catalog", path, "--seed", 1, "--out", out],
+            "interactions": ["split", "--interactions", path, "--out", out],
+            "emb": ["ground", "--emb", path, "--gen", gen, "--catalog", cat,
+                    "--out", out],
+            "gen": ["ground", "--emb", emb, "--gen", path, "--catalog", cat,
+                    "--samples", samples, "--out", out],
+        }[case]
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err and "Traceback" not in err
+        if line is not None:
+            assert f"line {line} " in err
+
+
+class TestManifestInputs:
+    """A manifest's input.* lines are exactly the input flags given, each
+    with the sha256 of its file; an unset or empty optional input is not
+    hashed."""
+
+    INPUT_FLAGS = ("--interactions", "--train", "--catalog", "--samples", "--test",
+                   "--valid", "--emb", "--gen", "--popularity", "--scorer")
+
+    @pytest.fixture(scope="class")
+    def workspace(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        run_ok(["popularity", "--train", out / "train.tsv", "--catalog", cat,
+                "--out", tmp_path / "pop.tsv"])
+        run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 3,
+                "--out", tmp_path / "emb.bin"])
+        run_ok(["collab-fit", "--train", out / "train.tsv", "--catalog", cat,
+                "--out", tmp_path / "co.bin"])
+        run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
+                "--out", tmp_path / "gen.tsv"])
+        return tmp_path, inter, cat, out
+
+    @pytest.mark.parametrize("command, extra", [
+        pytest.param("split", [], id="split"),
+        pytest.param("popularity", [], id="popularity"),
+        pytest.param("embed", [], id="embed"),
+        pytest.param("collab-fit", [], id="collab-fit"),
+        pytest.param("generate", ["--train", "{train}"], id="generate-all"),
+        pytest.param("generate", ["--train", ""], id="generate-empty-train"),
+        pytest.param("ground", ["--samples", "{test}", "--inject", "pop",
+                                "--popularity", "{pop}", "--scorer", "{co}"],
+                     id="ground-all"),
+        pytest.param("ground", ["--popularity", "", "--scorer", ""],
+                     id="ground-unset-and-empty"),
+        pytest.param("eval", ["--emb", "{emb}", "--train", "{train}", "--inject", "pop"],
+                     id="eval-all"),
+        pytest.param("eval", ["--emb", ""], id="eval-unset-and-empty"),
+        pytest.param("tune-gamma", ["--emb", "{emb}", "--train", "{train}",
+                                    "--inject", "collab"], id="tune-gamma-all"),
+        pytest.param("tune-gamma", ["--train", ""], id="tune-gamma-unset-and-empty"),
+    ])
+    def test_input_lines_are_the_input_flags_given(self, workspace, tmp_path, command,
+                                                   extra):
+        root, inter, cat, out = workspace
+        paths = {"train": out / "train.tsv", "test": out / "samples_test.tsv",
+                 "pop": root / "pop.tsv", "co": root / "co.bin", "emb": root / "emb.bin"}
+        target = tmp_path / "o"
+        argv = {
+            "split": ["--interactions", inter],
+            "popularity": ["--train", "{train}", "--catalog", cat],
+            "embed": ["--catalog", cat, "--seed", 3],
+            "collab-fit": ["--train", "{train}", "--catalog", cat],
+            "generate": ["--samples", "{test}", "--catalog", cat],
+            "ground": ["--emb", "{emb}", "--gen", root / "gen.tsv", "--catalog", cat],
+            "eval": ["--test", "{test}", "--catalog", cat, "--seed", 3, "--dim", 16],
+            "tune-gamma": ["--valid", out / "samples_valid.tsv", "--catalog", cat,
+                           "--seed", 3, "--dim", 16],
+        }[command] + extra
+        argv = [str(a).format(**paths) for a in argv]
+        run_ok([command, *argv, "--out", target])
+        given = {flag[2:]: value for flag, value in zip(argv, argv[1:])
+                 if flag in self.INPUT_FLAGS and value}
+        written = target / "run.manifest" if command == "split" else Path(f"{target}.manifest")
+        recorded = dict(line[len("input."):].split("=", 1)
+                        for line in written.read_text().splitlines()
+                        if line.startswith("input."))
+        assert recorded == {name: manifest.sha256_file(value)
+                            for name, value in given.items()}
+
 
 class TestSampleInputErrors:
     @pytest.fixture

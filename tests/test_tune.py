@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from groundrec import tune
 from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
@@ -175,6 +176,13 @@ class TestSweepMatchesPerPointInjection:
         _, table = tune_gamma(samples, pipe, threads=threads)
         assert [row.metrics for row in table] == reference_sweep(samples, pipe,
                                                                  gamma_grid())
+
+    @pytest.mark.parametrize("injection", ["popularity", "collaborative"])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_chunked_sweep_equals_reference(self, monkeypatch, injection, threads):
+        """Prepared and swept two samples at a time, the table is unchanged."""
+        monkeypatch.setattr(tune, "CHUNK_SAMPLES", 2)
+        self.test_bit_identical_table(injection, threads)
 
     def test_weights_out_of_range_fatal(self):
         log, catalog = synthetic_dataset(n_users=6, n_items=8, events_per_user=5)
