@@ -2,8 +2,8 @@
 split -> popularity -> embed -> generate -> ground -> eval -> tune-gamma.
 
 Exit codes: 0 success, 1 usage error, 2 data error. All randomness flows
-through explicit --seed flags; --threads (default from GROUNDREC_THREADS)
-never changes output bytes.
+through explicit --seed flags; --threads (default 1, at least 1) never
+changes output bytes.
 
 Each command runs as its own process, so start-up is part of its cost. At
 module level this file imports only modules that load no numpy (errors,
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -36,15 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("GROUNDREC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _positive_int(text):
-    """An integer flag of at least 1: --sample-n, --dim, --ngram-order, --topk."""
+    """An integer flag of at least 1: --sample-n, --dim, --ngram-order, --topk,
+    --threads."""
     try:
         value = int(text)
     except ValueError:
@@ -416,7 +409,7 @@ def _add_pipeline_flags(p, samples_flag, generators):
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--ngram-order", type=_positive_int, default=1)
     p.add_argument("--sample-n", type=_positive_int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
 
 

@@ -5,22 +5,22 @@ user's training timeline. Scoring a sample combines the last up-to-3 real
 history items with geometric recency weights 1.0, 0.5, 0.25. As a Pipeline
 weight source, a CoScorer gives each sample those scores, min-max normalized.
 
-Fitting counts the adjacent pairs of each user's timeline with one np.unique
-over (prev, next) canonical-index keys; a pair with an item outside the
-catalog is not counted.
+A CoScorer is one form from fit to file to score: int64 arrays prevs, nexts
+and counts, sorted by (prev, next), each pair once. Fitting gets them from
+one np.unique over (prev, next) canonical-index keys; a pair with an item
+outside the catalog is not counted.
 
-Scorer file format: magic b"GRCO", u32 pair count, then (u32 prev, u32 next,
-u32 count) triples sorted by (prev, next), all little-endian, keyed by
-canonical item index. load_scorer checks the pair count against the file
-size before reading, and every index against the catalog.
+Scorer file format: magic b"GRCO", u32 pair count, then those arrays as
+(u32 prev, u32 next, u32 count) triples, little-endian. load_scorer checks
+the pair count against the file size before reading, every index against
+the catalog, and that the pairs strictly increase in (prev, next).
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +35,17 @@ RECENCY_WEIGHTS = (1.0, 0.5, 0.25)
 
 @dataclass
 class CoScorer:
-    """counts maps (prev, next) canonical indices to a transition count. For
-    scoring, the pairs are also held sorted by prev: the pairs of a prev item
-    p < n_items are nexts[starts[p]:starts[p + 1]], with float64 weights[...]."""
+    """Transition counts of (prev, next) canonical indices: int64 arrays
+    sorted by (prev, next), each pair once. The pairs of a prev item
+    p < n_items are nexts[starts[p]:starts[p + 1]], with counts[...]."""
 
     n_items: int
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    prevs: np.ndarray
+    nexts: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        n = len(self.counts)
-        pairs = np.fromiter(chain.from_iterable(self.counts), np.int64, 2 * n).reshape(n, 2)
-        order = np.argsort(pairs[:, 0], kind="stable")
-        self.nexts = pairs[order, 1]
-        self.weights = np.fromiter(self.counts.values(), np.float64, n)[order]
-        self.starts = np.searchsorted(pairs[order, 0], np.arange(self.n_items + 1))
+        self.starts = np.searchsorted(self.prevs, np.arange(self.n_items + 1))
 
     def sample_weights(self, sample: SequenceSample, catalog: ItemCatalog) -> np.ndarray:
         """The injection weights of one sample: its scores, min-max normalized."""
@@ -65,11 +62,7 @@ def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
     adjacent = (users[:-1] == users[1:]) & (prev >= 0) & (nxt >= 0)
     n = len(catalog)
     keys, counts = np.unique(prev[adjacent] * n + nxt[adjacent], return_counts=True)
-    return CoScorer(n_items=n, counts=_pair_counts(keys // n, keys % n, counts))
-
-
-def _pair_counts(prev, nxt, counts) -> dict[tuple[int, int], int]:
-    return dict(zip(zip(prev.tolist(), nxt.tolist()), counts.tolist()))
+    return CoScorer(n, keys // n, keys % n, counts)
 
 
 def score(scorer: CoScorer, sample: SequenceSample, catalog: ItemCatalog) -> np.ndarray:
@@ -86,7 +79,7 @@ def score(scorer: CoScorer, sample: SequenceSample, catalog: ItemCatalog) -> np.
         lo, hi = scorer.starts[prev], scorer.starts[prev + 1]
         # the nexts of one prev are distinct: each item gets the one addition
         # per recent item, in recency order, that a per-pair loop makes
-        raw[scorer.nexts[lo:hi]] += w * scorer.weights[lo:hi]
+        raw[scorer.nexts[lo:hi]] += w * scorer.counts[lo:hi]
     return raw
 
 
@@ -99,15 +92,12 @@ def normalize_scores(raw) -> np.ndarray:
 
 
 def save_scorer(path, scorer: CoScorer):
-    n = len(scorer.counts)
-    pairs = np.fromiter(chain.from_iterable(scorer.counts), np.int64, 2 * n).reshape(n, 2)
-    counts = np.fromiter(scorer.counts.values(), np.int64, n)
-    triples = np.column_stack((pairs, counts))[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    if n and (triples.min() < 0 or triples.max() > U32_MAX):
+    triples = np.column_stack((scorer.prevs, scorer.nexts, scorer.counts))
+    if len(triples) and (triples.min() < 0 or triples.max() > U32_MAX):
         raise DataError(f"scorer holds a value outside u32; cannot write {path}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", n))
+        fh.write(struct.pack("<I", len(triples)))
         fh.write(triples.astype("<u4").tobytes())
 
 
@@ -125,5 +115,11 @@ def load_scorer(path, n_items) -> CoScorer:
     if n_pairs and triples[:, :2].max() >= n_items:
         raise DataError(f"scorer file {path} holds item index {triples[:, :2].max()}, "
                         f"outside the catalog of {n_items} items")
-    counts = _pair_counts(triples[:, 0], triples[:, 1], triples[:, 2])
-    return CoScorer(n_items=n_items, counts=counts)
+    prevs, nexts, counts = triples.T.astype(np.int64, order="C")
+    bad = np.flatnonzero(np.diff(prevs * n_items + nexts) <= 0)  # keyed as in fitting
+    if len(bad):
+        k = bad[0] + 1
+        raise DataError(f"scorer file {path}: pair {k + 1} of {n_pairs}, ({prevs[k]}, "
+                        f"{nexts[k]}), does not come after ({prevs[k - 1]}, {nexts[k - 1]}); "
+                        "the pairs must be strictly increasing in (prev, next)")
+    return CoScorer(n_items, prevs, nexts, counts)

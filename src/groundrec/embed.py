@@ -117,6 +117,8 @@ def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
         where = f"at line {lineno} in {path}"
         if item_id in seen:
             raise DataError(f"duplicate embedding row for item {item_id!r} {where}")
+        if item_id not in catalog.index_of:
+            raise DataError(f"embedding row for item {item_id!r} not in catalog {where}")
         try:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
         except ValueError as e:

@@ -52,9 +52,7 @@ class PopTitleGenerator:
 
     def __init__(self, catalog: ItemCatalog, table):
         self.catalog = catalog
-        # popularity desc, canonical index asc on ties
-        order = sorted(range(len(catalog)), key=lambda i: (-table.counts[i], i))
-        self.order = order
+        self.order = table.order().tolist()
 
     def generate(self, sample: SequenceSample) -> GeneratedText:
         for idx in self.order:

@@ -124,11 +124,11 @@ def evaluate(samples, pipeline: Pipeline, ks=DEFAULT_KS, threads=1,
 
 def most_pop_baseline(table, samples, catalog: ItemCatalog, ks=DEFAULT_KS,
                       fingerprint=None) -> MetricsReport:
-    """Rank by global training popularity (count desc, index asc), minus the
+    """Rank by global training popularity (PopularityTable.order), minus the
     exclusions of Pipeline.candidates; an item's place stands in for its value."""
     n = len(catalog)
     place = np.empty(n, dtype=np.int64)
-    place[np.lexsort((np.arange(n), -table.counts))] = np.arange(n)
+    place[table.order()] = np.arange(n)
     pipeline = Pipeline(None, None, None, catalog)
     positions = []
     for sample in samples:

@@ -167,7 +167,7 @@ class SequenceSample:
     known_items: frozenset[str]
 
 
-def parse_interactions(path, catalog=None) -> InteractionLog:
+def parse_interactions(path) -> InteractionLog:
     """Parse a TSV of user_id, item_id, timestamp[, tag].
 
     Malformed lines are counted and skipped; more than 10% rejects is fatal.

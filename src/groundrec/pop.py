@@ -42,6 +42,10 @@ class PopularityTable:
         """The injection weights of any sample: P, the same array each time."""
         return self.normalized
 
+    def order(self) -> np.ndarray:
+        """Canonical indices by count descending, index ascending on ties."""
+        return np.argsort(-self.counts, kind="stable")
+
 
 @dataclass
 class DecileReport:
@@ -108,7 +112,7 @@ def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
 
 def decile_report(table: PopularityTable, num_buckets: int = 10) -> DecileReport:
     n = len(table.counts)
-    order = np.lexsort((np.arange(n), -table.counts))  # count desc, index asc
+    order = table.order()
     base, rem = divmod(n, num_buckets)
     sizes = [base + 1 if k < rem else base for k in range(num_buckets)]
     groups = []

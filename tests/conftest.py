@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from groundrec.collab import CoScorer
 from groundrec.ingest import (
     InteractionLog,
     ItemCatalog,
@@ -32,6 +34,20 @@ def make_sample(history, target, user="u", ts=100, known=()):
         target_timestamp=ts,
         known_items=frozenset(known),
     )
+
+
+def make_scorer(n_items, counts):
+    """The CoScorer of {(prev, next): count}: its arrays in (prev, next) order."""
+    pairs = sorted(counts)
+    return CoScorer(n_items, np.array([p for p, _ in pairs], dtype=np.int64),
+                    np.array([n for _, n in pairs], dtype=np.int64),
+                    np.array([counts[pair] for pair in pairs], dtype=np.int64))
+
+
+def scorer_counts(scorer):
+    """A CoScorer's pairs as {(prev, next): count}, in Python ints."""
+    pairs = zip(scorer.prevs.tolist(), scorer.nexts.tolist())
+    return dict(zip(pairs, scorer.counts.tolist()))
 
 
 @pytest.fixture

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_scorer
 from groundrec import cli, ingest, manifest
-from groundrec.collab import CoScorer, save_scorer
+from groundrec.collab import save_scorer
 from groundrec.embed import load_embeddings
 from groundrec.errors import DataError
 from groundrec.ingest import read_samples
@@ -149,6 +150,9 @@ class TestFlagValues:
         ("ground", ["--bm25-b", "nan"], "argument --bm25-b: must lie in [0, 1], got nan"),
         ("ground", ["--bm25-b", "-0.1"], "argument --bm25-b: must lie in [0, 1], got -0.1"),
         ("ground", ["--bm25-b", "1.5"], "argument --bm25-b: must lie in [0, 1], got 1.5"),
+        ("eval", ["--threads", "0"], "argument --threads: must be at least 1, got 0"),
+        ("tune-gamma", ["--threads", "-3"],
+         "argument --threads: must be at least 1, got -3"),
     ])
     def test_usage_error(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "o.tsv"
@@ -561,10 +565,26 @@ class TestGroundInputErrors:
     def test_scorer_index_outside_catalog(self, ground_inputs, capsys):
         tmp_path, cat, gen = ground_inputs
         scorer = tmp_path / "co.bin"
-        save_scorer(scorer, CoScorer(n_items=25, counts={(0, 24): 3}))
+        save_scorer(scorer, make_scorer(25, {(0, 24): 3}))
         assert self.collab(tmp_path, cat, gen, scorer) == 2
         err = capsys.readouterr().err
         assert f"scorer file {scorer} holds item index 24, outside the catalog of 20" in err
+
+    @pytest.mark.parametrize("pairs, bad", [
+        ([(0, 1, 5), (0, 1, 7)], "pair 2 of 2, (0, 1), does not come after (0, 1)"),
+        ([(0, 1, 5), (2, 3, 1), (1, 4, 2)],
+         "pair 3 of 3, (1, 4), does not come after (2, 3)"),
+        ([(3, 2, 1), (3, 1, 1)], "pair 2 of 2, (3, 1), does not come after (3, 2)"),
+    ], ids=["duplicate-pair", "prev-unsorted", "next-unsorted"])
+    def test_scorer_pairs_not_increasing(self, ground_inputs, capsys, pairs, bad):
+        tmp_path, cat, gen = ground_inputs
+        scorer = tmp_path / "co.bin"
+        scorer.write_bytes(b"GRCO" + struct.pack(f"<I{3 * len(pairs)}I", len(pairs),
+                                                 *(v for t in pairs for v in t)))
+        assert self.collab(tmp_path, cat, gen, scorer) == 2
+        err = capsys.readouterr().err
+        assert f"scorer file {scorer}: {bad}" in err and "Traceback" not in err
+        assert "strictly increasing in (prev, next)" in err
 
     def test_scorer_pair_count_beyond_file(self, ground_inputs, capsys):
         tmp_path, cat, gen = ground_inputs
@@ -700,6 +720,8 @@ class TestReaderErrorsNameFileAndLine:
                      id="emb-dim-mismatch"),
         pytest.param("emb", "a\t0.5\n", None, "1 catalog items missing embeddings",
                      id="emb-missing-items"),
+        pytest.param("emb", "a\t0.5\nb\t0.25\nzzz\t0.5\n", 3,
+                     "embedding row for item 'zzz' not in catalog", id="emb-extra-item"),
         pytest.param("gen", "0\tan apple\n5\ta banana\n", 2,
                      "sample index 5 out of range", id="gen-index-out-of-range"),
     ])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from conftest import (make_catalog, make_log, make_sample, make_scorer, scorer_counts,
+                      synthetic_dataset)
 from groundrec import cli
 from groundrec.collab import (
-    CoScorer,
     fit_cooccurrence,
     load_scorer,
     normalize_scores,
@@ -29,17 +29,17 @@ class TestFitCooccurrence:
         log = make_log([("u", "a", 1), ("u", "b", 2), ("u", "c", 3)])
         s = fit_cooccurrence(log, abc_catalog)
         ia, ib, ic = (abc_catalog.index_of[i] for i in "abc")
-        assert s.counts == {(ia, ib): 1, (ib, ic): 1}
+        assert scorer_counts(s) == {(ia, ib): 1, (ib, ic): 1}
 
     def test_two_users_same_pair(self, abc_catalog):
         log = make_log([("u", "a", 1), ("u", "b", 2), ("v", "a", 3), ("v", "b", 4)])
         s = fit_cooccurrence(log, abc_catalog)
         ia, ib = abc_catalog.index_of["a"], abc_catalog.index_of["b"]
-        assert s.counts == {(ia, ib): 2}
+        assert scorer_counts(s) == {(ia, ib): 2}
 
     def test_single_item_user_no_counts(self, abc_catalog):
         s = fit_cooccurrence(make_log([("u", "a", 1)]), abc_catalog)
-        assert s.counts == {}
+        assert scorer_counts(s) == {}
 
     def test_empty_train_fatal(self, abc_catalog):
         with pytest.raises(DataError):
@@ -58,7 +58,7 @@ class TestFitCooccurrence:
             for p, n in zip(items, items[1:]):
                 key = (catalog.index_of[p], catalog.index_of[n])
                 expected[key] = expected.get(key, 0) + 1
-        assert scorer.counts == expected
+        assert scorer_counts(scorer) == expected
 
 
 def reference_counts(log, catalog):
@@ -87,15 +87,21 @@ class TestFitMatchesRecordLoop:
     def test_unique_pairs_equal_per_record_loop(self, events):
         catalog = make_catalog({"a": "ta", "b": "tb", "c": "tc", "x": "tx"})
         log = make_log(events)
-        counts = fit_cooccurrence(log, catalog).counts
+        scorer = fit_cooccurrence(log, catalog)
+        counts = scorer_counts(scorer)
         assert counts == reference_counts(log, catalog)
         assert all(type(v) is int for (pi, ni), c in counts.items() for v in (pi, ni, c))
+        # the one form: int64 arrays strictly increasing in (prev, next)
+        arrays = (scorer.prevs, scorer.nexts, scorer.counts)
+        assert all(a.dtype == np.int64 for a in arrays)
+        assert list(zip(scorer.prevs, scorer.nexts)) == sorted(counts)
 
     def test_partition_slice_matches(self):
         log, catalog = synthetic_dataset(n_users=12, n_items=9, events_per_user=7)
         split = temporal_split(log)
         for part in (split.train, split.valid, split.test):
-            assert fit_cooccurrence(part, catalog).counts == reference_counts(part, catalog)
+            assert scorer_counts(fit_cooccurrence(part, catalog)) == \
+                reference_counts(part, catalog)
 
 
 class TestScore:
@@ -136,7 +142,7 @@ class TestScore:
 def reference_score(scorer, sample, catalog):
     """The per-pair dict loop that score's sparse rows replaced."""
     by_prev = {}
-    for (pi, ni), c in scorer.counts.items():
+    for (pi, ni), c in scorer_counts(scorer).items():
         by_prev.setdefault(pi, {})[ni] = c
     raw = np.zeros(scorer.n_items, dtype=np.float64)
     recent = [h for h in sample.history if h != PAD][-3:]
@@ -160,7 +166,7 @@ class TestScoreMatchesDictLoop:
            st.lists(st.sampled_from(ITEMS + ["zz"]), max_size=10))
     def test_bit_identical(self, counts, history):
         catalog = make_catalog({i: f"t{i}" for i in self.ITEMS})
-        scorer = CoScorer(n_items=len(catalog), counts=counts)
+        scorer = make_scorer(len(catalog), counts)
         sample = make_sample(history, "i0")
         assert np.array_equal(score(scorer, sample, catalog),
                               reference_score(scorer, sample, catalog))
@@ -201,7 +207,7 @@ class TestScorerIO:
         path = tmp_path / "scorer.bin"
         save_scorer(path, scorer)
         loaded = load_scorer(path, len(abc_catalog))
-        assert loaded.counts == scorer.counts
+        assert scorer_counts(loaded) == scorer_counts(scorer)
         assert path.read_bytes()[:4] == b"GRCO"
 
     def test_bad_magic_fatal(self, tmp_path):
@@ -214,24 +220,24 @@ class TestScorerIO:
                            st.integers(0, 2**32 - 1), max_size=30))
     def test_roundtrip_bytes_match_struct_writer(self, tmp_path_factory, counts):
         path = tmp_path_factory.mktemp("s") / "scorer.bin"
-        save_scorer(path, CoScorer(n_items=3, counts=counts))
+        save_scorer(path, make_scorer(3, counts))
         expected = b"GRCO" + struct.pack("<I", len(counts)) + b"".join(
             struct.pack("<III", pi, ni, counts[(pi, ni)]) for pi, ni in sorted(counts))
         assert path.read_bytes() == expected
         if all(i < 3 for pair in counts for i in pair):
-            assert load_scorer(path, 3).counts == counts
+            assert scorer_counts(load_scorer(path, 3)) == counts
         else:  # a pair names an item outside the 3-item catalog
             with pytest.raises(DataError, match="outside the catalog of 3 items"):
                 load_scorer(path, 3)
 
     def test_value_outside_u32_fatal(self, tmp_path):
         with pytest.raises(DataError, match="outside u32"):
-            save_scorer(tmp_path / "s.bin", CoScorer(n_items=3, counts={(0, 1): 2**32}))
+            save_scorer(tmp_path / "s.bin", make_scorer(3, {(0, 1): 2**32}))
 
     def test_trailing_bytes_ignored(self, tmp_path):
         path = tmp_path / "scorer.bin"
         path.write_bytes(b"GRCO" + struct.pack("<I4I", 1, 0, 2, 5, 99))
-        assert load_scorer(path, 3).counts == {(0, 2): 5}
+        assert scorer_counts(load_scorer(path, 3)) == {(0, 2): 5}
 
     def test_truncated_fatal(self, tmp_path):
         path = tmp_path / "scorer.bin"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_catalog, make_log
 from groundrec.errors import DataError
 from groundrec.ingest import ItemCatalog
-from groundrec.pop import compute_popularity, decile_report, minmax
+from groundrec.pop import PopularityTable, compute_popularity, decile_report, minmax
 
 
 def catalog_of(n):
@@ -122,6 +122,16 @@ class TestCountsMatchRecordLoop:
         assert table.counts.dtype == np.int64
         assert table.counts.tolist() == counts.tolist()
         assert table.rejected == rejected
+
+
+class TestOrder:
+    # few distinct counts, so most catalogs hold ties
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from([0, 1, 2, 7, 10**15]), min_size=1, max_size=40))
+    def test_count_desc_index_asc(self, counts):
+        table = PopularityTable.from_counts(np.array(counts, dtype=np.int64))
+        expected = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
+        assert table.order().tolist() == expected
 
 
 class TestDecileReport:
