@@ -8,6 +8,13 @@ File formats:
   TSV    item_id \\t v0 \\t v1 ...
   binary magic b"GREC", u32 dim (little-endian), then dim f32 per item in
          canonical catalog order.
+
+Each matrix is held once. embed_catalog and the TSV reader write each row
+into one preallocated float32 array, the GREC reader reads the body straight
+into its array, --normalize divides that array in place and the GREC writer
+writes it with tofile, without a bytes copy. Finiteness is checked once per
+matrix, in EmbeddingMatrix, ground.L2_BLOCK rows at a time, so no full-size
+bool array is made.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, open_input, rows
-from .ground import SparseL2Plan
+from .ground import L2_BLOCK, SparseL2Plan
 from .ingest import ItemCatalog
 from .text import tokenize
 
@@ -38,8 +45,10 @@ class EmbeddingMatrix:
                                        repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.vectors).all():
-            raise DataError("embedding matrix contains non-finite values")
+        vectors = self.vectors
+        for s in range(0, len(vectors), L2_BLOCK):
+            if not np.isfinite(vectors[s:s + L2_BLOCK]).all():
+                raise DataError("embedding matrix contains non-finite values")
 
     def l2_plan(self) -> SparseL2Plan:
         """The sparse L2 plan of the vectors, built on the first distance query
@@ -96,51 +105,59 @@ def _token_slot(tok, dim, seed):
 
 
 def embed_catalog(catalog: ItemCatalog, provider, normalize=False) -> EmbeddingMatrix:
-    rows = []
-    for item_id in catalog.ids:
+    """The provider's vector of each catalog title, written into one float32
+    matrix as it comes; normalize divides each row by its L2 norm in place."""
+    matrix = None
+    for i, item_id in enumerate(catalog.ids):
         try:
-            rows.append(np.asarray(provider.embed(catalog.title(item_id)), dtype=np.float32))
+            row = np.asarray(provider.embed(catalog.title(item_id)), dtype=np.float32)
         except Exception as e:
             raise DataError(f"embedding provider failed on item {item_id!r}: {e}") from e
-    matrix = np.vstack(rows)
+        if matrix is None:
+            matrix = np.empty((len(catalog), row.size), dtype=np.float32)
+        matrix[i] = row
     if normalize:
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        matrix = np.divide(matrix, norms, out=matrix.copy(), where=norms > 0)
+        for s in range(0, len(matrix), L2_BLOCK):
+            block = matrix[s:s + L2_BLOCK]
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            np.divide(block, norms, out=block, where=norms > 0)
     return EmbeddingMatrix(dim=matrix.shape[1], vectors=matrix)
 
 
 def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
-    seen: dict[str, np.ndarray] = {}
-    dim = None
+    """The matrix of an embeddings TSV, each row written into its canonical
+    place as it is read; the first row sets the dim."""
+    matrix = None
+    filled = np.zeros(len(catalog), dtype=bool)
     for lineno, parts in rows(path, "embedding"):
         item_id = parts[0]
         where = f"at line {lineno} in {path}"
-        if item_id in seen:
-            raise DataError(f"duplicate embedding row for item {item_id!r} {where}")
-        if item_id not in catalog.index_of:
+        idx = catalog.index_of.get(item_id)
+        if idx is None:
             raise DataError(f"embedding row for item {item_id!r} not in catalog {where}")
+        if filled[idx]:
+            raise DataError(f"duplicate embedding row for item {item_id!r} {where}")
         try:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
         except ValueError as e:
             raise DataError(f"bad embedding value {where}: {e}") from e
         if not np.isfinite(vec).all():
             raise DataError(f"non-finite embedding value for item {item_id!r} {where}")
-        if dim is None:
-            dim = len(vec)
-            if dim < 1:
+        if matrix is None:
+            if len(vec) < 1:
                 raise DataError(f"empty embedding row {where}")
-        elif len(vec) != dim:
-            raise DataError(
-                f"dim mismatch for item {item_id!r} {where}: expected {dim}, got {len(vec)}"
-            )
-        seen[item_id] = vec
-    missing = [i for i in catalog.ids if i not in seen]
+            matrix = np.empty((len(catalog), len(vec)), dtype=np.float32)
+        elif len(vec) != matrix.shape[1]:
+            raise DataError(f"dim mismatch for item {item_id!r} {where}: "
+                            f"expected {matrix.shape[1]}, got {len(vec)}")
+        matrix[idx] = vec
+        filled[idx] = True
+    missing = [catalog.ids[i] for i in np.flatnonzero(~filled)]
     if missing:
         shown = ", ".join(missing[:10])
         raise DataError(f"{len(missing)} catalog items missing embeddings in {path}: "
                         f"{shown}")
-    matrix = np.vstack([seen[i] for i in catalog.ids])
-    return EmbeddingMatrix(dim=dim, vectors=matrix)
+    return EmbeddingMatrix(dim=matrix.shape[1], vectors=matrix)
 
 
 def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
@@ -164,9 +181,10 @@ def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
     if values.size != n * dim:
         raise DataError(f"embedding file {path} changed while it was read")
     matrix = values.reshape(n, dim).astype(np.float32, copy=False)
-    if not np.isfinite(matrix).all():
-        raise DataError(f"non-finite embedding value in {path}")
-    return EmbeddingMatrix(dim=dim, vectors=matrix)
+    try:
+        return EmbeddingMatrix(dim=dim, vectors=matrix)
+    except DataError:  # the matrix's one finiteness check, named for the file
+        raise DataError(f"non-finite embedding value in {path}") from None
 
 
 def load_embeddings(path, catalog: ItemCatalog) -> EmbeddingMatrix:
@@ -182,7 +200,7 @@ def save_embeddings_bin(path, matrix: EmbeddingMatrix):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", matrix.dim))
-        fh.write(np.ascontiguousarray(matrix.vectors, dtype="<f4").tobytes())
+        np.ascontiguousarray(matrix.vectors, dtype="<f4").tofile(fh)
 
 
 def save_embeddings_tsv(path, matrix: EmbeddingMatrix, catalog: ItemCatalog):

@@ -14,6 +14,13 @@ co-occurrence counting group and count with numpy instead of per-record loops.
 numpy is imported only by the functions that use it, so commands that read
 just a catalog and samples (generate) never load it.
 
+Large inputs are held once. parse_interactions passes every user and item
+id through one dict, so each distinct id is one string object however many
+lines name it, and a log already in timestamp order skips the index sort.
+read_samples with a draw checks every line in a first pass, keeping only its
+line number, and splits only the drawn lines in a second; the known sets it
+returns share one string per item id.
+
 Samples come from one lazy walk per user timeline, linear in its length: it
 keeps the 10-item window and the sorted known set, which grows as the walk
 passes each timestamp, and joins the known set's text again only when it
@@ -29,11 +36,13 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from bisect import insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, le
 from pathlib import Path
 
 from .errors import DataError, open_input, parse_int, rows
@@ -62,12 +71,13 @@ class InteractionLog:
     @classmethod
     def from_columns(cls, user_ids, item_ids, timestamps, tags, rejected=0):
         """A log from columns in input-file order, sorted by one stable index
-        sort on the timestamps, so file order breaks timestamp ties."""
+        sort on the timestamps, so file order breaks timestamp ties; columns
+        already in timestamp order are kept as they are."""
         import numpy as np
 
         n = len(timestamps)
-        order = sorted(range(n), key=timestamps.__getitem__)
-        if order != list(range(n)):
+        if not all(map(le, timestamps, islice(timestamps, 1, None))):
+            order = sorted(range(n), key=timestamps.__getitem__)
             user_ids, item_ids, timestamps, tags = (
                 [col[i] for i in order]
                 for col in (user_ids, item_ids, timestamps, tags)
@@ -171,8 +181,11 @@ def parse_interactions(path) -> InteractionLog:
     """Parse a TSV of user_id, item_id, timestamp[, tag].
 
     Malformed lines are counted and skipped; more than 10% rejects is fatal.
+    User and item ids go through one dict, so the columns hold one string
+    object per distinct id.
     """
     users, items, stamps, tags = [], [], [], []
+    share = {}.setdefault
     rejected = 0
     total = 0
     with open_input(path, "interactions") as fh:
@@ -193,8 +206,9 @@ def parse_interactions(path) -> InteractionLog:
         if parts[1] == PAD:
             raise DataError(f"item_id collides with PAD token at line {lineno + 1} "
                             f"in {path}")
-        users.append(parts[0])
-        items.append(parts[1])
+        user, item = parts[0], parts[1]
+        users.append(share(user, user))
+        items.append(share(item, item))
         stamps.append(ts)
         tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
     if total and rejected / total > 0.10:
@@ -330,8 +344,11 @@ def _sample(user, history, target, ts, known):
     return SequenceSample(tuple(history.split(",")), target, user, ts, known)
 
 
-def _known_set(text):
-    return frozenset(text.split(",")) if text else frozenset()
+def _known_set(text, ids):
+    """The known set of a samples row; `ids` maps each item id to the one
+    string object the sets share for it."""
+    share = ids.setdefault
+    return frozenset([share(i, i) for i in text.split(",")]) if text else frozenset()
 
 
 def write_sample_files(split: SplitLog, out_dir):
@@ -356,10 +373,11 @@ def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
     out: dict[str, list[SequenceSample]] = {name: [] for name in PARTITIONS}
     lists = [out[name] for name in PARTITIONS]
     last: dict[str, tuple[str, frozenset[str]]] = {}  # user -> text, set
+    ids: dict[str, str] = {}
     for ts, user, part, history, target, known in _sample_rows(split):
         memo = last.get(user)
         if memo is None or memo[0] is not known:
-            memo = last[user] = (known, _known_set(known))
+            memo = last[user] = (known, _known_set(known, ids))
         lists[part].append(_sample(user, history, target, ts, memo[1]))
     return out
 
@@ -389,28 +407,48 @@ def write_samples(path, samples):
                            s.target_timestamp, ",".join(sorted(s.known_items))))
 
 
+def _checked(parts, lineno, path):
+    """The fields of a samples line, timestamp parsed, once the line is
+    checked: 5 fields, a history of HISTORY_LEN ids, an integer timestamp."""
+    if len(parts) != 5:
+        raise DataError(f"malformed sample line {lineno} in {path}")
+    length = parts[1].count(",") + 1
+    if length != HISTORY_LEN:
+        raise DataError(
+            f"sample line {lineno} in {path}: history length "
+            f"{length} != {HISTORY_LEN}"
+        )
+    parts[3] = parse_int(parts[3], "timestamp", lineno, path)
+    return parts
+
+
 def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
     """Samples from a samples TSV. With n, only the seeded draw of n of them:
     exactly sample_eval(read_samples(path), n, seed).
 
-    Every line is checked (5 fields, a history of HISTORY_LEN ids, an integer
-    timestamp); a SequenceSample is built only for the lines returned.
+    Every line is checked before any sample is returned. With n, a first
+    pass checks every line and keeps only its line number, and a second
+    splits only the drawn lines, so memory holds the draw, not the file.
+    The returned known sets share one string per item id.
     """
-    lines = []
-    for lineno, parts in rows(path, "samples"):
-        if len(parts) != 5:
-            raise DataError(f"malformed sample line {lineno} in {path}")
-        length = parts[1].count(",") + 1
-        if length != HISTORY_LEN:
-            raise DataError(
-                f"sample line {lineno} in {path}: history length "
-                f"{length} != {HISTORY_LEN}"
-            )
-        parts[3] = parse_int(parts[3], "timestamp", lineno, path)
-        lines.append(parts)
-    if n is not None:
-        lines = sample_eval(lines, n, seed)
-    return [_sample(user, hist, target, ts, _known_set(known))
+    if n is None:
+        lines = [_checked(parts, lineno, path) for lineno, parts in rows(path, "samples")]
+    else:
+        linenos = array("q")
+        for lineno, parts in rows(path, "samples"):
+            _checked(parts, lineno, path)
+            linenos.append(lineno)
+        slot = {lineno: k for k, lineno in enumerate(sample_eval(linenos, n, seed))}
+        lines = [None] * len(slot)
+        with open_input(path, "samples") as fh:
+            for lineno, line in enumerate(fh, 1):
+                k = slot.get(lineno)
+                if k is not None:
+                    lines[k] = _checked(line.rstrip("\n").split("\t"), lineno, path)
+        if None in lines:
+            raise DataError(f"samples file {path} changed while it was read")
+    ids: dict[str, str] = {}
+    return [_sample(user, hist, target, ts, _known_set(known, ids))
             for user, hist, target, ts, known in lines]
 
 

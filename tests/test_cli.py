@@ -13,7 +13,8 @@ from groundrec import cli, ingest, manifest
 from groundrec.collab import save_scorer
 from groundrec.embed import load_embeddings
 from groundrec.errors import DataError
-from groundrec.ingest import read_samples
+from groundrec.ground import L2_BLOCK
+from groundrec.ingest import read_samples, sample_eval
 from groundrec.metrics import read_report
 from groundrec.pop import read_popularity
 
@@ -871,6 +872,64 @@ class TestSampleInputErrors:
         assert self.main(argv) == 2
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
+
+
+class TestHeldOnceEdges:
+    """Edges of the readers that hold each large input once: the finiteness
+    check a block of rows at a time, the check-then-pick samples read and the
+    in-place --normalize."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("edges")
+        # two full blocks and a partial one
+        inter, cat = write_fixture(tmp_path, n_items=2 * L2_BLOCK + 7)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        run_ok(["embed", "--catalog", cat, "--dim", 4, "--seed", 1,
+                "--out", tmp_path / "emb.bin"])
+        return tmp_path, cat, out
+
+    @pytest.mark.parametrize("row", [L2_BLOCK - 1, 2 * L2_BLOCK + 6],
+                             ids=["last-row-of-full-block", "in-partial-block"])
+    def test_non_finite_row_exits_2(self, workspace, capsys, row):
+        tmp_path, cat, out = workspace
+        data = bytearray((tmp_path / "emb.bin").read_bytes())
+        struct.pack_into("<f", data, 8 + (row * 4 + 3) * 4, float("nan"))
+        bad = tmp_path / f"nan_{row}.bin"
+        bad.write_bytes(bytes(data))
+        assert cli.main([str(a) for a in (
+            "eval", "--test", out / "samples_test.tsv", "--catalog", cat,
+            "--emb", bad, "--seed", 1, "--sample-n", 5,
+            "--out", tmp_path / "r.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite embedding value in {bad}" in err and "Traceback" not in err
+
+    def test_bad_samples_line_after_last_drawn_line(self, workspace, capsys):
+        tmp_path, cat, out = workspace
+        lines = (out / "samples_test.tsv").read_text().splitlines()
+        assert max(sample_eval(range(len(lines)), 3, seed=2)) < len(lines) - 1
+        bad = tmp_path / "bad_tail.tsv"
+        bad.write_text("\n".join(lines + ["u\tb\t1\t"]) + "\n")
+        assert cli.main([str(a) for a in (
+            "eval", "--test", bad, "--catalog", cat, "--emb", tmp_path / "emb.bin",
+            "--seed", 2, "--sample-n", 3, "--out", tmp_path / "r.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed sample line {len(lines) + 1} in {bad}" in err
+
+    def test_embed_normalize_bytes_equal_dividing_a_copy(self, workspace):
+        import numpy as np
+
+        from groundrec.embed import hash_embed
+
+        tmp_path, cat, _ = workspace
+        run_ok(["embed", "--catalog", cat, "--dim", 8, "--seed", 4, "--normalize",
+                "--out", tmp_path / "norm.emb"])
+        catalog = ingest.parse_catalog(cat)
+        rows = np.vstack([hash_embed(catalog.title(i), 8, 4) for i in catalog.ids])
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        expected = np.divide(rows, norms, out=rows.copy(), where=norms > 0)
+        assert (tmp_path / "norm.emb").read_bytes()[8:] == expected.astype("<f4").tobytes()
 
 
 class TestSampleCountFlag:

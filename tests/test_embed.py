@@ -1,3 +1,4 @@
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import make_catalog
 from groundrec.embed import (
+    EmbeddingMatrix,
     HashEmbedder,
     embed_catalog,
     hash_embed,
@@ -15,6 +17,7 @@ from groundrec.embed import (
     save_embeddings_tsv,
 )
 from groundrec.errors import DataError
+from groundrec.ground import L2_BLOCK
 from groundrec.text import tokenize
 
 
@@ -79,6 +82,32 @@ class TestEmbedCatalog:
         mat = embed_catalog(small_catalog, HashEmbedder(dim=64, seed=9), normalize=True)
         norms = np.linalg.norm(mat.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-6)
+
+
+class TestFinitenessByBlock:
+    N = 2 * L2_BLOCK + 7  # two full blocks and a partial one
+
+    @pytest.mark.parametrize("row", [L2_BLOCK - 1, N - 1],
+                             ids=["last-row-of-full-block", "in-partial-block"])
+    def test_non_finite_in_any_block_raises(self, row):
+        vectors = np.zeros((self.N, 3), dtype=np.float32)
+        vectors[row, 2] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            EmbeddingMatrix(dim=3, vectors=vectors)
+
+
+class TestNormalizeInPlace:
+    def test_bytes_equal_dividing_a_copy(self):
+        titles = {f"m{k:04d}": f"long road volume {k % 31}" for k in range(L2_BLOCK + 40)}
+        titles["m0003"] = titles["m0700"] = "?!"  # no tokens: a zero row
+        cat = make_catalog(titles)
+        provider = HashEmbedder(dim=16, seed=5)
+        rows = np.vstack([hash_embed(cat.title(i), 16, 5) for i in cat.ids])
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        expected = np.divide(rows, norms, out=rows.copy(), where=norms > 0)
+        got = embed_catalog(cat, provider, normalize=True).vectors
+        assert got.tobytes() == expected.tobytes()
+        assert not got[cat.index_of["m0700"]].any()
 
 
 class TestMemoizedHashEmbedder:
@@ -167,6 +196,19 @@ class TestLoadEmbeddings:
         path.write_text("a\t1\t0\nb\t0\t1\t3\nc\t0\t1\n")
         with pytest.raises(DataError, match="dim mismatch"):
             load_embeddings_tsv(path, small_catalog)
+
+    def test_shuffled_tsv_bit_identical_to_grec(self, tmp_path):
+        cat = make_catalog({f"m{k:03d}": f"open field volume {k % 9}" for k in range(60)})
+        mat = embed_catalog(cat, HashEmbedder(dim=12, seed=4), normalize=True)
+        save_embeddings_bin(tmp_path / "emb.bin", mat)
+        save_embeddings_tsv(tmp_path / "emb.tsv", mat, cat)
+        lines = (tmp_path / "emb.tsv").read_text().splitlines(keepends=True)
+        random.Random(8).shuffle(lines)
+        (tmp_path / "shuffled.tsv").write_text("".join(lines))
+        loaded = load_embeddings(tmp_path / "shuffled.tsv", cat)
+        assert loaded.vectors.dtype == np.float32
+        assert (loaded.vectors.tobytes()
+                == load_embeddings(tmp_path / "emb.bin", cat).vectors.tobytes())
 
     def test_bad_magic_fatal(self, tmp_path, small_catalog):
         path = tmp_path / "emb.bin"
