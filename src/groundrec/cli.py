@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import manifest
 from .errors import DataError, UsageError, parse_int, rows
-from .metrics import improve2lv, metric_names, read_report, write_report
+from .metrics import aggregate, improve2lv, metric_names, read_report, write_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,6 +146,13 @@ def _fingerprint(args, input_digests):
     return fp
 
 
+def _check_gamma(args):
+    """A non-zero --gamma with --inject none would divide by no weights."""
+    if args.gamma != 0 and args.inject == "none":
+        raise UsageError(f"--gamma {args.gamma:g} needs --inject pop or collab: "
+                         "with --inject none there are no weights to divide by")
+
+
 def cmd_split(args):
     from .ingest import (
         parse_interactions,
@@ -261,6 +268,7 @@ def cmd_ground(args):
     if args.strategy == "bm25" and args.inject != "none":
         raise UsageError(f"--strategy bm25 cannot take --inject {args.inject}: "
                          "injection reweights min-max L2 distances, not BM25 scores")
+    _check_gamma(args)
     from .collab import load_scorer
     from .ground import BM25Index, bm25_rank, rank
     from .harness import Pipeline
@@ -309,24 +317,23 @@ def cmd_eval(args):
     if args.generator == "most-pop" and (args.inject != "none" or args.gamma != 0):
         raise UsageError("--generator most-pop ranks by popularity alone and "
                          "takes no --inject or --gamma")
+    _check_gamma(args)
     from .harness import evaluate, most_pop_baseline
     from .ingest import parse_catalog, read_samples
 
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.test, args.sample_n, args.seed)
     input_digests = manifest.digests(args)
-    fp = _fingerprint(args, input_digests)
     if args.generator == "most-pop":
-        report = most_pop_baseline(_train_fits(args, catalog)["pop"], samples, catalog,
-                                   fingerprint=fp)
+        positions = most_pop_baseline(_train_fits(args, catalog)["pop"], samples, catalog)
     else:
-        pipeline = _pipeline_from_args(args, catalog, args.gamma)
-        report, positions = evaluate(samples, pipeline, threads=args.threads,
-                                     fingerprint=fp, collect_positions=True)
-        if args.dump_ranks:
-            with open(args.dump_ranks, "w", encoding="utf-8") as fh:
-                for i, pos in enumerate(positions):
-                    fh.write(f"{i}\t{'skipped' if pos is None else pos}\n")
+        positions = evaluate(samples, _pipeline_from_args(args, catalog, args.gamma),
+                             threads=args.threads)
+    report = aggregate(positions, fingerprint=_fingerprint(args, input_digests))
+    if args.dump_ranks:
+        with open(args.dump_ranks, "w", encoding="utf-8") as fh:
+            for i, pos in enumerate(positions):
+                fh.write(f"{i}\t{'skipped' if pos is None else pos}\n")
     write_report(args.out, report, as_json=args.json)
     manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
@@ -443,7 +450,7 @@ def build_parser():
     p.add_argument("--catalog", type=manifest.InputPath, required=True)
     p.add_argument("--generator", default="oracle", choices=["oracle", "pop", "ngram"])
     p.add_argument("--train", type=manifest.InputPath, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--ngram-order", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -467,7 +474,7 @@ def build_parser():
     p.add_argument("--strategy", default="l2", choices=["l2", "bm25"])
     p.add_argument("--bm25-k1", type=_nonnegative, default=1.5)
     p.add_argument("--bm25-b", type=_unit_interval, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ground)
 

@@ -1,6 +1,7 @@
 """All-ranking evaluation: run generator -> embedder -> grounding over samples
-and aggregate HR@K / NDCG@K (metrics.aggregate), plus the Most-Pop baseline.
-Reports, their file format and Improve2LV live in metrics.
+and give each sample's target position, plus the Most-Pop baseline's. A
+position list is the one result of every ranking path; metrics.aggregate
+alone turns it into HR@K / NDCG@K, and metrics holds the report format.
 
 Pipeline is the one grounding path. ground ranks the top k for the text it
 is given through Pipeline.distances, weights and reweighted. eval and
@@ -29,7 +30,6 @@ from .ground import (
     target_position,
 )
 from .ingest import ItemCatalog, SequenceSample
-from .metrics import DEFAULT_KS, MetricsReport, aggregate
 
 
 class Pipeline:
@@ -112,20 +112,16 @@ def _target_position(pipeline, sample):
     return target_position(pipeline.reweighted(norm, weights), keep, target)
 
 
-def evaluate(samples, pipeline: Pipeline, ks=DEFAULT_KS, threads=1,
-             fingerprint=None, collect_positions=False):
-    """Mean HR@K / NDCG@K over samples; order- and thread-count-independent."""
-    positions = fan_out(lambda s: _target_position(pipeline, s), samples, threads)
-    report = aggregate(positions, ks, fingerprint)
-    if collect_positions:
-        return report, positions
-    return report
+def evaluate(samples, pipeline: Pipeline, threads=1):
+    """Each sample's target position (None where skipped), in sample order
+    for any thread count."""
+    return fan_out(lambda s: _target_position(pipeline, s), samples, threads)
 
 
-def most_pop_baseline(table, samples, catalog: ItemCatalog, ks=DEFAULT_KS,
-                      fingerprint=None) -> MetricsReport:
-    """Rank by global training popularity (PopularityTable.order), minus the
-    exclusions of Pipeline.candidates; an item's place stands in for its value."""
+def most_pop_baseline(table, samples, catalog: ItemCatalog):
+    """Target positions when ranking by global training popularity
+    (PopularityTable.order), minus the exclusions of Pipeline.candidates; an
+    item's place stands in for its value."""
     n = len(catalog)
     place = np.empty(n, dtype=np.int64)
     place[table.order()] = np.arange(n)
@@ -134,4 +130,4 @@ def most_pop_baseline(table, samples, catalog: ItemCatalog, ks=DEFAULT_KS,
     for sample in samples:
         found = pipeline.candidates(sample)
         positions.append(None if found is None else target_position(place, *found))
-    return aggregate(positions, ks, fingerprint)
+    return positions

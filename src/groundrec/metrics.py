@@ -1,5 +1,7 @@
 """Metric reports: HR@K / NDCG@K from target positions, the Improve2LV score,
-and the report file format that eval writes and report reads.
+and the report file format that eval writes and report reads. Every ranking
+path gives target positions; aggregate is the one place they become a
+report, and metric_names the one place the metric names are built.
 
 NDCG uses the single-relevant-item convention (IDCG = 1), so per sample it is
 1/log2(rank+1) when the target lands within K, else 0. This module imports
@@ -68,13 +70,9 @@ def improve2lv(report_a: MetricsReport, report_b: MetricsReport,
     if not (report_a.ks == report_b.ks == report_combined.ks):
         raise DataError("reports have mismatched K sets")
     out = {}
-    for kind in ("hr", "ndcg"):
-        for k in report_a.ks:
-            a = getattr(report_a, kind)[k]
-            b = getattr(report_b, kind)[k]
-            c = getattr(report_combined, kind)[k]
-            best = max(a, b)
-            out[f"{kind}@{k}"] = None if best == 0 else (c - best) / best
+    for name in metric_names(report_a.ks):
+        best = max(report_a.metric(name), report_b.metric(name))
+        out[name] = None if best == 0 else (report_combined.metric(name) - best) / best
     return out
 
 
@@ -94,10 +92,8 @@ def write_report(path, report: MetricsReport, as_json=False):
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(report.fingerprint):
             fh.write(f"# fingerprint: {key}={report.fingerprint[key]}\n")
-        for k in report.ks:
-            fh.write(f"hr@{k}\t{report.hr[k]:.10g}\n")
-        for k in report.ks:
-            fh.write(f"ndcg@{k}\t{report.ndcg[k]:.10g}\n")
+        for name in metric_names(report.ks):
+            fh.write(f"{name}\t{report.metric(name):.10g}\n")
         fh.write(f"n_samples\t{report.n_samples}\n")
         fh.write(f"skipped\t{report.skipped}\n")
 

@@ -12,17 +12,18 @@ Samples are prepared and swept CHUNK_SAMPLES at a time, so memory holds one
 chunk's distances and keep masks, plus one position per kept sample and
 gamma, however many samples there are. Each gamma's positions keep sample
 order, so the sums, and the sweep, equal those of one pass over all samples.
+metrics.aggregate turns each gamma's positions into a MetricsReport, as it
+does eval's; best and write_sweep read the reports by metric name.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from .errors import DataError
 from .ground import target_position
 from .harness import Pipeline, fan_out
-from .metrics import DEFAULT_KS, aggregate, metric_names
+from .metrics import aggregate, metric_names
 
 CHUNK_SAMPLES = 256
 
@@ -33,15 +34,9 @@ def gamma_grid():
     return fine + coarse
 
 
-@dataclass
-class SweepRow:
-    gamma: float
-    metrics: dict[str, float]  # metric name -> value, e.g. "ndcg@20"
-
-
-def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
-               grid=None, threads=1):
-    """Returns (best gamma, sweep table). Ties pick the smallest gamma."""
+def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, threads=1):
+    """Returns (best gamma, sweep table of (gamma, MetricsReport) rows). Ties
+    pick the smallest gamma."""
     if not samples:
         raise DataError("validation set is empty; cannot tune gamma")
     grid = gamma_grid() if grid is None else list(grid)
@@ -53,15 +48,10 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", ks=DEFAULT_KS,
         for positions, more in zip(kept, found):
             positions.extend(more)
 
-    table = []
-    for gamma, positions in zip(grid, kept):
-        report = aggregate(positions, ks)  # skipped samples change no mean
-        metrics = {f"hr@{k}": report.hr[k] for k in ks}
-        metrics.update({f"ndcg@{k}": report.ndcg[k] for k in ks})
-        table.append(SweepRow(gamma=gamma, metrics=metrics))
-
-    best = max(table, key=lambda row: (row.metrics[metric], -row.gamma))
-    return best.gamma, table
+    # skipped samples change no mean
+    table = [(gamma, aggregate(positions)) for gamma, positions in zip(grid, kept)]
+    best, _ = max(table, key=lambda row: (row[1].metric(metric), -row[0]))
+    return best, table
 
 
 def _sweep(prepared, grid, threads):
@@ -84,10 +74,10 @@ def _sweep(prepared, grid, threads):
     return fan_out(sweep_point, grid, threads)
 
 
-def write_sweep(path, table, ks=DEFAULT_KS):
-    names = metric_names(ks)
+def write_sweep(path, table):
+    names = metric_names()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gamma\t" + "\t".join(names) + "\n")
-        for row in table:
-            vals = "\t".join(f"{row.metrics[n]:.10g}" for n in names)
-            fh.write(f"{row.gamma:.10g}\t{vals}\n")
+        for gamma, report in table:
+            vals = "\t".join(f"{report.metric(n):.10g}" for n in names)
+            fh.write(f"{gamma:.10g}\t{vals}\n")

@@ -25,7 +25,7 @@ from groundrec.ground import (
 )
 from groundrec.harness import Pipeline, evaluate
 from groundrec.ingest import build_samples, temporal_split
-from groundrec.metrics import hr_from_rank, ndcg_from_rank
+from groundrec.metrics import aggregate, hr_from_rank, ndcg_from_rank
 from groundrec.pop import compute_popularity
 from groundrec.tune import gamma_grid
 
@@ -65,7 +65,7 @@ class TestCriterion1OracleRecovery:
         assert len(samples) == 200
         pipe = Pipeline(OracleEchoGenerator(catalog), provider, matrix, catalog)
         start = time.perf_counter()
-        report = evaluate(samples, pipe)
+        report = aggregate(evaluate(samples, pipe))
         elapsed = time.perf_counter() - start
         assert report.hr[1] == 1.0
         assert report.ndcg[1] == 1.0
@@ -221,7 +221,7 @@ class TestCriterion7NullModelCalibration:
             for k in range(n_samples)
         ]
         pipe = Pipeline(JunkGen(), provider, matrix, catalog)
-        report = evaluate(samples, pipe, threads=4)
+        report = aggregate(evaluate(samples, pipe, threads=4))
         p = 0.1
         margin = 2.576 * math.sqrt(p * (1 - p) / n_samples)
         assert abs(report.hr[10] - p) < margin, (
@@ -289,13 +289,13 @@ class TestCriterion10PopularityInjectionEffect:
 
         provider = HashEmbedder(dim=256, seed=21)
         matrix = embed_catalog(catalog, provider)
-        plain = evaluate(
+        plain = aggregate(evaluate(
             samples, Pipeline(JunkGen(), provider, matrix, catalog)
-        )
-        injected = evaluate(
+        ))
+        injected = aggregate(evaluate(
             samples,
             Pipeline(JunkGen(), provider, matrix, catalog, gamma=100.0, source=table),
-        )
+        ))
         assert injected.ndcg[20] > plain.ndcg[20]
         assert injected.hr[20] > plain.hr[20]
         gap_20 = injected.hr[20] - plain.hr[20]

@@ -15,7 +15,7 @@ from groundrec.embed import load_embeddings
 from groundrec.errors import DataError
 from groundrec.ground import L2_BLOCK
 from groundrec.ingest import read_samples, sample_eval
-from groundrec.metrics import read_report
+from groundrec.metrics import aggregate, read_report
 from groundrec.pop import read_popularity
 
 
@@ -119,8 +119,9 @@ class TestFlagValues:
         "embed": ["--catalog", "c.tsv", "--seed", "1"],
         "eval": ["--test", "s.tsv", "--catalog", "c.tsv", "--seed", "1"],
         "tune-gamma": ["--valid", "s.tsv", "--catalog", "c.tsv", "--seed", "1"],
-        "generate": ["--samples", "s.tsv", "--catalog", "c.tsv"],
-        "ground": ["--emb", "e.bin", "--gen", "g.tsv", "--catalog", "c.tsv"],
+        "generate": ["--samples", "s.tsv", "--catalog", "c.tsv", "--seed", "1"],
+        "ground": ["--emb", "e.bin", "--gen", "g.tsv", "--catalog", "c.tsv",
+                   "--seed", "1"],
     }
 
     @pytest.mark.parametrize("command, flags, message", [
@@ -154,6 +155,12 @@ class TestFlagValues:
         ("eval", ["--threads", "0"], "argument --threads: must be at least 1, got 0"),
         ("tune-gamma", ["--threads", "-3"],
          "argument --threads: must be at least 1, got -3"),
+        ("eval", ["--gamma", "2"], "--gamma 2 needs --inject pop or collab"),
+        ("eval", ["--inject", "none", "--gamma", "0.5"],
+         "--gamma 0.5 needs --inject pop or collab"),
+        ("ground", ["--gamma", "1"], "--gamma 1 needs --inject pop or collab"),
+        ("ground", ["--strategy", "bm25", "--gamma", "3"],
+         "--gamma 3 needs --inject pop or collab"),
     ])
     def test_usage_error(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "o.tsv"
@@ -162,6 +169,19 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["embed", "eval", "tune-gamma", "generate",
+                                         "ground"])
+    def test_seed_required(self, tmp_path, capsys, command):
+        """No command has a default seed: leaving --seed out is a usage error."""
+        out = tmp_path / "o.tsv"
+        required = self.REQUIRED[command]
+        at = required.index("--seed")
+        argv = [command, *required[:at], *required[at + 2:], "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --seed" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestPipelineCommands:
@@ -200,7 +220,7 @@ class TestPipelineCommands:
         run_ok(["embed", "--catalog", cat, "--dim", 64, "--seed", 17,
                 "--out", tmp_path / "emb.bin"])
         run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
-                "--generator", "oracle", "--out", tmp_path / "gen.tsv"])
+                "--generator", "oracle", "--seed", 17, "--out", tmp_path / "gen.tsv"])
         run_ok(["ground", "--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
                 "--catalog", cat, "--samples", out / "samples_test.tsv",
                 "--seed", 17, "--topk", 5, "--out", tmp_path / "ranks.tsv"])
@@ -219,10 +239,11 @@ class TestPipelineCommands:
         run_ok(["embed", "--catalog", cat, "--dim", 64, "--seed", 17,
                 "--out", tmp_path / "emb.bin"])
         run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
-                "--generator", "oracle", "--out", tmp_path / "gen.tsv"])
+                "--generator", "oracle", "--seed", 17, "--out", tmp_path / "gen.tsv"])
         run_ok(["ground", "--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
                 "--catalog", cat, "--samples", out / "samples_test.tsv",
-                "--strategy", "bm25", "--topk", 3, "--out", tmp_path / "bm25.tsv"])
+                "--strategy", "bm25", "--topk", 3, "--seed", 17,
+                "--out", tmp_path / "bm25.tsv"])
         assert (tmp_path / "bm25.tsv").read_text().splitlines()
 
     def test_collab_fit(self, workspace):
@@ -306,7 +327,7 @@ class TestImportsPerCommand:
             "help": ["--help"],
             "report": ["report", report, report, "--out", tmp_path / "compare.txt"],
         }.get(command, ["generate", "--samples", tmp_path / "samples_test.tsv",
-                        "--catalog", cat, "--generator", command,
+                        "--catalog", cat, "--generator", command, "--seed", 1,
                         "--train", tmp_path / "train.tsv", "--out", tmp_path / "gen.tsv"])
         package_root = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -491,7 +512,7 @@ class TestGroundInputErrors:
     def ground(self, tmp_path, cat, gen, *extra):
         return cli.main([str(a) for a in (
             "ground", "--emb", tmp_path / "emb.bin", "--gen", gen,
-            "--catalog", cat, "--out", tmp_path / "out.tsv", *extra)])
+            "--catalog", cat, "--seed", 1, "--out", tmp_path / "out.tsv", *extra)])
 
     def test_non_integer_sample_index(self, ground_inputs, capsys):
         tmp_path, cat, gen = ground_inputs
@@ -603,13 +624,13 @@ class TestGroundBm25:
         run_ok(["split", "--interactions", inter, "--out", out])
         gen = tmp_path / "gen.tsv"
         run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
-                "--generator", "oracle", "--out", gen])
+                "--generator", "oracle", "--seed", 1, "--out", gen])
         emb = tmp_path / "emb.bin"
         emb.write_bytes(b"not an embedding file\n")
         ranks = tmp_path / "bm25.tsv"
         run_ok(["ground", "--emb", emb, "--gen", gen, "--catalog", cat,
                 "--samples", out / "samples_test.tsv", "--strategy", "bm25",
-                "--topk", 3, "--out", ranks])
+                "--topk", 3, "--seed", 1, "--out", ranks])
         assert ranks.read_text().splitlines()
         assert f"input.emb={manifest.sha256_file(emb)}" in \
             (tmp_path / "bm25.tsv.manifest").read_text().splitlines()
@@ -681,7 +702,7 @@ class TestEvalInputs:
         inter, cat = write_fixture(tmp_path)
         out = tmp_path / "splits"
         run_ok(["split", "--interactions", inter, "--out", out])
-        samples = {"generate": ["--samples", out / "samples_test.tsv"],
+        samples = {"generate": ["--samples", out / "samples_test.tsv", "--seed", 3],
                    "eval": ["--test", out / "samples_test.tsv", "--seed", 3],
                    "tune-gamma": ["--valid", out / "samples_valid.tsv", "--seed", 3]}
         argv = [command, *samples[command], "--catalog", cat, *flags,
@@ -737,9 +758,9 @@ class TestReaderErrorsNameFileAndLine:
             "catalog": ["embed", "--catalog", path, "--seed", 1, "--out", out],
             "interactions": ["split", "--interactions", path, "--out", out],
             "emb": ["ground", "--emb", path, "--gen", gen, "--catalog", cat,
-                    "--out", out],
+                    "--seed", 1, "--out", out],
             "gen": ["ground", "--emb", emb, "--gen", path, "--catalog", cat,
-                    "--samples", samples, "--out", out],
+                    "--samples", samples, "--seed", 1, "--out", out],
         }[case]
         assert cli.main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
@@ -769,7 +790,7 @@ class TestManifestInputs:
         run_ok(["collab-fit", "--train", out / "train.tsv", "--catalog", cat,
                 "--out", tmp_path / "co.bin"])
         run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
-                "--out", tmp_path / "gen.tsv"])
+                "--seed", 3, "--out", tmp_path / "gen.tsv"])
         return tmp_path, inter, cat, out
 
     @pytest.mark.parametrize("command, extra", [
@@ -802,8 +823,9 @@ class TestManifestInputs:
             "popularity": ["--train", "{train}", "--catalog", cat],
             "embed": ["--catalog", cat, "--seed", 3],
             "collab-fit": ["--train", "{train}", "--catalog", cat],
-            "generate": ["--samples", "{test}", "--catalog", cat],
-            "ground": ["--emb", "{emb}", "--gen", root / "gen.tsv", "--catalog", cat],
+            "generate": ["--samples", "{test}", "--catalog", cat, "--seed", 3],
+            "ground": ["--emb", "{emb}", "--gen", root / "gen.tsv", "--catalog", cat,
+                       "--seed", 3],
             "eval": ["--test", "{test}", "--catalog", cat, "--seed", 3, "--dim", 16],
             "tune-gamma": ["--valid", out / "samples_valid.tsv", "--catalog", cat,
                            "--seed", 3, "--dim", 16],
@@ -860,9 +882,9 @@ class TestSampleInputErrors:
         args = {
             "eval": {"--test": out / "samples_test.tsv", "--seed": 3},
             "tune-gamma": {"--valid": out / "samples_valid.tsv", "--seed": 3},
-            "generate": {"--samples": out / "samples_test.tsv"},
+            "generate": {"--samples": out / "samples_test.tsv", "--seed": 3},
             "ground": {"--emb": tmp_path / "emb.bin", "--gen": gen,
-                       "--samples": out / "samples_test.tsv"},
+                       "--samples": out / "samples_test.tsv", "--seed": 1},
         }[command]
         missing = tmp_path / "absent" / "input.file"
         args[flag] = missing
@@ -1004,7 +1026,7 @@ class TestManifests:
                       "--out", tmp_path / "emb.bin"],
             "collab-fit": ["--train", train, "--catalog", cat,
                            "--out", tmp_path / "co.bin"],
-            "generate": ["--samples", test, "--catalog", cat,
+            "generate": ["--samples", test, "--catalog", cat, "--seed", 3,
                          "--out", tmp_path / "gen.tsv"],
             "ground": ["--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
                        "--catalog", cat, "--seed", 3, "--out", tmp_path / "ranks.tsv"],
@@ -1052,6 +1074,52 @@ class TestManifests:
         assert written[0] == written[1]
 
 
+class TestMostPopDumpRanks:
+    """eval --generator most-pop dumps its positions like every other generator,
+    and its report is aggregate() of exactly those positions."""
+
+    def test_positions_equal_brute_force_popularity_sort(self, tmp_path):
+        inter, cat = write_fixture(tmp_path)
+        lines = inter.read_text().splitlines()
+        t = int(lines[-1].split("\t")[2])
+        for u in range(8):  # late repeats land in test: skipped samples
+            first = next(l.split("\t")[1] for l in lines if l.startswith(f"u{u:03d}\t"))
+            t += 1
+            lines.append(f"u{u:03d}\t{first}\t{t}")
+        inter.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "splits"
+        test, train = out / "samples_test.tsv", out / "train.tsv"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        n_drawn = len(read_samples(test)) - 2
+        run_ok(["eval", "--test", test, "--catalog", cat, "--train", train,
+                "--generator", "most-pop", "--sample-n", n_drawn, "--seed", 5,
+                "--json", "--dump-ranks", tmp_path / "ranks.tsv",
+                "--out", tmp_path / "report.json"])
+
+        counts = {}
+        for line in train.read_text().splitlines():
+            item = line.split("\t")[1]
+            counts[item] = counts.get(item, 0) + 1
+        ids = sorted(l.split("\t")[0] for l in cat.read_text().splitlines())
+        expected = []
+        for sample in read_samples(test, n_drawn, 5):
+            if sample.target in sample.known_items:
+                expected.append("skipped")
+                continue
+            ranking = sorted((i for i in ids if i not in sample.known_items),
+                             key=lambda i: (-counts.get(i, 0), i))
+            expected.append(str(ranking.index(sample.target) + 1))
+        dumped = [line.split("\t") for line in
+                  (tmp_path / "ranks.tsv").read_text().splitlines()]
+        assert [i for i, _ in dumped] == [str(i) for i in range(n_drawn)]
+        assert [pos for _, pos in dumped] == expected
+        assert "skipped" in expected and len(set(expected)) > 2
+
+        report = read_report(tmp_path / "report.json")
+        positions = [None if pos == "skipped" else int(pos) for _, pos in dumped]
+        assert aggregate(positions, fingerprint=report.fingerprint) == report
+
+
 class TestGroundMatchesEval:
     """ground and eval rank through one path: the position ground lists for a
     sample's target is the position eval dumps, though ground reads its
@@ -1074,7 +1142,7 @@ class TestGroundMatchesEval:
         run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 3,
                 "--out", tmp_path / "emb.bin"])
         run_ok(["generate", "--samples", test, "--catalog", cat, "--train", train,
-                "--generator", generator, "--out", tmp_path / "gen.tsv"])
+                "--generator", generator, "--seed", 3, "--out", tmp_path / "gen.tsv"])
         run_ok(["ground", "--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
                 "--catalog", cat, "--samples", test, "--inject", inject,
                 source, files[source], "--gamma", 2, "--topk", 20, "--seed", 3,

@@ -260,7 +260,7 @@ class TestScorerIO:
         scorer.write_bytes(scorer.read_bytes()[:-1])
         argv = ["ground", "--emb", tmp_path / "emb.bin", "--gen", gen, "--catalog", cat,
                 "--samples", samples, "--inject", "collab", "--scorer", scorer,
-                "--gamma", "1", "--out", tmp_path / "ranks.tsv"]
+                "--gamma", "1", "--seed", "1", "--out", tmp_path / "ranks.tsv"]
         assert cli.main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert f"truncated scorer file {scorer}" in err and "Traceback" not in err

@@ -86,7 +86,7 @@ class TestEvaluate:
     def test_oracle_echo_perfect(self):
         log, catalog = synthetic_dataset()
         samples = build_samples(temporal_split(log))["test"]
-        report = evaluate(samples, oracle_pipeline(catalog))
+        report = aggregate(evaluate(samples, oracle_pipeline(catalog)))
         assert report.hr[1] == 1.0
         assert report.ndcg[1] == 1.0
 
@@ -111,7 +111,7 @@ class TestEvaluate:
 
         pipe = Pipeline(EchoGen(), FixedProvider(), FixedMatrix(), catalog)
         sample = make_sample(["a"], "c")  # target 'c' = farthest = rank 3
-        report = evaluate([sample], pipe)
+        report = aggregate(evaluate([sample], pipe))
         assert report.hr[5] == 1.0
         assert report.hr[1] == 0.0
         assert report.ndcg[5] == pytest.approx(0.5)
@@ -120,7 +120,7 @@ class TestEvaluate:
         log, catalog = synthetic_dataset()
         samples = build_samples(temporal_split(log))["test"]
         bad = make_sample(["i000"], "i000", known={"i000"})
-        report = evaluate(samples + [bad], oracle_pipeline(catalog))
+        report = aggregate(evaluate(samples + [bad], oracle_pipeline(catalog)))
         assert report.skipped == 1
         assert report.n_samples == len(samples)
 
@@ -128,16 +128,16 @@ class TestEvaluate:
         log, catalog = synthetic_dataset()
         samples = build_samples(temporal_split(log))["test"]
         pipe = oracle_pipeline(catalog)
-        a = evaluate(samples, pipe)
-        b = evaluate(list(reversed(samples)), pipe)
+        a = aggregate(evaluate(samples, pipe))
+        b = aggregate(evaluate(list(reversed(samples)), pipe))
         assert a.hr == b.hr and a.ndcg == b.ndcg
 
     def test_thread_count_invariance(self):
         log, catalog = synthetic_dataset()
         samples = build_samples(temporal_split(log))["test"]
         pipe = oracle_pipeline(catalog)
-        a = evaluate(samples, pipe, threads=1)
-        b = evaluate(samples, pipe, threads=8)
+        a = aggregate(evaluate(samples, pipe, threads=1))
+        b = aggregate(evaluate(samples, pipe, threads=8))
         assert a.hr == b.hr and a.ndcg == b.ndcg
 
     def test_exclusions_never_ranked(self):
@@ -155,7 +155,7 @@ class TestEvaluate:
         log, catalog = synthetic_dataset(n_users=6, n_items=15, events_per_user=5)
         samples = build_samples(temporal_split(log))["test"][:10]
         pipe = oracle_pipeline(catalog, dim=64)
-        report = evaluate(samples, pipe)
+        report = aggregate(evaluate(samples, pipe))
         positions = []
         for s in samples:
             if s.target in s.known_items:
@@ -199,23 +199,23 @@ class TestMostPopBaseline:
     def test_target_is_top_unseen(self):
         catalog, table = self.fixture({"a": 5, "b": 3, "c": 1})
         samples = [make_sample(["a"], "b", known={"a"})]
-        report = most_pop_baseline(table, samples, catalog)
+        report = aggregate(most_pop_baseline(table, samples, catalog))
         assert report.hr[1] == 1.0
 
     def test_least_popular_of_20_missed_at_10(self):
         counts = {f"i{k}": 20 - k for k in range(20)}
         catalog, table = self.fixture(counts, n_items=20)
         samples = [make_sample(["i0"], "i19")]
-        report = most_pop_baseline(table, samples, catalog)
+        report = aggregate(most_pop_baseline(table, samples, catalog))
         assert report.hr[10] == 0.0
 
     def test_uniform_popularity_canonical_order(self):
         # 5 items, all count 1 -> ranking = canonical index order
         catalog, table = self.fixture({f"i{k}": 1 for k in range(5)}, n_items=5)
         # target i2 with i0 known -> candidates (i1,i2,i3,i4), rank 2
-        report = most_pop_baseline(
+        report = aggregate(most_pop_baseline(
             table, [make_sample(["i0"], "i2", known={"i0"})], catalog
-        )
+        ))
         assert report.hr[1] == 0.0
         assert report.hr[3] == 1.0
         assert report.ndcg[3] == pytest.approx(1.0 / math.log2(3))

@@ -10,7 +10,7 @@ from groundrec.generate import GeneratedText, OracleEchoGenerator
 from groundrec.ground import exclusion_mask, target_position
 from groundrec.harness import Pipeline, evaluate
 from groundrec.ingest import build_samples, temporal_split
-from groundrec.metrics import aggregate
+from groundrec.metrics import aggregate, metric_names
 from groundrec.pop import compute_popularity
 from groundrec.tune import gamma_grid, tune_gamma, write_sweep
 
@@ -91,7 +91,7 @@ class TestTuneGamma:
         samples = [make_sample(["a"], "s", known={"a"}) for _ in range(5)]
         best, table = tune_gamma(samples, pipe, metric="ndcg@20",
                                  grid=[0.0, 1.0, 10.0, 100.0])
-        vals = [row.metrics["ndcg@20"] for row in table]
+        vals = [report.metric("ndcg@20") for _, report in table]
         assert vals == sorted(vals)  # monotone improvement along the grid
         assert vals[-1] > vals[-2]  # the top grid point is strictly best
         assert best == 100.0
@@ -108,13 +108,13 @@ class TestTuneGamma:
         samples = build_samples(split)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         _, table = tune_gamma(samples, pipe, grid=[0.0, 0.5, 7.0])
-        for row in table:
+        for gamma, report in table:
             fresh_pipe = pop_pipeline(catalog, split.train)
-            fresh_pipe.gamma = row.gamma
-            fresh = evaluate(samples, fresh_pipe)
+            fresh_pipe.gamma = gamma
+            fresh = aggregate(evaluate(samples, fresh_pipe))
             for k in (1, 3, 5, 10, 20):
-                assert row.metrics[f"ndcg@{k}"] == pytest.approx(fresh.ndcg[k])
-                assert row.metrics[f"hr@{k}"] == pytest.approx(fresh.hr[k])
+                assert report.metric(f"ndcg@{k}") == fresh.ndcg[k]
+                assert report.metric(f"hr@{k}") == fresh.hr[k]
 
     def test_determinism(self):
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
@@ -123,7 +123,7 @@ class TestTuneGamma:
         a = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         b = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         assert a[0] == b[0]
-        assert [r.metrics for r in a[1]] == [r.metrics for r in b[1]]
+        assert a[1] == b[1]
 
     def test_thread_invariance(self):
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
@@ -133,7 +133,7 @@ class TestTuneGamma:
         a = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=1)
         b = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=8)
         assert a[0] == b[0]
-        assert [r.metrics for r in a[1]] == [r.metrics for r in b[1]]
+        assert a[1] == b[1]
 
 
 def reference_sweep(samples, pipeline, grid):
@@ -174,8 +174,8 @@ class TestSweepMatchesPerPointInjection:
         pipe = Pipeline(OneTextGen(), provider, embed_catalog(catalog, provider),
                         catalog, source=fit(split.train, catalog))
         _, table = tune_gamma(samples, pipe, threads=threads)
-        assert [row.metrics for row in table] == reference_sweep(samples, pipe,
-                                                                 gamma_grid())
+        assert [{name: report.metric(name) for name in metric_names()}
+                for _, report in table] == reference_sweep(samples, pipe, gamma_grid())
 
     @pytest.mark.parametrize("injection", ["popularity", "collaborative"])
     @pytest.mark.parametrize("threads", [1, 3])
