@@ -1,7 +1,8 @@
 """Command-line surface wiring the modules into the experiment flow:
 split -> popularity -> embed -> generate -> ground -> eval -> tune-gamma.
 
-Exit codes: 0 success, 1 usage error, 2 data error. All randomness flows
+Exit codes: 0 success, 1 usage error (flags are checked, in _check_flags,
+before any input is opened), 2 data error. All randomness flows
 through explicit --seed flags; --threads (default 1, at least 1) never
 changes output bytes.
 
@@ -13,8 +14,8 @@ manifest, metrics); each cmd_* imports what it runs when it runs, so report,
 Each input is declared once. A flag that names a file the command reads has
 the argparse type InputPath, and the manifest (and eval's report
 fingerprint) hashes exactly those flags. --train is parsed and fitted by
-_train_fits alone, once per command. The catalog matrix (embed's too) and
-the query embedder of ground, eval and tune-gamma come from _embeddings.
+_train_fits alone, once per command. The catalog matrix is made only by
+embed; ground, eval and tune-gamma load it from --emb in _embeddings.
 """
 
 from __future__ import annotations
@@ -70,21 +71,26 @@ def _unit_interval(text):
     return value
 
 
-def _train_fits(args, catalog):
-    """The weight sources fitted on --train that the flags ask for, by kind:
-    "pop" (a PopularityTable) for --generator pop|most-pop and --inject pop,
-    "collab" (a CoScorer) for --inject collab. --train is parsed once, and
-    only when one of them is asked for; it is hashed as an input either way."""
+def _train_needs(args):
+    """The weight sources to fit on --train that the flags ask for, by kind,
+    each with the first flag that asks for it: "pop" for --generator
+    pop|most-pop and --inject pop, "collab" for --inject collab."""
     inject = getattr(args, "inject", "none")
-    needs = {}  # kind -> the first flag that asks for it
+    needs = {}
     if args.generator in ("pop", "most-pop"):
         needs["pop"] = f"--generator {args.generator}"
     if inject != "none":
         needs.setdefault(inject, f"--inject {inject}")
+    return needs
+
+
+def _train_fits(args, catalog):
+    """The weight sources _train_needs names, fitted: a PopularityTable for
+    "pop", a CoScorer for "collab". --train is parsed once, and only when one
+    of them is asked for; it is hashed as an input either way."""
+    needs = _train_needs(args)
     if not needs:
         return {}
-    if not args.train:
-        raise UsageError(f"{next(iter(needs.values()))} requires --train")
     from .collab import fit_cooccurrence
     from .ingest import parse_interactions
     from .pop import compute_popularity
@@ -111,16 +117,12 @@ def _make_generator(args, catalog, fits):
 
 
 def _embeddings(args, catalog):
-    """(catalog matrix, query embedder): the --emb file, or without one (as
-    in embed) the catalog hash-embedded at --dim with --normalize; queries
-    are hash-embedded at the matrix's dim with --seed."""
-    from .embed import HashEmbedder, embed_catalog, load_embeddings
+    """(catalog matrix, query embedder): the --emb file, and queries
+    hash-embedded at its dim with --seed."""
+    from .embed import HashEmbedder, load_embeddings
 
-    if getattr(args, "emb", None):
-        mat = load_embeddings(args.emb, catalog)
-        return mat, HashEmbedder(dim=mat.dim, seed=args.seed)
-    provider = HashEmbedder(dim=args.dim, seed=args.seed)
-    return embed_catalog(catalog, provider, normalize=args.normalize), provider
+    mat = load_embeddings(args.emb, catalog)
+    return mat, HashEmbedder(dim=mat.dim, seed=args.seed)
 
 
 def _pipeline_from_args(args, catalog, gamma=0.0):
@@ -146,11 +148,34 @@ def _fingerprint(args, input_digests):
     return fp
 
 
-def _check_gamma(args):
-    """A non-zero --gamma with --inject none would divide by no weights."""
-    if args.gamma != 0 and args.inject == "none":
-        raise UsageError(f"--gamma {args.gamma:g} needs --inject pop or collab: "
+def _check_flags(args):
+    """Refuse, with exit 1 and before any file is opened, flags that no
+    input could make work: conflicting flags, and an input flag the others
+    require."""
+    command, inject = args.command, getattr(args, "inject", "none")
+    gamma = getattr(args, "gamma", 0.0)
+    if command == "ground" and args.strategy == "bm25" and inject != "none":
+        raise UsageError(f"--strategy bm25 cannot take --inject {inject}: "
+                         "injection reweights min-max L2 distances, not BM25 scores")
+    most_pop = command == "eval" and args.generator == "most-pop"
+    if most_pop and (inject != "none" or gamma != 0):
+        raise UsageError("--generator most-pop ranks by popularity alone and "
+                         "takes no --inject or --gamma")
+    if gamma != 0 and inject == "none":  # it would divide by no weights
+        raise UsageError(f"--gamma {gamma:g} needs --inject pop or collab: "
                          "with --inject none there are no weights to divide by")
+    if command == "ground":
+        if inject == "pop" and not args.popularity:
+            raise UsageError("--inject pop requires --popularity")
+        if inject == "collab" and not (args.scorer and args.samples):
+            raise UsageError("--inject collab requires --scorer and --samples")
+    elif command in ("generate", "eval", "tune-gamma"):
+        needs = _train_needs(args)
+        if needs and not args.train:
+            raise UsageError(f"{next(iter(needs.values()))} requires --train")
+        if command != "generate" and args.generator != "most-pop" and not args.emb:
+            raise UsageError(f"--generator {args.generator} requires --emb, the "
+                             "catalog matrix that embed writes with the same --seed")
 
 
 def cmd_split(args):
@@ -208,11 +233,12 @@ def cmd_popularity(args):
 
 
 def cmd_embed(args):
-    from .embed import save_embeddings_bin, save_embeddings_tsv
+    from .embed import HashEmbedder, embed_catalog, save_embeddings_bin, save_embeddings_tsv
     from .ingest import parse_catalog
 
     catalog = parse_catalog(args.catalog)
-    mat, _ = _embeddings(args, catalog)
+    mat = embed_catalog(catalog, HashEmbedder(dim=args.dim, seed=args.seed),
+                        normalize=args.normalize)
     if str(args.out).endswith(".tsv"):
         save_embeddings_tsv(args.out, mat, catalog)
     else:
@@ -265,10 +291,6 @@ def _read_generated(path, n_samples=None):
 
 
 def cmd_ground(args):
-    if args.strategy == "bm25" and args.inject != "none":
-        raise UsageError(f"--strategy bm25 cannot take --inject {args.inject}: "
-                         "injection reweights min-max L2 distances, not BM25 scores")
-    _check_gamma(args)
     from .collab import load_scorer
     from .ground import BM25Index, bm25_rank, rank
     from .harness import Pipeline
@@ -280,12 +302,8 @@ def cmd_ground(args):
     queries = _read_generated(args.gen, None if samples is None else len(samples))
     source = None
     if args.inject == "pop":
-        if not args.popularity:
-            raise UsageError("--inject pop requires --popularity")
         source = read_popularity(args.popularity, catalog)
     elif args.inject == "collab":
-        if not (args.scorer and args.samples):
-            raise UsageError("--inject collab requires --scorer and --samples")
         source = load_scorer(args.scorer, len(catalog))
     if args.strategy == "bm25":  # --emb is hashed into the manifest, never read
         pipeline = None
@@ -314,10 +332,6 @@ def cmd_ground(args):
 
 
 def cmd_eval(args):
-    if args.generator == "most-pop" and (args.inject != "none" or args.gamma != 0):
-        raise UsageError("--generator most-pop ranks by popularity alone and "
-                         "takes no --inject or --gamma")
-    _check_gamma(args)
     from .harness import evaluate, most_pop_baseline
     from .ingest import parse_catalog, read_samples
 
@@ -334,7 +348,7 @@ def cmd_eval(args):
         with open(args.dump_ranks, "w", encoding="utf-8") as fh:
             for i, pos in enumerate(positions):
                 fh.write(f"{i}\t{'skipped' if pos is None else pos}\n")
-    write_report(args.out, report, as_json=args.json)
+    write_report(args.out, report)
     manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
         print(f"hr@{k}={report.hr[k]:.4f} ndcg@{k}={report.ndcg[k]:.4f}")
@@ -406,14 +420,12 @@ def _add_pipeline_flags(p, samples_flag, generators):
                    help="samples TSV emitted by the split command")
     p.add_argument("--catalog", type=manifest.InputPath, required=True)
     p.add_argument("--emb", type=manifest.InputPath, default=None,
-                   help="embedding file (TSV or GREC binary); omit to hash-embed")
+                   help="catalog matrix written by embed; all but most-pop read it")
     p.add_argument("--train", type=manifest.InputPath, default=None,
                    help="training interactions (for pop/collab injection)")
     p.add_argument("--generator", default="oracle", choices=generators)
     p.add_argument("--inject", default="none", choices=["collab", "none", "pop"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=_positive_int, default=256)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--ngram-order", type=_positive_int, default=1)
     p.add_argument("--sample-n", type=_positive_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
@@ -482,7 +494,6 @@ def build_parser():
     _add_pipeline_flags(p, "--test", ["oracle", "pop", "ngram", "most-pop"])
     p.add_argument("--gamma", type=_nonnegative, default=0.0)
     p.add_argument("--dump-ranks", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tune-gamma", help="gamma grid search on validation")
@@ -501,8 +512,8 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _check_flags(args)
     return args.func(args)
 
 

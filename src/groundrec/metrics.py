@@ -1,7 +1,8 @@
 """Metric reports: HR@K / NDCG@K from target positions, the Improve2LV score,
-and the report file format that eval writes and report reads. Every ranking
-path gives target positions; aggregate is the one place they become a
-report, and metric_names the one place the metric names are built.
+and the report file, which has one format: the text that eval writes and
+report reads strictly. Every ranking path gives target positions; aggregate
+is the one place they become a report, and metric_names the one place the
+metric names are built.
 
 NDCG uses the single-relevant-item convention (IDCG = 1), so per sample it is
 1/log2(rank+1) when the target lands within K, else 0. This module imports
@@ -10,7 +11,6 @@ no numpy, so the report command and argument parsing do not load it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -76,19 +76,7 @@ def improve2lv(report_a: MetricsReport, report_b: MetricsReport,
     return out
 
 
-def write_report(path, report: MetricsReport, as_json=False):
-    if as_json:
-        payload = {
-            "fingerprint": report.fingerprint,
-            "hr": {str(k): v for k, v in report.hr.items()},
-            "ndcg": {str(k): v for k, v in report.ndcg.items()},
-            "n_samples": report.n_samples,
-            "skipped": report.skipped,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return
+def write_report(path, report: MetricsReport):
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(report.fingerprint):
             fh.write(f"# fingerprint: {key}={report.fingerprint[key]}\n")
@@ -99,77 +87,58 @@ def write_report(path, report: MetricsReport, as_json=False):
 
 
 def read_report(path) -> MetricsReport:
-    """A report as write_report writes it, text or JSON. Anything else is a
-    DataError naming the file, and the line where there is one."""
+    """A report as write_report writes it. Anything else is a DataError
+    naming the file, and the line where there is one: a line that is not a
+    fingerprint, a metric or a count, a key given twice, a missing n_samples
+    or skipped, or hr@K and ndcg@K lines that do not give the same K set."""
     with open_input(path, "report") as fh:
         content = fh.read()
-    if content.lstrip().startswith("{"):
-        return _json_report(content, path)
-    hr = {}
-    ndcg = {}
+    tables = {"hr": {}, "ndcg": {}}
     fingerprint = {}
-    counts = {"n_samples": 0, "skipped": 0}
+    counts = {}
+    first_line = {}  # each key read -> the line that gave it
     for lineno, line in enumerate(content.splitlines(), 1):
-        if line.startswith("# fingerprint: "):
-            key, _, val = line[len("# fingerprint: "):].partition("=")
-            fingerprint[key] = val
-            continue
-        if not line or line.startswith("#"):
-            continue
-        name, _, val = line.partition("\t")
         where = f"at line {lineno} in report file {path}"
-        kind, _, k = name.partition("@")
-        if name in counts:
-            counts[name] = _report_number(val, int, name, where)
-        elif kind in ("hr", "ndcg") and k:
-            table = hr if kind == "hr" else ndcg
-            table[_report_number(k, int, "K", where)] = _report_number(val, float, name,
-                                                                        where)
+        if line.startswith("# fingerprint: "):
+            key, _, value = line[len("# fingerprint: "):].partition("=")
+            table, name = fingerprint, f"fingerprint {key}"
+        elif not line or line.startswith("#"):
+            continue
         else:
-            raise DataError(f"unrecognized report line {line!r} {where}")
+            name, _, text = line.partition("\t")
+            kind, _, k = name.partition("@")
+            if name in ("n_samples", "skipped"):
+                table, key, value = counts, name, _report_number(text, int, name, where)
+            elif kind in tables and k:
+                key = _report_number(k, int, "K", where)
+                table, name = tables[kind], f"{kind}@{key}"
+                value = _report_number(text, float, name, where)
+            else:
+                raise DataError(f"unrecognized report line {line[:80]!r} {where}")
+        if name in first_line:
+            raise DataError(f"{name} is given twice, at lines {first_line[name]} "
+                            f"and {lineno} in report file {path}")
+        first_line[name] = lineno
+        table[key] = value
+    for name in ("n_samples", "skipped"):
+        if name not in counts:
+            raise DataError(f"report file {path} has no {name} line")
+    hr, ndcg = tables["hr"], tables["ndcg"]
+    if not hr or hr.keys() != ndcg.keys():
+        raise DataError(f"report file {path} gives hr@K for K in {sorted(hr)} but "
+                        f"ndcg@K for K in {sorted(ndcg)}; both need the same K, at least one")
     return MetricsReport(hr=hr, ndcg=ndcg, fingerprint=fingerprint, **counts)
 
 
-def _json_report(content, path) -> MetricsReport:
+def _report_number(text, kind, what, where):
+    """text from a report line as an int (kind int) or a finite float (kind
+    float); a DataError otherwise."""
     try:
-        payload = json.loads(content)
-    except json.JSONDecodeError as e:
-        raise DataError(f"report file {path} is not valid JSON: {e.msg} "
-                        f"at line {e.lineno}") from None
-    except RecursionError:
-        raise DataError(f"report file {path} nests JSON too deeply") from None
-    where = f"in report file {path}"
-    tables = {}
-    for kind in ("hr", "ndcg"):
-        table = payload.get(kind)
-        if not isinstance(table, dict):
-            raise DataError(f"{kind!r} must map K to a metric value {where}")
-        tables[kind] = {_report_number(k, int, f"{kind} K", where):
-                        _report_number(v, float, f"{kind}@{k}", where)
-                        for k, v in table.items()}
-    fingerprint = payload.get("fingerprint", {})
-    if not (isinstance(fingerprint, dict)
-            and all(isinstance(v, str) for v in fingerprint.values())):
-        raise DataError(f"'fingerprint' must map names to strings {where}")
-    if "n_samples" not in payload:
-        raise DataError(f"no 'n_samples' {where}")
-    return MetricsReport(
-        **tables,
-        n_samples=_report_number(payload["n_samples"], int, "n_samples", where),
-        skipped=_report_number(payload.get("skipped", 0), int, "skipped", where),
-        fingerprint=fingerprint,
-    )
-
-
-def _report_number(value, kind, what, where):
-    """value, a str from a text report or a JSON value, as an int (kind int)
-    or a finite float (kind float); a DataError otherwise."""
-    if type(value) in ((str, int) if kind is int else (str, int, float)):
-        try:
-            number = kind(value)
-        except (ValueError, OverflowError):
-            number = None
-        if number is not None and (kind is int or math.isfinite(number)):
+        number = kind(text)
+    except ValueError:
+        pass
+    else:
+        if kind is int or math.isfinite(number):
             return number
     noun = "an integer" if kind is int else "a finite number"
-    raise DataError(f"{what} {value!r} is not {noun} {where}")
+    raise DataError(f"{what} {text!r} is not {noun} {where}")

@@ -368,6 +368,9 @@ class TestCriterion12CliDeterminism:
                  "--out", d / "popularity.tsv", "--deciles", d / "deciles.tsv"],
                 ["embed", "--catalog", cat, "--dim", 64, "--seed", 17,
                  "--out", d / "emb.bin"],
+                # eval and tune-gamma run at seed 3, so they read a seed-3 matrix
+                ["embed", "--catalog", cat, "--dim", 64, "--seed", 3,
+                 "--out", d / "emb_seed3.bin"],
                 ["generate", "--samples", d / "sp" / "samples_test.tsv",
                  "--catalog", cat, "--generator", "ngram", "--seed", 5,
                  "--out", d / "gen.tsv"],
@@ -377,13 +380,15 @@ class TestCriterion12CliDeterminism:
                  "--catalog", cat, "--samples", d / "sp" / "samples_test.tsv",
                  "--seed", 17, "--topk", 5, "--out", d / "ranks.tsv"],
                 ["eval", "--test", d / "sp" / "samples_test.tsv", "--catalog", cat,
+                 "--emb", d / "emb_seed3.bin",
                  "--train", d / "sp" / "train.tsv", "--generator", "oracle",
-                 "--inject", "pop", "--gamma", 0.5, "--seed", 3, "--dim", 64,
+                 "--inject", "pop", "--gamma", 0.5, "--seed", 3,
                  "--threads", threads, "--out", d / "report.tsv"],
                 ["tune-gamma", "--valid", d / "sp" / "samples_valid.tsv",
-                 "--catalog", cat, "--train", d / "sp" / "train.tsv",
+                 "--catalog", cat, "--emb", d / "emb_seed3.bin",
+                 "--train", d / "sp" / "train.tsv",
                  "--generator", "oracle", "--inject", "pop", "--seed", 3,
-                 "--dim", 64, "--threads", threads, "--out", d / "sweep.tsv"],
+                 "--threads", threads, "--out", d / "sweep.tsv"],
             ]
             for argv in argvs:
                 assert cli.run([str(a) for a in argv]) == 0

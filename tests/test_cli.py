@@ -15,7 +15,7 @@ from groundrec.embed import load_embeddings
 from groundrec.errors import DataError
 from groundrec.ground import L2_BLOCK
 from groundrec.ingest import read_samples, sample_eval
-from groundrec.metrics import aggregate, read_report
+from groundrec.metrics import aggregate, read_report, write_report
 from groundrec.pop import read_popularity
 
 
@@ -39,6 +39,13 @@ def write_fixture(tmp_path, n_users=30, n_items=20, events_per_user=8, seed=13):
 
 def run_ok(argv):
     assert cli.run([str(a) for a in argv]) == 0
+
+
+def embed(cat, path, dim, seed):
+    """Write the catalog matrix that eval and tune-gamma read with --emb;
+    seed must be the --seed of the command that reads it."""
+    run_ok(["embed", "--catalog", cat, "--dim", dim, "--seed", seed, "--out", path])
+    return path
 
 
 class TestSplitCommand:
@@ -126,7 +133,7 @@ class TestFlagValues:
 
     @pytest.mark.parametrize("command, flags, message", [
         ("embed", ["--dim", "0"], "argument --dim: must be at least 1, got 0"),
-        ("eval", ["--dim", "-2"], "argument --dim: must be at least 1, got -2"),
+        ("eval", [], "--generator oracle requires --emb"),
         ("eval", ["--ngram-order", "0"],
          "argument --ngram-order: must be at least 1, got 0"),
         ("generate", ["--ngram-order", "0"],
@@ -161,6 +168,19 @@ class TestFlagValues:
         ("ground", ["--gamma", "1"], "--gamma 1 needs --inject pop or collab"),
         ("ground", ["--strategy", "bm25", "--gamma", "3"],
          "--gamma 3 needs --inject pop or collab"),
+        ("eval", ["--generator", "ngram", "--emb", ""], "--generator ngram requires --emb"),
+        ("tune-gamma", ["--inject", "pop"], "--inject pop requires --train"),
+        ("tune-gamma", ["--train", "t.tsv"], "--generator oracle requires --emb"),
+        ("eval", ["--inject", "pop", "--emb", "e.bin"], "--inject pop requires --train"),
+        ("eval", ["--generator", "most-pop"], "--generator most-pop requires --train"),
+        ("tune-gamma", ["--inject", "collab", "--emb", "e.bin"],
+         "--inject collab requires --train"),
+        ("generate", ["--generator", "pop"], "--generator pop requires --train"),
+        ("ground", ["--inject", "pop", "--gamma", "1"], "--inject pop requires --popularity"),
+        ("ground", ["--inject", "collab", "--gamma", "1", "--scorer", "co.bin"],
+         "--inject collab requires --scorer and --samples"),
+        ("ground", ["--inject", "collab", "--gamma", "1", "--samples", "s.tsv"],
+         "--inject collab requires --scorer and --samples"),
     ])
     def test_usage_error(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "o.tsv"
@@ -254,8 +274,9 @@ class TestPipelineCommands:
 
     def test_eval_oracle_perfect(self, workspace):
         tmp_path, inter, cat, out = workspace
+        emb = embed(cat, tmp_path / "emb.bin", 128, 3)
         run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
-                "--generator", "oracle", "--seed", 3, "--dim", 128,
+                "--emb", emb, "--generator", "oracle", "--seed", 3,
                 "--out", tmp_path / "report.tsv"])
         report = read_report(tmp_path / "report.tsv")
         assert report.hr[1] == 1.0
@@ -263,10 +284,11 @@ class TestPipelineCommands:
 
     def test_eval_injection_modes(self, workspace):
         tmp_path, inter, cat, out = workspace
+        emb = embed(cat, tmp_path / "emb.bin", 64, 3)
         for inject in ("pop", "collab"):
             run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
-                    "--train", out / "train.tsv", "--generator", "oracle",
-                    "--inject", inject, "--gamma", 0.5, "--seed", 3, "--dim", 64,
+                    "--emb", emb, "--train", out / "train.tsv", "--generator", "oracle",
+                    "--inject", inject, "--gamma", 0.5, "--seed", 3,
                     "--out", tmp_path / f"report_{inject}.tsv"])
             report = read_report(tmp_path / f"report_{inject}.tsv")
             assert 0.0 <= report.ndcg[20] <= 1.0
@@ -279,24 +301,18 @@ class TestPipelineCommands:
         report = read_report(tmp_path / "mp.tsv")
         assert report.n_samples > 0
         run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
-                "--generator", "ngram", "--seed", 3, "--dim", 64,
+                "--emb", embed(cat, tmp_path / "emb.bin", 64, 3),
+                "--generator", "ngram", "--seed", 3,
                 "--dump-ranks", tmp_path / "ranks.dump",
                 "--out", tmp_path / "ng.tsv"])
         assert (tmp_path / "ranks.dump").read_text().splitlines()
 
-    def test_eval_json_report(self, workspace):
-        tmp_path, inter, cat, out = workspace
-        run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
-                "--generator", "oracle", "--seed", 3, "--dim", 64, "--json",
-                "--out", tmp_path / "report.json"])
-        report = read_report(tmp_path / "report.json")
-        assert report.hr[1] == 1.0
-
     def test_tune_gamma_sweep(self, workspace):
         tmp_path, inter, cat, out = workspace
         run_ok(["tune-gamma", "--valid", out / "samples_valid.tsv", "--catalog", cat,
+                "--emb", embed(cat, tmp_path / "emb.bin", 64, 3),
                 "--train", out / "train.tsv", "--generator", "oracle",
-                "--inject", "pop", "--seed", 3, "--dim", 64,
+                "--inject", "pop", "--seed", 3,
                 "--metric", "ndcg@20", "--out", tmp_path / "sweep.tsv"])
         lines = (tmp_path / "sweep.tsv").read_text().splitlines()
         assert len(lines) == 201  # header + 200 grid points
@@ -322,7 +338,7 @@ class TestImportsPerCommand:
         inter, cat = write_fixture(tmp_path)
         run_ok(["split", "--interactions", inter, "--out", tmp_path])
         report = tmp_path / "report.tsv"
-        report.write_text("hr@1\t0.5\nndcg@1\t0.5\nn_samples\t2\n")
+        report.write_text("hr@1\t0.5\nndcg@1\t0.5\nn_samples\t2\nskipped\t0\n")
         argv = {
             "help": ["--help"],
             "report": ["report", report, report, "--out", tmp_path / "compare.txt"],
@@ -402,18 +418,33 @@ class TestReportCommand:
         ("hr@1\tnan\n", "hr@1 'nan' is not a finite number at line 1 in report file"),
         ("n_samples\t1.5\n", "n_samples '1.5' is not an integer at line 1 in report file"),
         ("mrr@1\t0.5\n", "unrecognized report line 'mrr@1\\t0.5' at line 1 in report file"),
-        ('{"hr": 1}', "'hr' must map K to a metric value in report file"),
-        ('{"hr": {"x": 1}, "ndcg": {}}', "hr K 'x' is not an integer in report file"),
-        ('{"hr": {"1": "a"}, "ndcg": {}}', "hr@1 'a' is not a finite number in report file"),
-        ('{"hr": {}, "ndcg": {"1": true}}', "ndcg@1 True is not a finite number in report"),
-        ('{"hr": {}, "ndcg": {}}', "no 'n_samples' in report file"),
-        ('{"hr": {}, "ndcg": {}, "n_samples": 2.5}', "n_samples 2.5 is not an integer"),
-        ('{"hr": {}, "ndcg": {}, "n_samples": 1, "fingerprint": 3}',
-         "'fingerprint' must map names to strings in report file"),
-        ('{"hr": {},\n bad json', "is not valid JSON: Expecting property name enclosed "
-                                   "in double quotes at line 2"),
-        pytest.param('{"hr": ' + "[" * 100_000 + "]" * 100_000 + "}", "nests JSON too deeply",
-                     id="deeply-nested-json"),
+        pytest.param("hr@1\t0.5\nn_samples\t2\n", "has no skipped line",
+                     id="hr-and-n-samples-only"),
+        pytest.param("hr@1\t0.5\nn_samples\t2\nskipped\t0\n",
+                     "gives hr@K for K in [1] but ndcg@K for K in []; both need the same K",
+                     id="hr-without-ndcg"),
+        pytest.param("hr@1\t0.5\nndcg@3\t0.5\nn_samples\t2\nskipped\t0\n",
+                     "gives hr@K for K in [1] but ndcg@K for K in [3]", id="k-sets-differ"),
+        pytest.param("n_samples\t2\nskipped\t0\n",
+                     "gives hr@K for K in [] but ndcg@K for K in []", id="no-metric-line"),
+        pytest.param("hr@1\t0.5\nndcg@1\t0.5\nn_samples\t2\n", "has no skipped line",
+                     id="no-skipped"),
+        pytest.param("hr@1\t0.5\nndcg@1\t0.5\nskipped\t0\n", "has no n_samples line",
+                     id="no-n-samples"),
+        pytest.param("", "has no n_samples line", id="empty-file"),
+        pytest.param("hr@1\t0.5\nndcg@1\t0.5\nhr@1\t0.7\nn_samples\t2\nskipped\t0\n",
+                     "hr@1 is given twice, at lines 1 and 3 in report file",
+                     id="metric-repeated"),
+        pytest.param("hr@5\t0.5\nhr@05\t0.5\n", "hr@5 is given twice, at lines 1 and 2",
+                     id="metric-repeated-as-another-k-spelling"),
+        pytest.param("n_samples\t2\n# note\nn_samples\t2\n",
+                     "n_samples is given twice, at lines 1 and 3", id="count-repeated"),
+        pytest.param("# fingerprint: seed=1\n# fingerprint: seed=2\n",
+                     "fingerprint seed is given twice, at lines 1 and 2",
+                     id="fingerprint-key-repeated"),
+        # JSON is no report format: it is an unrecognized line like any other
+        pytest.param('{"hr": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                     "unrecognized report line '{\"hr\": [[[[", id="deeply-nested-json"),
     ])
     def test_malformed_report_exits_2(self, tmp_path, capsys, content, message):
         good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
@@ -456,13 +487,15 @@ class TestDeterminism:
     def test_threads_do_not_change_output(self, tmp_path):
         inter, cat = write_fixture(tmp_path)
         run_ok(["split", "--interactions", inter, "--out", tmp_path / "splits"])
+        emb = embed(cat, tmp_path / "emb.bin", 64, 3)
         reports = {}
         for threads in (1, 8):
             out = tmp_path / f"report_{threads}.tsv"
             run_ok(["eval", "--test", tmp_path / "splits" / "samples_test.tsv",
-                    "--catalog", cat, "--train", tmp_path / "splits" / "train.tsv",
+                    "--catalog", cat, "--emb", emb,
+                    "--train", tmp_path / "splits" / "train.tsv",
                     "--generator", "oracle", "--inject", "pop", "--gamma", 0.3,
-                    "--seed", 3, "--dim", 64, "--threads", threads,
+                    "--seed", 3, "--threads", threads,
                     "--out", out])
             reports[threads] = out.read_bytes()
         assert reports[1] == reports[8]
@@ -483,12 +516,12 @@ class TestThreadsOnBothDistancePaths:
                 for k in range(30)))
             split = tmp_path / "splits"
             run_ok(["split", "--interactions", inter, "--out", split])
+            emb = embed(cat, tmp_path / f"emb_{titles}.bin", 32, 5)
             for threads in (1, 8):
                 d = tmp_path / f"{titles}_{threads}"
                 d.mkdir()
-                common = ["--catalog", cat, "--train", split / "train.tsv",
-                          "--generator", "ngram", "--seed", 5, "--dim", 32,
-                          "--threads", threads]
+                common = ["--catalog", cat, "--emb", emb, "--train", split / "train.tsv",
+                          "--generator", "ngram", "--seed", 5, "--threads", threads]
                 run_ok(["eval", "--test", split / "samples_test.tsv", *common,
                         "--inject", "collab", "--gamma", 0.7, "--dump-ranks",
                         d / "ranks.tsv", "--out", d / "report.tsv"])
@@ -641,6 +674,7 @@ class TestEvalInputs:
         inter, cat = write_fixture(tmp_path)
         out = tmp_path / "splits"
         run_ok(["split", "--interactions", inter, "--out", out])
+        emb = embed(cat, tmp_path / "emb.bin", 32, 3)
 
         def unused(path):
             raise AssertionError("--train was parsed though nothing reads it")
@@ -648,8 +682,8 @@ class TestEvalInputs:
         monkeypatch.setattr(ingest, "parse_interactions", unused)
         report_path = tmp_path / "report.tsv"
         run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
-                "--train", out / "train.tsv", "--generator", "ngram",
-                "--inject", "none", "--seed", 3, "--dim", 32, "--out", report_path])
+                "--emb", emb, "--train", out / "train.tsv", "--generator", "ngram",
+                "--inject", "none", "--seed", 3, "--out", report_path])
         digest = manifest.sha256_file(out / "train.tsv")
         assert read_report(report_path).fingerprint["sha256.train"] == digest
         assert f"input.train={digest}" in \
@@ -659,16 +693,17 @@ class TestEvalInputs:
         inter, cat = write_fixture(tmp_path)
         out = tmp_path / "splits"
         run_ok(["split", "--interactions", inter, "--out", out])
+        emb = embed(cat, tmp_path / "emb.bin", 32, 3)
         hashed = []
         original = manifest.sha256_file
         monkeypatch.setattr(manifest, "sha256_file",
                             lambda path: hashed.append(str(path)) or original(path))
         run_ok(["eval", "--test", out / "samples_test.tsv", "--catalog", cat,
-                "--train", out / "train.tsv", "--generator", "oracle",
-                "--inject", "pop", "--gamma", 0.5, "--seed", 3, "--dim", 32,
+                "--emb", emb, "--train", out / "train.tsv", "--generator", "oracle",
+                "--inject", "pop", "--gamma", 0.5, "--seed", 3,
                 "--out", tmp_path / "report.tsv"])
         assert sorted(hashed) == sorted(str(p) for p in (
-            out / "samples_test.tsv", cat, out / "train.tsv"))
+            out / "samples_test.tsv", cat, emb, out / "train.tsv"))
 
     @pytest.mark.parametrize("command, flag, generator, inject", [
         ("eval", "--test", "pop", "pop"),
@@ -679,14 +714,15 @@ class TestEvalInputs:
         inter, cat = write_fixture(tmp_path)
         out = tmp_path / "splits"
         run_ok(["split", "--interactions", inter, "--out", out])
+        emb = embed(cat, tmp_path / "emb.bin", 16, 3)
         parsed = []
         original = ingest.parse_interactions
         monkeypatch.setattr(ingest, "parse_interactions",
                             lambda path: parsed.append(str(path)) or original(path))
         part = "test" if command == "eval" else "valid"
         run_ok([command, flag, out / f"samples_{part}.tsv", "--catalog", cat,
-                "--train", out / "train.tsv", "--generator", generator,
-                "--inject", inject, "--seed", 3, "--dim", 16, "--out", tmp_path / "o.tsv"])
+                "--emb", emb, "--train", out / "train.tsv", "--generator", generator,
+                "--inject", inject, "--seed", 3, "--out", tmp_path / "o.tsv"])
         assert parsed == [str(out / "train.tsv")]
 
     @pytest.mark.parametrize("command, flags, message", [
@@ -807,10 +843,12 @@ class TestManifestInputs:
                      id="ground-unset-and-empty"),
         pytest.param("eval", ["--emb", "{emb}", "--train", "{train}", "--inject", "pop"],
                      id="eval-all"),
-        pytest.param("eval", ["--emb", ""], id="eval-unset-and-empty"),
+        pytest.param("eval", ["--emb", "", "--generator", "most-pop", "--train", "{train}"],
+                     id="eval-unset-and-empty"),
         pytest.param("tune-gamma", ["--emb", "{emb}", "--train", "{train}",
                                     "--inject", "collab"], id="tune-gamma-all"),
-        pytest.param("tune-gamma", ["--train", ""], id="tune-gamma-unset-and-empty"),
+        pytest.param("tune-gamma", ["--emb", "{emb}", "--train", ""],
+                     id="tune-gamma-unset-and-empty"),
     ])
     def test_input_lines_are_the_input_flags_given(self, workspace, tmp_path, command,
                                                    extra):
@@ -826,9 +864,9 @@ class TestManifestInputs:
             "generate": ["--samples", "{test}", "--catalog", cat, "--seed", 3],
             "ground": ["--emb", "{emb}", "--gen", root / "gen.tsv", "--catalog", cat,
                        "--seed", 3],
-            "eval": ["--test", "{test}", "--catalog", cat, "--seed", 3, "--dim", 16],
+            "eval": ["--test", "{test}", "--catalog", cat, "--seed", 3],
             "tune-gamma": ["--valid", out / "samples_valid.tsv", "--catalog", cat,
-                           "--seed", 3, "--dim", 16],
+                           "--seed", 3],
         }[command] + extra
         argv = [str(a).format(**paths) for a in argv]
         run_ok([command, *argv, "--out", target])
@@ -850,6 +888,7 @@ class TestSampleInputErrors:
         run_ok(["split", "--interactions", inter, "--out", out])
         run_ok(["embed", "--catalog", cat, "--dim", 16, "--seed", 1,
                 "--out", tmp_path / "emb.bin"])
+        embed(cat, tmp_path / "emb_seed3.bin", 16, 3)
         gen = tmp_path / "gen.tsv"
         gen.write_text("0\ttale 1 of the saga\toracle\n")
         return tmp_path, cat, out, gen
@@ -868,7 +907,8 @@ class TestSampleInputErrors:
                                   f"\t{known}"]) + "\n")
         extra = ["--sample-n", sample_n] if sample_n else []
         assert self.main(["eval", "--test", bad, "--catalog", cat, "--seed", 3,
-                          "--dim", 16, "--out", tmp_path / "r.tsv", *extra]) == 2
+                          "--emb", tmp_path / "emb_seed3.bin",
+                          "--out", tmp_path / "r.tsv", *extra]) == 2
         err = capsys.readouterr().err
         assert "'12:30'" in err and "line 2" in err and str(bad) in err
 
@@ -880,8 +920,10 @@ class TestSampleInputErrors:
     def test_missing_input_names_path(self, workspace, capsys, command, flag):
         tmp_path, cat, out, gen = workspace
         args = {
-            "eval": {"--test": out / "samples_test.tsv", "--seed": 3},
-            "tune-gamma": {"--valid": out / "samples_valid.tsv", "--seed": 3},
+            "eval": {"--test": out / "samples_test.tsv", "--seed": 3,
+                     "--emb": tmp_path / "emb_seed3.bin"},
+            "tune-gamma": {"--valid": out / "samples_valid.tsv", "--seed": 3,
+                           "--emb": tmp_path / "emb_seed3.bin"},
             "generate": {"--samples": out / "samples_test.tsv", "--seed": 3},
             "ground": {"--emb": tmp_path / "emb.bin", "--gen": gen,
                        "--samples": out / "samples_test.tsv", "--seed": 1},
@@ -964,7 +1006,7 @@ class TestSampleCountFlag:
         run_ok(["split", "--interactions", inter, "--out", out])
         part = "test" if command == "eval" else "valid"
         argv = [command, flag, out / f"samples_{part}.tsv", "--catalog", cat,
-                "--seed", 3, "--dim", 16, "--sample-n", value,
+                "--seed", 3, "--sample-n", value,
                 "--out", tmp_path / "o.tsv"]
         assert cli.main([str(a) for a in argv]) == 1
         err = capsys.readouterr().err
@@ -991,7 +1033,7 @@ class TestGammaFlag:
         tmp_path, cat, out, gen = workspace
         inputs = {
             "eval": ["--test", out / "samples_test.tsv", "--train", out / "train.tsv",
-                     "--inject", "pop", "--seed", 3, "--dim", 16],
+                     "--inject", "pop", "--seed", 3],
             "ground": ["--emb", tmp_path / "emb.bin", "--gen", gen,
                        "--inject", "pop", "--popularity", tmp_path / "absent.tsv"],
         }[command]
@@ -1007,6 +1049,40 @@ def _subcommands():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices
+
+
+# Every flag of every command, in parser order, with its choices after a
+# space. A change that adds or drops a flag or a choice edits this table.
+CLI_SURFACE = {
+    "split": ["--interactions", "--out"],
+    "popularity": ["--train", "--catalog", "--out", "--deciles"],
+    "embed": ["--catalog", "--dim", "--seed", "--normalize", "--out"],
+    "generate": ["--samples", "--catalog", "--generator oracle|pop|ngram", "--train",
+                 "--seed", "--ngram-order", "--out"],
+    "collab-fit": ["--train", "--catalog", "--out"],
+    "ground": ["--emb", "--gen", "--catalog", "--samples", "--inject collab|none|pop",
+               "--popularity", "--scorer", "--gamma", "--topk", "--strategy l2|bm25",
+               "--bm25-k1", "--bm25-b", "--seed", "--out"],
+    "eval": ["--test", "--catalog", "--emb", "--train",
+             "--generator oracle|pop|ngram|most-pop", "--inject collab|none|pop", "--seed",
+             "--ngram-order", "--sample-n", "--threads", "--out", "--gamma", "--dump-ranks"],
+    "tune-gamma": ["--valid", "--catalog", "--emb", "--train", "--generator oracle|pop|ngram",
+                   "--inject collab|none|pop", "--seed", "--ngram-order", "--sample-n",
+                   "--threads", "--out",
+                   "--metric hr@1|hr@3|hr@5|hr@10|hr@20|ndcg@1|ndcg@3|ndcg@5|ndcg@10|ndcg@20"],
+    "report": ["--mode compare|improve2lv", "--force", "--out"],
+}
+
+
+def test_cli_surface_is_pinned():
+    surface = {
+        command: [" ".join([action.option_strings[-1], "|".join(action.choices or [])])
+                  .rstrip() for action in parser._actions
+                  if action.option_strings and action.dest != "help"]
+        for command, parser in _subcommands().items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 63
 
 
 class TestManifests:
@@ -1030,10 +1106,11 @@ class TestManifests:
                          "--out", tmp_path / "gen.tsv"],
             "ground": ["--emb", tmp_path / "emb.bin", "--gen", tmp_path / "gen.tsv",
                        "--catalog", cat, "--seed", 3, "--out", tmp_path / "ranks.tsv"],
-            "eval": ["--test", test, "--catalog", cat, "--seed", 3, "--dim", 16,
-                     "--out", tmp_path / "report.tsv"],
+            "eval": ["--test", test, "--catalog", cat, "--emb", tmp_path / "emb.bin",
+                     "--seed", 3, "--out", tmp_path / "report.tsv"],
             "tune-gamma": ["--valid", out / "samples_valid.tsv", "--catalog", cat,
-                           "--seed", 3, "--dim", 16, "--out", tmp_path / "sweep.tsv"],
+                           "--emb", tmp_path / "emb.bin", "--seed", 3,
+                           "--out", tmp_path / "sweep.tsv"],
         }
         paths = {}
         for command, argv in commands.items():
@@ -1065,11 +1142,12 @@ class TestManifests:
         out = tmp_path / "splits"
         run_ok(["split", "--interactions", inter, "--out", out])
         part = "test" if command == "eval" else "valid"
+        emb = embed(cat, tmp_path / "emb.bin", 16, 3)
         written = []
         for threads in (1, 8):
             run_ok([command, flag, out / f"samples_{part}.tsv", "--catalog", cat,
-                    "--train", out / "train.tsv", "--inject", "pop", "--seed", 3,
-                    "--dim", 16, "--threads", threads, "--out", tmp_path / "o.tsv"])
+                    "--emb", emb, "--train", out / "train.tsv", "--inject", "pop",
+                    "--seed", 3, "--threads", threads, "--out", tmp_path / "o.tsv"])
             written.append((tmp_path / "o.tsv.manifest").read_bytes())
         assert written[0] == written[1]
 
@@ -1093,8 +1171,7 @@ class TestMostPopDumpRanks:
         n_drawn = len(read_samples(test)) - 2
         run_ok(["eval", "--test", test, "--catalog", cat, "--train", train,
                 "--generator", "most-pop", "--sample-n", n_drawn, "--seed", 5,
-                "--json", "--dump-ranks", tmp_path / "ranks.tsv",
-                "--out", tmp_path / "report.json"])
+                "--dump-ranks", tmp_path / "ranks.tsv", "--out", tmp_path / "report.tsv"])
 
         counts = {}
         for line in train.read_text().splitlines():
@@ -1115,9 +1192,11 @@ class TestMostPopDumpRanks:
         assert [pos for _, pos in dumped] == expected
         assert "skipped" in expected and len(set(expected)) > 2
 
-        report = read_report(tmp_path / "report.json")
         positions = [None if pos == "skipped" else int(pos) for _, pos in dumped]
-        assert aggregate(positions, fingerprint=report.fingerprint) == report
+        fingerprint = read_report(tmp_path / "report.tsv").fingerprint
+        write_report(tmp_path / "aggregated.tsv", aggregate(positions, fingerprint=fingerprint))
+        assert (tmp_path / "aggregated.tsv").read_bytes() == \
+            (tmp_path / "report.tsv").read_bytes()
 
 
 class TestGroundMatchesEval:

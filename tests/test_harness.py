@@ -258,14 +258,6 @@ class TestReportIO:
         loaded = read_report(path)
         assert loaded == report
 
-    def test_json_roundtrip(self, tmp_path):
-        report = MetricsReport(
-            hr={1: 0.25}, ndcg={1: 0.125}, n_samples=4, fingerprint={"x": "y"},
-        )
-        path = tmp_path / "report.json"
-        write_report(path, report, as_json=True)
-        assert read_report(path) == report
-
     def test_metric_lookup(self):
         report = MetricsReport(hr={5: 0.4}, ndcg={5: 0.2}, n_samples=1)
         assert report.metric("hr@5") == 0.4
