@@ -90,7 +90,9 @@ def read_report(path) -> MetricsReport:
     """A report as write_report writes it. Anything else is a DataError
     naming the file, and the line where there is one: a line that is not a
     fingerprint, a metric or a count, a key given twice, a missing n_samples
-    or skipped, or hr@K and ndcg@K lines that do not give the same K set."""
+    or skipped, or hr@K and ndcg@K lines that do not give the same K set.
+    Counts are integers >= 0, each K an integer >= 1, both in plain decimal
+    (no sign, leading zero or underscore), and metric values lie in [0, 1]."""
     with open_input(path, "report") as fh:
         content = fh.read()
     tables = {"hr": {}, "ndcg": {}}
@@ -101,23 +103,27 @@ def read_report(path) -> MetricsReport:
         where = f"at line {lineno} in report file {path}"
         if line.startswith("# fingerprint: "):
             key, _, value = line[len("# fingerprint: "):].partition("=")
-            table, name = fingerprint, f"fingerprint {key}"
+            table, name, k = fingerprint, f"fingerprint {key}", ""
         elif not line or line.startswith("#"):
             continue
         else:
             name, _, text = line.partition("\t")
             kind, _, k = name.partition("@")
             if name in ("n_samples", "skipped"):
-                table, key, value = counts, name, _report_number(text, int, name, where)
+                table, key, value = counts, name, _report_count(text, name, 0, where)
             elif kind in tables and k:
                 key = _report_number(k, int, "K", where)
                 table, name = tables[kind], f"{kind}@{key}"
                 value = _report_number(text, float, name, where)
+                if not 0 <= value <= 1:
+                    raise DataError(f"{name} {text!r} is not between 0 and 1 {where}")
             else:
                 raise DataError(f"unrecognized report line {line[:80]!r} {where}")
         if name in first_line:
             raise DataError(f"{name} is given twice, at lines {first_line[name]} "
                             f"and {lineno} in report file {path}")
+        if k:  # a metric's K as written, after the repeat check: hr@05 after hr@5 repeats
+            _report_count(k, "K", 1, where)
         first_line[name] = lineno
         table[key] = value
     for name in ("n_samples", "skipped"):
@@ -128,6 +134,16 @@ def read_report(path) -> MetricsReport:
         raise DataError(f"report file {path} gives hr@K for K in {sorted(hr)} but "
                         f"ndcg@K for K in {sorted(ndcg)}; both need the same K, at least one")
     return MetricsReport(hr=hr, ndcg=ndcg, fingerprint=fingerprint, **counts)
+
+
+def _report_count(text, what, least, where):
+    """text as an int >= least, written as str() writes it; a DataError
+    otherwise."""
+    number = _report_number(text, int, what, where)
+    if number < least or str(number) != text:
+        raise DataError(f"{what} {text!r} is not an integer >= {least} in plain "
+                        f"decimal {where}")
+    return number
 
 
 def _report_number(text, kind, what, where):

@@ -37,6 +37,17 @@ def write_fixture(tmp_path, n_users=30, n_items=20, events_per_user=8, seed=13):
     return inter, cat
 
 
+def spoiled_report(old, new):
+    """The report TestReportCommand.make_report writes for value 0.5, with
+    the text old replaced by new."""
+    report = ("# fingerprint: sha256.test=aaa\n"
+              + "".join(f"hr@{k}\t0.5\n" for k in (1, 3, 5, 10, 20))
+              + "".join(f"ndcg@{k}\t0.4\n" for k in (1, 3, 5, 10, 20))
+              + "n_samples\t10\nskipped\t0\n")
+    assert old in report
+    return report.replace(old, new)
+
+
 def run_ok(argv):
     assert cli.run([str(a) for a in argv]) == 0
 
@@ -442,6 +453,26 @@ class TestReportCommand:
         pytest.param("# fingerprint: seed=1\n# fingerprint: seed=2\n",
                      "fingerprint seed is given twice, at lines 1 and 2",
                      id="fingerprint-key-repeated"),
+        # whole reports with one value that no eval writes
+        pytest.param(spoiled_report("hr@1\t0.5", "hr@1\t1.5"),
+                     "hr@1 '1.5' is not between 0 and 1 at line 2", id="metric-above-1"),
+        pytest.param(spoiled_report("ndcg@5\t0.4", "ndcg@5\t-0.25"),
+                     "ndcg@5 '-0.25' is not between 0 and 1 at line 9", id="metric-below-0"),
+        pytest.param(spoiled_report("n_samples\t10", "n_samples\t-4"),
+                     "n_samples '-4' is not an integer >= 0 in plain decimal at line 12",
+                     id="negative-n-samples"),
+        pytest.param(spoiled_report("skipped\t0", "skipped\t-1"),
+                     "skipped '-1' is not an integer >= 0", id="negative-skipped"),
+        pytest.param(spoiled_report("n_samples\t10", "n_samples\t+10"),
+                     "n_samples '+10' is not an integer >= 0", id="signed-count"),
+        pytest.param(spoiled_report("hr@1\t", "hr@0\t").replace("ndcg@1\t", "ndcg@0\t"),
+                     "K '0' is not an integer >= 1 in plain decimal at line 2", id="k-zero"),
+        pytest.param(spoiled_report("hr@10\t", "hr@1_0\t"),
+                     "K '1_0' is not an integer >= 1", id="k-underscore"),
+        pytest.param(spoiled_report("hr@20\t", "hr@+20\t"),
+                     "K '+20' is not an integer >= 1", id="k-signed"),
+        pytest.param(spoiled_report("ndcg@5\t", "ndcg@05\t"),
+                     "K '05' is not an integer >= 1", id="k-leading-zero"),
         # JSON is no report format: it is an unrecognized line like any other
         pytest.param('{"hr": ' + "[" * 100_000 + "]" * 100_000 + "}",
                      "unrecognized report line '{\"hr\": [[[[", id="deeply-nested-json"),

@@ -1,11 +1,17 @@
+import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog
+from groundrec import embed
 from groundrec.embed import (
     EmbeddingMatrix,
     HashEmbedder,
@@ -17,7 +23,7 @@ from groundrec.embed import (
     save_embeddings_tsv,
 )
 from groundrec.errors import DataError
-from groundrec.ground import L2_BLOCK
+from groundrec.ground import L2_BLOCK, l2_distances
 from groundrec.text import tokenize
 
 
@@ -216,3 +222,100 @@ class TestLoadEmbeddings:
         from groundrec.embed import load_embeddings_bin
         with pytest.raises(DataError, match="not a GREC"):
             load_embeddings_bin(path, small_catalog)
+
+
+# row counts around the block edges of the readers and the plan
+BLOCK_EDGE_ROWS = st.sampled_from([1, L2_BLOCK - 1, L2_BLOCK, L2_BLOCK + 1, 2 * L2_BLOCK + 3])
+
+
+def grec_file(path, rows):
+    """rows (float32) as a GREC file; returns its body bytes."""
+    body = rows.astype("<f4").tobytes()
+    path.write_bytes(b"GREC" + rows.shape[1].to_bytes(4, "little") + body)
+    return body
+
+
+def sparse_rows(n, dim, seed):
+    """n x dim float32 rows, about one entry in five nonzero, each a
+    multiple of 1/16 in [-1, 1]: on the sparse plan's grid."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-16, 17, size=(n, dim)) / 16.0
+    rows[rng.random((n, dim)) > 0.2] = 0.0
+    return rows.astype(np.float32)
+
+
+def numbered_catalog(n):
+    return make_catalog({f"m{k:04d}": f"t{k}" for k in range(n)})
+
+
+class TestPlanHeldMatrix:
+    """A matrix the sparse plan can hold is held as the plan alone, and gives
+    back exactly the bytes it was read from or made of."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("plan_held")
+
+    @settings(max_examples=25, deadline=None)
+    @given(BLOCK_EDGE_ROWS, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_vectors_and_saved_file_equal_the_grec_body(self, scratch, n, dim, seed):
+        rows = sparse_rows(n, dim, seed)
+        body = grec_file(scratch / "in.emb", rows)
+        matrix = load_embeddings(scratch / "in.emb", numbered_catalog(n))
+        assert matrix._vectors is None  # held as its plan
+        save_embeddings_bin(scratch / "out.emb", matrix)
+        assert (scratch / "out.emb").read_bytes() == (scratch / "in.emb").read_bytes()
+        assert matrix.vectors.tobytes() == body
+
+    @settings(max_examples=25, deadline=None)
+    @given(BLOCK_EDGE_ROWS, st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_negative_zero_keeps_its_bytes(self, scratch, n, dim, seed, data):
+        rows = sparse_rows(n, dim, seed)
+        rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))] = -0.0
+        body = grec_file(scratch / "in.emb", rows)
+        matrix = load_embeddings(scratch / "in.emb", numbered_catalog(n))
+        assert matrix.vectors.tobytes() == body
+        save_embeddings_bin(scratch / "out.emb", matrix)
+        assert (scratch / "out.emb").read_bytes() == (scratch / "in.emb").read_bytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(BLOCK_EDGE_ROWS)
+    def test_off_grid_query_takes_the_dense_path_exactly(self, n):
+        # titles of 5 distinct tokens: entries k/5, on the 2^-26 grid, and
+        # sums of squares near 1/5, small enough for the plan to hold them
+        catalog = make_catalog({f"m{k:04d}": " ".join(f"w{(k + j) % 50}" for j in range(5))
+                                for k in range(n)})
+        provider = HashEmbedder(dim=64, seed=2)
+        matrix = embed_catalog(catalog, provider)
+        query = provider.embed("w1 w2 w3")  # entries k/3: too fine a grid for those sums
+        assert matrix._vectors is None
+        assert matrix.l2_plan().distances(query.astype(np.float64)) is None
+        got = l2_distances(matrix, query)
+        diff = matrix.vectors.astype(np.float64) - query.astype(np.float64)
+        assert np.array_equal(got, np.sqrt(np.sum(diff * diff, axis=1)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(BLOCK_EDGE_ROWS, st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_value_in_any_block_refused(self, scratch, n, bad, data):
+        rows = sparse_rows(n, 3, n)
+        rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))] = bad
+        path = scratch / "bad.emb"
+        grec_file(path, rows)
+        with pytest.raises(DataError, match=f"non-finite embedding value in {path}"):
+            load_embeddings(path, numbered_catalog(n))
+
+    @settings(max_examples=20, deadline=None)
+    @given(BLOCK_EDGE_ROWS, st.booleans(), st.data())
+    def test_file_shrunk_mid_read_refused(self, scratch, n, on_grid, data):
+        rows = sparse_rows(n, 3, n)
+        if not on_grid:  # refused by the plan at the first block: read a second time
+            rows += np.float32(0.1)
+            rows[0, 0] = 3.1
+        path = scratch / "shrinks.emb"
+        grec_file(path, rows)
+        whole = SimpleNamespace(st_size=path.stat().st_size)
+        os.truncate(path, 8 + data.draw(st.integers(0, 12 * n - 1)))
+        # the size check sees the whole file; the reads find only its first bytes
+        with mock.patch.object(embed.os, "fstat", lambda fd: whole), \
+                pytest.raises(DataError, match=f"embedding file {path} changed while it was read"):
+            load_embeddings(path, numbered_catalog(n))

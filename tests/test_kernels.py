@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog
-from groundrec.embed import EmbeddingMatrix, HashEmbedder, embed_catalog
+from groundrec.embed import (
+    EmbeddingMatrix,
+    HashEmbedder,
+    embed_catalog,
+    load_embeddings,
+    save_embeddings_tsv,
+)
 from groundrec.errors import DataError
 from groundrec.ground import (
     L2_BLOCK,
@@ -111,6 +117,16 @@ class TestBlockedL2:
         vectors = mixed_magnitude(rng, n, dim)
         oracle = vectors[rng.integers(n)].astype(np.float64) + rng.standard_normal(dim)
         assert np.array_equal(l2_distances(vectors, oracle), one_shot_l2(vectors, oracle))
+
+
+class OffsetEmbedder:
+    """A provider whose vectors are another's plus a constant."""
+
+    def __init__(self, provider, offset):
+        self.provider, self.offset = provider, np.float32(offset)
+
+    def embed(self, text):
+        return self.provider.embed(text) + self.offset
 
 
 def sparse_path(vectors, oracle):
@@ -237,21 +253,39 @@ class TestSparseL2:
     def test_grid_exponent(self, values, e):
         assert grid_exponent(np.array(values, dtype=np.float64)) == e
 
-    def test_plan_built_once_and_lazily(self):
-        catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
-        provider = HashEmbedder(dim=16, seed=1)
-        matrix = embed_catalog(catalog, provider)
-        assert matrix._plan is None  # embedding alone builds no plan
+    @staticmethod
+    def raced(fn):
+        """fn() called 64 times from 8 threads that switch as often as they can."""
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                plans = list(pool.map(lambda _: matrix.l2_plan(), range(64)))
+                return list(pool.map(lambda _: fn(), range(64)))
         finally:
             sys.setswitchinterval(switch)
-        assert all(p is plans[0] for p in plans)
-        assert l2_distances(matrix, provider.embed("w1 w2")).shape == (50,)
-        assert matrix.l2_plan() is plans[0]
+
+    def test_plan_built_once_and_lazily(self, tmp_path):
+        # dense-held matrices: one read from TSV, one off the plan's grid
+        catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
+        provider = HashEmbedder(dim=16, seed=1)
+        save_embeddings_tsv(tmp_path / "emb.tsv", embed_catalog(catalog, provider), catalog)
+        off_grid = OffsetEmbedder(provider, 0.1)  # entries on the 2^-27 grid, sum(v^2) >= 1/8
+        for matrix in (load_embeddings(tmp_path / "emb.tsv", catalog),
+                       embed_catalog(catalog, off_grid)):
+            assert matrix._plan is None  # no plan before the first distance query
+            plans = self.raced(matrix.l2_plan)
+            assert all(p is plans[0] for p in plans)
+            assert l2_distances(matrix, provider.embed("w1 w2")).shape == (50,)
+            assert matrix.l2_plan() is plans[0]
+
+    def test_plan_held_vectors_made_once(self):
+        catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
+        matrix = embed_catalog(catalog, HashEmbedder(dim=16, seed=1))
+        assert matrix._vectors is None  # held as its plan alone
+        plan = matrix.l2_plan()
+        arrays = self.raced(lambda: matrix.vectors)
+        assert all(a is arrays[0] for a in arrays)
+        assert matrix.vectors is arrays[0] and matrix.l2_plan() is plan
 
 
 # values from a small set, so tie groups are large

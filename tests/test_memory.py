@@ -1,11 +1,12 @@
 """Memory bounds of the steps that hold a large input: the catalog matrix
-built and written, an interaction log parsed, and samples drawn from a
-samples file.
+built and written, or read, an interaction log parsed, and samples drawn
+from a samples file.
 
 Memory is measured with tracemalloc (what Python and numpy allocate, not the
 process RSS), so each ratio repeats on any machine. Each bound sits between
 the ratio of a reader that holds its input once and that of one holding it
-two or more times over.
+two or more times over; for a matrix the sparse plan can hold, between the
+plan (about 0.17 of the dense bytes here) and the dense array (1).
 """
 
 import random
@@ -13,7 +14,8 @@ import tracemalloc
 
 import pytest
 
-from groundrec.embed import HashEmbedder, embed_catalog, save_embeddings_bin
+from groundrec.embed import HashEmbedder, embed_catalog, load_embeddings, save_embeddings_bin
+from groundrec.ground import L2_BLOCK
 from groundrec.ingest import (
     ItemCatalog,
     parse_interactions,
@@ -72,6 +74,31 @@ def test_catalog_matrix_built_and_written_once(inputs, tmp_path):
 
     matrix, _, peak = traced(build_and_write)
     assert peak < 1.6 * matrix.vectors.nbytes
+
+
+@pytest.fixture(scope="module")
+def wide_catalog():
+    """20 blocks of items with four-token titles, hash-embedded at dim 256:
+    about 4 nonzeros a row, as in the catalog20k benchmark."""
+    catalog = ItemCatalog({f"m{k:05d}": f"quiet harbor volume {k % 97}"
+                           for k in range(20 * L2_BLOCK + 7)})
+    return catalog, len(catalog) * 256 * 4  # and the bytes of its dense matrix
+
+
+def test_catalog_matrix_embedded_and_written_as_its_plan(wide_catalog, tmp_path):
+    catalog, dense_bytes = wide_catalog
+    provider = HashEmbedder(dim=256, seed=3)
+    _, _, peak = traced(lambda: save_embeddings_bin(tmp_path / "items.emb",
+                                                    embed_catalog(catalog, provider)))
+    assert peak < 0.25 * dense_bytes
+
+
+def test_catalog_matrix_read_as_its_plan(wide_catalog, tmp_path):
+    catalog, dense_bytes = wide_catalog
+    save_embeddings_bin(tmp_path / "items.emb",
+                        embed_catalog(catalog, HashEmbedder(dim=256, seed=3)))
+    _, _, peak = traced(lambda: load_embeddings(tmp_path / "items.emb", catalog))
+    assert peak < 0.25 * dense_bytes
 
 
 def test_drawn_samples_hold_the_draw_not_the_file(inputs):
