@@ -9,20 +9,21 @@ File formats:
   binary magic b"GREC", u32 dim (little-endian), then dim f32 per item in
          canonical catalog order.
 
-Each matrix is held in one form. embed_catalog makes the rows
-ground.L2_BLOCK at a time in one buffer (--normalize divides each block in
-place), and the GREC reader reads them the same way; each block goes into a
-ground.SparseL2Plan, the nonzeros grouped by column that l2_distances ranks
-from. Where the plan takes every block, the matrix is held as the plan
-alone: about 16 bytes per nonzero, against 4 per entry of the dense array
-(1.4 MB against 20 MB for 20k four-token titles hash-embedded at dim 256). The plan
-refuses a non-finite value, a grid too fine for the rows' sums of squares,
-and a negative zero, whose sign it would drop; the rows are then made or
-read a second time into one dense float32 array, as is every TSV file. The
-GREC writer writes a plan a block at a time and a dense array whole, with
-the same bytes either way.
-Finiteness is checked where the matrix is built: by the plan on the
-nonzeros, and on a dense array ground.L2_BLOCK rows at a time, so no
+Each matrix gets its ground.SparseL2Plan, the entries with a bit set
+grouped by column that l2_distances ranks from, when it is made, and its
+form is decided there, once. embed_catalog makes the rows ground.L2_BLOCK
+at a time in one buffer (--normalize divides each block in place), and the
+GREC reader reads them the same way; each block goes into the plan. The TSV
+reader fills one float32 array and plans it. Where the plan takes every
+row, the matrix is held as the plan alone: about 16 bytes per nonzero,
+against 4 per entry of the dense array (1.4 MB against 20 MB for 20k
+four-token titles hash-embedded at dim 256), and a negative zero keeps its
+sign. The plan refuses a non-finite value and a grid too fine for the rows'
+sums of squares; the rows are then made or read a second time into one
+dense float32 array, held with the refusing plan. Both writers write a plan
+a block at a time and a dense array whole, with the same bytes either way.
+Finiteness is checked where the matrix is built: by the plan on the kept
+entries, and on a dense array ground.L2_BLOCK rows at a time, so no
 full-size bool array is made.
 """
 
@@ -44,45 +45,47 @@ MAGIC = b"GREC"
 
 
 class EmbeddingMatrix:
-    """The |I| x dim catalog matrix, rows in canonical order, held in one
-    form: the SparseL2Plan it is ranked from (plan=), or the dense array
-    (vectors=), whose finiteness is checked here a block at a time. The other
-    form is made on first use, once, under one lock that eval's threads
-    share: the plan of a dense matrix on the first distance query, the array
-    of a plan-held one where something reads .vectors (a query off the plan's
-    grid, save_embeddings_tsv)."""
+    """The |I| x dim catalog matrix, rows in canonical order, and the
+    SparseL2Plan it is ranked from (plan=, or made here from vectors=). Its
+    form is decided here, once: where the plan takes every row, the plan
+    alone is held; else the dense array, whose finiteness is checked here a
+    block at a time. A plan-held matrix makes its array from the plan the
+    first time .vectors is read (a query off the plan's grid), once, under a
+    lock that eval's threads share."""
 
     def __init__(self, dim, vectors=None, plan=None):
         self.dim = dim
-        self._vectors = vectors
-        self._plan = plan
+        self.plan = SparseL2Plan.of(vectors) if plan is None else plan
+        self._vectors = None if self.plan.rows is not None else vectors
         self._lock = threading.Lock()
-        if vectors is not None:
+        if self._vectors is not None:
             for s in range(0, len(vectors), L2_BLOCK):
                 if not np.isfinite(vectors[s:s + L2_BLOCK]).all():
                     raise DataError("embedding matrix contains non-finite values")
 
     @property
     def vectors(self) -> np.ndarray:
-        """The |I| x dim float32 array."""
+        """The |I| x dim array."""
         with self._lock:
             if self._vectors is None:
-                self._vectors = self._plan.array()
+                plan = self.plan
+                self._vectors = _filled(np.empty((plan.sq.size, self.dim), plan.dtype),
+                                        plan.row_blocks())
             return self._vectors
-
-    def l2_plan(self) -> SparseL2Plan:
-        """The sparse L2 plan of the matrix."""
-        with self._lock:
-            if self._plan is None:
-                self._plan = SparseL2Plan(self._vectors)
-            return self._plan
 
     def row_blocks(self):
         """The rows in order, from whichever form is held: the plan's
         ground.L2_BLOCK at a time, or the dense array whole."""
         if self._vectors is None:
-            return self._plan.row_blocks()
+            return self.plan.row_blocks()
         return [self._vectors]
+
+
+def _filled(out, blocks):
+    """out, its rows filled in order from blocks, L2_BLOCK at a time."""
+    for s, block in zip(range(0, len(out), L2_BLOCK), blocks):
+        out[s:s + len(block)] = block
+    return out
 
 
 def _held(dim, n, blocks, source=None):
@@ -90,14 +93,11 @@ def _held(dim, n, blocks, source=None):
     time: held as its plan where the plan takes every block, else as the
     dense array, filled from a second blocks(). A non-finite value is a
     DataError naming source, if given."""
-    plan = SparseL2Plan.of_blocks(dim, blocks())
-    if plan.rows is not None:
-        return EmbeddingMatrix(dim, plan=plan)
-    vectors = np.empty((n, dim), dtype=np.float32)
-    for s, block in zip(range(0, n, L2_BLOCK), blocks()):
-        vectors[s:s + len(block)] = block
+    plan = SparseL2Plan(dim, blocks())
+    vectors = None if plan.rows is not None else _filled(
+        np.empty((n, dim), dtype=np.float32), blocks())
     try:
-        return EmbeddingMatrix(dim, vectors)
+        return EmbeddingMatrix(dim, vectors, plan)
     except DataError:  # the matrix's one check: finiteness
         if source is None:
             raise
@@ -178,7 +178,8 @@ def embed_catalog(catalog: ItemCatalog, provider, normalize=False) -> EmbeddingM
 
 def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
     """The matrix of an embeddings TSV, each row written into its canonical
-    place as it is read; the first row sets the dim."""
+    place as it is read; the first row sets the dim. Where the plan takes
+    every row, only the plan is kept."""
     matrix = None
     filled = np.zeros(len(catalog), dtype=bool)
     for lineno, parts in rows(path, "embedding"):
@@ -260,7 +261,8 @@ def save_embeddings_bin(path, matrix: EmbeddingMatrix):
 
 
 def save_embeddings_tsv(path, matrix: EmbeddingMatrix, catalog: ItemCatalog):
+    each_row = (row for block in matrix.row_blocks() for row in block)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, item_id in enumerate(catalog.ids):
-            vals = "\t".join(repr(float(v)) for v in matrix.vectors[i])
+        for item_id, row in zip(catalog.ids, each_row):
+            vals = "\t".join(repr(float(v)) for v in row)
             fh.write(f"{item_id}\t{vals}\n")

@@ -44,11 +44,12 @@ imported TSV embeddings. No GEMM or BLAS call is made: its rounding would
 reorder near-ties on off-grid inputs, and BLAS threads slowed it.
 
 The plan of the sparse path (SparseL2Plan) is built once per catalog
-matrix. embed.embed_catalog and the GREC reader build it a block of rows at
-a time while they make the matrix, and where it takes every row it is the
-only form of the matrix they keep: the dense array is rebuilt from it only
-for a query off its grid, or to write a TSV. A matrix held dense (a TSV
-file, or rows the plan refuses) builds its plan on the first query.
+matrix, when the matrix is made: embed.embed_catalog and the GREC reader
+build it a block of rows at a time as they make or read the rows, and the
+TSV reader from its array. Where it takes every row it is the only form of
+the matrix kept, bit for bit, negative zeros included: the dense array is
+rebuilt from it only for a query off its grid. A matrix whose rows the plan
+refuses is held dense, together with that plan.
 
 A target's rank is found by counting the kept items that sort before it,
 with no sort; a top-k list sorts only the items at or below the k-th
@@ -94,22 +95,23 @@ def l2_distances(matrix, oracle) -> np.ndarray:
     """Euclidean distance from the oracle to every row, in float64.
 
     The sparse path runs where it is exact (see the module docstring). An
-    EmbeddingMatrix gives its dim and its one plan (matrix.l2_plan()), and
-    its dense array only where the plan refuses the query; any other matrix
-    is an array, or has one as .vectors, and gets a plan for this call.
+    EmbeddingMatrix gives its dim and the plan it was made with
+    (matrix.plan), and its dense array only where the plan refuses the
+    query; any other matrix is an array, or has one as .vectors, and gets a
+    plan for this call.
     Everywhere else the dense path runs: rows are taken L2_BLOCK at a time,
     each block widened to float64 and differenced into one reused buffer, so
     no full-size copy of the matrix is made. Both give the bits of the
     one-shot formula sqrt(sum((row.astype(float64) - oracle) ** 2)).
     """
     oracle = np.asarray(oracle, dtype=np.float64)
-    held = hasattr(matrix, "l2_plan")
+    held = hasattr(matrix, "plan")
     if not held:
         matrix = matrix.vectors if hasattr(matrix, "vectors") else np.asarray(matrix)
     dim = matrix.dim if held else matrix.shape[1]
     if dim != oracle.shape[0]:
         raise DataError(f"dim mismatch: matrix dim {dim}, oracle dim {oracle.shape[0]}")
-    out = (matrix.l2_plan() if held else SparseL2Plan(matrix)).distances(oracle)
+    out = (matrix.plan if held else SparseL2Plan.of(matrix)).distances(oracle)
     if out is not None:
         return out
     vectors = matrix.vectors if held else matrix
@@ -143,37 +145,26 @@ def _within_bound(e, sum_sq) -> bool:
 
 
 class SparseL2Plan:
-    """What the sparse distance path reads of a matrix: its nonzeros grouped
-    by column (column d's rows and float64 values are rows[starts[d]:
-    starts[d+1]] and vals[...]), each row's sum of squares sq, their maximum
-    and the matrix's grid exponent. rows is None when the matrix alone breaks
-    the precondition (a non-finite entry, or a grid too fine for its sums of
-    squares), so that no query can pass; the build then stops at the first
-    L2_BLOCK rows that show it, and keeps nothing. The matrix must not change
-    after the plan is built.
+    """What the sparse distance path reads of a matrix: its entries with a
+    bit set (a negative zero among them) grouped by column (column d's rows
+    and float64 values are rows[starts[d]:starts[d+1]] and vals[...]), each
+    row's sum of squares sq, their maximum and the matrix's grid exponent.
+    rows is None when the matrix alone breaks the precondition (a non-finite
+    entry, or a grid too fine for its sums of squares), so that no query can
+    pass; the build then stops at the first L2_BLOCK rows that show it, and
+    keeps nothing. The matrix must not change after the plan is built.
 
-    A plan made by of_blocks holds a float32 matrix bit for bit: array() and
-    row_blocks() give it back, so that it can stand in for the array.
+    A plan holds its matrix bit for bit: row_blocks() gives it back. A kept
+    negative zero adds +0.0 to its row's sq and leaves every d2 as it is, so
+    no distance moves.
     """
 
-    def __init__(self, vectors):
-        n = vectors.shape[0]
-        self._build(vectors.shape[1],
-                    (vectors[s:s + L2_BLOCK] for s in range(0, n, L2_BLOCK)))
-
-    @classmethod
-    def of_blocks(cls, dim, blocks):
-        """The plan of the float32 matrix whose rows blocks yields in order,
-        L2_BLOCK at a time (one reused buffer may hold them all). It refuses
-        a negative zero too: the plan keeps no zeros, so it could not give
-        back that one's sign bit."""
-        plan = cls.__new__(cls)
-        plan._build(dim, blocks, exact=True)
-        return plan
-
-    def _build(self, dim, blocks, exact=False):
-        self.dim, self.grid, self.max_sq, self.rows = dim, 0, 0.0, None
-        parts = self._parts(dim, blocks, exact)
+    def __init__(self, dim, blocks):
+        """The plan of the matrix whose rows blocks yields in order, L2_BLOCK
+        at a time (one reused buffer may hold them all)."""
+        self.dim, self.dtype, self.grid, self.max_sq = dim, np.float32, 0, 0.0
+        self.rows = None
+        parts = self._parts(dim, blocks)
         if parts is None:
             return
         rows, cols, vals, sq = parts  # each list of parts is freed once joined
@@ -188,19 +179,25 @@ class SparseL2Plan:
         del vals
         self.sq = np.concatenate(sq)
 
-    def _parts(self, dim, blocks, exact):
-        """Lists of each block's nonzero rows, columns and float64 values and
-        of its rows' sums of squares, with grid and max_sq set; None at the
-        first block that breaks the precondition."""
+    @classmethod
+    def of(cls, vectors):
+        """The plan of an array."""
+        return cls(vectors.shape[1],
+                   (vectors[s:s + L2_BLOCK] for s in range(0, len(vectors), L2_BLOCK)))
+
+    def _parts(self, dim, blocks):
+        """Lists of each block's kept rows, columns and float64 values and
+        of its rows' sums of squares, with dtype, grid and max_sq set; None
+        at the first block that breaks the precondition."""
         col_type = np.min_scalar_type(dim - 1)  # radix-sorted by a stable argsort
         kept = ([np.empty(0, np.intp)], [np.empty(0, col_type)], [np.empty(0)], [np.empty(0)])
         n = 0
         for block in blocks:
-            # exact: every entry with a bit set, so a negative zero shows as a 0 in vals
-            nonzero = block.view(np.uint32) != 0 if exact else block != 0
-            rows, cols = np.divmod(np.flatnonzero(nonzero), dim)
+            self.dtype = block.dtype
+            bits = block.view(f"u{block.itemsize}")  # a negative zero is kept too
+            rows, cols = np.divmod(np.flatnonzero(bits), dim)
             vals = block[rows, cols].astype(np.float64)
-            if not np.isfinite(vals).all() or (exact and not vals.all()):
+            if not np.isfinite(vals).all():
                 return None
             self.grid = max(self.grid, grid_exponent(vals))
             with np.errstate(over="ignore"):  # an infinite square fails the bound
@@ -213,26 +210,17 @@ class SparseL2Plan:
             n += block.shape[0]
         return kept
 
-    def _cols(self):
-        return np.repeat(np.arange(self.dim, dtype=np.min_scalar_type(self.dim - 1)),
-                         np.diff(self.starts))
-
-    def array(self):
-        """The float32 matrix of an of_blocks plan."""
-        out = np.zeros((self.sq.size, self.dim), dtype=np.float32)
-        out[self.rows, self._cols()] = self.vals
-        return out
-
     def row_blocks(self):
-        """The float32 matrix of an of_blocks plan, L2_BLOCK rows at a time in
-        one reused buffer, without the whole array."""
+        """The matrix, L2_BLOCK rows at a time in one reused buffer, without
+        the whole array."""
         n = self.sq.size
         # small ints, which a stable argsort orders by radix
         block_of = (self.rows // L2_BLOCK).astype(np.min_scalar_type(n // L2_BLOCK))
         order = np.argsort(block_of, kind="stable")
         ends = np.cumsum(np.bincount(block_of, minlength=-(-n // L2_BLOCK))).tolist()
-        cols = self._cols()
-        buf = np.zeros((min(n, L2_BLOCK), self.dim), dtype=np.float32)
+        cols = np.repeat(np.arange(self.dim, dtype=np.min_scalar_type(self.dim - 1)),
+                         np.diff(self.starts))
+        buf = np.zeros((min(n, L2_BLOCK), self.dim), dtype=self.dtype)
         for s, lo, hi in zip(range(0, n, L2_BLOCK), [0, *ends], ends):
             at = order[lo:hi]
             rows, block_cols = self.rows[at] - s, cols[at]

@@ -83,8 +83,9 @@ def write_popularity(path, table: PopularityTable, catalog: ItemCatalog):
 
 def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
     """The table of a pop.tsv, from its counts alone. A malformed line, an
-    item outside the catalog or given twice, and a count outside int64,
-    alone or summed over the file, are each a DataError naming the file."""
+    item outside the catalog or given twice, a count outside int64, alone or
+    summed over the file, and a catalog item the file omits are each a
+    DataError naming the file."""
     counts = np.zeros(len(catalog), dtype=np.int64)
     line_of = {}  # canonical index -> the line that gave its count
     total = 0
@@ -107,6 +108,10 @@ def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
         total += count
     if total >= 2**63:  # from_counts sums in int64, which would wrap
         raise DataError(f"popularity counts in {path} sum to {total}, beyond 2^63-1")
+    if len(line_of) < len(catalog):  # an omitted item would count 0 without a word
+        missing = [item_id for i, item_id in enumerate(catalog.ids) if i not in line_of]
+        raise DataError(f"{len(missing)} catalog items missing popularity counts in {path}: "
+                        f"{', '.join(missing[:10])}")
     return PopularityTable.from_counts(counts)
 
 

@@ -623,6 +623,18 @@ class TestGroundInputErrors:
         err = capsys.readouterr().err
         assert f"popularity item 'i000' is given twice, at lines 2 and 4 in {pop}" in err
 
+    def test_popularity_of_a_smaller_catalog(self, ground_inputs, capsys):
+        # the two items it omits would read as count 0, and P would move
+        tmp_path, cat, gen = ground_inputs
+        small, pop = tmp_path / "small_catalog.tsv", tmp_path / "pop.tsv"
+        small.write_text("".join(cat.read_text().splitlines(keepends=True)[:18]))
+        run_ok(["popularity", "--train", tmp_path / "interactions.tsv",
+                "--catalog", small, "--out", pop])
+        assert self.ground(tmp_path, cat, gen, "--inject", "pop", "--gamma", 1,
+                           "--popularity", pop) == 2
+        err = capsys.readouterr().err
+        assert f"2 catalog items missing popularity counts in {pop}: i018, i019" in err
+
     def test_grec_body_not_whole_floats(self, ground_inputs, capsys):
         tmp_path, cat, gen = ground_inputs
         emb = tmp_path / "emb.bin"

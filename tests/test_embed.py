@@ -244,6 +244,12 @@ def sparse_rows(n, dim, seed):
     return rows.astype(np.float32)
 
 
+def one_shot_l2(rows, query):
+    """The distances of the full-copy formula."""
+    diff = rows.astype(np.float64) - query.astype(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def numbered_catalog(n):
     return make_catalog({f"m{k:04d}": f"t{k}" for k in range(n)})
 
@@ -274,9 +280,29 @@ class TestPlanHeldMatrix:
         rows[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))] = -0.0
         body = grec_file(scratch / "in.emb", rows)
         matrix = load_embeddings(scratch / "in.emb", numbered_catalog(n))
-        assert matrix.vectors.tobytes() == body
+        assert matrix._vectors is None  # a negative zero is one more kept entry
+        query = sparse_rows(1, dim, seed + 1)[0]
+        assert l2_distances(matrix, query).tobytes() == one_shot_l2(rows, query).tobytes()
         save_embeddings_bin(scratch / "out.emb", matrix)
         assert (scratch / "out.emb").read_bytes() == (scratch / "in.emb").read_bytes()
+        assert matrix.vectors.tobytes() == body
+
+    @settings(max_examples=20, deadline=None)
+    @given(BLOCK_EDGE_ROWS, st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_tsv_held_as_its_plan_on_the_grid(self, scratch, n, dim, seed, on_grid):
+        rows = sparse_rows(n, dim, seed)
+        if not on_grid:  # 0.1 needs the 2^-27 grid, too fine for a sum of squares of 9.6
+            rows[0, :2] = 3.1, 0.1
+        catalog = numbered_catalog(n)
+        (scratch / "in.tsv").write_text("".join(
+            item_id + "".join(f"\t{float(v)!r}" for v in row) + "\n"
+            for item_id, row in zip(catalog.ids, rows)))
+        matrix = load_embeddings(scratch / "in.tsv", catalog)
+        assert (matrix._vectors is None) is on_grid
+        assert (matrix.plan.rows is None) is not on_grid
+        query = sparse_rows(1, dim, seed + 1)[0]
+        assert l2_distances(matrix, query).tobytes() == one_shot_l2(rows, query).tobytes()
+        assert matrix.vectors.tobytes() == rows.tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(BLOCK_EDGE_ROWS)
@@ -289,7 +315,7 @@ class TestPlanHeldMatrix:
         matrix = embed_catalog(catalog, provider)
         query = provider.embed("w1 w2 w3")  # entries k/3: too fine a grid for those sums
         assert matrix._vectors is None
-        assert matrix.l2_plan().distances(query.astype(np.float64)) is None
+        assert matrix.plan.distances(query.astype(np.float64)) is None
         got = l2_distances(matrix, query)
         diff = matrix.vectors.astype(np.float64) - query.astype(np.float64)
         assert np.array_equal(got, np.sqrt(np.sum(diff * diff, axis=1)))

@@ -131,7 +131,7 @@ class OffsetEmbedder:
 
 def sparse_path(vectors, oracle):
     """The sparse path's distances, or None where it refuses the inputs."""
-    return SparseL2Plan(vectors).distances(np.asarray(oracle, dtype=np.float64))
+    return SparseL2Plan.of(vectors).distances(np.asarray(oracle, dtype=np.float64))
 
 
 def assert_both_forms_exact(vectors, oracle):
@@ -198,7 +198,7 @@ class TestSparseL2:
                 fast = assert_both_forms_exact(matrix.vectors, query)
                 if catalog is dyadic and n_tokens in (1, 2, 4, 8, 16):
                     assert fast  # hash embeddings stay on the 2^-4 grid
-        assert matrix.l2_plan().grid <= 4
+        assert matrix.plan.grid <= 4
 
     @pytest.mark.parametrize("vectors, oracle", [
         ([[1.0, -2.0], [0.0, 0.0], [0.5, 0.25]], [0.0, 0.0]),  # zero query, zero row
@@ -264,28 +264,35 @@ class TestSparseL2:
         finally:
             sys.setswitchinterval(switch)
 
-    def test_plan_built_once_and_lazily(self, tmp_path):
-        # dense-held matrices: one read from TSV, one off the plan's grid
+    def test_plan_made_with_the_matrix(self, tmp_path):
+        # plan-held on the grid, dense-held off it; each made, read from TSV
+        # and built from an array
         catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
         provider = HashEmbedder(dim=16, seed=1)
-        save_embeddings_tsv(tmp_path / "emb.tsv", embed_catalog(catalog, provider), catalog)
         off_grid = OffsetEmbedder(provider, 0.1)  # entries on the 2^-27 grid, sum(v^2) >= 1/8
-        for matrix in (load_embeddings(tmp_path / "emb.tsv", catalog),
-                       embed_catalog(catalog, off_grid)):
-            assert matrix._plan is None  # no plan before the first distance query
-            plans = self.raced(matrix.l2_plan)
-            assert all(p is plans[0] for p in plans)
-            assert l2_distances(matrix, provider.embed("w1 w2")).shape == (50,)
-            assert matrix.l2_plan() is plans[0]
+        query = provider.embed("w1 w2")
+        for embedder, held in ((provider, True), (off_grid, False)):
+            rows = np.array([embedder.embed(catalog.title(i)) for i in catalog.ids])
+            expected = one_shot_l2(rows, query)
+            made = embed_catalog(catalog, embedder)
+            save_embeddings_tsv(tmp_path / "emb.tsv", made, catalog)
+            for matrix in (made, load_embeddings(tmp_path / "emb.tsv", catalog),
+                           EmbeddingMatrix(16, rows)):
+                plan = matrix.plan  # there before the first distance query
+                assert (plan.rows is not None) is held
+                assert (matrix._vectors is None) is held
+                assert all(np.array_equal(d, expected)
+                           for d in self.raced(lambda m=matrix: l2_distances(m, query)))
+                assert matrix.plan is plan
 
     def test_plan_held_vectors_made_once(self):
         catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
         matrix = embed_catalog(catalog, HashEmbedder(dim=16, seed=1))
         assert matrix._vectors is None  # held as its plan alone
-        plan = matrix.l2_plan()
+        plan = matrix.plan
         arrays = self.raced(lambda: matrix.vectors)
         assert all(a is arrays[0] for a in arrays)
-        assert matrix.vectors is arrays[0] and matrix.l2_plan() is plan
+        assert matrix.vectors is arrays[0] and matrix.plan is plan
 
 
 # values from a small set, so tie groups are large

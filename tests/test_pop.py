@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 from conftest import make_catalog, make_log
 from groundrec.errors import DataError
 from groundrec.ingest import ItemCatalog
-from groundrec.pop import PopularityTable, compute_popularity, decile_report, minmax
+from groundrec.pop import (
+    PopularityTable,
+    compute_popularity,
+    decile_report,
+    minmax,
+    read_popularity,
+    write_popularity,
+)
 
 
 def catalog_of(n):
@@ -132,6 +139,26 @@ class TestOrder:
         table = PopularityTable.from_counts(np.array(counts, dtype=np.int64))
         expected = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
         assert table.order().tolist() == expected
+
+
+class TestReadPopularity:
+    def test_round_trip(self, tmp_path):
+        cat = make_catalog({"a": "ta", "b": "tb", "c": "tc"})
+        table = compute_popularity(log_with_counts({"a": 2, "b": 1, "c": 4}), cat)
+        write_popularity(tmp_path / "pop.tsv", table, cat)
+        read = read_popularity(tmp_path / "pop.tsv", cat)
+        assert read.counts.tolist() == [2, 1, 4]
+        assert np.array_equal(read.normalized, table.normalized)
+
+    def test_item_missing_from_the_file_fatal(self, tmp_path):
+        # a smaller catalog's file: c would count 0, and b's P move from 0 to 0.5
+        small = make_catalog({"a": "ta", "b": "tb"})
+        path = tmp_path / "pop.tsv"
+        write_popularity(path, compute_popularity(log_with_counts({"a": 2, "b": 1}), small),
+                         small)
+        with pytest.raises(DataError) as err:
+            read_popularity(path, make_catalog({"a": "ta", "b": "tb", "c": "tc"}))
+        assert str(err.value) == f"1 catalog items missing popularity counts in {path}: c"
 
 
 class TestDecileReport:

@@ -4,11 +4,20 @@ would break every traced benchmark run; these tests make it fail here."""
 
 import importlib
 import importlib.util
+import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from groundrec import cli, ingest
+from groundrec.embed import load_embeddings
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -37,3 +46,49 @@ def test_traced_function_exists(name, module, attr):
 def test_traced_method_exists(name, module, cls, attr):
     klass = getattr(importlib.import_module(f"groundrec.{module}"), cls, None)
     assert klass is not None and callable(getattr(klass, attr, None)), name
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A split, hash-embedded catalog of four-token titles (held as its
+    sparse plan) and oracle text for its test samples."""
+    d = tmp_path_factory.mktemp("traced")
+    ids = [f"i{k:03d}" for k in range(30)]
+    (d / "catalog.tsv").write_text("".join(f"{i}\tquiet harbor volume {k}\n"
+                                           for k, i in enumerate(ids)))
+    rng = random.Random(4)
+    (d / "interactions.tsv").write_text("".join(
+        f"u{u:03d}\t{item}\t{u * 8 + t}\n"
+        for u in range(20) for t, item in enumerate(rng.sample(ids, 8))))
+    for argv in (["split", "--interactions", d / "interactions.tsv", "--out", d],
+                 ["embed", "--catalog", d / "catalog.tsv", "--dim", 16, "--seed", 1,
+                  "--out", d / "emb.bin"],
+                 ["generate", "--samples", d / "samples_test.tsv", "--catalog",
+                  d / "catalog.tsv", "--seed", 1, "--out", d / "gen.tsv"]):
+        assert cli.main([str(a) for a in argv]) == 0
+    catalog = ingest.parse_catalog(d / "catalog.tsv")
+    assert load_embeddings(d / "emb.bin", catalog)._vectors is None
+    return d
+
+
+@pytest.mark.parametrize("command", ["ground", "eval"])
+def test_traced_command_counts_distance_bytes(workspace, command):
+    """The traced command runs to the end, and each distance span counts
+    its bytes from the plan-held matrix's .vectors."""
+    d = workspace
+    argv = {
+        "ground": ["ground", "--emb", d / "emb.bin", "--gen", d / "gen.tsv",
+                   "--catalog", d / "catalog.tsv", "--seed", 1, "--out", d / "ranks.tsv"],
+        "eval": ["eval", "--test", d / "samples_test.tsv", "--catalog", d / "catalog.tsv",
+                 "--emb", d / "emb.bin", "--seed", 1, "--out", d / "report.tsv"],
+    }[command]
+    spans_json = d / f"spans_{command}.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, str(SPANS_PATH), str(spans_json), "--", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    counts = [span[7] for span in json.loads(spans_json.read_text())
+              if span[0] == "ground.l2_distances"]
+    assert counts and all(type(c) is int and c > 0 for c in counts)

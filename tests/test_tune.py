@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_log, make_sample, synthetic_dataset
 from groundrec import tune
@@ -31,6 +33,26 @@ class TestGammaGrid:
 
     def test_one_appears_once(self):
         assert gamma_grid().count(1.0) == 1
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=40, max_size=40))
+    def test_slice_of_the_divisors_equals_the_divisors_of_the_slice(self, w):
+        """The precondition of a sweep that raises the weights of a group of
+        samples to gamma once and slices each sample's divisors out of the
+        result: for every length 1..40, every start 0..19 and every grid
+        point, ((1 + w) ** gamma)[lo:hi] holds the bits of
+        (1 + w[lo:hi]) ** gamma. numpy's array ** gives them wherever the
+        slice starts and ends; a scalar ** (a Python float or np.float64)
+        can differ from it in the last bit, so a grouped sweep must use the
+        array **."""
+        w = np.array(w)
+        for n in range(1, 41):
+            v = w[:n]
+            for gamma in gamma_grid():
+                whole = (1.0 + v) ** gamma
+                for lo in range(min(20, n)):
+                    for hi in {n, lo + (n - lo + 1) // 2}:
+                        assert whole[lo:hi].tobytes() == ((1.0 + v[lo:hi]) ** gamma).tobytes()
 
 
 def pop_pipeline(catalog, train, generator=None, provider=None):
