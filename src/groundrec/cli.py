@@ -14,8 +14,9 @@ manifest, metrics); each cmd_* imports what it runs when it runs, so report,
 Each input is declared once. A flag that names a file the command reads has
 the argparse type InputPath, and the manifest (and eval's report
 fingerprint) hashes exactly those flags. --train is parsed and fitted by
-_train_fits alone, once per command. The catalog matrix is made only by
-embed; ground, eval and tune-gamma load it from --emb in _embeddings.
+_train_fits alone, once per command, and before the samples are read, so the
+parsed log is freed before the samples arrive. The catalog matrix is made
+only by embed; ground, eval and tune-gamma load it from --emb in _embeddings.
 """
 
 from __future__ import annotations
@@ -125,10 +126,11 @@ def _embeddings(args, catalog):
     return mat, HashEmbedder(dim=mat.dim, seed=args.seed)
 
 
-def _pipeline_from_args(args, catalog, gamma=0.0):
+def _pipeline_from_args(args, catalog, fits, gamma=0.0):
+    """The Pipeline the flags ask for, with the weight sources _train_fits
+    gave."""
     from .harness import Pipeline
 
-    fits = _train_fits(args, catalog)
     mat, provider = _embeddings(args, catalog)
     generator = _make_generator(args, catalog, fits)
     return Pipeline(generator, provider, mat, catalog, gamma, fits.get(args.inject))
@@ -252,8 +254,8 @@ def cmd_generate(args):
     from .ingest import parse_catalog, read_samples
 
     catalog = parse_catalog(args.catalog)
-    samples = read_samples(args.samples)
     generator = _make_generator(args, catalog, _train_fits(args, catalog))
+    samples = read_samples(args.samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, sample in enumerate(samples):
             gen = generator.generate(sample)
@@ -336,13 +338,14 @@ def cmd_eval(args):
     from .ingest import parse_catalog, read_samples
 
     catalog = parse_catalog(args.catalog)
+    fits = _train_fits(args, catalog)
     samples = read_samples(args.test, args.sample_n, args.seed)
     input_digests = manifest.digests(args)
     if args.generator == "most-pop":
-        positions = most_pop_baseline(_train_fits(args, catalog)["pop"], samples, catalog)
+        positions = most_pop_baseline(fits["pop"], samples, catalog)
     else:
-        positions = evaluate(samples, _pipeline_from_args(args, catalog, args.gamma),
-                             threads=args.threads)
+        pipeline = _pipeline_from_args(args, catalog, fits, args.gamma)
+        positions = evaluate(samples, pipeline, threads=args.threads)
     report = aggregate(positions, fingerprint=_fingerprint(args, input_digests))
     if args.dump_ranks:
         with open(args.dump_ranks, "w", encoding="utf-8") as fh:
@@ -362,8 +365,9 @@ def cmd_tune_gamma(args):
     from .tune import tune_gamma, write_sweep
 
     catalog = parse_catalog(args.catalog)
+    fits = _train_fits(args, catalog)
     samples = read_samples(args.valid, args.sample_n, args.seed)
-    pipeline = _pipeline_from_args(args, catalog)
+    pipeline = _pipeline_from_args(args, catalog, fits)
     best, table = tune_gamma(samples, pipeline, metric=args.metric, threads=args.threads)
     write_sweep(args.out, table)
     manifest.write_manifest(str(args.out) + ".manifest", args)

@@ -8,8 +8,9 @@ generated text) are read through rows(): blank lines and lines starting with
 '#' are skipped, the newline is stripped and the rest is split on tabs. Each
 reader checks only its own fields, and a DataError about a line names the
 file and the line number rows() gave. parse_interactions, which counts
-malformed lines instead of raising, and read_report, whose '# fingerprint:'
-comments carry data, read their files themselves.
+malformed lines instead of raising and reads a block of text at a time, and
+read_report, whose '# fingerprint:' comments carry data, read their files
+themselves.
 """
 
 
@@ -75,9 +76,10 @@ class _TextInput:
         except UnicodeDecodeError as e:
             raise self._not_utf8() from e
 
-    def read(self):
+    def read(self, size=-1):
+        """Up to size characters (all that is left by default)."""
         try:
-            return self._fh.read()
+            return self._fh.read(size)
         except UnicodeDecodeError as e:
             raise self._not_utf8() from e
 

@@ -8,18 +8,21 @@ boundaries, so a test sample can see valid-period interactions.
 
 The log is held as columns (user ids, item ids, timestamps, tags) put in
 (timestamp, file-position) order by one stable index sort; the partitions are
-slices of them. Timestamps stay Python ints, so values beyond int64
-round-trip. Each user also gets an integer code, which lets popularity and
-co-occurrence counting group and count with numpy instead of per-record loops.
-numpy is imported only by the functions that use it, so commands that read
-just a catalog and samples (generate) never load it.
+slices of them. The timestamps are one int64 column (array("q"), 8 bytes a
+row); a log holding a timestamp beyond int64 keeps them as a list of Python
+ints instead, so such values round-trip. Either form gives Python ints. Each
+user also gets an integer code, which lets popularity and co-occurrence
+counting group and count with numpy instead of per-record loops. numpy is
+imported only by the functions that use it, so commands that read just a
+catalog and samples (generate) never load it.
 
-Large inputs are held once. parse_interactions passes every user and item
-id through one dict, so each distinct id is one string object however many
-lines name it, and a log already in timestamp order skips the index sort.
-read_samples with a draw checks every line in a first pass, keeping only its
-line number, and splits only the drawn lines in a second; the known sets it
-returns share one string per item id.
+Large inputs are held once. parse_interactions reads READ_BLOCK characters
+of text at a time, so it never holds the file's text or its line list, and
+passes every user and item id through one dict, so each distinct id is one
+string object however many lines name it; a log already in timestamp order
+skips the index sort. read_samples with a draw checks every line in a first
+pass, keeping only its line number, and splits only the drawn lines in a
+second; the known sets it returns share one string per item id.
 
 Samples come from one lazy walk per user timeline, linear in its length: it
 keeps the 10-item window and the sorted known set, which grows as the walk
@@ -41,7 +44,7 @@ from bisect import insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, le
 from pathlib import Path
 
@@ -49,6 +52,7 @@ from .errors import DataError, open_input, parse_int, rows
 
 PAD = "<PAD>"
 HISTORY_LEN = 10
+READ_BLOCK = 1 << 16  # characters of interaction-log text parsed at a time
 NUM_PERIODS = 10
 PARTITIONS = ("train", "valid", "test")
 
@@ -63,7 +67,7 @@ class InteractionLog:
 
     user_ids: list[str]
     item_ids: list[str]
-    timestamps: list[int]
+    timestamps: array | list[int]  # int64 unless a value lies beyond it
     tags: list[str | None]
     user_codes: np.ndarray
     rejected: int = 0
@@ -72,16 +76,18 @@ class InteractionLog:
     def from_columns(cls, user_ids, item_ids, timestamps, tags, rejected=0):
         """A log from columns in input-file order, sorted by one stable index
         sort on the timestamps, so file order breaks timestamp ties; columns
-        already in timestamp order are kept as they are."""
+        already in timestamp order are kept as they are. A reordered
+        timestamp column keeps its form, array("q") or list."""
         import numpy as np
 
         n = len(timestamps)
         if not all(map(le, timestamps, islice(timestamps, 1, None))):
             order = sorted(range(n), key=timestamps.__getitem__)
-            user_ids, item_ids, timestamps, tags = (
-                [col[i] for i in order]
-                for col in (user_ids, item_ids, timestamps, tags)
-            )
+            user_ids, item_ids, tags = ([col[i] for i in order]
+                                        for col in (user_ids, item_ids, tags))
+            stamps = map(timestamps.__getitem__, order)
+            timestamps = (array("q", stamps) if isinstance(timestamps, array)
+                          else list(stamps))
         code_of = {user: k for k, user in enumerate(dict.fromkeys(user_ids))}
         codes = np.fromiter(map(code_of.__getitem__, user_ids), np.int64, n)
         return cls(user_ids, item_ids, timestamps, tags, codes, rejected)
@@ -177,40 +183,58 @@ class SequenceSample:
     known_items: frozenset[str]
 
 
+def _line_blocks(fh):
+    """The lines of a text input as lists, one per READ_BLOCK characters read:
+    each block is split on newlines, its partial last line carried into the
+    next block."""
+    tail = ""
+    while block := fh.read(READ_BLOCK):
+        lines = (tail + block).split("\n")
+        tail = lines.pop()
+        yield lines
+    yield [tail]
+
+
 def parse_interactions(path) -> InteractionLog:
     """Parse a TSV of user_id, item_id, timestamp[, tag].
 
     Malformed lines are counted and skipped; more than 10% rejects is fatal.
-    User and item ids go through one dict, so the columns hold one string
-    object per distinct id.
+    The text is split a block at a time (_line_blocks), so the parse holds
+    one block's lines, never the whole file's. User and item ids go through
+    one dict, so the columns hold one string object per distinct id; the
+    timestamps fill an int64 column, which becomes a list at the first value
+    beyond int64.
     """
-    users, items, stamps, tags = [], [], [], []
+    users, items, tags = [], [], []
+    stamps = array("q")
     share = {}.setdefault
     rejected = 0
     total = 0
     with open_input(path, "interactions") as fh:
-        lines = fh.read().split("\n")
-    for lineno, line in enumerate(lines):
-        if not line or line.startswith("#"):
-            continue
-        total += 1
-        parts = line.split("\t")
-        if len(parts) < 3 or not parts[0] or not parts[1]:
-            rejected += 1
-            continue
-        try:
-            ts = int(parts[2])
-        except ValueError:
-            rejected += 1
-            continue
-        if parts[1] == PAD:
-            raise DataError(f"item_id collides with PAD token at line {lineno + 1} "
-                            f"in {path}")
-        user, item = parts[0], parts[1]
-        users.append(share(user, user))
-        items.append(share(item, item))
-        stamps.append(ts)
-        tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
+        for lineno, line in enumerate(chain.from_iterable(_line_blocks(fh)), 1):
+            if not line or line.startswith("#"):
+                continue
+            total += 1
+            parts = line.split("\t")
+            if len(parts) < 3 or not parts[0] or not parts[1]:
+                rejected += 1
+                continue
+            try:
+                ts = int(parts[2])
+            except ValueError:
+                rejected += 1
+                continue
+            if parts[1] == PAD:
+                raise DataError(f"item_id collides with PAD token at line {lineno} "
+                                f"in {path}")
+            user, item = parts[0], parts[1]
+            users.append(share(user, user))
+            items.append(share(item, item))
+            try:
+                stamps.append(ts)
+            except OverflowError:  # beyond int64: the column holds Python ints
+                stamps = [*stamps, ts]
+            tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
     if total and rejected / total > 0.10:
         raise DataError(
             f"{rejected}/{total} lines rejected in {path} (>10%); "

@@ -1,8 +1,12 @@
+from array import array
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_log, make_sample, synthetic_dataset
+from groundrec import ingest
 from groundrec.errors import DataError
 from groundrec.ingest import (
     HISTORY_LEN,
@@ -30,7 +34,7 @@ class TestParseInteractions:
         f = tmp_path / "x.tsv"
         write_lines(f, ["u\ta\t5", "u\tb\t1", "u\tc\t3"])
         log = parse_interactions(f)
-        assert log.timestamps == [1, 3, 5]
+        assert list(log.timestamps) == [1, 3, 5]
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "x.tsv"
@@ -127,23 +131,35 @@ BAD_LINE = st.sampled_from([
 LINES = st.lists(st.one_of(VALID_LINE, VALID_LINE, VALID_LINE, BAD_LINE), max_size=40)
 
 
+def block_lines(n):
+    """n valid interaction lines, about 14 characters each."""
+    return [f"u{k % 7}\titem{k % 13}\t{k}" for k in range(n)]
+
+
 class TestColumnarParse:
-    @settings(max_examples=300, deadline=None)
-    @given(lines=LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]))
-    def test_matches_record_reference(self, tmp_path_factory, lines, newline):
+    @settings(max_examples=400, deadline=None)
+    @given(lines=LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           block=st.sampled_from([ingest.READ_BLOCK, 1, 2, 3, 7]))
+    def test_matches_record_reference(self, tmp_path_factory, lines, newline, block):
+        """Also with blocks of a few characters, which split lines, CR LF
+        pairs and fields anywhere."""
         path = tmp_path_factory.mktemp("p") / "x.tsv"
         path.write_bytes(newline.join(lines).encode())
-        try:
-            records, rejected = reference_parse(path)
-        except DataError as e:
-            with pytest.raises(DataError) as got:
-                parse_interactions(path)
-            assert str(got.value).startswith(str(e).split(" (>10%)")[0])
-            return
-        log = parse_interactions(path)
+        with mock.patch.object(ingest, "READ_BLOCK", block):
+            try:
+                records, rejected = reference_parse(path)
+            except DataError as e:
+                with pytest.raises(DataError) as got:
+                    parse_interactions(path)
+                assert str(got.value).startswith(str(e).split(" (>10%)")[0])
+                return
+            log = parse_interactions(path)
         assert log.rejected == rejected and len(log) == len(records)
         assert list(zip(log.user_ids, log.item_ids, log.timestamps, log.tags)) == records
         assert all(type(ts) is int for ts in log.timestamps)
+        # an int64 column unless a timestamp lies beyond int64
+        in_int64 = all(-(2**63) <= ts < 2**63 for _, _, ts, _ in records)
+        assert isinstance(log.timestamps, array) == in_int64
         # one code per user, numbered by first appearance
         firsts = list(dict.fromkeys(log.user_ids))
         assert log.user_codes.tolist() == [firsts.index(u) for u in log.user_ids]
@@ -151,6 +167,27 @@ class TestColumnarParse:
         write_interactions(out, log)
         reference_write_interactions(expected, records)
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_not_utf8_past_the_first_block_names_its_line(self, tmp_path, newline):
+        lines = block_lines(20_000)
+        assert len(newline.join(lines[:15_000])) > 3 * ingest.READ_BLOCK
+        f = tmp_path / "x.tsv"
+        f.write_bytes(newline.join(lines[:15_000]).encode() + newline.encode()
+                      + b"u0\tcaf\xe9\t1" + newline.encode()
+                      + newline.join(lines[15_000:]).encode())
+        with pytest.raises(DataError, match="not UTF-8: byte 0xe9 at line 15001$"):
+            parse_interactions(f)
+
+    def test_first_fault_wins_across_blocks(self, tmp_path):
+        """A PAD line in the first block is reported before a bad byte blocks
+        later, which the parse never reaches."""
+        lines = block_lines(20_000)
+        lines[1] = f"u0\t{PAD}\t1"
+        f = tmp_path / "x.tsv"
+        f.write_bytes("\n".join(lines).encode() + b"\nu0\tcaf\xe9\t1\n")
+        with pytest.raises(DataError, match="PAD token at line 2 "):
+            parse_interactions(f)
 
     def test_pad_collision_names_line(self, tmp_path):
         f = tmp_path / "x.tsv"

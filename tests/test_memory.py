@@ -1,6 +1,7 @@
 """Memory bounds of the steps that hold a large input: the catalog matrix
 built and written, or read, an interaction log parsed, and samples drawn
-from a samples file.
+from a samples file; and the order in which a command that fits --train
+reads its inputs, so the parsed log is freed before the samples arrive.
 
 Memory is measured with tracemalloc (what Python and numpy allocate, not the
 process RSS), so each ratio repeats on any machine. Each bound sits between
@@ -14,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from groundrec import cli, ingest
 from groundrec.embed import HashEmbedder, embed_catalog, load_embeddings, save_embeddings_bin
 from groundrec.ground import L2_BLOCK
 from groundrec.ingest import (
@@ -116,3 +118,56 @@ def test_interaction_log_shares_its_ids(inputs):
     assert len(log) == 400 * 50
     assert held < 6 * size
     assert peak < 12 * size
+
+
+def test_interaction_log_parsed_a_block_at_a_time(inputs):
+    """The parse holds the columns (one int64 timestamp each) and one block
+    of lines, not the file's line list and a Python int per timestamp."""
+    _, interactions, _ = inputs
+    size = interactions.stat().st_size
+    log, held, peak = traced(lambda: parse_interactions(interactions))
+    assert len(log) == 400 * 50
+    assert held < 3.2 * size
+    assert peak < 5 * size
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A split, a catalog file and its matrix, for the commands that fit
+    --train."""
+    d = tmp_path_factory.mktemp("order")
+    catalog = d / "catalog.tsv"
+    catalog.write_text("".join(f"m{k:05d}\tquiet harbor volume {k}\n"
+                               for k in range(60)))
+    interactions = zipf_log(d / "interactions.tsv", 20, 30, 60, seed=8)
+    for argv in (["split", "--interactions", interactions, "--out", d / "splits"],
+                 ["embed", "--catalog", catalog, "--dim", 16, "--seed", 3,
+                  "--out", d / "items.emb"]):
+        assert cli.run([str(a) for a in argv]) == 0
+    return d
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--test", "splits/samples_test.tsv", "--emb", "items.emb",
+     "--generator", "ngram", "--inject", "pop", "--sample-n", 20],
+    ["eval", "--test", "splits/samples_test.tsv", "--generator", "most-pop"],
+    ["tune-gamma", "--valid", "splits/samples_valid.tsv", "--emb", "items.emb",
+     "--inject", "collab", "--sample-n", 10],
+    ["generate", "--samples", "splits/samples_test.tsv", "--generator", "pop"],
+], ids=["eval", "eval-most-pop", "tune-gamma", "generate-pop"])
+def test_train_fitted_before_samples_are_read(cli_inputs, tmp_path, monkeypatch, argv):
+    calls = []
+
+    def recorded(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for name in ("parse_interactions", "read_samples"):
+        monkeypatch.setattr(ingest, name, recorded(getattr(ingest, name)))
+    monkeypatch.chdir(cli_inputs)
+    assert cli.run([str(a) for a in [
+        *argv, "--catalog", "catalog.tsv", "--train", "splits/train.tsv",
+        "--seed", 3, "--out", tmp_path / "out.tsv"]]) == 0
+    assert calls == ["parse_interactions", "read_samples"]
