@@ -28,7 +28,8 @@ from pathlib import Path
 
 from . import manifest
 from .errors import DataError, UsageError, parse_int, rows
-from .metrics import aggregate, improve2lv, metric_names, read_report, write_report
+from .metrics import (aggregate, check_comparable, improve2lv, metric_names, read_report,
+                      write_report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +167,8 @@ def _check_flags(args):
     if gamma != 0 and inject == "none":  # it would divide by no weights
         raise UsageError(f"--gamma {gamma:g} needs --inject pop or collab: "
                          "with --inject none there are no weights to divide by")
+    if command == "report" and args.mode == "improve2lv" and len(args.reports) != 3:
+        raise UsageError("improve2lv mode needs exactly 3 reports: a b combined")
     if command == "ground":
         if inject == "pop" and not args.popularity:
             raise UsageError("--inject pop requires --popularity")
@@ -377,20 +380,8 @@ def cmd_tune_gamma(args):
 
 def cmd_report(args):
     reports = [read_report(p) for p in args.reports]
-    ks = reports[0].ks
-    for r in reports[1:]:
-        if r.ks != ks:
-            raise DataError("reports have mismatched K sets")
-    for key, inputs in (("sha256.test", "sample sets"), ("sha256.catalog", "catalogs"),
-                        ("sha256.emb", "embedding files")):
-        recorded = {r.fingerprint.get(key, "") for r in reports}
-        if key != "sha256.test":
-            recorded.discard("")  # Most-Pop reads no --emb, so it conflicts with none
-        if len(recorded) > 1 and not args.force:
-            raise DataError(
-                f"reports were computed on different {inputs}; pass --force to compare"
-            )
-    names = metric_names(ks)
+    check_comparable(args.reports, reports, force=args.force)
+    names = metric_names(reports[0].ks)
     lines = []
     if args.mode == "compare":
         header = ["metric"] + [Path(p).name for p in args.reports]
@@ -398,9 +389,7 @@ def cmd_report(args):
         for name in names:
             vals = [f"{r.metric(name):.6g}" for r in reports]
             lines.append("\t".join([name] + vals))
-    else:  # improve2lv
-        if len(reports) != 3:
-            raise UsageError("improve2lv mode needs exactly 3 reports: a b combined")
+    else:  # improve2lv, given exactly 3 reports (_check_flags)
         imp = improve2lv(reports[0], reports[1], reports[2])
         lines.append("metric\ta\tb\tcombined\timprove2lv")
         for name in names:

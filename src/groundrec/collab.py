@@ -12,8 +12,8 @@ outside the catalog is not counted.
 
 Scorer file format: magic b"GRCO", u32 pair count, then those arrays as
 (u32 prev, u32 next, u32 count) triples, little-endian. load_scorer checks
-the pair count against the file size before reading, every index against
-the catalog, and that the pairs strictly increase in (prev, next).
+that the body is exactly 12 bytes a pair before reading it, every index
+against the catalog, and that the pairs strictly increase in (prev, next).
 """
 
 from __future__ import annotations
@@ -107,10 +107,12 @@ def load_scorer(path, n_items) -> CoScorer:
         if len(header) < 8 or header[:4] != MAGIC:
             raise DataError(f"{path} is not a GRCO scorer file")
         (n_pairs,) = struct.unpack("<I", header[4:])
-        if 8 + 12 * n_pairs > os.fstat(fh.fileno()).st_size:
-            raise DataError(f"truncated scorer file {path}: the header counts "
-                            f"{n_pairs} pairs")
-        body = fh.read(12 * n_pairs)
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        if size != 12 * n_pairs:
+            raise DataError(f"{'truncated' if size < 12 * n_pairs else 'overlong'} scorer "
+                            f"file {path}: the header counts {n_pairs} pairs, "
+                            f"{12 * n_pairs} bytes, but {size} bytes follow it")
+        body = fh.read(size)
     triples = np.frombuffer(body, dtype="<u4").reshape(-1, 3)
     if n_pairs and triples[:, :2].max() >= n_items:
         raise DataError(f"scorer file {path} holds item index {triples[:, :2].max()}, "

@@ -1,8 +1,9 @@
-"""Item embedding storage and pluggable text-embedding providers.
+"""Item embedding storage and the text-embedding provider.
 
-Two providers ship: a file-backed one (import vectors produced elsewhere) and
-a deterministic hashed bag-of-tokens embedder that keeps the pipeline
-self-contained. Vectors are not length-normalized unless asked.
+One provider ships: HashEmbedder, a deterministic hashed bag-of-tokens
+embedder that keeps the pipeline self-contained. Vectors made elsewhere come
+in through the TSV loader, which reads a matrix and embeds no text. Vectors
+are not length-normalized unless asked.
 
 File formats:
   TSV    item_id \\t v0 \\t v1 ...

@@ -1,17 +1,21 @@
-"""Error types shared across the package, and the opener, row reader and
+"""Error types shared across the package, and the opener, line reader and
 integer parser the input readers use.
 
 UsageError maps to exit code 1, DataError to exit code 2 in the CLI.
 
-The line-oriented text inputs (catalog, samples, TSV embeddings, popularity,
-generated text) are read through rows(): blank lines and lines starting with
-'#' are skipped, the newline is stripped and the rest is split on tabs. Each
-reader checks only its own fields, and a DataError about a line names the
-file and the line number rows() gave. parse_interactions, which counts
-malformed lines instead of raising and reads a block of text at a time, and
-read_report, whose '# fingerprint:' comments carry data, read their files
-themselves.
+rows() is the one line splitter: every line-oriented text input
+(interactions, catalog, samples, TSV embeddings, popularity, generated text)
+is read through it, READ_BLOCK characters at a time, each block's partial
+last line carried into the next, so no reader holds more than a block of a
+file's text. Newlines are universal, blank and '#' lines are skipped, and
+the rest is split on tabs. Each reader checks only its own fields, and a
+DataError about a line names the file and the line number rows() gave.
+read_report, whose '# fingerprint:' comments carry data, reads its file whole.
 """
+
+from itertools import chain
+
+READ_BLOCK = 1 << 16  # characters of text read and split at a time
 
 
 class GroundrecError(Exception):
@@ -38,13 +42,27 @@ def open_input(path, what, mode="r"):
     return fh if "b" in mode else _TextInput(fh, path, what)
 
 
-def rows(path, what):
+def _line_blocks(fh):
+    """The lines of a text input as lists, one per READ_BLOCK characters read,
+    each block's partial last line carried into the next; a block's text and
+    lines are let go before the next block is read."""
+    tail = ""
+    while block := fh.read(READ_BLOCK):
+        lines = (tail + block).split("\n")
+        del block
+        tail = lines.pop()
+        yield lines
+        del lines
+    yield [tail]
+
+
+def rows(path, what, only=None):
     """(1-based line number, tab-split fields) per line of a text input, blank
-    and '#' lines skipped; open_input names the file of an OS or UTF-8 error."""
+    and '#' lines skipped, and with only, every line whose number it does not
+    hold; open_input names the file of an OS or UTF-8 error."""
     with open_input(path, what) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
+        for lineno, line in enumerate(chain.from_iterable(_line_blocks(fh)), 1):
+            if line and not line.startswith("#") and (only is None or lineno in only):
                 yield lineno, line.split("\t")
 
 
@@ -70,12 +88,6 @@ class _TextInput:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def __iter__(self):
-        try:
-            yield from self._fh
-        except UnicodeDecodeError as e:
-            raise self._not_utf8() from e
-
     def read(self, size=-1):
         """Up to size characters (all that is left by default)."""
         try:
@@ -84,7 +96,7 @@ class _TextInput:
             raise self._not_utf8() from e
 
     def _not_utf8(self):
-        with open(self._path, "rb") as fh:
+        with open_input(self._path, self._what, "rb") as fh:
             data = fh.read()
         try:
             data.decode("utf-8")

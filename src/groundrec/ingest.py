@@ -6,23 +6,24 @@ train, 9 valid, 10 test. Samples use a fixed history window of 10 items,
 left-padded with the reserved PAD token; histories may cross partition
 boundaries, so a test sample can see valid-period interactions.
 
-The log is held as columns (user ids, item ids, timestamps, tags) put in
-(timestamp, file-position) order by one stable index sort; the partitions are
-slices of them. The timestamps are one int64 column (array("q"), 8 bytes a
-row); a log holding a timestamp beyond int64 keeps them as a list of Python
-ints instead, so such values round-trip. Either form gives Python ints. Each
-user also gets an integer code, which lets popularity and co-occurrence
-counting group and count with numpy instead of per-record loops. numpy is
+The log is held as columns put in (timestamp, file-position) order by one
+stable index sort; the partitions are slices of them. Each column has one
+form. The users are held once: the distinct ids, numbered by first
+appearance in the file, and one int64 code per row, which lets popularity
+and co-occurrence counting group and count with numpy instead of per-record
+loops. The timestamps are one int64 column (array("q"), 8 bytes a row); a
+line whose timestamp is not an integer in int64 is a rejected line. numpy is
 imported only by the functions that use it, so commands that read just a
 catalog and samples (generate) never load it.
 
-Large inputs are held once. parse_interactions reads READ_BLOCK characters
-of text at a time, so it never holds the file's text or its line list, and
-passes every user and item id through one dict, so each distinct id is one
-string object however many lines name it; a log already in timestamp order
-skips the index sort. read_samples with a draw checks every line in a first
-pass, keeping only its line number, and splits only the drawn lines in a
-second; the known sets it returns share one string per item id.
+Large inputs are held once. Every text input is read through errors.rows,
+which splits errors.READ_BLOCK characters at a time, so parse_interactions
+never holds the file's text or its line list; every item id goes through
+one dict, so each distinct id is one string object however many lines name
+it, and a log already in timestamp order skips the index sort. read_samples
+with a draw checks every line in a first pass, keeping only its line number,
+and splits only the drawn lines in a second; the known sets it returns share
+one string per item id.
 
 Samples come from one lazy walk per user timeline, linear in its length: it
 keeps the 10-item window and the sorted known set, which grows as the walk
@@ -44,15 +45,13 @@ from bisect import insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import itemgetter, le
+from operator import itemgetter
 from pathlib import Path
 
-from .errors import DataError, open_input, parse_int, rows
+from .errors import DataError, parse_int, rows
 
 PAD = "<PAD>"
 HISTORY_LEN = 10
-READ_BLOCK = 1 << 16  # characters of interaction-log text parsed at a time
 NUM_PERIODS = 10
 PARTITIONS = ("train", "valid", "test")
 
@@ -61,44 +60,39 @@ PARTITIONS = ("train", "valid", "test")
 class InteractionLog:
     """Interaction columns, stably sorted by (timestamp, input-file position).
 
-    user_codes numbers the users by first appearance in that order. A slice
-    keeps the codes of the log it was cut from.
+    users holds each distinct user id once, numbered by first appearance in
+    the file, and user_codes each row's number; a slice shares users.
     """
 
-    user_ids: list[str]
+    users: list[str]
+    user_codes: np.ndarray  # int64
     item_ids: list[str]
-    timestamps: array | list[int]  # int64 unless a value lies beyond it
+    timestamps: array  # int64
     tags: list[str | None]
-    user_codes: np.ndarray
     rejected: int = 0
 
     @classmethod
-    def from_columns(cls, user_ids, item_ids, timestamps, tags, rejected=0):
-        """A log from columns in input-file order, sorted by one stable index
-        sort on the timestamps, so file order breaks timestamp ties; columns
-        already in timestamp order are kept as they are. A reordered
-        timestamp column keeps its form, array("q") or list."""
+    def from_columns(cls, users, user_codes, item_ids, timestamps, tags, rejected=0):
+        """A log from columns in input-file order (user_codes and timestamps
+        as array("q")), stably sorted on the timestamps, so file order breaks
+        ties; columns already in timestamp order are kept as they are."""
         import numpy as np
 
-        n = len(timestamps)
-        if not all(map(le, timestamps, islice(timestamps, 1, None))):
-            order = sorted(range(n), key=timestamps.__getitem__)
-            user_ids, item_ids, tags = ([col[i] for i in order]
-                                        for col in (user_ids, item_ids, tags))
-            stamps = map(timestamps.__getitem__, order)
-            timestamps = (array("q", stamps) if isinstance(timestamps, array)
-                          else list(stamps))
-        code_of = {user: k for k, user in enumerate(dict.fromkeys(user_ids))}
-        codes = np.fromiter(map(code_of.__getitem__, user_ids), np.int64, n)
-        return cls(user_ids, item_ids, timestamps, tags, codes, rejected)
+        codes = np.frombuffer(user_codes, np.int64)
+        stamps = np.frombuffer(timestamps, np.int64)
+        if (stamps[1:] < stamps[:-1]).any():
+            order = np.argsort(stamps, kind="stable")
+            codes, timestamps = codes[order], array("q", stamps[order].tobytes())
+            order = order.tolist()
+            item_ids, tags = ([col[i] for i in order] for col in (item_ids, tags))
+        return cls(users, codes, item_ids, timestamps, tags, rejected)
 
     def __len__(self):
         return len(self.timestamps)
 
     def slice(self, lo, hi) -> InteractionLog:
-        return InteractionLog(self.user_ids[lo:hi], self.item_ids[lo:hi],
-                              self.timestamps[lo:hi], self.tags[lo:hi],
-                              self.user_codes[lo:hi])
+        return InteractionLog(self.users, self.user_codes[lo:hi], self.item_ids[lo:hi],
+                              self.timestamps[lo:hi], self.tags[lo:hi])
 
     def user_order(self) -> np.ndarray:
         """Positions grouped by user code, in log order within each user."""
@@ -183,64 +177,42 @@ class SequenceSample:
     known_items: frozenset[str]
 
 
-def _line_blocks(fh):
-    """The lines of a text input as lists, one per READ_BLOCK characters read:
-    each block is split on newlines, its partial last line carried into the
-    next block."""
-    tail = ""
-    while block := fh.read(READ_BLOCK):
-        lines = (tail + block).split("\n")
-        tail = lines.pop()
-        yield lines
-    yield [tail]
-
-
 def parse_interactions(path) -> InteractionLog:
     """Parse a TSV of user_id, item_id, timestamp[, tag].
 
-    Malformed lines are counted and skipped; more than 10% rejects is fatal.
-    The text is split a block at a time (_line_blocks), so the parse holds
-    one block's lines, never the whole file's. User and item ids go through
-    one dict, so the columns hold one string object per distinct id; the
-    timestamps fill an int64 column, which becomes a list at the first value
-    beyond int64.
+    Malformed lines are counted and skipped, a timestamp outside int64
+    among them; more than 10% rejects is fatal. The lines come from
+    errors.rows, a block at a time. Each user gets its code at its first
+    line, and item ids go through one dict, so the columns hold one string
+    object per distinct id.
     """
-    users, items, tags = [], [], []
+    code_of, codes = {}, array("q")
+    items, tags = [], []
     stamps = array("q")
     share = {}.setdefault
     rejected = 0
-    total = 0
-    with open_input(path, "interactions") as fh:
-        for lineno, line in enumerate(chain.from_iterable(_line_blocks(fh)), 1):
-            if not line or line.startswith("#"):
-                continue
-            total += 1
-            parts = line.split("\t")
-            if len(parts) < 3 or not parts[0] or not parts[1]:
-                rejected += 1
-                continue
-            try:
-                ts = int(parts[2])
-            except ValueError:
-                rejected += 1
-                continue
-            if parts[1] == PAD:
-                raise DataError(f"item_id collides with PAD token at line {lineno} "
-                                f"in {path}")
-            user, item = parts[0], parts[1]
-            users.append(share(user, user))
-            items.append(share(item, item))
-            try:
-                stamps.append(ts)
-            except OverflowError:  # beyond int64: the column holds Python ints
-                stamps = [*stamps, ts]
-            tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
+    for lineno, parts in rows(path, "interactions"):
+        if len(parts) < 3 or not parts[0] or not parts[1]:
+            rejected += 1
+            continue
+        try:
+            stamps.append(int(parts[2]))
+        except (ValueError, OverflowError):  # not an integer, or outside int64
+            rejected += 1
+            continue
+        if parts[1] == PAD:
+            raise DataError(f"item_id collides with PAD token at line {lineno} "
+                            f"in {path}")
+        codes.append(code_of.setdefault(parts[0], len(code_of)))
+        items.append(share(parts[1], parts[1]))
+        tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
+    total = len(stamps) + rejected  # every other line raised or has a timestamp
     if total and rejected / total > 0.10:
         raise DataError(
             f"{rejected}/{total} lines rejected in {path} (>10%); "
             "check the file format (user \\t item \\t integer timestamp)"
         )
-    return InteractionLog.from_columns(users, items, stamps, tags, rejected)
+    return InteractionLog.from_columns(list(code_of), codes, items, stamps, tags, rejected)
 
 
 def parse_catalog(path) -> ItemCatalog:
@@ -308,7 +280,7 @@ def _walk(split: SplitLog, timeline, clean):
     full = split.full
     train_end = split.partition_range("train")[1]
     valid_end = split.partition_range("valid")[1]
-    user = full.user_ids[timeline[0]]
+    user = full.users[full.user_codes[timeline[0]]]
     window = deque([PAD] * HISTORY_LEN, maxlen=HISTORY_LEN)
     seen: set[str] = set()
     known: list[str] = []  # seen, sorted
@@ -410,8 +382,8 @@ def write_interactions(path, log: InteractionLog):
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
             f"{user}\t{item}\t{ts}\t{tag}\n" if tag else f"{user}\t{item}\t{ts}\n"
-            for user, item, ts, tag in zip(log.user_ids, log.item_ids,
-                                           log.timestamps, log.tags)
+            for user, item, ts, tag in zip(map(log.users.__getitem__, log.user_codes),
+                                           log.item_ids, log.timestamps, log.tags)
         )
 
 
@@ -452,28 +424,29 @@ def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
 
     Every line is checked before any sample is returned. With n, a first
     pass checks every line and keeps only its line number, and a second
-    splits only the drawn lines, so memory holds the draw, not the file.
-    The returned known sets share one string per item id.
+    splits only the drawn lines. Each sample is made as its line is read,
+    so memory holds the samples, not their lines. The returned known sets
+    share one string per item id.
     """
-    if n is None:
-        lines = [_checked(parts, lineno, path) for lineno, parts in rows(path, "samples")]
-    else:
-        linenos = array("q")
-        for lineno, parts in rows(path, "samples"):
-            _checked(parts, lineno, path)
-            linenos.append(lineno)
-        slot = {lineno: k for k, lineno in enumerate(sample_eval(linenos, n, seed))}
-        lines = [None] * len(slot)
-        with open_input(path, "samples") as fh:
-            for lineno, line in enumerate(fh, 1):
-                k = slot.get(lineno)
-                if k is not None:
-                    lines[k] = _checked(line.rstrip("\n").split("\t"), lineno, path)
-        if None in lines:
-            raise DataError(f"samples file {path} changed while it was read")
     ids: dict[str, str] = {}
-    return [_sample(user, hist, target, ts, _known_set(known, ids))
-            for user, hist, target, ts, known in lines]
+
+    def sample(lineno, parts):
+        user, hist, target, ts, known = _checked(parts, lineno, path)
+        return _sample(user, hist, target, ts, _known_set(known, ids))
+
+    if n is None:
+        return [sample(lineno, parts) for lineno, parts in rows(path, "samples")]
+    linenos = array("q")
+    for lineno, parts in rows(path, "samples"):
+        _checked(parts, lineno, path)
+        linenos.append(lineno)
+    slot = {lineno: k for k, lineno in enumerate(sample_eval(linenos, n, seed))}
+    samples = [None] * len(slot)
+    for lineno, parts in rows(path, "samples", slot):
+        samples[slot[lineno]] = sample(lineno, parts)
+    if None in samples:
+        raise DataError(f"samples file {path} changed while it was read")
+    return samples
 
 
 def sample_eval(samples, n, seed) -> list:

@@ -1,8 +1,9 @@
 """Metric reports: HR@K / NDCG@K from target positions, the Improve2LV score,
 and the report file, which has one format: the text that eval writes and
 report reads strictly. Every ranking path gives target positions; aggregate
-is the one place they become a report, and metric_names the one place the
-metric names are built.
+is the one place they become a report, metric_names the one place the
+metric names are built, and check_comparable the one place reports are
+checked before they are compared.
 
 NDCG uses the single-relevant-item convention (IDCG = 1), so per sample it is
 1/log2(rank+1) when the target lands within K, else 0. This module imports
@@ -67,13 +68,41 @@ def aggregate(positions, ks=DEFAULT_KS, fingerprint=None) -> MetricsReport:
 def improve2lv(report_a: MetricsReport, report_b: MetricsReport,
                report_combined: MetricsReport):
     """(combined - max(a, b)) / max(a, b) per metric; None where max is 0."""
-    if not (report_a.ks == report_b.ks == report_combined.ks):
-        raise DataError("reports have mismatched K sets")
+    check_comparable(["a", "b", "combined"], [report_a, report_b, report_combined],
+                     force=True)
     out = {}
     for name in metric_names(report_a.ks):
         best = max(report_a.metric(name), report_b.metric(name))
         out[name] = None if best == 0 else (report_combined.metric(name) - best) / best
     return out
+
+
+def _first_difference(named):
+    """The first name of (name, value) pairs and the first name whose value
+    differs from the first's; None if every value is the same."""
+    for name, value in named:
+        if value != named[0][1]:
+            return named[0][0], name
+    return None
+
+
+def check_comparable(names, reports, force=False):
+    """Refuse reports that cannot be compared, with a DataError naming the
+    first report and the first that differs from it: reports whose K sets
+    differ and, unless force, reports computed on different sample sets,
+    catalogs or embedding files. Most-Pop reads no --emb, so a report
+    without a catalog or emb digest conflicts with none."""
+    named = list(zip(names, reports))
+    pair = _first_difference([(name, r.ks) for name, r in named])
+    if pair:
+        raise DataError("reports have mismatched K sets: {} and {}".format(*pair))
+    for key, inputs in (("sha256.test", "sample sets"), ("sha256.catalog", "catalogs"),
+                        ("sha256.emb", "embedding files")):
+        pair = _first_difference([(name, r.fingerprint.get(key)) for name, r in named
+                                  if key == "sha256.test" or r.fingerprint.get(key)])
+        if pair and not force:
+            raise DataError(f"reports were computed on different {inputs}: {pair[0]} "
+                            f"and {pair[1]}; pass --force to compare")
 
 
 def write_report(path, report: MetricsReport):

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -14,10 +15,17 @@ from groundrec.ingest import (
 
 def make_log(triples):
     """triples: (user, item, timestamp) in file order."""
+    code_of = {}
+    codes = array("q", [code_of.setdefault(u, len(code_of)) for u, _, _ in triples])
     return InteractionLog.from_columns(
-        [u for u, _, _ in triples], [i for _, i, _ in triples],
-        [t for _, _, t in triples], [None] * len(triples),
+        list(code_of), codes, [i for _, i, _ in triples],
+        array("q", [t for _, _, t in triples]), [None] * len(triples),
     )
+
+
+def user_ids(log):
+    """The user id of each row of an InteractionLog."""
+    return [log.users[c] for c in log.user_codes]
 
 
 def make_catalog(entries):

@@ -12,7 +12,7 @@ from conftest import make_scorer
 from groundrec import cli, ingest, manifest
 from groundrec.collab import save_scorer
 from groundrec.embed import load_embeddings
-from groundrec.errors import DataError
+from groundrec.errors import READ_BLOCK, DataError
 from groundrec.ground import L2_BLOCK
 from groundrec.ingest import read_samples, sample_eval
 from groundrec.metrics import aggregate, read_report, write_report
@@ -128,6 +128,40 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert f"interactions file {inter} is not UTF-8: byte 0xe9 at line 241" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bad", ["catalog", "samples", "drawn-samples"])
+    def test_past_the_first_block_exits_2(self, tmp_path, capsys, bad, newline):
+        """The bad byte sits blocks after the first; the error still names
+        its line, also in a --sample-n draw's first pass."""
+        items = [f"m{k:05d}" for k in range(8000)]
+        catalog = [f"{item}\ta quiet harbor story" for item in items]
+        samples = [f"u{k}\t{','.join(items[k:k + 10])}\t{items[k + 10]}\t{k}\t{items[k]}"
+                   for k in range(7000)]
+        lines = catalog if bad == "catalog" else samples
+        assert len(newline.join(lines[:6000])) > 2 * READ_BLOCK
+        lines[6000] = lines[6000].replace("\t", "\t\xe9", 1)
+        files = {}
+        for what, text in (("catalog", catalog), ("samples", samples)):
+            files[what] = tmp_path / f"{what}.tsv"
+            files[what].write_bytes(newline.join(text).encode("latin-1"))
+        train = tmp_path / "train.tsv"
+        train.write_text("u0\tm00000\t1\n")
+        argv = {
+            "catalog": ["embed", "--catalog", files["catalog"], "--dim", 8],
+            "samples": ["generate", "--samples", files["samples"],
+                        "--catalog", files["catalog"]],
+            "drawn-samples": ["eval", "--test", files["samples"], "--catalog", files["catalog"],
+                              "--generator", "most-pop", "--train", train,
+                              "--sample-n", 5],
+        }[bad]
+        out = tmp_path / "out"
+        assert cli.main([str(a) for a in [*argv, "--seed", 1, "--out", out]]) == 2
+        err = capsys.readouterr().err
+        what = "catalog" if bad == "catalog" else "samples"
+        assert (f"{what} file {files[what]} is not UTF-8: byte 0xe9 at line 6001"
+                in err)
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestFlagValues:
@@ -491,6 +525,40 @@ class TestReportCommand:
         self.make_report(b, 0.5)
         assert cli.main(["report", str(a), str(b), "--mode", "improve2lv"]) == 1
 
+    @pytest.mark.parametrize("reports", [["missing.tsv", "b.tsv"],
+                                         ["a.tsv", "missing.tsv", "b.tsv", "a.tsv"]])
+    def test_improve2lv_count_checked_before_any_report_is_read(self, tmp_path, capsys,
+                                                                reports):
+        self.make_report(tmp_path / "a.tsv", 0.5)
+        self.make_report(tmp_path / "b.tsv", 0.5)
+        argv = ["report", *(str(tmp_path / r) for r in reports), "--mode", "improve2lv"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "improve2lv mode needs exactly 3 reports" in err and "missing" not in err
+
+    @pytest.mark.parametrize("key, inputs", [("test", "sample sets"),
+                                             ("catalog", "catalogs"),
+                                             ("emb", "embedding files")])
+    def test_mismatch_names_the_first_report_and_the_first_that_differs(
+            self, tmp_path, capsys, key, inputs):
+        a, b, c, d = (tmp_path / f"{n}.tsv" for n in "abcd")
+        for path, digest in ((a, "ccc"), (b, "ccc"), (c, "ddd"), (d, "eee")):
+            if key == "test":
+                self.make_report(path, 0.5, fingerprint=digest)
+            else:
+                self.make_report(path, 0.5, more=f"# fingerprint: sha256.{key}={digest}\n")
+        assert cli.main([str(p) for p in ("report", a, b, c, d)]) == 2
+        err = capsys.readouterr().err
+        assert f"reports were computed on different {inputs}: {a} and {c}; " in err
+
+    def test_k_set_mismatch_names_the_reports(self, tmp_path, capsys):
+        a, b, c = (tmp_path / f"{n}.tsv" for n in "abc")
+        self.make_report(a, 0.5)
+        self.make_report(b, 0.5)
+        c.write_text("hr@1\t0.5\nndcg@1\t0.5\nn_samples\t2\nskipped\t0\n")
+        assert cli.main([str(p) for p in ("report", a, b, c)]) == 2
+        assert f"reports have mismatched K sets: {a} and {c}" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
@@ -691,6 +759,15 @@ class TestGroundInputErrors:
         assert self.collab(tmp_path, cat, gen, scorer) == 2
         err = capsys.readouterr().err
         assert f"truncated scorer file {scorer}: the header counts 4294967295" in err
+
+    def test_scorer_bytes_after_its_pairs(self, ground_inputs, capsys):
+        tmp_path, cat, gen = ground_inputs
+        scorer = tmp_path / "co.bin"
+        scorer.write_bytes(b"GRCO" + struct.pack("<I7I", 2, 0, 1, 5, 1, 2, 3, 0)[:-1])
+        assert self.collab(tmp_path, cat, gen, scorer) == 2
+        err = capsys.readouterr().err
+        assert (f"overlong scorer file {scorer}: the header counts 2 pairs, 24 bytes, "
+                "but 27 bytes follow it") in err and "Traceback" not in err
 
 
 class TestGroundBm25:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (make_catalog, make_log, make_sample, make_scorer, scorer_counts,
-                      synthetic_dataset)
+                      synthetic_dataset, user_ids)
 from groundrec import cli
 from groundrec.collab import (
     fit_cooccurrence,
@@ -51,7 +52,7 @@ class TestFitCooccurrence:
         scorer = fit_cooccurrence(split.train, catalog)
         # rebuild pair multiset from train alone; scorer must contain no more
         by_user = {}
-        for user, item in zip(split.train.user_ids, split.train.item_ids):
+        for user, item in zip(user_ids(split.train), split.train.item_ids):
             by_user.setdefault(user, []).append(item)
         expected = {}
         for items in by_user.values():
@@ -64,7 +65,7 @@ class TestFitCooccurrence:
 def reference_counts(log, catalog):
     """The per-record loop fit_cooccurrence replaced."""
     by_user = {}
-    for user, item in zip(log.user_ids, log.item_ids):
+    for user, item in zip(user_ids(log), log.item_ids):
         by_user.setdefault(user, []).append(item)
     counts = {}
     for items in by_user.values():
@@ -234,10 +235,17 @@ class TestScorerIO:
         with pytest.raises(DataError, match="outside u32"):
             save_scorer(tmp_path / "s.bin", make_scorer(3, {(0, 1): 2**32}))
 
-    def test_trailing_bytes_ignored(self, tmp_path):
+    def test_trailing_bytes_fatal(self, tmp_path):
         path = tmp_path / "scorer.bin"
-        path.write_bytes(b"GRCO" + struct.pack("<I4I", 1, 0, 2, 5, 99))
-        assert scorer_counts(load_scorer(path, 3)) == {(0, 2): 5}
+        pairs = b"GRCO" + struct.pack("<I6I", 2, 0, 2, 5, 1, 2, 3)
+        for extra in (1, 4, 7, 12):
+            path.write_bytes(pairs + b"\x00" * extra)
+            message = (f"overlong scorer file {path}: the header counts 2 pairs, 24 bytes, "
+                       f"but {24 + extra} bytes follow it")
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_scorer(path, 3)
+        path.write_bytes(pairs)
+        assert scorer_counts(load_scorer(path, 3)) == {(0, 2): 5, (1, 2): 3}
 
     def test_truncated_fatal(self, tmp_path):
         path = tmp_path / "scorer.bin"

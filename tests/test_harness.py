@@ -246,6 +246,13 @@ class TestImprove2lv:
         with pytest.raises(DataError):
             improve2lv(a, self.rep(0.1), self.rep(0.1))
 
+    def test_mismatched_ks_names_the_report(self):
+        one = MetricsReport(hr={1: 0.5}, ndcg={1: 0.5}, n_samples=1)
+        with pytest.raises(DataError, match="mismatched K sets: a and combined$"):
+            improve2lv(self.rep(0.1), self.rep(0.1), one)
+        with pytest.raises(DataError, match="mismatched K sets: a and b$"):
+            improve2lv(self.rep(0.1), one, one)
+
 
 class TestReportIO:
     def test_text_roundtrip(self, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log, make_sample, synthetic_dataset
-from groundrec import ingest
+from conftest import make_log, make_sample, synthetic_dataset, user_ids
+from groundrec import errors
 from groundrec.errors import DataError
 from groundrec.ingest import (
     HISTORY_LEN,
@@ -75,11 +75,28 @@ class TestParseInteractions:
         with pytest.raises(DataError):
             parse_interactions(f)
 
+    def test_users_numbered_by_first_appearance_in_the_file(self, tmp_path):
+        f = tmp_path / "x.tsv"
+        write_lines(f, ["u2\ta\t5", "u1\tb\t1", "u2\tc\t0"])
+        log = parse_interactions(f)
+        assert log.users == ["u2", "u1"]
+        assert log.user_codes.tolist() == [0, 1, 0]  # rows at t = 0, 1, 5
+
+    @pytest.mark.parametrize("stamp", [str(2**63), str(-(2**63) - 1), "9" * 30])
+    def test_timestamp_outside_int64_rejected(self, tmp_path, stamp):
+        f = tmp_path / "x.tsv"
+        write_lines(f, [f"u\ta\t{stamp}"] + [f"u\ta\t{i}" for i in range(20)])
+        log = parse_interactions(f)
+        assert log.rejected == 1 and len(log) == 20
+        assert log.timestamps.typecode == "q"
+
 
 def reference_parse(path):
     """The record-based parser the columnar one replaced: one record per kept
-    line, sorted by (timestamp, file position) with a Python key. Returns
-    (records, rejected); a record is (user, item, timestamp, tag)."""
+    line, sorted by (timestamp, file position) with a Python key. A
+    timestamp outside int64 rejects its line. Returns (records, rejected,
+    users); a record is (user, item, timestamp, tag), and users are the
+    distinct user ids in file order."""
     records = []
     rejected = total = 0
     with open(path, encoding="utf-8") as fh:
@@ -97,14 +114,18 @@ def reference_parse(path):
             except ValueError:
                 rejected += 1
                 continue
+            if not -(2**63) <= ts < 2**63:
+                rejected += 1
+                continue
             if parts[1] == PAD:
                 raise DataError(f"item_id collides with PAD token at line {lineno + 1}")
             tag = parts[3] if len(parts) > 3 and parts[3] else None
             records.append((ts, lineno, parts[0], parts[1], tag))
     if total and rejected / total > 0.10:
         raise DataError(f"{rejected}/{total} lines rejected in {path} (>10%)")
+    users = list(dict.fromkeys(u for _, _, u, _, _ in records))
     records.sort(key=lambda r: (r[0], r[1]))
-    return [(u, i, ts, tag) for ts, _, u, i, tag in records], rejected
+    return [(u, i, ts, tag) for ts, _, u, i, tag in records], rejected, users
 
 
 def reference_write_interactions(path, records):
@@ -116,7 +137,7 @@ def reference_write_interactions(path, records):
             fh.write("\t".join(fields) + "\n")
 
 
-# equal timestamps out of file order, and timestamps beyond int64
+# equal timestamps out of file order, and timestamps beyond int64 (rejected)
 STAMPS = st.sampled_from([3, 0, 1, 1, -7, 2**63, -(2**63) - 1, 10**30])
 VALID_LINE = st.builds(
     lambda user, item, ts, rest: "\t".join([user, item, str(ts), *rest]),
@@ -139,15 +160,15 @@ def block_lines(n):
 class TestColumnarParse:
     @settings(max_examples=400, deadline=None)
     @given(lines=LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]),
-           block=st.sampled_from([ingest.READ_BLOCK, 1, 2, 3, 7]))
+           block=st.sampled_from([errors.READ_BLOCK, 1, 2, 3, 7]))
     def test_matches_record_reference(self, tmp_path_factory, lines, newline, block):
         """Also with blocks of a few characters, which split lines, CR LF
         pairs and fields anywhere."""
         path = tmp_path_factory.mktemp("p") / "x.tsv"
         path.write_bytes(newline.join(lines).encode())
-        with mock.patch.object(ingest, "READ_BLOCK", block):
+        with mock.patch.object(errors, "READ_BLOCK", block):
             try:
-                records, rejected = reference_parse(path)
+                records, rejected, users = reference_parse(path)
             except DataError as e:
                 with pytest.raises(DataError) as got:
                     parse_interactions(path)
@@ -155,14 +176,11 @@ class TestColumnarParse:
                 return
             log = parse_interactions(path)
         assert log.rejected == rejected and len(log) == len(records)
-        assert list(zip(log.user_ids, log.item_ids, log.timestamps, log.tags)) == records
+        assert list(zip(user_ids(log), log.item_ids, log.timestamps, log.tags)) == records
         assert all(type(ts) is int for ts in log.timestamps)
-        # an int64 column unless a timestamp lies beyond int64
-        in_int64 = all(-(2**63) <= ts < 2**63 for _, _, ts, _ in records)
-        assert isinstance(log.timestamps, array) == in_int64
-        # one code per user, numbered by first appearance
-        firsts = list(dict.fromkeys(log.user_ids))
-        assert log.user_codes.tolist() == [firsts.index(u) for u in log.user_ids]
+        assert isinstance(log.timestamps, array) and log.timestamps.typecode == "q"
+        # each user once, numbered by first appearance in the file
+        assert log.users == users
         out, expected = path.with_suffix(".out"), path.with_suffix(".ref")
         write_interactions(out, log)
         reference_write_interactions(expected, records)
@@ -171,7 +189,7 @@ class TestColumnarParse:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_not_utf8_past_the_first_block_names_its_line(self, tmp_path, newline):
         lines = block_lines(20_000)
-        assert len(newline.join(lines[:15_000])) > 3 * ingest.READ_BLOCK
+        assert len(newline.join(lines[:15_000])) > 3 * errors.READ_BLOCK
         f = tmp_path / "x.tsv"
         f.write_bytes(newline.join(lines[:15_000]).encode() + newline.encode()
                       + b"u0\tcaf\xe9\t1" + newline.encode()
@@ -204,7 +222,7 @@ class TestColumnarParse:
     def test_partitions_are_slices_of_the_sorted_columns(self):
         log = make_log([("u", f"i{k}", 20 - k) for k in range(20)])
         split = temporal_split(log)
-        assert split.full.timestamps == list(range(1, 21))
+        assert list(split.full.timestamps) == list(range(1, 21))
         for name in ("train", "valid", "test"):
             lo, hi = split.partition_range(name)
             part = getattr(split, name)
@@ -315,7 +333,7 @@ class TestBuildSamples:
         for samples in build_samples(split).values():
             allsamples.extend(samples)
         by_user = {}
-        for user, item in zip(split.full.user_ids, split.full.item_ids):
+        for user, item in zip(user_ids(split.full), split.full.item_ids):
             by_user.setdefault(user, []).append(item)
         got = {}
         for s in sorted(allsamples, key=lambda s: s.target_timestamp):
@@ -327,7 +345,7 @@ class TestBuildSamples:
         log, _ = synthetic_dataset()
         split = temporal_split(log)
         times = {}
-        for user, item, ts in zip(split.full.user_ids, split.full.item_ids,
+        for user, item, ts in zip(user_ids(split.full), split.full.item_ids,
                                   split.full.timestamps):
             times.setdefault(user, []).append((item, ts))
         for s in build_samples(split)["test"]:
@@ -382,7 +400,7 @@ def reference_samples(split, partition):
     lo, hi = split.partition_range(partition)
     by_user = {}
     full = split.full
-    for gidx, user in enumerate(full.user_ids):
+    for gidx, user in enumerate(user_ids(full)):
         by_user.setdefault(user, []).append(gidx)
     samples = []
     for user in sorted(by_user):

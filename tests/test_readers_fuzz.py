@@ -10,6 +10,7 @@ shows there. Inputs stay small: a few lines, a few dozen bytes.
 """
 
 import math
+import re
 import struct
 
 import pytest
@@ -116,6 +117,26 @@ def test_parses_or_raises_data_error(what, tmp_path_factory):
             reader(path)
         except DataError:
             pass
+
+    check()
+
+
+def test_scorer_body_is_exactly_its_pairs(tmp_path_factory):
+    """A GRCO file with bytes after the pairs its header counts is refused,
+    whatever the pairs and the extra bytes are."""
+    path = tmp_path_factory.mktemp("scorer") / "co.bin"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(index, index, st.integers(0, 2**32 - 1)), max_size=4),
+           st.binary(min_size=1, max_size=30))
+    def check(pairs, extra):
+        path.write_bytes(collab.MAGIC + struct.pack("<I", len(pairs)) + b"".join(
+            struct.pack("<3I", *pair) for pair in pairs) + extra)
+        size = 12 * len(pairs)
+        message = (f"overlong scorer file {path}: the header counts {len(pairs)} pairs, "
+                   f"{size} bytes, but {size + len(extra)} bytes follow it")
+        with pytest.raises(DataError, match=re.escape(message)):
+            collab.load_scorer(path, len(CATALOG))
 
     check()
 
