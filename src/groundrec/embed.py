@@ -70,8 +70,10 @@ class EmbeddingMatrix:
         with self._lock:
             if self._vectors is None:
                 plan = self.plan
-                self._vectors = _filled(np.empty((plan.sq.size, self.dim), plan.dtype),
-                                        plan.row_blocks())
+                out = np.zeros((plan.sq.size, self.dim), plan.dtype)
+                for s, rows, cols, vals in plan.block_entries():
+                    out[s + rows, cols] = vals
+                self._vectors = out
             return self._vectors
 
     def row_blocks(self):

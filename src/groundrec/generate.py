@@ -6,16 +6,25 @@ Three generators, all deterministic under a fixed config/seed:
   ngram   - greedy n-gram walk over catalog titles; may produce titles that
             exist in no catalog entry, which is the point: the grounding step
             then has real work to do.
+
+The n-gram model keeps the titles as a text.TermColumn and the column's
+positions grouped by term, not a dict of successors per context: a
+context's successor counts are read from the positions of its last token
+when the walk first needs them, and the walk memoizes its choice per
+context. No numpy is loaded.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DataError
 from .ingest import PAD, ItemCatalog, SequenceSample
-from .text import tokenize
+from .text import END, TITLE_END, TermColumn, tokenize
 
 MAX_GEN_TOKENS = 16
 
@@ -65,31 +74,65 @@ class PopTitleGenerator:
         return GeneratedText(tuple(tokenize(self.catalog.title(top))), self.name)
 
 
-END = "</s>"
-
-
 @dataclass
 class NGramModel:
+    """The titles as a text.TermColumn, with the column's positions grouped
+    by term id (TITLE_END first): term t's positions, ascending, are
+    positions[starts[t]:starts[t + 1]]. Successor counts are read from it
+    per context, as successors() is asked."""
+
     order: int
-    transitions: dict[tuple[str, ...], dict[str, int]]
+    column: TermColumn
+    positions: array
+    starts: array
+
+    def successors(self, ctx) -> dict[str, int]:
+        """The tokens that follow the context ctx (a tuple of tokens) in the
+        titles, each closed by END, with their counts, in order of first
+        appearance; empty where ctx never occurs. A context of `order`
+        tokens is counted wherever it occurs, a shorter one only as a
+        title's first tokens."""
+        column, n = self.column, len(ctx)
+        tokens = column.tokens
+        if n > self.order:
+            return {}
+        if n == 0:  # the TITLE_END before each title; the first title's is at -1
+            ends = self.positions[self.starts[TITLE_END]:self.starts[TITLE_END + 1]]
+            heads = [-1, *ends[:-1]] if ends else []
+        else:
+            ids = [column.vocab.get(t) for t in ctx]
+            if None in ids:
+                return {}
+            heads = self.positions[self.starts[ids[-1]]:self.starts[ids[-1] + 1]]
+            # a head p that survives step j has p >= j, so p - j - 1 >= -1,
+            # and tokens[-1] is TITLE_END: no index runs off the column's start
+            for j in range(1, n):
+                want = ids[-1 - j]
+                heads = [p for p in heads if tokens[p - j] == want]
+            if n < self.order:
+                heads = [p for p in heads if tokens[p - n] == TITLE_END]
+        counts = Counter([tokens[p + 1] for p in heads])
+        return dict(zip(map(column.terms.__getitem__, counts), counts.values()))
 
 
 def train_ngram(titles, order=1) -> NGramModel:
-    """Successor counts of every context of up to `order` tokens, over the
-    titles (text, or token sequences) each closed by END."""
+    """The n-gram model of the titles (text, or token sequences): their term
+    column and its positions grouped by term, by one counting sort."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    transitions: dict[tuple[str, ...], dict[str, int]] = {}
-    successors_of = transitions.get
-    for title in titles:
-        seq = (*(tokenize(title) if isinstance(title, str) else title), END)
-        for i, nxt in enumerate(seq):
-            ctx = seq[i - order if i > order else 0 : i]
-            successors = successors_of(ctx)
-            if successors is None:
-                successors = transitions[ctx] = {}
-            successors[nxt] = successors.get(nxt, 0) + 1
-    return NGramModel(order=order, transitions=transitions)
+    column = TermColumn(titles)
+    tokens = column.tokens
+    counts = [0] * len(column.terms)
+    for t in tokens:
+        counts[t] += 1
+    starts = array("i", accumulate(counts, initial=0))
+    fill = starts.tolist()
+    positions = array("i", bytes(tokens.itemsize * len(tokens)))
+    for p, t in enumerate(tokens):
+        at = fill[t]
+        positions[at] = p
+        fill[t] = at + 1
+    return NGramModel(order, column, positions, starts)
 
 
 class NGramGenerator:
@@ -98,27 +141,26 @@ class NGramGenerator:
     name = "ngram"
 
     def __init__(self, catalog: ItemCatalog, model: NGramModel, seed=0):
-        if not model.transitions:
+        if not model.column.tokens:
             raise DataError("n-gram model is empty")
         self.catalog = catalog
         self.model = model
         self.seed = seed
-        # context -> its sorted most-frequent successors, filled on first use;
-        # a fill is idempotent, so threads sharing the generator may race on it
+        # context -> the sorted most-frequent successors of its longest suffix
+        # that occurs, filled on first use; a fill is idempotent, so threads
+        # sharing the generator may race on it
         self._tied: dict[tuple[str, ...], list[str]] = {}
 
     def _next(self, ctx, rng):
-        model = self.model
-        while ctx not in model.transitions and ctx:
-            ctx = ctx[1:]
         tied = self._tied.get(ctx)
-        if tied is None:
-            choices = model.transitions.get(ctx)
-            if not choices:
-                return END
+        if tied is None:  # back off to the longest suffix of ctx that occurs;
+            suffix = ctx  # () does, in every model the constructor takes
+            choices = self.model.successors(suffix)
+            while not choices:
+                suffix = suffix[1:]
+                choices = self.model.successors(suffix)
             best = max(choices.values())
-            tied = sorted(t for t, c in choices.items() if c == best)
-            self._tied[ctx] = tied
+            tied = self._tied[ctx] = sorted(t for t, c in choices.items() if c == best)
         return tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
 
     def generate(self, sample: SequenceSample) -> GeneratedText:

@@ -66,14 +66,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import DataError
 from .ingest import ItemCatalog
 from .pop import minmax
-from .text import tokenize
+from .text import TITLE_END, TermColumn, tokenize
 
 L2_BLOCK = 512  # rows per float64 block in l2_distances
 
@@ -210,24 +209,35 @@ class SparseL2Plan:
             n += block.shape[0]
         return kept
 
+    def block_entries(self):
+        """Each L2_BLOCK of rows as (its first row, and its kept entries'
+        rows within the block, columns and float64 values). A column's rows
+        ascend, so a block's entries in it are one run of the column, found
+        by a binary search."""
+        n = self.sq.size
+        edges = [*range(0, n, L2_BLOCK), n]
+        at = np.empty((self.dim, len(edges)), np.intp)
+        for d, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])):
+            # the first of column d's entries whose row is >= each edge
+            at[d] = np.searchsorted(self.rows[lo:hi], edges)
+            at[d] += lo
+        cols = np.arange(self.dim)
+        for i, s in enumerate(edges[:-1]):
+            lo, runs = at[:, i], at[:, i + 1] - at[:, i]
+            ends = np.cumsum(runs)
+            take = np.arange(ends[-1]) + np.repeat(lo - (ends - runs), runs)
+            yield s, self.rows[take] - s, np.repeat(cols, runs), self.vals[take]
+
     def row_blocks(self):
         """The matrix, L2_BLOCK rows at a time in one reused buffer, without
         the whole array."""
         n = self.sq.size
-        # small ints, which a stable argsort orders by radix
-        block_of = (self.rows // L2_BLOCK).astype(np.min_scalar_type(n // L2_BLOCK))
-        order = np.argsort(block_of, kind="stable")
-        ends = np.cumsum(np.bincount(block_of, minlength=-(-n // L2_BLOCK))).tolist()
-        cols = np.repeat(np.arange(self.dim, dtype=np.min_scalar_type(self.dim - 1)),
-                         np.diff(self.starts))
         buf = np.zeros((min(n, L2_BLOCK), self.dim), dtype=self.dtype)
-        for s, lo, hi in zip(range(0, n, L2_BLOCK), [0, *ends], ends):
-            at = order[lo:hi]
-            rows, block_cols = self.rows[at] - s, cols[at]
+        for s, rows, cols, vals in self.block_entries():
             block = buf[:min(L2_BLOCK, n - s)]
-            block[rows, block_cols] = self.vals[at]
+            block[rows, cols] = vals
             yield block
-            block[rows, block_cols] = 0
+            block[rows, cols] = 0
 
     def distances(self, oracle):
         """The distances from oracle (float64) to every row, or None where the
@@ -336,40 +346,41 @@ def target_position(adjusted, keep, target) -> int:
 
 
 class BM25Index:
-    """Okapi BM25 over catalog titles, tokenized with the shared tokenizer.
+    """Okapi BM25 over catalog titles, read from their text.TermColumn.
 
-    Stored as posting lists: postings[term] = (lo, hi) selects that term's
-    doc indices (ascending) in post_docs and its term frequencies (float64)
-    in post_tf. norm holds each doc's k1*(1 - b + b*dl/avgdl).
+    Stored as posting lists by term id (vocab maps a token to its id): with
+    lo, hi = offsets[i], offsets[i + 1], term i's doc indices (ascending) are
+    post_docs[lo:hi] and its term frequencies (float64) post_tf[lo:hi], and
+    its idf is idf[i]. norm holds each doc's k1*(1 - b + b*dl/avgdl).
     """
 
     def __init__(self, catalog: ItemCatalog, k1=1.5, b=0.75):
         self.k1 = k1
         self.b = b
-        docs = [tokenize(catalog.title(i)) for i in catalog.ids]
-        self.n_docs = len(docs)
-        self.doc_lens = np.array([len(d) for d in docs], dtype=np.float64)
+        column = TermColumn(catalog.titles())
+        self.vocab = column.vocab
+        ids = np.frombuffer(column.tokens, dtype=np.intc)
+        ends = np.flatnonzero(ids == TITLE_END)
+        self.n_docs = len(ends)
+        lens = np.diff(ends, prepend=-1) - 1
+        self.doc_lens = lens.astype(np.float64)
         self.avgdl = float(self.doc_lens.mean()) if self.n_docs else 0.0
-        term_ids: dict[str, int] = {}
-        token_terms = np.array(
-            [term_ids.setdefault(t, len(term_ids)) for doc in docs for t in doc],
-            dtype=np.int64)
-        token_docs = np.repeat(np.arange(self.n_docs, dtype=np.int64),
-                               self.doc_lens.astype(np.int64))
-        # one key per distinct (term, doc) pair; sorted, they run term-major
-        # with docs ascending
-        stride = max(self.n_docs, 1)
-        keys, tf = np.unique(token_terms * stride + token_docs, return_counts=True)
-        self.post_docs = keys % stride
-        self.post_tf = tf.astype(np.float64)
-        df = np.bincount(keys // stride, minlength=len(term_ids)).tolist()
-        ends = list(accumulate(df))
-        self.postings = {t: (ends[i] - df[i], ends[i]) for t, i in term_ids.items()}
+        # each token's term and doc, term-major with docs ascending; a run
+        # of one (term, doc) pair is one posting
+        terms = ids[ids != TITLE_END]
+        order = np.argsort(terms, kind="stable")
+        terms = terms[order]
+        docs = np.repeat(np.arange(self.n_docs), lens)[order]
+        del ids, order
+        first = np.flatnonzero((np.diff(terms, prepend=-1) != 0)
+                               | (np.diff(docs, prepend=-1) != 0))
+        self.post_docs = docs[first]
+        self.post_tf = np.diff(first, append=terms.size).astype(np.float64)
+        df = np.bincount(terms[first], minlength=len(column.terms))
+        self.offsets = np.concatenate(([0], np.cumsum(df)))
         # non-negative idf variant: ln(1 + (N - df + 0.5)/(df + 0.5))
-        self.idf = {
-            t: math.log(1.0 + (self.n_docs - df[i] + 0.5) / (df[i] + 0.5))
-            for t, i in term_ids.items()
-        }
+        self.idf = np.array([math.log(1.0 + (self.n_docs - d + 0.5) / (d + 0.5))
+                             for d in df.tolist()])
         if self.avgdl > 0:
             self.norm = k1 * (1.0 - b + b * self.doc_lens / self.avgdl)
         else:  # no tokens anywhere: no term can match, so norm is never read
@@ -380,12 +391,13 @@ class BM25Index:
         a repeated term once per occurrence."""
         scores = np.zeros(self.n_docs, dtype=np.float64)
         for t in query_tokens:
-            span = self.postings.get(t)
-            if span is None:
+            i = self.vocab.get(t)
+            if i is None:
                 continue
-            docs = self.post_docs[span[0]:span[1]]
-            f = self.post_tf[span[0]:span[1]]
-            scores[docs] += self.idf[t] * f * (self.k1 + 1.0) / (f + self.norm[docs])
+            lo, hi = self.offsets[i], self.offsets[i + 1]
+            docs = self.post_docs[lo:hi]
+            f = self.post_tf[lo:hi]
+            scores[docs] += self.idf[i] * f * (self.k1 + 1.0) / (f + self.norm[docs])
         return scores
 
 

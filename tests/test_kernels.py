@@ -370,12 +370,19 @@ TITLES = [
     "the red fox returns", "night fox", "a b c", "blue blue blue", "...",
 ]
 VOCAB = sorted({t for title in TITLES for t in tokenize(title)}) + ["unknown", "zzz"]
+BM25_PARAMS = [(1.5, 0.75), (1.2, 0.0), (2.0, 1.0)]
+# a small alphabet, so titles repeat tokens; some titles have no token
+BM25_WORDS = ["red", "fox", "blue", "night", "a", "1"]
+bm25_titles = st.one_of(st.lists(st.sampled_from(BM25_WORDS), min_size=1, max_size=6)
+                        .map(" ".join),
+                        st.sampled_from(["...", "-- !", "Red RED red", "fox-fox 1"]))
+item_ids = st.text("i01x", min_size=1, max_size=3)
 
 
 class TestBM25PostingLists:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(VOCAB), max_size=8),
-           st.sampled_from([(1.5, 0.75), (1.2, 0.0), (2.0, 1.0)]))
+           st.sampled_from(BM25_PARAMS))
     def test_scores_equal_per_document_loop(self, query, params):
         catalog = make_catalog({f"i{k}": t for k, t in enumerate(TITLES)})
         k1, b = params
@@ -390,6 +397,19 @@ class TestBM25PostingLists:
         got = index.scores(query)
         assert np.array_equal(got, per_document_bm25(catalog, query))
         assert got[1] > index.scores(["red", "fox"])[1]  # repeats count again
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(item_ids, bm25_titles, min_size=1, max_size=10),
+           st.lists(st.sampled_from([*BM25_WORDS, "zzz"]), max_size=6))
+    def test_scores_on_drawn_catalogs(self, entries, query):
+        # ids drawn in any order, so canonical (sorted) order is not the
+        # order the catalog was given in
+        catalog = make_catalog(entries)
+        for k1, b in BM25_PARAMS:
+            # with no token in any title the loop's norm is 0/0, and unread
+            with np.errstate(invalid="ignore"):
+                expected = per_document_bm25(catalog, query, k1=k1, b=b)
+            assert np.array_equal(BM25Index(catalog, k1=k1, b=b).scores(query), expected)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from(VOCAB), max_size=5),

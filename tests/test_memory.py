@@ -1,7 +1,9 @@
 """Memory bounds of the steps that hold a large input: the catalog matrix
-built and written, or read, an interaction log parsed, and samples drawn
-from a samples file; and the order in which a command that fits --train
-reads its inputs, so the parsed log is freed before the samples arrive.
+built and written, or read, or made dense from its plan, an interaction log
+parsed, samples drawn from a samples file, and the BM25 index and n-gram
+model of the catalog's titles; and the order in which a command that fits
+--train reads its inputs, so the parsed log is freed before the samples
+arrive.
 
 Memory is measured with tracemalloc (what Python and numpy allocate, not the
 process RSS), so each ratio repeats on any machine. Each bound sits between
@@ -13,11 +15,13 @@ plan (about 0.17 of the dense bytes here) and the dense array (1).
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from groundrec import cli, ingest
 from groundrec.embed import HashEmbedder, embed_catalog, load_embeddings, save_embeddings_bin
-from groundrec.ground import L2_BLOCK
+from groundrec.generate import train_ngram
+from groundrec.ground import L2_BLOCK, BM25Index
 from groundrec.ingest import (
     ItemCatalog,
     parse_interactions,
@@ -101,6 +105,53 @@ def test_catalog_matrix_read_as_its_plan(wide_catalog, tmp_path):
                         embed_catalog(catalog, HashEmbedder(dim=256, seed=3)))
     _, _, peak = traced(lambda: load_embeddings(tmp_path / "items.emb", catalog))
     assert peak < 0.25 * dense_bytes
+
+
+@pytest.fixture(scope="module")
+def titled_catalog():
+    """20k items titled "<adjective> <noun> volume <k>", as in the catalog20k
+    benchmark; and the bytes of its titles."""
+    adjectives = ["silent", "crimson", "lost", "electric", "midnight", "golden",
+                  "broken", "distant", "hidden", "savage", "gentle", "frozen"]
+    nouns = ["river", "empire", "garden", "signal", "harbor", "echo", "storm",
+             "mirror", "canyon", "lantern", "orbit", "meadow"]
+    catalog = ItemCatalog({f"m{k:05d}": f"{adjectives[k % 12]} {nouns[(k // 12) % 12]} "
+                                        f"volume {k}" for k in range(20_000)})
+    return catalog, sum(len(t.encode()) for t in catalog.titles())
+
+
+def test_plan_held_matrix_made_dense_without_a_sort_order(titled_catalog):
+    """The first .vectors of a plan-held matrix fills the array from each
+    block's runs of the plan's columns: no per-entry sort order or block
+    buffer beside it."""
+    catalog, _ = titled_catalog
+    provider = HashEmbedder(dim=256, seed=3)
+    matrix = embed_catalog(catalog, provider)
+    assert matrix._vectors is None
+    vectors, _, peak = traced(lambda: matrix.vectors)
+    # the array is 19.53 MiB: 19.73 here, 20.86 with a stable argsort of the
+    # plan's entries by block
+    assert peak < 20.1 * 2**20
+    rows = np.array([provider.embed(t) for t in catalog.titles()], dtype=np.float32)
+    assert np.array_equal(vectors.view(np.uint32), rows.view(np.uint32))
+
+
+def test_bm25_index_holds_posting_arrays(titled_catalog):
+    """Built from the titles' term column: no token list per title, and no
+    dict of postings or idf per term."""
+    catalog, size = titled_catalog
+    _, held, peak = traced(lambda: BM25Index(catalog))
+    assert held < 10 * size  # 7.9 here, 12.5 with per-term dicts
+    assert peak < 20 * size  # 14.1 here, 30.7 with a token list per title
+
+
+def test_ngram_model_holds_the_term_column(titled_catalog):
+    """The titles' term column and its positions grouped by term: no dict of
+    successors per context."""
+    catalog, size = titled_catalog
+    _, held, peak = traced(lambda: train_ngram(catalog.titles()))
+    assert held < 9.5 * size  # 6.3 here, 13.2 with a dict per context
+    assert peak < 11.5 * size  # 9.3 here, 13.6 with a dict per context
 
 
 def test_drawn_samples_hold_the_draw_not_the_file(inputs):
