@@ -258,7 +258,7 @@ def cmd_generate(args):
 
     catalog = parse_catalog(args.catalog)
     generator = _make_generator(args, catalog, _train_fits(args, catalog))
-    samples = read_samples(args.samples)
+    samples = read_samples(args.samples, catalog)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, sample in enumerate(samples):
             gen = generator.generate(sample)
@@ -303,7 +303,7 @@ def cmd_ground(args):
     from .pop import read_popularity
 
     catalog = parse_catalog(args.catalog)
-    samples = read_samples(args.samples) if args.samples else None
+    samples = read_samples(args.samples, catalog) if args.samples else None
     queries = _read_generated(args.gen, None if samples is None else len(samples))
     source = None
     if args.inject == "pop":
@@ -320,7 +320,7 @@ def cmd_ground(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         for sample_idx, text in queries:
             sample = None if samples is None else samples[sample_idx]
-            exclusions = catalog.index_set(sample.known_items if sample else ())
+            exclusions = sample.known if sample else ()
             if pipeline is None:
                 ranked = bm25_rank(text, bm25, exclusions, k=args.topk)
             else:
@@ -342,7 +342,7 @@ def cmd_eval(args):
 
     catalog = parse_catalog(args.catalog)
     fits = _train_fits(args, catalog)
-    samples = read_samples(args.test, args.sample_n, args.seed)
+    samples = read_samples(args.test, catalog, args.sample_n, args.seed)
     input_digests = manifest.digests(args)
     if args.generator == "most-pop":
         positions = most_pop_baseline(fits["pop"], samples, catalog)
@@ -352,8 +352,8 @@ def cmd_eval(args):
     report = aggregate(positions, fingerprint=_fingerprint(args, input_digests))
     if args.dump_ranks:
         with open(args.dump_ranks, "w", encoding="utf-8") as fh:
-            for i, pos in enumerate(positions):
-                fh.write(f"{i}\t{'skipped' if pos is None else pos}\n")
+            for sample, pos in zip(samples, positions):
+                fh.write(f"{sample.line}\t{'skipped' if pos is None else pos}\n")
     write_report(args.out, report)
     manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
@@ -369,7 +369,7 @@ def cmd_tune_gamma(args):
 
     catalog = parse_catalog(args.catalog)
     fits = _train_fits(args, catalog)
-    samples = read_samples(args.valid, args.sample_n, args.seed)
+    samples = read_samples(args.valid, catalog, args.sample_n, args.seed)
     pipeline = _pipeline_from_args(args, catalog, fits)
     best, table = tune_gamma(samples, pipeline, metric=args.metric, threads=args.threads)
     write_sweep(args.out, table)

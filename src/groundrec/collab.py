@@ -2,8 +2,9 @@
 
 A first-order transition scorer over adjacent (prev, next) item pairs in each
 user's training timeline. Scoring a sample combines the last up-to-3 real
-history items with geometric recency weights 1.0, 0.5, 0.25. As a Pipeline
-weight source, a CoScorer gives each sample those scores, min-max normalized.
+history items, read as the canonical indices the sample holds, with geometric
+recency weights 1.0, 0.5, 0.25. As a Pipeline weight source, a CoScorer gives
+each sample those scores, min-max normalized.
 
 A CoScorer is one form from fit to file to score: int64 arrays prevs, nexts
 and counts, sorted by (prev, next), each pair once. Fitting gets them from
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, open_input
-from .ingest import PAD, InteractionLog, ItemCatalog, SequenceSample
+from .ingest import PAD_INDEX, InteractionLog, ItemCatalog, SequenceSample
 from .pop import minmax
 
 MAGIC = b"GRCO"
@@ -47,9 +48,9 @@ class CoScorer:
     def __post_init__(self):
         self.starts = np.searchsorted(self.prevs, np.arange(self.n_items + 1))
 
-    def sample_weights(self, sample: SequenceSample, catalog: ItemCatalog) -> np.ndarray:
+    def sample_weights(self, sample: SequenceSample) -> np.ndarray:
         """The injection weights of one sample: its scores, min-max normalized."""
-        return normalize_scores(score(self, sample, catalog))
+        return normalize_scores(score(self, sample))
 
 
 def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
@@ -65,16 +66,14 @@ def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
     return CoScorer(n, keys // n, keys % n, counts)
 
 
-def score(scorer: CoScorer, sample: SequenceSample, catalog: ItemCatalog) -> np.ndarray:
-    """Per-item raw scores; all zeros when the effective history is empty."""
+def score(scorer: CoScorer, sample: SequenceSample) -> np.ndarray:
+    """Per-item raw scores; all zeros when the effective history is empty. An
+    item outside the catalog (OUTSIDE_INDEX) takes its slot and adds nothing."""
     raw = np.zeros(scorer.n_items, dtype=np.float64)
-    recent = [h for h in sample.history if h != PAD][-len(RECENCY_WEIGHTS):]
+    recent = [h for h in sample.history if h != PAD_INDEX][-len(RECENCY_WEIGHTS):]
     recent.reverse()  # most recent first
-    if not recent:
-        return raw
-    for w, item_id in zip(RECENCY_WEIGHTS, recent):
-        prev = catalog.index_of.get(item_id)
-        if prev is None:
+    for w, prev in zip(RECENCY_WEIGHTS, recent):
+        if prev < 0:
             continue
         lo, hi = scorer.starts[prev], scorer.starts[prev + 1]
         # the nexts of one prev are distinct: each item gets the one addition

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DataError
-from .ingest import PAD, ItemCatalog, SequenceSample
+from .ingest import ItemCatalog, SequenceSample
 from .text import END, TITLE_END, TermColumn, tokenize
 
 MAX_GEN_TOKENS = 16
@@ -47,9 +47,7 @@ class OracleEchoGenerator:
         self.catalog = catalog
 
     def generate(self, sample: SequenceSample) -> GeneratedText:
-        title = self.catalog.entries.get(sample.target)
-        if title is None:
-            raise DataError(f"target item {sample.target!r} not in catalog")
+        title = self.catalog.title(self.catalog.ids[sample.target])
         return GeneratedText(tuple(tokenize(title)), self.name)
 
 
@@ -64,14 +62,9 @@ class PopTitleGenerator:
         self.order = table.order().tolist()
 
     def generate(self, sample: SequenceSample) -> GeneratedText:
-        for idx in self.order:
-            if self.catalog.ids[idx] not in sample.known_items:
-                return GeneratedText(
-                    tuple(tokenize(self.catalog.title(self.catalog.ids[idx]))),
-                    self.name,
-                )
-        top = self.catalog.ids[self.order[0]]
-        return GeneratedText(tuple(tokenize(self.catalog.title(top))), self.name)
+        top = next((idx for idx in self.order if not sample.knows(idx)), self.order[0])
+        title = self.catalog.title(self.catalog.ids[top])
+        return GeneratedText(tuple(tokenize(title)), self.name)
 
 
 @dataclass
@@ -166,12 +159,11 @@ class NGramGenerator:
     def generate(self, sample: SequenceSample) -> GeneratedText:
         # str seeding is deterministic across processes (tuple hashing is not)
         rng = random.Random(f"{self.seed}:{sample.user_id}:{sample.target_timestamp}")
-        seed_tokens: list[str] = []
-        for item_id in reversed(sample.history):
-            if item_id != PAD and item_id in self.catalog.entries:
-                seed_tokens = tokenize(self.catalog.title(item_id))[: self.model.order]
+        out: list[str] = []  # seeded from the last history item in the catalog
+        for idx in reversed(sample.history):
+            if idx >= 0:  # PAD_INDEX and OUTSIDE_INDEX are negative
+                out = tokenize(self.catalog.title(self.catalog.ids[idx]))[: self.model.order]
                 break
-        out = list(seed_tokens)
         while len(out) < MAX_GEN_TOKENS:
             ctx = tuple(out[-self.model.order :]) if out else ()
             nxt = self._next(ctx, rng)

@@ -9,6 +9,8 @@ tune-gamma take each sample's gamma-independent part from Pipeline.prepare;
 eval divides by (1 + w)^gamma at one gamma, tune-gamma at every point of the
 grid. Pipeline.candidates is the one skip/target/exclusion step, which
 Most-Pop shares. fan_out runs a per-sample or per-gamma step on threads.
+A sample's items are canonical indices (ingest maps each id once), so the
+exclusions are the sample's sorted known array, and no step looks an id up.
 
 Every item the user has not interacted with is a candidate; there is no
 negative sampling.
@@ -20,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DataError
 from .ground import (
     check_weights,
     exclusion_mask,
@@ -39,7 +40,7 @@ class Pipeline:
 
     The generator turns a sample into query text; ground passes its text in
     directly and has no generator. The weight source, if any, is a
-    PopularityTable or a CoScorer: source.sample_weights(sample, catalog).
+    PopularityTable or a CoScorer: source.sample_weights(sample).
     """
 
     def __init__(self, generator, provider, matrix, catalog: ItemCatalog,
@@ -60,11 +61,10 @@ class Pipeline:
 
     def weights(self, sample: SequenceSample):
         """Per-item injection weights in [0,1], or None without a source."""
-        source = self.source
-        return None if source is None else source.sample_weights(sample, self.catalog)
+        return None if self.source is None else self.source.sample_weights(sample)
 
     def exclusions(self, sample: SequenceSample):
-        return self.catalog.index_set(sample.known_items)
+        return sample.known
 
     def reweighted(self, norm, weights, gamma=None) -> np.ndarray:
         """norm divided by (1 + w)^gamma; norm itself without weights or at
@@ -75,12 +75,9 @@ class Pipeline:
     def candidates(self, sample: SequenceSample):
         """(keep mask, target index): every item not seen before the target.
         None skips a repeat consumption, whose target is its own exclusion."""
-        if sample.target in sample.known_items:
+        if sample.knows(sample.target):
             return None
-        target = self.catalog.index_of.get(sample.target)
-        if target is None:
-            raise DataError(f"sample target {sample.target!r} not in catalog")
-        return exclusion_mask(len(self.catalog), self.exclusions(sample)), target
+        return exclusion_mask(len(self.catalog), self.exclusions(sample)), sample.target
 
     def prepare(self, sample: SequenceSample):
         """(normalized distances, checked weights or None, keep mask, target

@@ -22,15 +22,12 @@ never holds the file's text or its line list; every item id goes through
 one dict, so each distinct id is one string object however many lines name
 it, and a log already in timestamp order skips the index sort. read_samples
 with a draw checks every line in a first pass, keeping only its line number,
-and splits only the drawn lines in a second; the known sets it returns share
-one string per item id.
+and splits only the drawn lines in a second. A SequenceSample holds its items
+as catalog indices: the readers map each id once (one row-to-sample function)
+and write_samples maps them back; the split side needs no catalog.
 
-Samples come from one lazy walk per user timeline, linear in its length: it
-keeps the 10-item window and the sorted known set, which grows as the walk
-passes each timestamp, and joins the known set's text again only when it
-grows. heapq.merge puts the walks' rows into global (timestamp, user) order.
-Each partition is a contiguous range of the sorted log, so routing each row
-to its partition gives every partition in its own (timestamp, user) order.
+Samples come from one lazy walk per user timeline, linear in its length
+(_walk), merged into global (timestamp, user) order (_sample_rows).
 write_sample_files streams the rows into the three samples files, holding
 O(users x known set) in memory rather than O(samples); build_samples reads
 the same stream into SequenceSamples.
@@ -41,16 +38,19 @@ from __future__ import annotations
 import heapq
 import random
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import DataError, parse_int, rows
 
 PAD = "<PAD>"
+PAD_INDEX = -1  # a history slot before the user's first item
+OUTSIDE_INDEX = -2  # a history item that is not in the catalog
 HISTORY_LEN = 10
 NUM_PERIODS = 10
 PARTITIONS = ("train", "valid", "test")
@@ -68,11 +68,10 @@ class InteractionLog:
     user_codes: np.ndarray  # int64
     item_ids: list[str]
     timestamps: array  # int64
-    tags: list[str | None]
     rejected: int = 0
 
     @classmethod
-    def from_columns(cls, users, user_codes, item_ids, timestamps, tags, rejected=0):
+    def from_columns(cls, users, user_codes, item_ids, timestamps, rejected=0):
         """A log from columns in input-file order (user_codes and timestamps
         as array("q")), stably sorted on the timestamps, so file order breaks
         ties; columns already in timestamp order are kept as they are."""
@@ -83,16 +82,15 @@ class InteractionLog:
         if (stamps[1:] < stamps[:-1]).any():
             order = np.argsort(stamps, kind="stable")
             codes, timestamps = codes[order], array("q", stamps[order].tobytes())
-            order = order.tolist()
-            item_ids, tags = ([col[i] for i in order] for col in (item_ids, tags))
-        return cls(users, codes, item_ids, timestamps, tags, rejected)
+            item_ids = [item_ids[i] for i in order.tolist()]
+        return cls(users, codes, item_ids, timestamps, rejected)
 
     def __len__(self):
         return len(self.timestamps)
 
     def slice(self, lo, hi) -> InteractionLog:
         return InteractionLog(self.users, self.user_codes[lo:hi], self.item_ids[lo:hi],
-                              self.timestamps[lo:hi], self.tags[lo:hi])
+                              self.timestamps[lo:hi])
 
     def user_order(self) -> np.ndarray:
         """Positions grouped by user code, in log order within each user."""
@@ -138,11 +136,6 @@ class ItemCatalog:
         get = self.index_of.get
         return np.fromiter((get(i, -1) for i in item_ids), np.int64, len(item_ids))
 
-    def index_set(self, item_ids) -> frozenset[int]:
-        """The canonical indices of the ids in the catalog; others are ignored."""
-        index_of = self.index_of
-        return frozenset(index_of[i] for i in item_ids if i in index_of)
-
 
 @dataclass
 class SplitLog:
@@ -170,15 +163,21 @@ class SplitLog:
 
 @dataclass(frozen=True)
 class SequenceSample:
-    history: tuple[str, ...]  # exactly HISTORY_LEN, PAD-prefixed
-    target: str
+    history: tuple[int, ...]  # HISTORY_LEN canonical indices, PAD_INDEX-prefixed
+    target: int
     user_id: str
     target_timestamp: int
-    known_items: frozenset[str]
+    known: array  # "i": the indices seen before the target, sorted, each once
+    line: int  # the sample's line in its samples file
+
+    def knows(self, index) -> bool:
+        """Whether index is in the known array, by a binary search."""
+        at = bisect_left(self.known, index)
+        return at < len(self.known) and self.known[at] == index
 
 
 def parse_interactions(path) -> InteractionLog:
-    """Parse a TSV of user_id, item_id, timestamp[, tag].
+    """Parse a TSV of user_id, item_id, timestamp[, tag]; a tag is not kept.
 
     Malformed lines are counted and skipped, a timestamp outside int64
     among them; more than 10% rejects is fatal. The lines come from
@@ -187,7 +186,7 @@ def parse_interactions(path) -> InteractionLog:
     object per distinct id.
     """
     code_of, codes = {}, array("q")
-    items, tags = [], []
+    items = []
     stamps = array("q")
     share = {}.setdefault
     rejected = 0
@@ -205,14 +204,13 @@ def parse_interactions(path) -> InteractionLog:
                             f"in {path}")
         codes.append(code_of.setdefault(parts[0], len(code_of)))
         items.append(share(parts[1], parts[1]))
-        tags.append(parts[3] if len(parts) > 3 and parts[3] else None)
     total = len(stamps) + rejected  # every other line raised or has a timestamp
     if total and rejected / total > 0.10:
         raise DataError(
             f"{rejected}/{total} lines rejected in {path} (>10%); "
             "check the file format (user \\t item \\t integer timestamp)"
         )
-    return InteractionLog.from_columns(list(code_of), codes, items, stamps, tags, rejected)
+    return InteractionLog.from_columns(list(code_of), codes, items, stamps, rejected)
 
 
 def parse_catalog(path) -> ItemCatalog:
@@ -334,17 +332,37 @@ def _line(user, history, target, ts, known):
     return f"{user}\t{history}\t{target}\t{ts}\t{known}\n"
 
 
-def _sample(user, history, target, ts, known):
-    """A SequenceSample from the text fields of a samples row; `known` is the
-    known set, already a frozenset."""
-    return SequenceSample(tuple(history.split(",")), target, user, ts, known)
+def _checked(parts, lineno, path, index_of):
+    """The fields of a samples row, checked (5 fields, HISTORY_LEN history ids,
+    an integer timestamp, a target in the catalog), the last two converted."""
+    if len(parts) != 5:
+        raise DataError(f"malformed sample line {lineno} in {path}")
+    length = parts[1].count(",") + 1
+    if length != HISTORY_LEN:
+        raise DataError(f"sample line {lineno} in {path}: history length "
+                        f"{length} != {HISTORY_LEN}")
+    parts[3] = parse_int(parts[3], "timestamp", lineno, path)
+    if (target := index_of.get(parts[2])) is None:
+        raise DataError(f"sample target {parts[2]!r} at line {lineno} in {path} "
+                        "is not in the catalog")
+    parts[2] = target
+    return parts
 
 
-def _known_set(text, ids):
-    """The known set of a samples row; `ids` maps each item id to the one
-    string object the sets share for it."""
-    share = ids.setdefault
-    return frozenset([share(i, i) for i in text.split(",")]) if text else frozenset()
+def _known(text, index_of):
+    """The indices of a known set's ids, sorted, each once; ids not in the
+    catalog (and the empty text's one empty id) are dropped."""
+    found = set(map(index_of.get, text.split(","), repeat(OUTSIDE_INDEX)))
+    found.discard(OUTSIDE_INDEX)
+    return array("i", sorted(found))
+
+
+def _sample(fields, known, lineno, index_of):
+    """The SequenceSample of a checked row, `known` its mapped known set."""
+    user, history, target, ts, _ = fields
+    history = tuple([PAD_INDEX if i == PAD else index_of.get(i, OUTSIDE_INDEX)
+                     for i in history.split(",")])
+    return SequenceSample(history, target, user, ts, known, lineno)
 
 
 def write_sample_files(split: SplitLog, out_dir):
@@ -361,84 +379,73 @@ def write_sample_files(split: SplitLog, out_dir):
             writes[part](_line(user, history, target, ts, known))
 
 
-def build_samples(split: SplitLog) -> dict[str, list[SequenceSample]]:
+def build_samples(split: SplitLog, catalog: ItemCatalog) -> dict[str, list[SequenceSample]]:
     """The samples of all three partitions, in memory: the rows of
-    _sample_rows, each in (timestamp, user) order. Rows whose known text is
-    one object share one frozenset, so consecutive samples with an unchanged
-    known set share one immutable snapshot."""
+    _sample_rows, each in (timestamp, user) order, each numbered by the line
+    it takes in the file write_sample_files writes. Rows whose known text is
+    one object share one index array."""
+    index_of = catalog.index_of
     out: dict[str, list[SequenceSample]] = {name: [] for name in PARTITIONS}
     lists = [out[name] for name in PARTITIONS]
-    last: dict[str, tuple[str, frozenset[str]]] = {}  # user -> text, set
-    ids: dict[str, str] = {}
+    last: dict[str, tuple[str, array]] = {}  # user -> text, indices
     for ts, user, part, history, target, known in _sample_rows(split):
+        lineno = len(lists[part]) + 1
+        fields = _checked([user, history, target, ts, known], lineno,
+                          f"the {PARTITIONS[part]} samples", index_of)
         memo = last.get(user)
         if memo is None or memo[0] is not known:
-            memo = last[user] = (known, _known_set(known, ids))
-        lists[part].append(_sample(user, history, target, ts, memo[1]))
+            memo = last[user] = (known, _known(known, index_of))
+        lists[part].append(_sample(fields, memo[1], lineno, index_of))
     return out
 
 
 def write_interactions(path, log: InteractionLog):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f"{user}\t{item}\t{ts}\t{tag}\n" if tag else f"{user}\t{item}\t{ts}\n"
-            for user, item, ts, tag in zip(map(log.users.__getitem__, log.user_codes),
-                                           log.item_ids, log.timestamps, log.tags)
-        )
+        fh.writelines(f"{log.users[code]}\t{item}\t{ts}\n" for code, item, ts
+                      in zip(log.user_codes, log.item_ids, log.timestamps))
 
 
-def write_samples(path, samples):
-    """TSV: user, comma-joined history, target, timestamp, comma-joined
-    sorted known set, from in-memory samples.
-
-    Item ids must not contain commas or tabs (enforced at write time).
-    """
+def write_samples(path, samples, catalog: ItemCatalog):
+    """TSV: user, comma-joined history, target, timestamp, comma-joined sorted
+    known set, from in-memory samples, each index written as its id. Item ids
+    must not contain commas or tabs, and a history item outside the catalog
+    has no id (both enforced at write time)."""
+    ids = catalog.ids
     clean: set[str] = set()
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            for item in (*s.history, s.target, *s.known_items):
+            if OUTSIDE_INDEX in s.history:
+                raise DataError(f"a history item of sample {s.line} is not in the catalog")
+            history = [PAD if i == PAD_INDEX else ids[i] for i in s.history]
+            known = [ids[i] for i in s.known]
+            for item in (*history, ids[s.target], *known):
                 if item not in clean:
                     _check_id(item, clean)
-            fh.write(_line(s.user_id, ",".join(s.history), s.target,
-                           s.target_timestamp, ",".join(sorted(s.known_items))))
+            fh.write(_line(s.user_id, ",".join(history), ids[s.target],
+                           s.target_timestamp, ",".join(known)))
 
 
-def _checked(parts, lineno, path):
-    """The fields of a samples line, timestamp parsed, once the line is
-    checked: 5 fields, a history of HISTORY_LEN ids, an integer timestamp."""
-    if len(parts) != 5:
-        raise DataError(f"malformed sample line {lineno} in {path}")
-    length = parts[1].count(",") + 1
-    if length != HISTORY_LEN:
-        raise DataError(
-            f"sample line {lineno} in {path}: history length "
-            f"{length} != {HISTORY_LEN}"
-        )
-    parts[3] = parse_int(parts[3], "timestamp", lineno, path)
-    return parts
+def read_samples(path, catalog: ItemCatalog, n=None, seed=0) -> list[SequenceSample]:
+    """Samples from a samples TSV, their items as canonical indices of the
+    catalog. With n, only the seeded draw of n of them: exactly
+    sample_eval(read_samples(path, catalog), n, seed).
 
-
-def read_samples(path, n=None, seed=0) -> list[SequenceSample]:
-    """Samples from a samples TSV. With n, only the seeded draw of n of them:
-    exactly sample_eval(read_samples(path), n, seed).
-
-    Every line is checked before any sample is returned. With n, a first
-    pass checks every line and keeps only its line number, and a second
-    splits only the drawn lines. Each sample is made as its line is read,
-    so memory holds the samples, not their lines. The returned known sets
-    share one string per item id.
+    Every line is checked, a target outside the catalog refused, before any
+    sample is returned. With n, a first pass checks every line and keeps only
+    its line number, and a second splits only the drawn lines. Each sample is
+    made as its line is read, so memory holds the samples, not their lines.
     """
-    ids: dict[str, str] = {}
+    index_of = catalog.index_of
 
     def sample(lineno, parts):
-        user, hist, target, ts, known = _checked(parts, lineno, path)
-        return _sample(user, hist, target, ts, _known_set(known, ids))
+        fields = _checked(parts, lineno, path, index_of)
+        return _sample(fields, _known(fields[4], index_of), lineno, index_of)
 
     if n is None:
         return [sample(lineno, parts) for lineno, parts in rows(path, "samples")]
     linenos = array("q")
     for lineno, parts in rows(path, "samples"):
-        _checked(parts, lineno, path)
+        _checked(parts, lineno, path, index_of)
         linenos.append(lineno)
     slot = {lineno: k for k, lineno in enumerate(sample_eval(linenos, n, seed))}
     samples = [None] * len(slot)

@@ -38,7 +38,7 @@ class PopularityTable:
         return cls(counts=counts, factor=factor, normalized=minmax(factor),
                    rejected=rejected)
 
-    def sample_weights(self, sample, catalog) -> np.ndarray:
+    def sample_weights(self, sample) -> np.ndarray:
         """The injection weights of any sample: P, the same array each time."""
         return self.normalized
 

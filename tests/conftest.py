@@ -6,10 +6,12 @@ import pytest
 
 from groundrec.collab import CoScorer
 from groundrec.ingest import (
+    HISTORY_LEN,
+    OUTSIDE_INDEX,
+    PAD_INDEX,
     InteractionLog,
     ItemCatalog,
     SequenceSample,
-    PAD,
 )
 
 
@@ -19,7 +21,7 @@ def make_log(triples):
     codes = array("q", [code_of.setdefault(u, len(code_of)) for u, _, _ in triples])
     return InteractionLog.from_columns(
         list(code_of), codes, [i for _, i, _ in triples],
-        array("q", [t for _, _, t in triples]), [None] * len(triples),
+        array("q", [t for _, _, t in triples]),
     )
 
 
@@ -32,16 +34,15 @@ def make_catalog(entries):
     return ItemCatalog(dict(entries))
 
 
-def make_sample(history, target, user="u", ts=100, known=()):
-    history = list(history)
-    history = [PAD] * (10 - len(history)) + history
-    return SequenceSample(
-        history=tuple(history),
-        target=target,
-        user_id=user,
-        target_timestamp=ts,
-        known_items=frozenset(known),
-    )
+def make_sample(catalog, history, target, user="u", ts=100, known=(), line=1):
+    """The SequenceSample of item ids, mapped through the catalog as a samples
+    line is read: the history left-padded with PAD_INDEX, an id outside the
+    catalog OUTSIDE_INDEX there and dropped from the known set."""
+    index_of = catalog.index_of
+    history = [PAD_INDEX] * (HISTORY_LEN - len(history)) + [
+        index_of.get(i, OUTSIDE_INDEX) for i in history]
+    known = array("i", sorted({index_of[i] for i in known if i in index_of}))
+    return SequenceSample(tuple(history), index_of[target], user, ts, known, line)
 
 
 def make_scorer(n_items, counts):

@@ -14,7 +14,7 @@ from groundrec.collab import save_scorer
 from groundrec.embed import load_embeddings
 from groundrec.errors import READ_BLOCK, DataError
 from groundrec.ground import L2_BLOCK
-from groundrec.ingest import read_samples, sample_eval
+from groundrec.ingest import sample_eval
 from groundrec.metrics import aggregate, read_report, write_report
 from groundrec.pop import read_popularity
 
@@ -98,7 +98,8 @@ CATALOG = ingest.ItemCatalog({"a": "an item"})
 READERS = {  # what, reader of a path, a good first line
     "interactions": (ingest.parse_interactions, "u\ta\t1"),
     "catalog": (ingest.parse_catalog, "a\tan item"),
-    "samples": (ingest.read_samples, "u\t" + ",".join("a" * 10) + "\tb\t1\t"),
+    "samples": (lambda p: ingest.read_samples(p, CATALOG),
+                "u\t" + ",".join("a" * 10) + "\ta\t1\t"),
     "popularity": (lambda p: read_popularity(p, CATALOG), "a\t3"),
     "generated-text": (cli._read_generated, "0\tsome text"),
     "report": (read_report, "hr@1\t0.5"),
@@ -902,6 +903,9 @@ class TestReaderErrorsNameFileAndLine:
                      "embedding row for item 'zzz' not in catalog", id="emb-extra-item"),
         pytest.param("gen", "0\tan apple\n5\ta banana\n", 2,
                      "sample index 5 out of range", id="gen-index-out-of-range"),
+        pytest.param("samples", "u\t" + ",".join(["<PAD>"] * 9 + ["a"]) + "\tb\t5\ta\n"
+                     "u\t" + ",".join(["<PAD>"] * 9 + ["a"]) + "\tzzz\t6\ta\n", 2,
+                     "sample target 'zzz'", id="samples-target-outside-catalog"),
     ])
     def test_message(self, tmp_inputs, capsys, case, bad, line, message):
         tmp_path, cat, gen, samples = tmp_inputs
@@ -917,6 +921,8 @@ class TestReaderErrorsNameFileAndLine:
                     "--seed", 1, "--out", out],
             "gen": ["ground", "--emb", emb, "--gen", path, "--catalog", cat,
                     "--samples", samples, "--seed", 1, "--out", out],
+            "samples": ["ground", "--emb", emb, "--gen", gen, "--catalog", cat,
+                        "--samples", path, "--seed", 1, "--out", out],
         }[case]
         assert cli.main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
@@ -1274,7 +1280,8 @@ class TestManifests:
 
 class TestMostPopDumpRanks:
     """eval --generator most-pop dumps its positions like every other generator,
-    and its report is aggregate() of exactly those positions."""
+    each keyed by its sample's line in the samples file, and its report is
+    aggregate() of exactly those positions."""
 
     def test_positions_equal_brute_force_popularity_sort(self, tmp_path):
         inter, cat = write_fixture(tmp_path)
@@ -1288,7 +1295,8 @@ class TestMostPopDumpRanks:
         out = tmp_path / "splits"
         test, train = out / "samples_test.tsv", out / "train.tsv"
         run_ok(["split", "--interactions", inter, "--out", out])
-        n_drawn = len(read_samples(test)) - 2
+        test_lines = test.read_text().splitlines()
+        n_drawn = len(test_lines) - 2
         run_ok(["eval", "--test", test, "--catalog", cat, "--train", train,
                 "--generator", "most-pop", "--sample-n", n_drawn, "--seed", 5,
                 "--dump-ranks", tmp_path / "ranks.tsv", "--out", tmp_path / "report.tsv"])
@@ -1298,17 +1306,20 @@ class TestMostPopDumpRanks:
             item = line.split("\t")[1]
             counts[item] = counts.get(item, 0) + 1
         ids = sorted(l.split("\t")[0] for l in cat.read_text().splitlines())
+        drawn = sample_eval(range(1, len(test_lines) + 1), n_drawn, 5)  # line numbers
         expected = []
-        for sample in read_samples(test, n_drawn, 5):
-            if sample.target in sample.known_items:
+        for lineno in drawn:
+            _, _, target, _, known = test_lines[lineno - 1].split("\t")
+            known = set(known.split(","))
+            if target in known:
                 expected.append("skipped")
                 continue
-            ranking = sorted((i for i in ids if i not in sample.known_items),
+            ranking = sorted((i for i in ids if i not in known),
                              key=lambda i: (-counts.get(i, 0), i))
-            expected.append(str(ranking.index(sample.target) + 1))
+            expected.append(str(ranking.index(target) + 1))
         dumped = [line.split("\t") for line in
                   (tmp_path / "ranks.tsv").read_text().splitlines()]
-        assert [i for i, _ in dumped] == [str(i) for i in range(n_drawn)]
+        assert [i for i, _ in dumped] == [str(lineno) for lineno in drawn]
         assert [pos for _, pos in dumped] == expected
         assert "skipped" in expected and len(set(expected)) > 2
 
@@ -1350,7 +1361,7 @@ class TestGroundMatchesEval:
                 "--train", train, "--generator", generator, "--inject", inject,
                 "--gamma", 2, "--seed", 3, "--dump-ranks", tmp_path / "dump.tsv",
                 "--out", tmp_path / "report.tsv"])
-        targets = [s.target for s in read_samples(test)]
+        targets = [line.split("\t")[2] for line in test.read_text().splitlines()]
         listed = {}
         for line in (tmp_path / "ranks.tsv").read_text().splitlines():
             idx, pos, item, _ = line.split("\t")
@@ -1360,7 +1371,8 @@ class TestGroundMatchesEval:
                       for line in (tmp_path / "dump.tsv").read_text().splitlines())
         assert len(dumped) == len(targets)
         # the top 20 of a 20-item catalog lists every target that is not excluded
-        assert listed == {int(i): pos for i, pos in dumped.items() if pos != "skipped"}
+        # eval keys each position by its samples-file line, ground by its index
+        assert listed == {int(i) - 1: pos for i, pos in dumped.items() if pos != "skipped"}
         if generator == "oracle":
             assert set(listed.values()) == {"1"}
         else:

@@ -17,7 +17,7 @@ from groundrec.collab import (
     score,
 )
 from groundrec.errors import DataError
-from groundrec.ingest import PAD, build_samples, temporal_split
+from groundrec.ingest import PAD_INDEX, build_samples, temporal_split
 
 
 @pytest.fixture
@@ -109,8 +109,8 @@ class TestScore:
     def test_single_recent_item(self, abc_catalog):
         log = make_log([("u", "a", 1), ("u", "b", 2), ("u", "a", 3), ("u", "b", 4)])
         scorer = fit_cooccurrence(log, abc_catalog)
-        sample = make_sample(["a"], "b")
-        raw = score(scorer, sample, abc_catalog)
+        sample = make_sample(abc_catalog, ["a"], "b")
+        raw = score(scorer, sample)
         ib = abc_catalog.index_of["b"]
         assert raw[ib] == 2.0
         assert raw.sum() == pytest.approx(2.0)  # only prev='a' transitions fire
@@ -118,7 +118,7 @@ class TestScore:
     def test_empty_history_all_zero(self, abc_catalog):
         log = make_log([("u", "a", 1), ("u", "b", 2)])
         scorer = fit_cooccurrence(log, abc_catalog)
-        raw = score(scorer, make_sample([], "b"), abc_catalog)
+        raw = score(scorer, make_sample(abc_catalog, [], "b"))
         assert np.all(raw == 0.0)
 
     def test_recency_weighting_hand_example(self, abc_catalog):
@@ -128,7 +128,7 @@ class TestScore:
              ("v", "x", 1), ("v", "b", 2)]
         )
         scorer = fit_cooccurrence(log, abc_catalog)
-        raw = score(scorer, make_sample(["x", "a"], "b"), abc_catalog)
+        raw = score(scorer, make_sample(abc_catalog, ["x", "a"], "b"))
         ib = abc_catalog.index_of["b"]
         assert raw[ib] == pytest.approx(1.0 * 2 + 0.5 * 1)
 
@@ -136,21 +136,20 @@ class TestScore:
         log = make_log([("u", "a", 1), ("u", "b", 2)])
         scorer = fit_cooccurrence(log, abc_catalog)
         # 'a' is 4th-most-recent: its transitions must not contribute
-        raw = score(scorer, make_sample(["a", "x", "x", "x"], "b"), abc_catalog)
+        raw = score(scorer, make_sample(abc_catalog, ["a", "x", "x", "x"], "b"))
         assert raw[abc_catalog.index_of["b"]] == 0.0
 
 
-def reference_score(scorer, sample, catalog):
+def reference_score(scorer, sample):
     """The per-pair dict loop that score's sparse rows replaced."""
     by_prev = {}
     for (pi, ni), c in scorer_counts(scorer).items():
         by_prev.setdefault(pi, {})[ni] = c
     raw = np.zeros(scorer.n_items, dtype=np.float64)
-    recent = [h for h in sample.history if h != PAD][-3:]
+    recent = [h for h in sample.history if h != PAD_INDEX][-3:]
     recent.reverse()
-    for w, item_id in zip((1.0, 0.5, 0.25), recent):
-        prev = catalog.index_of.get(item_id)
-        if prev is None:
+    for w, prev in zip((1.0, 0.5, 0.25), recent):
+        if prev < 0:  # outside the catalog
             continue
         for ni, c in by_prev.get(prev, {}).items():
             raw[ni] += w * c
@@ -168,9 +167,8 @@ class TestScoreMatchesDictLoop:
     def test_bit_identical(self, counts, history):
         catalog = make_catalog({i: f"t{i}" for i in self.ITEMS})
         scorer = make_scorer(len(catalog), counts)
-        sample = make_sample(history, "i0")
-        assert np.array_equal(score(scorer, sample, catalog),
-                              reference_score(scorer, sample, catalog))
+        sample = make_sample(catalog, history, "i0")
+        assert np.array_equal(score(scorer, sample), reference_score(scorer, sample))
 
     def test_fitted_and_loaded_scorers(self, tmp_path):
         log, catalog = synthetic_dataset(n_users=30, n_items=25, events_per_user=9)
@@ -178,10 +176,10 @@ class TestScoreMatchesDictLoop:
         scorer = fit_cooccurrence(split.train, catalog)
         save_scorer(tmp_path / "co.bin", scorer)
         loaded = load_scorer(tmp_path / "co.bin", len(catalog))
-        for sample in build_samples(split)["test"]:
-            expected = reference_score(scorer, sample, catalog)
-            assert np.array_equal(score(scorer, sample, catalog), expected)
-            assert np.array_equal(score(loaded, sample, catalog), expected)
+        for sample in build_samples(split, catalog)["test"]:
+            expected = reference_score(scorer, sample)
+            assert np.array_equal(score(scorer, sample), expected)
+            assert np.array_equal(score(loaded, sample), expected)
 
 
 class TestNormalizeScores:

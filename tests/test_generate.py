@@ -13,6 +13,7 @@ from groundrec.generate import (
     PopTitleGenerator,
     train_ngram,
 )
+from groundrec.ingest import PAD, read_samples
 from groundrec.pop import compute_popularity
 from groundrec.text import tokenize
 
@@ -21,19 +22,23 @@ class TestOracleEcho:
     def test_echoes_target_title(self):
         cat = make_catalog({"f": "Fargo (1996)", "g": "Other"})
         gen = OracleEchoGenerator(cat)
-        out = gen.generate(make_sample(["g"], "f"))
+        out = gen.generate(make_sample(cat, ["g"], "f"))
         assert out.tokens == tuple(tokenize("Fargo (1996)"))
 
     def test_deterministic(self):
         cat = make_catalog({"f": "Fargo (1996)", "g": "Other"})
         gen = OracleEchoGenerator(cat)
-        s = make_sample(["g"], "f")
+        s = make_sample(cat, ["g"], "f")
         assert gen.generate(s) == gen.generate(s)
 
-    def test_missing_target_errors(self):
+    def test_missing_target_errors(self, tmp_path):
+        # a target outside the catalog is refused where the samples are read,
+        # so no generator is handed one
         cat = make_catalog({"g": "Other"})
-        with pytest.raises(DataError):
-            OracleEchoGenerator(cat).generate(make_sample(["g"], "nope"))
+        path = tmp_path / "samples.tsv"
+        path.write_text("u\t" + ",".join([PAD] * 9 + ["g"]) + "\tnope\t5\tg\n")
+        with pytest.raises(DataError, match="sample target 'nope' at line 1 "):
+            read_samples(path, cat)
 
 
 class TestPopTitle:
@@ -50,23 +55,23 @@ class TestPopTitle:
     def test_most_popular_unknown(self):
         cat, table = self.cat_and_table({"a": 3, "b": 2})
         gen = PopTitleGenerator(cat, table)
-        out = gen.generate(make_sample(["a"], "b", known={"a"}))
+        out = gen.generate(make_sample(cat, ["a"], "b", known={"a"}))
         assert out.tokens == tuple(tokenize("title b"))
 
     def test_empty_known(self):
         cat, table = self.cat_and_table({"a": 3, "b": 2})
         gen = PopTitleGenerator(cat, table)
-        assert gen.generate(make_sample(["b"], "a")).tokens == tuple(tokenize("title a"))
+        assert gen.generate(make_sample(cat, ["b"], "a")).tokens == tuple(tokenize("title a"))
 
     def test_tie_by_canonical_index(self):
         cat, table = self.cat_and_table({"a": 2, "b": 2})
         gen = PopTitleGenerator(cat, table)
-        assert gen.generate(make_sample(["b"], "a")).tokens == tuple(tokenize("title a"))
+        assert gen.generate(make_sample(cat, ["b"], "a")).tokens == tuple(tokenize("title a"))
 
     def test_all_known_falls_back_to_global_top(self):
         cat, table = self.cat_and_table({"a": 3, "b": 2})
         gen = PopTitleGenerator(cat, table)
-        out = gen.generate(make_sample(["a"], "b", known={"a", "b"}))
+        out = gen.generate(make_sample(cat, ["a"], "b", known={"a", "b"}))
         assert out.tokens == tuple(tokenize("title a"))
 
 
@@ -74,7 +79,7 @@ class TestNGram:
     def test_tie_break_can_pick_lexicographic_first(self):
         cat = make_catalog({"h": "a", "x": "filler"})
         model = train_ngram(["a b", "a c"], order=1)
-        sample = make_sample(["h"], "x")
+        sample = make_sample(cat, ["h"], "x")
         outputs = set()
         for seed in range(20):
             gen = NGramGenerator(cat, model, seed=seed)
@@ -87,13 +92,16 @@ class TestNGram:
         cat = make_catalog({"h": "x", "o": "other"})
         model = train_ngram(["x y z"], order=1)
         gen = NGramGenerator(cat, model, seed=0)
-        assert gen.generate(make_sample(["h"], "o")).tokens == ("x", "y", "z")
+        assert gen.generate(make_sample(cat, ["h"], "o")).tokens == ("x", "y", "z")
+        # an item outside the catalog is passed over for the seed
+        assert gen.generate(make_sample(cat, ["o", "zz"], "h")).tokens == \
+            ("other", "x", "y", "z")
 
     def test_deterministic_per_seed(self):
         cat = make_catalog({f"i{k}": f"word{k} common tail phrase" for k in range(6)})
         model = train_ngram(cat.titles(), order=1)
         gen = NGramGenerator(cat, model, seed=7)
-        s = make_sample(["i3"], "i1")
+        s = make_sample(cat, ["i3"], "i1")
         assert gen.generate(s) == gen.generate(s)
 
     def test_can_produce_title_outside_catalog(self):
@@ -109,7 +117,7 @@ class TestNGram:
         for seed in range(30):
             gen = NGramGenerator(cat, model, seed=seed)
             for item in ("a", "b", "c"):
-                produced.add(gen.generate(make_sample([item], "a")).tokens)
+                produced.add(gen.generate(make_sample(cat, [item], "a")).tokens)
         assert produced - titles, "expected at least one generated non-catalog title"
 
     def test_empty_model_errors(self):
@@ -121,7 +129,7 @@ class TestNGram:
         cat = make_catalog({"a": "loop", "b": "other"})
         model = train_ngram(["loop loop loop loop"], order=1)
         gen = NGramGenerator(cat, model, seed=0)
-        out = gen.generate(make_sample(["a"], "b"))
+        out = gen.generate(make_sample(cat, ["a"], "b"))
         assert len(out.tokens) <= 16
 
 
@@ -155,10 +163,10 @@ class TestNGramTiedMemo:
             memo = NGramGenerator(cat, train_ngram(cat.titles(), order=order), seed=seed)
             scan = ScanEveryStep(cat, cat.titles(), order, seed)
             for k in range(60):
-                sample = make_sample([f"m{(7 * k) % 60:03d}"], "m000", ts=k)
+                sample = make_sample(cat, [f"m{(7 * k) % 60:03d}"], "m000", ts=k)
                 assert memo.generate(sample) == scan.generate(sample)
-            assert memo.generate(make_sample([], "m000")) == \
-                scan.generate(make_sample([], "m000"))
+            assert memo.generate(make_sample(cat, [], "m000")) == \
+                scan.generate(make_sample(cat, [], "m000"))
 
 
 def train_ngram_reference(titles, order=1):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log, make_sample, synthetic_dataset, user_ids
+from conftest import make_catalog, make_log, make_sample, synthetic_dataset, user_ids
 from groundrec import errors
 from groundrec.errors import DataError
 from groundrec.ingest import (
     HISTORY_LEN,
+    OUTSIDE_INDEX,
     PAD,
+    PAD_INDEX,
     PARTITIONS,
     SequenceSample,
     build_samples,
@@ -94,9 +96,9 @@ class TestParseInteractions:
 def reference_parse(path):
     """The record-based parser the columnar one replaced: one record per kept
     line, sorted by (timestamp, file position) with a Python key. A
-    timestamp outside int64 rejects its line. Returns (records, rejected,
-    users); a record is (user, item, timestamp, tag), and users are the
-    distinct user ids in file order."""
+    timestamp outside int64 rejects its line, and a tag is accepted and not
+    kept. Returns (records, rejected, users); a record is (user, item,
+    timestamp), and users are the distinct user ids in file order."""
     records = []
     rejected = total = 0
     with open(path, encoding="utf-8") as fh:
@@ -119,22 +121,18 @@ def reference_parse(path):
                 continue
             if parts[1] == PAD:
                 raise DataError(f"item_id collides with PAD token at line {lineno + 1}")
-            tag = parts[3] if len(parts) > 3 and parts[3] else None
-            records.append((ts, lineno, parts[0], parts[1], tag))
+            records.append((ts, lineno, parts[0], parts[1]))
     if total and rejected / total > 0.10:
         raise DataError(f"{rejected}/{total} lines rejected in {path} (>10%)")
-    users = list(dict.fromkeys(u for _, _, u, _, _ in records))
+    users = list(dict.fromkeys(u for _, _, u, _ in records))
     records.sort(key=lambda r: (r[0], r[1]))
-    return [(u, i, ts, tag) for ts, _, u, i, tag in records], rejected, users
+    return [(u, i, ts) for ts, _, u, i in records], rejected, users
 
 
 def reference_write_interactions(path, records):
     with open(path, "w", encoding="utf-8") as fh:
-        for user, item, ts, tag in records:
-            fields = [user, item, str(ts)]
-            if tag:
-                fields.append(tag)
-            fh.write("\t".join(fields) + "\n")
+        for user, item, ts in records:
+            fh.write("\t".join([user, item, str(ts)]) + "\n")
 
 
 # equal timestamps out of file order, and timestamps beyond int64 (rejected)
@@ -176,7 +174,7 @@ class TestColumnarParse:
                 return
             log = parse_interactions(path)
         assert log.rejected == rejected and len(log) == len(records)
-        assert list(zip(user_ids(log), log.item_ids, log.timestamps, log.tags)) == records
+        assert list(zip(user_ids(log), log.item_ids, log.timestamps)) == records
         assert all(type(ts) is int for ts in log.timestamps)
         assert isinstance(log.timestamps, array) and log.timestamps.typecode == "q"
         # each user once, numbered by first appearance in the file
@@ -267,6 +265,18 @@ class TestTemporalSplit:
         assert max(sizes) - min(sizes) <= 1
 
 
+def catalog_for(log):
+    """A catalog holding every item of the log."""
+    return make_catalog({i: f"title {i}" for i in log.item_ids})
+
+
+def as_ids(sample, catalog):
+    """(history, target, known set) of a sample as item ids, PAD for PAD_INDEX."""
+    ids = catalog.ids
+    return (tuple(PAD if i == PAD_INDEX else ids[i] for i in sample.history),
+            ids[sample.target], frozenset(ids[i] for i in sample.known))
+
+
 class TestBuildSamples:
     def test_short_history_padding(self):
         log = make_log([("u", "a", 1), ("u", "b", 2)])
@@ -275,11 +285,12 @@ class TestBuildSamples:
         # force b into the test partition by timestamps: rebuild a clean case
         log = make_log([(f"v{k}", "f", k) for k in range(9)] + [("u", "a", 0), ("u", "b", 100)])
         split = temporal_split(log)
-        samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
+        catalog = catalog_for(log)
+        samples = [s for s in build_samples(split, catalog)["test"] if s.user_id == "u"]
         assert len(samples) == 1
-        s = samples[0]
-        assert s.history == tuple([PAD] * 9 + ["a"])
-        assert s.target == "b"
+        history, target, _ = as_ids(samples[0], catalog)
+        assert history == tuple([PAD] * 9 + ["a"])
+        assert target == "b"
 
     def test_window_of_last_ten(self):
         items = [f"x{k:02d}" for k in range(12)]
@@ -288,10 +299,12 @@ class TestBuildSamples:
             + [("u", it, 100 + k) for k, it in enumerate(items)]
         )
         split = temporal_split(log)
-        samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
-        last = [s for s in samples if s.target == items[11]]
+        catalog = catalog_for(log)
+        samples = [as_ids(s, catalog) for s in build_samples(split, catalog)["test"]
+                   if s.user_id == "u"]
+        last = [s for s in samples if s[1] == items[11]]
         assert len(last) == 1
-        assert last[0].history == tuple(items[1:11])
+        assert last[0][0] == tuple(items[1:11])
 
     def test_history_crosses_partition_boundary(self):
         # user items a,b,c; b in train, c in test
@@ -302,78 +315,80 @@ class TestBuildSamples:
         )
         split = temporal_split(log)
         assert split.test.item_ids[0] == "c"
-        samples = [s for s in build_samples(split)["test"] if s.user_id == "u"]
+        catalog = catalog_for(log)
+        samples = [s for s in build_samples(split, catalog)["test"] if s.user_id == "u"]
         assert len(samples) == 1
-        s = samples[0]
-        assert s.history == tuple([PAD] * 8 + ["a", "b"])
-        assert s.target == "c"
-        assert s.known_items == frozenset({"a", "b"})
+        history, target, known = as_ids(samples[0], catalog)
+        assert history == tuple([PAD] * 8 + ["a", "b"])
+        assert target == "c"
+        assert known == frozenset({"a", "b"})
 
     def test_single_interaction_user_yields_nothing(self):
         log = make_log([("u", "a", 0)] + [(f"v{k}", "f", k + 1) for k in range(9)])
         split = temporal_split(log)
-        assert [s for s in build_samples(split)["train"] if s.user_id == "u"] == []
+        samples = build_samples(split, catalog_for(log))["train"]
+        assert [s for s in samples if s.user_id == "u"] == []
 
     def test_padding_is_contiguous_left_prefix(self):
-        log, _ = synthetic_dataset()
+        log, catalog = synthetic_dataset()
         split = temporal_split(log)
-        for samples in build_samples(split).values():
+        for samples in build_samples(split, catalog).values():
             for s in samples:
                 real_seen = False
                 for tok in s.history:
-                    if tok != PAD:
+                    if tok != PAD_INDEX:
                         real_seen = True
                     else:
                         assert not real_seen, "PAD to the right of a real item"
 
     def test_targets_reconstruct_user_timeline(self):
-        log, _ = synthetic_dataset()
+        log, catalog = synthetic_dataset()
         split = temporal_split(log)
         allsamples = []
-        for samples in build_samples(split).values():
+        for samples in build_samples(split, catalog).values():
             allsamples.extend(samples)
         by_user = {}
         for user, item in zip(user_ids(split.full), split.full.item_ids):
             by_user.setdefault(user, []).append(item)
         got = {}
         for s in sorted(allsamples, key=lambda s: s.target_timestamp):
-            got.setdefault(s.user_id, []).append(s.target)
+            got.setdefault(s.user_id, []).append(catalog.ids[s.target])
         for user, seq in by_user.items():
             assert got.get(user, []) == seq[1:]
 
     def test_known_items_strictly_before_target(self):
-        log, _ = synthetic_dataset()
+        log, catalog = synthetic_dataset()
         split = temporal_split(log)
         times = {}
         for user, item, ts in zip(user_ids(split.full), split.full.item_ids,
                                   split.full.timestamps):
             times.setdefault(user, []).append((item, ts))
-        for s in build_samples(split)["test"]:
-            for item in s.known_items:
+        for s in build_samples(split, catalog)["test"]:
+            for item in as_ids(s, catalog)[2]:
                 ts = [t for i, t in times[s.user_id] if i == item]
                 assert min(ts) < s.target_timestamp
 
     def test_determinism(self):
-        log, _ = synthetic_dataset()
-        a = build_samples(temporal_split(log))["test"]
-        b = build_samples(temporal_split(log))["test"]
+        log, catalog = synthetic_dataset()
+        a = build_samples(temporal_split(log), catalog)["test"]
+        b = build_samples(temporal_split(log), catalog)["test"]
         assert a == b
 
 
 class TestSampleEval:
     def test_n_at_least_population_keeps_order(self):
-        log, _ = synthetic_dataset()
-        samples = build_samples(temporal_split(log))["test"]
+        log, catalog = synthetic_dataset()
+        samples = build_samples(temporal_split(log), catalog)["test"]
         assert sample_eval(samples, len(samples) + 5, seed=1) == samples
 
     def test_same_seed_same_selection(self):
-        log, _ = synthetic_dataset()
-        samples = build_samples(temporal_split(log))["valid"]
+        log, catalog = synthetic_dataset()
+        samples = build_samples(temporal_split(log), catalog)["valid"]
         assert sample_eval(samples, 5, seed=42) == sample_eval(samples, 5, seed=42)
 
     def test_different_seeds_differ(self):
-        log, _ = synthetic_dataset(n_users=60)
-        samples = build_samples(temporal_split(log))["train"]
+        log, catalog = synthetic_dataset(n_users=60)
+        samples = build_samples(temporal_split(log), catalog)["train"]
         assert len(samples) >= 100
         a = sample_eval(samples, 10, seed=1)
         b = sample_eval(samples, 10, seed=2)
@@ -387,22 +402,23 @@ class TestSampleEval:
 
 class TestSamplesRoundtrip:
     def test_write_read_roundtrip(self, tmp_path):
-        log, _ = synthetic_dataset()
-        samples = build_samples(temporal_split(log))["test"]
+        log, catalog = synthetic_dataset()
+        samples = build_samples(temporal_split(log), catalog)["test"]
         path = tmp_path / "samples.tsv"
-        write_samples(path, samples)
-        assert read_samples(path) == samples
+        write_samples(path, samples, catalog)
+        assert read_samples(path, catalog) == samples
 
 
-def reference_samples(split, partition):
+def reference_samples(split, partition, catalog):
     """The quadratic scan build_samples replaced: per partition, each
-    sample's known set rebuilt from the user's whole timeline."""
+    sample's known set rebuilt from the user's whole timeline; each sample
+    numbered by its line in the partition's file."""
     lo, hi = split.partition_range(partition)
     by_user = {}
     full = split.full
     for gidx, user in enumerate(user_ids(full)):
         by_user.setdefault(user, []).append(gidx)
-    samples = []
+    rows = []
     for user in sorted(by_user):
         timeline = by_user[user]
         items = [full.item_ids[g] for g in timeline]
@@ -410,27 +426,25 @@ def reference_samples(split, partition):
             if t == 0 or not (lo <= gidx < hi):
                 continue
             window = items[max(0, t - HISTORY_LEN) : t]
-            history = tuple([PAD] * (HISTORY_LEN - len(window)) + window)
             now = full.timestamps[gidx]
-            known = frozenset(
-                full.item_ids[g] for g in timeline if full.timestamps[g] < now
-            )
-            samples.append(SequenceSample(history, full.item_ids[gidx], user,
-                                          now, known))
-    samples.sort(key=lambda s: (s.target_timestamp, s.user_id))
-    return samples
+            known = {full.item_ids[g] for g in timeline if full.timestamps[g] < now}
+            rows.append((now, user, window, full.item_ids[gidx], known))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return [make_sample(catalog, window, target, user, now, known, line)
+            for line, (now, user, window, target, known) in enumerate(rows, 1)]
 
 
-def reference_write(path, samples):
+def reference_write(path, samples, catalog):
     """The writer that sorted, joined and checked every known set per sample."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            for item in (*s.history, s.target, *s.known_items):
+            history, target, known = as_ids(s, catalog)
+            for item in (*history, target, *known):
                 if "," in item or "\t" in item:
                     raise DataError(f"item_id {item!r} contains a separator")
-            fh.write("\t".join([s.user_id, ",".join(s.history), s.target,
+            fh.write("\t".join([s.user_id, ",".join(history), target,
                                 str(s.target_timestamp),
-                                ",".join(sorted(s.known_items))]) + "\n")
+                                ",".join(sorted(known))]) + "\n")
 
 
 # few users, items and timestamps: equal timestamps within a user, repeat
@@ -447,6 +461,7 @@ EDGE_EVENTS = ([("u0", "a", 0), ("u1", "b", 0), ("u0", "b", 0), ("u1", "c", 0),
                 ("u2", "a", 1)]
                + [("u0", it, t) for t, it in enumerate("abcabcab", 1)]
                + [("u3", "f", 9)])
+ITEMS = make_catalog({i: f"title {i}" for i in "abcdef"})  # every item of EVENTS
 
 
 class TestLinearBuildSamples:
@@ -455,33 +470,33 @@ class TestLinearBuildSamples:
     @example(EDGE_EVENTS)
     def test_matches_quadratic_reference(self, events):
         split = temporal_split(make_log(events))
-        got = build_samples(split)
+        got = build_samples(split, ITEMS)
         assert list(got) == ["train", "valid", "test"]
         for part, samples in got.items():
-            assert samples == reference_samples(split, part)
+            assert samples == reference_samples(split, part, ITEMS)
 
     def test_edge_cases(self):
-        samples = build_samples(temporal_split(make_log(EDGE_EVENTS)))
+        samples = build_samples(temporal_split(make_log(EDGE_EVENTS)), ITEMS)
         flat = [s for part in samples.values() for s in part]
         assert {s.user_id for s in flat} == {"u0", "u1"}  # u2, u3: one event
-        (u1,) = [s for s in flat if s.user_id == "u1"]
-        assert u1.target == "c" and u1.known_items == frozenset()
-        u0 = sorted((s for s in flat if s.user_id == "u0"),
-                    key=lambda s: s.target_timestamp)
+        (u1,) = [as_ids(s, ITEMS) for s in flat if s.user_id == "u1"]
+        assert u1[1] == "c" and u1[2] == frozenset()
+        u0 = [as_ids(s, ITEMS) for s in sorted((s for s in flat if s.user_id == "u0"),
+                                                key=lambda s: s.target_timestamp)]
         # "b" shares timestamp 0 with "a": neither knows the other
-        assert u0[0].target == "b" and u0[0].known_items == frozenset()
-        assert u0[1].known_items == frozenset("ab")
+        assert u0[0][1] == "b" and u0[0][2] == frozenset()
+        assert u0[1][2] == frozenset("ab")
 
     def test_unchanged_known_set_is_one_shared_snapshot(self):
         # after "a b c" every later event repeats an item: one snapshot
         log = make_log([(f"v{k}", "f", k) for k in range(10)]
                        + [("u", it, 100 + t) for t, it in enumerate("abcabcab")])
-        flat = [s for part in build_samples(temporal_split(log)).values()
+        flat = [s for part in build_samples(temporal_split(log), ITEMS).values()
                 for s in part if s.user_id == "u"]
         later = [s for s in flat if s.target_timestamp >= 103]
         assert len(later) == 5
-        assert all(s.known_items is later[0].known_items for s in later)
-        assert later[0].known_items == frozenset("abc")
+        assert all(s.known is later[0].known for s in later)
+        assert as_ids(later[0], ITEMS)[2] == frozenset("abc")
 
     def test_unknown_partition_rejected(self):
         split = temporal_split(make_log([("u", f"i{k}", k) for k in range(10)]))
@@ -507,12 +522,12 @@ class TestSampleFiles:
         split = temporal_split(make_log(events))
         tmp = tmp_path_factory.mktemp("f")
         write_sample_files(split, tmp)
-        built = build_samples(split)
+        built = build_samples(split, ITEMS)
         for part in PARTITIONS:
             got = tmp / f"samples_{part}.tsv"
-            reference_write(tmp / "ref.tsv", reference_samples(split, part))
+            reference_write(tmp / "ref.tsv", reference_samples(split, part, ITEMS), ITEMS)
             assert got.read_bytes() == (tmp / "ref.tsv").read_bytes()
-            assert read_samples(got) == built[part]
+            assert read_samples(got, ITEMS) == built[part]
 
     @pytest.mark.parametrize("bad", ["x,y", "x\ty"])
     def test_separator_in_item_id_rejected(self, tmp_path, bad):
@@ -531,9 +546,9 @@ class TestWriteSamples:
     @given(EVENTS)
     def test_bytes_match_reference_writer(self, tmp_path_factory, events):
         tmp = tmp_path_factory.mktemp("w")
-        for part, samples in build_samples(temporal_split(make_log(events))).items():
-            write_samples(tmp / "new.tsv", samples)
-            reference_write(tmp / "old.tsv", samples)
+        for part, samples in build_samples(temporal_split(make_log(events)), ITEMS).items():
+            write_samples(tmp / "new.tsv", samples, ITEMS)
+            reference_write(tmp / "old.tsv", samples, ITEMS)
             assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
 
     @settings(max_examples=100, deadline=None)
@@ -542,12 +557,13 @@ class TestWriteSamples:
     def test_arbitrary_sharing_matches_reference_writer(self, tmp_path_factory,
                                                         rows):
         # known sets from a small pool, so one object recurs, also out of order
-        pool = [frozenset(), frozenset("ab"), frozenset("ba"), frozenset("cde")]
-        samples = [SequenceSample((PAD,) * 9 + ("a",), target, user, k, pool[i])
+        pool = [array("i"), array("i", [0, 1]), array("i", [0, 1]), array("i", [2, 3, 4])]
+        samples = [SequenceSample((PAD_INDEX,) * 9 + (0,), ITEMS.index_of[target], user,
+                                  k, pool[i], k + 1)
                    for k, (user, i, target) in enumerate(rows)]
         tmp = tmp_path_factory.mktemp("w")
-        write_samples(tmp / "new.tsv", samples)
-        reference_write(tmp / "old.tsv", samples)
+        write_samples(tmp / "new.tsv", samples, ITEMS)
+        reference_write(tmp / "old.tsv", samples, ITEMS)
         assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
 
     @given(st.sampled_from(["history", "target", "known", "known-later"]),
@@ -555,37 +571,48 @@ class TestWriteSamples:
     def test_separator_in_any_id_rejected(self, tmp_path_factory, where, sep,
                                           stem):
         bad = stem + sep + "y"
+        catalog = make_catalog({i: f"title {i}" for i in ("a", "b", "c", bad)})
         shared = frozenset({"a", "b"})
-        rows = [make_sample(["a"], "b", ts=1, known=shared),
-                make_sample(["a"], "b", ts=2, known=shared)]
+        rows = [make_sample(catalog, ["a"], "b", ts=1, known=shared),
+                make_sample(catalog, ["a"], "b", ts=2, known=shared)]
         # the bad id arrives beside a good one ("c") that is also new
         if where == "history":
-            rows.append(make_sample(["c", bad], "b", ts=3, known=shared))
+            rows.append(make_sample(catalog, ["c", bad], "b", ts=3, known=shared))
         elif where == "target":
-            rows.append(make_sample(["c"], bad, ts=3, known=shared))
+            rows.append(make_sample(catalog, ["c"], bad, ts=3, known=shared))
         elif where == "known":
-            rows.append(make_sample(["a"], "b", ts=3, known={"c", bad}))
+            rows.append(make_sample(catalog, ["a"], "b", ts=3, known={"c", bad}))
         else:  # a user whose shared set is already cached gains a bad id
-            rows.append(make_sample(["a"], "b", ts=3, known=shared | {"c", bad}))
+            rows.append(make_sample(catalog, ["a"], "b", ts=3, known=shared | {"c", bad}))
         path = tmp_path_factory.mktemp("w") / "s.tsv"
         with pytest.raises(DataError) as err:
-            write_samples(path, rows)
+            write_samples(path, rows, catalog)
         assert repr(bad) in str(err.value)
+
+
+    def test_history_item_outside_the_catalog_rejected(self, tmp_path):
+        # read_samples keeps such an item as OUTSIDE_INDEX, which has no id
+        sample = make_sample(ITEMS, ["a", "zz"], "b", line=7)
+        assert sample.history[-1] == OUTSIDE_INDEX
+        with pytest.raises(DataError, match="history item of sample 7 is not in"):
+            write_samples(tmp_path / "s.tsv", [sample], ITEMS)
 
 
 class TestReadSamples:
     @pytest.fixture(scope="class")
     def samples_file(self, tmp_path_factory):
-        log, _ = synthetic_dataset()
+        """A samples file, and the catalog its items come from."""
+        log, catalog = synthetic_dataset()
         path = tmp_path_factory.mktemp("r") / "samples.tsv"
-        write_samples(path, build_samples(temporal_split(log))["valid"])
-        return path
+        write_samples(path, build_samples(temporal_split(log), catalog)["valid"], catalog)
+        return path, catalog
 
     @settings(deadline=None)
     @given(n=st.integers(1, 80), seed=st.integers(0, 2**32))
     def test_drawn_read_is_sample_eval_of_full_read(self, samples_file, n, seed):
-        full = read_samples(samples_file)
-        assert read_samples(samples_file, n, seed) == sample_eval(full, n, seed)
+        path, catalog = samples_file
+        full = read_samples(path, catalog)
+        assert read_samples(path, catalog, n, seed) == sample_eval(full, n, seed)
 
     @pytest.mark.parametrize("bad, message", [
         ("u\t" + ",".join("a" * 10) + "\tb\tnoon\t", "non-integer timestamp 'noon'"),
@@ -594,14 +621,15 @@ class TestReadSamples:
     ])
     def test_every_line_checked_when_drawing(self, tmp_path, samples_file, bad,
                                              message):
-        lines = samples_file.read_text().splitlines()
+        samples, catalog = samples_file
+        lines = samples.read_text().splitlines()
         path = tmp_path / "bad.tsv"
         path.write_text("\n".join(lines + [bad]) + "\n")
         with pytest.raises(DataError, match=message) as err:
-            read_samples(path, 1, seed=0)
+            read_samples(path, catalog, 1, seed=0)
         assert f"line {len(lines) + 1}" in str(err.value)
         assert str(path) in str(err.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read samples file"):
-            read_samples(tmp_path / "nope.tsv")
+            read_samples(tmp_path / "nope.tsv", synthetic_dataset()[1])

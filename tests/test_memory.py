@@ -1,6 +1,6 @@
 """Memory bounds of the steps that hold a large input: the catalog matrix
 built and written, or read, or made dense from its plan, an interaction log
-parsed, samples drawn from a samples file, and the BM25 index and n-gram
+parsed, samples read or drawn from a samples file, and the BM25 index and n-gram
 model of the catalog's titles; and the order in which a command that fits
 --train reads its inputs, so the parsed log is freed before the samples
 arrive.
@@ -155,11 +155,21 @@ def test_ngram_model_holds_the_term_column(titled_catalog):
 
 
 def test_drawn_samples_hold_the_draw_not_the_file(inputs):
-    _, _, samples = inputs
+    catalog, _, samples = inputs
     size = samples.stat().st_size
-    drawn, _, peak = traced(lambda: read_samples(samples, 20, 7))
+    drawn, _, peak = traced(lambda: read_samples(samples, catalog, 20, 7))
     assert len(drawn) == 20
     assert peak < 0.4 * size
+
+
+def test_samples_hold_their_items_as_catalog_indices(inputs):
+    """A full read holds each sample's items as canonical indices and its
+    known set as one int32 array, not a set of id strings per sample."""
+    catalog, _, samples = inputs
+    size = samples.stat().st_size
+    read, held, _ = traced(lambda: read_samples(samples, catalog))
+    assert len(read) == len(samples.read_text().splitlines())
+    assert held < 3 * size  # 1.1 here, 9.5 with a frozenset of ids per sample
 
 
 def test_interaction_log_shares_its_ids(inputs):

@@ -22,7 +22,7 @@ from groundrec import cli, collab, embed, ingest, metrics, pop
 from groundrec.errors import DataError
 
 CATALOG = make_catalog({"a": "alpha movie", "b": "beta film"})
-SAMPLE = make_sample(["a", "b"], "a")  # a loaded scorer must also score it
+SAMPLE = make_sample(CATALOG, ["a", "b"], "a")  # a loaded scorer must also score it
 
 FIELDS = ["", "a", "b", "zz", ingest.PAD, "0", "1", "-1", "2.5", "1e400", "-0",
           "nan", "inf", str(2**63), "9" * 30, "#", "# fingerprint: k=v", "a,b", ",",
@@ -87,14 +87,14 @@ grco = binary_file(collab.MAGIC, "<3I", st.tuples(index, index, st.integers(0, 2
 
 
 def scorer_weights(path):
-    return collab.score(collab.load_scorer(path, len(CATALOG)), SAMPLE, CATALOG)
+    return collab.score(collab.load_scorer(path, len(CATALOG)), SAMPLE)
 
 
 READERS = {
     "interactions": (ingest.parse_interactions, text_file),
     "catalog": (ingest.parse_catalog, text_file),
-    "samples": (ingest.read_samples, text_file),
-    "samples-n": (lambda p: ingest.read_samples(p, 2, 7), text_file),
+    "samples": (lambda p: ingest.read_samples(p, CATALOG), text_file),
+    "samples-n": (lambda p: ingest.read_samples(p, CATALOG, 2, 7), text_file),
     "embedding-tsv": (lambda p: embed.load_embeddings(p, CATALOG), text_file),
     "embedding-grec": (lambda p: embed.load_embeddings(p, CATALOG), grec),
     "generated-text": (cli._read_generated, text_file),

@@ -70,7 +70,7 @@ class TestTuneGamma:
         split = temporal_split(log)
         # force uniform counts with a synthetic train log
         uniform = make_log([("u", i, t) for t, i in enumerate(sorted(catalog.ids))])
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         pipe = pop_pipeline(catalog, uniform)
         assert np.all(pipe.source.normalized == 0.0)
         best, table = tune_gamma(samples, pipe, grid=[0.0, 0.5, 1.0, 100.0])
@@ -79,7 +79,7 @@ class TestTuneGamma:
     def test_sweep_table_has_200_rows(self):
         log, catalog = synthetic_dataset(n_users=8, n_items=8, events_per_user=5)
         split = temporal_split(log)
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         best, table = tune_gamma(samples, pipe)
         assert len(table) == 200
@@ -110,7 +110,7 @@ class TestTuneGamma:
 
         pipe = Pipeline(JunkGen(), FixedProvider(), FixedMatrix(), catalog,
                         source=table_pop)
-        samples = [make_sample(["a"], "s", known={"a"}) for _ in range(5)]
+        samples = [make_sample(catalog, ["a"], "s", known={"a"}) for _ in range(5)]
         best, table = tune_gamma(samples, pipe, metric="ndcg@20",
                                  grid=[0.0, 1.0, 10.0, 100.0])
         vals = [report.metric("ndcg@20") for _, report in table]
@@ -127,7 +127,7 @@ class TestTuneGamma:
     def test_cached_sweep_matches_fresh_run(self):
         log, catalog = synthetic_dataset(n_users=12, n_items=12, events_per_user=6)
         split = temporal_split(log)
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         _, table = tune_gamma(samples, pipe, grid=[0.0, 0.5, 7.0])
         for gamma, report in table:
@@ -141,7 +141,7 @@ class TestTuneGamma:
     def test_determinism(self):
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
         split = temporal_split(log)
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         a = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         b = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         assert a[0] == b[0]
@@ -150,7 +150,7 @@ class TestTuneGamma:
     def test_thread_invariance(self):
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
         split = temporal_split(log)
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         a = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=1)
         b = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=8)
@@ -165,14 +165,13 @@ def reference_sweep(samples, pipeline, grid):
     for gamma in grid:
         positions = []
         for s in samples:
-            if s.target in s.known_items:
+            if s.target in s.known:
                 positions.append(None)
                 continue
             adjusted = pipeline.reweighted(pipeline.normalized_distances(s),
                                            pipeline.weights(s), gamma)
             keep = exclusion_mask(adjusted.shape[0], pipeline.exclusions(s))
-            positions.append(target_position(adjusted, keep,
-                                             pipeline.catalog.index_of[s.target]))
+            positions.append(target_position(adjusted, keep, s.target))
         report = aggregate(positions)
         table.append({**{f"hr@{k}": v for k, v in report.hr.items()},
                       **{f"ndcg@{k}": v for k, v in report.ndcg.items()}})
@@ -185,7 +184,7 @@ class TestSweepMatchesPerPointInjection:
     def test_bit_identical_table(self, injection, threads):
         log, catalog = synthetic_dataset(n_users=14, n_items=15, events_per_user=7)
         split = temporal_split(log)
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         provider = HashEmbedder(dim=16, seed=5)
 
         class OneTextGen:  # the weights, not the text, decide most ranks
@@ -212,14 +211,14 @@ class TestSweepMatchesPerPointInjection:
         pipe = pop_pipeline(catalog, split.train)
         pipe.source.normalized = pipe.source.normalized + 1.5
         with pytest.raises(DataError, match=r"must lie in \[0,1\]"):
-            tune_gamma(build_samples(split)["valid"], pipe, grid=[0.0, 1.0])
+            tune_gamma(build_samples(split, catalog)["valid"], pipe, grid=[0.0, 1.0])
 
 
 class TestWriteSweep:
     def test_tsv_shape(self, tmp_path):
         log, catalog = synthetic_dataset(n_users=8, n_items=8, events_per_user=5)
         split = temporal_split(log)
-        samples = build_samples(split)["valid"]
+        samples = build_samples(split, catalog)["valid"]
         pipe = pop_pipeline(catalog, split.train)
         _, table = tune_gamma(samples, pipe, grid=[0.0, 0.5])
         path = tmp_path / "sweep.tsv"
