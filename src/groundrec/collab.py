@@ -2,9 +2,8 @@
 
 A first-order transition scorer over adjacent (prev, next) item pairs in each
 user's training timeline. Scoring a sample combines the last up-to-3 real
-history items, read as the canonical indices the sample holds, with geometric
-recency weights 1.0, 0.5, 0.25. As a Pipeline weight source, a CoScorer gives
-each sample those scores, min-max normalized.
+history indices with geometric recency weights 1.0, 0.5, 0.25. As a Pipeline
+weight source, a CoScorer gives each sample those scores, min-max normalized.
 
 A CoScorer is one form from fit to file to score: int64 arrays prevs, nexts
 and counts, sorted by (prev, next), each pair once. Fitting gets them from

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,10 +290,8 @@ def inject(normalized, weights, gamma) -> np.ndarray:
 
 
 def exclusion_mask(n, exclusions) -> np.ndarray:
-    """Boolean mask over n items: False at every excluded canonical index.
-    An array.array (a sample's known set) is read through its buffer."""
-    idx = (np.asarray(exclusions) if isinstance(exclusions, array)
-           else np.fromiter(exclusions, dtype=np.int64, count=len(exclusions)))
+    """Boolean mask over n items: False at every excluded canonical index."""
+    idx = np.fromiter(exclusions, dtype=np.int64, count=len(exclusions))
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise DataError(f"exclusion index {bad[0]} out of range")

@@ -9,8 +9,7 @@ tune-gamma take each sample's gamma-independent part from Pipeline.prepare;
 eval divides by (1 + w)^gamma at one gamma, tune-gamma at every point of the
 grid. Pipeline.candidates is the one skip/target/exclusion step, which
 Most-Pop shares. fan_out runs a per-sample or per-gamma step on threads.
-A sample's items are canonical indices (ingest maps each id once), so the
-exclusions are the sample's sorted known array, and no step looks an id up.
+A sample's exclusions are its known array of canonical indices, from ingest.
 
 Every item the user has not interacted with is a candidate; there is no
 negative sampling.

@@ -167,7 +167,9 @@ class SequenceSample:
     target: int
     user_id: str
     target_timestamp: int
-    known: array  # "i": the indices seen before the target, sorted, each once
+    # "i": the indices seen before the target, sorted, each once; samples whose
+    # known set is unchanged share one array, so it is never mutated, nor hashed
+    known: array = field(hash=False)
     line: int  # the sample's line in its samples file
 
     def knows(self, index) -> bool:
@@ -342,11 +344,16 @@ def _checked(parts, lineno, path, index_of):
         raise DataError(f"sample line {lineno} in {path}: history length "
                         f"{length} != {HISTORY_LEN}")
     parts[3] = parse_int(parts[3], "timestamp", lineno, path)
-    if (target := index_of.get(parts[2])) is None:
-        raise DataError(f"sample target {parts[2]!r} at line {lineno} in {path} "
-                        "is not in the catalog")
-    parts[2] = target
+    parts[2] = _target(parts[2], lineno, path, index_of)
     return parts
+
+
+def _target(item, lineno, where, index_of):
+    """The canonical index of a sample's target id, refused if it has none."""
+    if (target := index_of.get(item)) is None:
+        raise DataError(f"sample target {item!r} at line {lineno} in {where} "
+                        "is not in the catalog")
+    return target
 
 
 def _known(text, index_of):
@@ -385,18 +392,17 @@ def build_samples(split: SplitLog, catalog: ItemCatalog) -> dict[str, list[Seque
     it takes in the file write_sample_files writes. Rows whose known text is
     one object share one index array."""
     index_of = catalog.index_of
-    out: dict[str, list[SequenceSample]] = {name: [] for name in PARTITIONS}
-    lists = [out[name] for name in PARTITIONS]
+    lists: list[list[SequenceSample]] = [[] for _ in PARTITIONS]
     last: dict[str, tuple[str, array]] = {}  # user -> text, indices
     for ts, user, part, history, target, known in _sample_rows(split):
         lineno = len(lists[part]) + 1
-        fields = _checked([user, history, target, ts, known], lineno,
-                          f"the {PARTITIONS[part]} samples", index_of)
+        target = _target(target, lineno, f"the {PARTITIONS[part]} samples", index_of)
         memo = last.get(user)
         if memo is None or memo[0] is not known:
             memo = last[user] = (known, _known(known, index_of))
-        lists[part].append(_sample(fields, memo[1], lineno, index_of))
-    return out
+        lists[part].append(_sample((user, history, target, ts, known), memo[1],
+                                   lineno, index_of))
+    return dict(zip(PARTITIONS, lists))
 
 
 def write_interactions(path, log: InteractionLog):

@@ -1344,6 +1344,9 @@ class TestGroundMatchesEval:
         out = tmp_path / "splits"
         test, train = out / "samples_test.tsv", out / "train.tsv"
         run_ok(["split", "--interactions", inter, "--out", out])
+        # a comment and a blank line shift every later file line off its index
+        lines = test.read_text().splitlines(keepends=True)
+        test.write_text("".join([lines[0], "# comment\n", "\n", *lines[1:]]))
         files = {"--popularity": tmp_path / "pop.tsv", "--scorer": tmp_path / "co.bin"}
         run_ok(["popularity", "--train", train, "--catalog", cat,
                 "--out", files["--popularity"]])
@@ -1361,7 +1364,10 @@ class TestGroundMatchesEval:
                 "--train", train, "--generator", generator, "--inject", inject,
                 "--gamma", 2, "--seed", 3, "--dump-ranks", tmp_path / "dump.tsv",
                 "--out", tmp_path / "report.tsv"])
-        targets = [line.split("\t")[2] for line in test.read_text().splitlines()]
+        data = [(n, line) for n, line in enumerate(test.read_text().splitlines(), 1)
+                if line and not line.startswith("#")]
+        targets = [line.split("\t")[2] for _, line in data]
+        index_of_line = {n: k for k, (n, _) in enumerate(data)}
         listed = {}
         for line in (tmp_path / "ranks.tsv").read_text().splitlines():
             idx, pos, item, _ = line.split("\t")
@@ -1371,8 +1377,10 @@ class TestGroundMatchesEval:
                       for line in (tmp_path / "dump.tsv").read_text().splitlines())
         assert len(dumped) == len(targets)
         # the top 20 of a 20-item catalog lists every target that is not excluded
-        # eval keys each position by its samples-file line, ground by its index
-        assert listed == {int(i) - 1: pos for i, pos in dumped.items() if pos != "skipped"}
+        # eval keys each position by its samples-file line, ground by its
+        # index among the file's samples
+        assert listed == {index_of_line[int(i)]: pos for i, pos in dumped.items()
+                          if pos != "skipped"}
         if generator == "oracle":
             assert set(listed.values()) == {"1"}
         else:

@@ -496,6 +496,7 @@ class TestLinearBuildSamples:
         later = [s for s in flat if s.target_timestamp >= 103]
         assert len(later) == 5
         assert all(s.known is later[0].known for s in later)
+        assert len(set(later)) == 5  # a sample hashes, its known array left out
         assert as_ids(later[0], ITEMS)[2] == frozenset("abc")
 
     def test_unknown_partition_rejected(self):
