@@ -17,6 +17,7 @@ context. No numpy is loaded.
 from __future__ import annotations
 
 import random
+import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -140,20 +141,25 @@ class NGramGenerator:
         self.model = model
         self.seed = seed
         # context -> the sorted most-frequent successors of its longest suffix
-        # that occurs, filled on first use; a fill is idempotent, so threads
-        # sharing the generator may race on it
+        # that occurs, filled on first use, one fill at a time: eval's threads
+        # start on the same contexts, and two concurrent fills of a context
+        # whose last token is in every title each held a list as long as the catalog
         self._tied: dict[tuple[str, ...], list[str]] = {}
+        self._filling = threading.Lock()
 
     def _next(self, ctx, rng):
         tied = self._tied.get(ctx)
-        if tied is None:  # back off to the longest suffix of ctx that occurs;
-            suffix = ctx  # () does, in every model the constructor takes
-            choices = self.model.successors(suffix)
-            while not choices:
-                suffix = suffix[1:]
-                choices = self.model.successors(suffix)
-            best = max(choices.values())
-            tied = self._tied[ctx] = sorted(t for t, c in choices.items() if c == best)
+        if tied is None:
+            with self._filling:
+                tied = self._tied.get(ctx)  # filled while this thread waited?
+                if tied is None:  # back off to the longest suffix of ctx that
+                    suffix = ctx  # occurs; () does, in every model the constructor takes
+                    choices = self.model.successors(suffix)
+                    while not choices:
+                        suffix = suffix[1:]
+                        choices = self.model.successors(suffix)
+                    best = max(choices.values())
+                    tied = self._tied[ctx] = sorted(t for t, c in choices.items() if c == best)
         return tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
 
     def generate(self, sample: SequenceSample) -> GeneratedText:

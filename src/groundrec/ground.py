@@ -51,10 +51,13 @@ the matrix kept, bit for bit, negative zeros included: the dense array is
 rebuilt from it only for a query off its grid. A matrix whose rows the plan
 refuses is held dense, together with that plan.
 
-A target's rank is found by counting the kept items that sort before it,
-with no sort; a top-k list sorts only the items at or below the k-th
-smallest value; BM25 adds each query term's contribution through its posting
-list in query order, exactly as a per-document loop would.
+A query is one float64 array: exclude writes +inf at every excluded item,
+which marks exactly those items, as distances and BM25 scores are finite;
++inf divided by (1 + w)^gamma stays +inf, neither below nor equal to any
+finite value. A target's rank is found by counting the items that sort
+before it, with no sort; a top-k list sorts only the items at or below the
+k-th smallest value; BM25 adds each query term's contribution through its
+posting list in query order, exactly as a per-document loop would.
 
 These are the kernels only. harness.Pipeline composes them into the one
 grounding path that the ground, eval and tune-gamma commands share; the CLI
@@ -91,29 +94,24 @@ class RankedList:
 
 
 def l2_distances(matrix, oracle) -> np.ndarray:
-    """Euclidean distance from the oracle to every row, in float64.
+    """Euclidean distance from the oracle to every row of the catalog matrix
+    (an embed.EmbeddingMatrix), in float64.
 
-    The sparse path runs where it is exact (see the module docstring). An
-    EmbeddingMatrix gives its dim and the plan it was made with
-    (matrix.plan), and its dense array only where the plan refuses the
-    query; any other matrix is an array, or has one as .vectors, and gets a
-    plan for this call.
-    Everywhere else the dense path runs: rows are taken L2_BLOCK at a time,
+    The sparse path runs where it is exact (see the module docstring), from
+    the plan the matrix was made with. Where the plan refuses the query the
+    dense path runs: rows of matrix.vectors are taken L2_BLOCK at a time,
     each block widened to float64 and differenced into one reused buffer, so
     no full-size copy of the matrix is made. Both give the bits of the
     one-shot formula sqrt(sum((row.astype(float64) - oracle) ** 2)).
     """
     oracle = np.asarray(oracle, dtype=np.float64)
-    held = hasattr(matrix, "plan")
-    if not held:
-        matrix = matrix.vectors if hasattr(matrix, "vectors") else np.asarray(matrix)
-    dim = matrix.dim if held else matrix.shape[1]
+    dim = matrix.dim
     if dim != oracle.shape[0]:
         raise DataError(f"dim mismatch: matrix dim {dim}, oracle dim {oracle.shape[0]}")
-    out = (matrix.plan if held else SparseL2Plan.of(matrix)).distances(oracle)
+    out = matrix.plan.distances(oracle)
     if out is not None:
         return out
-    vectors = matrix.vectors if held else matrix
+    vectors = matrix.vectors
     n = vectors.shape[0]
     out = np.empty(n, dtype=np.float64)
     buf = np.empty((min(n, L2_BLOCK), dim), dtype=np.float64)
@@ -284,30 +282,28 @@ def check_weights(normalized, weights):
 def inject(normalized, weights, gamma) -> np.ndarray:
     """adjusted_i = normalized_i / (1 + w_i)^gamma, w in [0,1], gamma >= 0."""
     normalized, weights = check_weights(normalized, weights)
-    if gamma == 0:
-        return normalized.copy()
-    return normalized / (1.0 + weights) ** gamma
+    return normalized / (1.0 + weights) ** gamma  # at gamma 0 a copy: x / 1.0 == x
 
 
-def exclusion_mask(n, exclusions) -> np.ndarray:
-    """Boolean mask over n items: False at every excluded canonical index."""
+def exclude(values, exclusions) -> np.ndarray:
+    """values (float64, finite) with +inf written, in place, at every excluded
+    canonical index; an index out of range is a DataError, and writes nothing."""
     idx = np.fromiter(exclusions, dtype=np.int64, count=len(exclusions))
-    bad = idx[(idx < 0) | (idx >= n)]
+    bad = idx[(idx < 0) | (idx >= values.shape[0])]
     if bad.size:
         raise DataError(f"exclusion index {bad[0]} out of range")
-    keep = np.ones(n, dtype=bool)
-    keep[idx] = False
-    return keep
+    values[idx] = np.inf
+    return values
 
 
-def _ranked(values, keep, k) -> RankedList:
-    """Kept items by (value, canonical index) ascending; the first k if given.
+def _ranked(values, k) -> RankedList:
+    """Finite items by (value, canonical index) ascending; the first k if given.
 
     With k, np.partition finds the k-th smallest value and only the items at
     or below it are sorted, so a tie group straddling k stays whole and is cut
     by index exactly as the full sort would cut it.
     """
-    candidates = np.nonzero(keep)[0]
+    candidates = np.flatnonzero(np.isfinite(values))
     if candidates.size == 0:
         raise DataError("all items excluded; nothing to rank")
     vals = values[candidates]
@@ -324,24 +320,24 @@ def _ranked(values, keep, k) -> RankedList:
 
 def rank(adjusted, exclusions=frozenset(), k=None) -> RankedList:
     """Rank by adjusted distance ascending, ties by canonical index; the
-    whole list, or its first k entries."""
-    adjusted = np.asarray(adjusted, dtype=np.float64)
-    return _ranked(adjusted, exclusion_mask(adjusted.shape[0], exclusions), k)
+    whole list, or its first k entries. adjusted is copied, not written."""
+    return _ranked(exclude(np.array(adjusted, dtype=np.float64), exclusions), k)
 
 
-def target_position(adjusted, keep, target) -> int:
-    """1-based rank of target among the kept items, found by counting.
+def target_position(values, target) -> int:
+    """1-based rank of target among the finite items, found by counting.
 
-    Equal to rank(adjusted, excluded).position(target): the kept items with a
-    smaller value, plus the kept items with an equal value and a smaller
-    canonical index, come before it. Values must not be NaN, which
+    Equal to rank(adjusted, excluded).position(target) for values =
+    exclude(adjusted, excluded): the items with a smaller value, plus those
+    with an equal value and a smaller canonical index, come before it; an
+    excluded item's +inf is neither. Values must not be NaN, which
     normalize_distances guarantees.
     """
-    if not keep[target]:
+    at = values[target]
+    if not np.isfinite(at):
         raise DataError(f"item index {target} is not in the ranked list")
-    at = adjusted[target]
-    before = np.count_nonzero(keep & (adjusted < at))
-    before += np.count_nonzero(keep[:target] & (adjusted[:target] == at))
+    before = np.count_nonzero(values < at)
+    before += np.count_nonzero(values[:target] == at)
     return int(before) + 1
 
 
@@ -413,6 +409,5 @@ def bm25_rank(query_tokens, index: BM25Index, exclusions=frozenset(), k=None) ->
     query_tokens = list(query_tokens)
     if not query_tokens:
         warnings.warn("empty BM25 query after tokenization; ranking by index order")
-    scores = index.scores(query_tokens)
-    keep = exclusion_mask(scores.shape[0], exclusions)
-    return _ranked(-scores, keep, k)  # descending score == ascending value
+    # descending score == ascending value; -scores is a fresh array
+    return _ranked(exclude(-index.scores(query_tokens), exclusions), k)

@@ -5,10 +5,10 @@ alone turns it into HR@K / NDCG@K, and metrics holds the report format.
 
 Pipeline is the one grounding path. ground ranks the top k for the text it
 is given through Pipeline.distances, weights and reweighted. eval and
-tune-gamma take each sample's gamma-independent part from Pipeline.prepare;
-eval divides by (1 + w)^gamma at one gamma, tune-gamma at every point of the
-grid. Pipeline.candidates is the one skip/target/exclusion step, which
-Most-Pop shares. fan_out runs a per-sample or per-gamma step on threads.
+tune-gamma take each sample's gamma-independent part from Pipeline.prepare,
+and target_positions divides and counts: eval at its one gamma, tune-gamma at
+every grid point. Pipeline.candidates is the one skip/target/exclusion step,
+which Most-Pop shares. fan_out runs a per-sample or per-gamma step on threads.
 A sample's exclusions are its known array of canonical indices, from ingest.
 
 Every item the user has not interacted with is a candidate; there is no
@@ -23,7 +23,7 @@ import numpy as np
 
 from .ground import (
     check_weights,
-    exclusion_mask,
+    exclude,
     inject,
     l2_distances,
     normalize_distances,
@@ -34,8 +34,8 @@ from .ingest import ItemCatalog, SequenceSample
 
 class Pipeline:
     """The one grounding path of the ground, eval and tune-gamma commands:
-    query text -> normalized L2 distances -> checked weights -> division by
-    (1 + w)^gamma -> exclusion of the items seen before the target.
+    query text -> normalized L2 distances -> +inf at the items seen before
+    the target -> checked weights -> division by (1 + w)^gamma.
 
     The generator turns a sample into query text; ground passes its text in
     directly and has no generator. The weight source, if any, is a
@@ -66,29 +66,31 @@ class Pipeline:
         return sample.known
 
     def reweighted(self, norm, weights, gamma=None) -> np.ndarray:
-        """norm divided by (1 + w)^gamma; norm itself without weights or at
-        gamma 0. gamma defaults to the pipeline's."""
+        """ground's query: norm divided by (1 + w)^gamma (ground.inject);
+        norm itself without weights. gamma defaults to the pipeline's."""
         gamma = self.gamma if gamma is None else gamma
-        return inject(norm, weights, gamma) if (weights is not None and gamma > 0) else norm
+        return norm if weights is None else inject(norm, weights, gamma)
 
     def candidates(self, sample: SequenceSample):
-        """(keep mask, target index): every item not seen before the target.
+        """(exclusions, target index): every item not seen before the target.
         None skips a repeat consumption, whose target is its own exclusion."""
         if sample.knows(sample.target):
             return None
-        return exclusion_mask(len(self.catalog), self.exclusions(sample)), sample.target
+        return self.exclusions(sample), sample.target
 
     def prepare(self, sample: SequenceSample):
-        """(normalized distances, checked weights or None, keep mask, target
-        index), all gamma-independent; None where candidates skips."""
+        """(values, checked weights or None, target index), gamma-independent:
+        values are the normalized distances, a fresh array with +inf written
+        at the exclusions (ground.exclude); None where candidates skips."""
         found = self.candidates(sample)
         if found is None:
             return None
-        norm = self.normalized_distances(sample)
+        excluded, target = found
+        values = self.normalized_distances(sample)
         weights = self.weights(sample)
         if weights is not None:
-            norm, weights = check_weights(norm, weights)
-        return (norm, weights, *found)
+            values, weights = check_weights(values, weights)
+        return exclude(values, excluded), weights, target
 
 
 def fan_out(fn, items, threads=1):
@@ -99,13 +101,25 @@ def fan_out(fn, items, threads=1):
     return [fn(item) for item in items]
 
 
+def target_positions(prepared, gamma):
+    """The target positions of prepared samples (none skipped) at gamma: the
+    values divided by (1 + w)^gamma where there are weights, then counted.
+    Samples that hold one weight array share its divisor; nothing is written."""
+    positions = []
+    shared = divisor = None  # the last weight array and its divisor
+    for values, weights, target in prepared:
+        if weights is not None:
+            if weights is not shared:
+                shared, divisor = weights, (1.0 + weights) ** gamma
+            values = values / divisor
+        positions.append(target_position(values, target))
+    return positions
+
+
 def _target_position(pipeline, sample):
     """1-based rank of the target, or None when the sample is skipped."""
     prepared = pipeline.prepare(sample)
-    if prepared is None:
-        return None
-    norm, weights, keep, target = prepared
-    return target_position(pipeline.reweighted(norm, weights), keep, target)
+    return None if prepared is None else target_positions([prepared], pipeline.gamma)[0]
 
 
 def evaluate(samples, pipeline: Pipeline, threads=1):
@@ -117,13 +131,15 @@ def evaluate(samples, pipeline: Pipeline, threads=1):
 def most_pop_baseline(table, samples, catalog: ItemCatalog):
     """Target positions when ranking by global training popularity
     (PopularityTable.order), minus the exclusions of Pipeline.candidates; an
-    item's place stands in for its value."""
+    item's place stands in for its value, copied into one reused array."""
     n = len(catalog)
-    place = np.empty(n, dtype=np.int64)
+    place = np.empty(n, dtype=np.float64)
     place[table.order()] = np.arange(n)
-    pipeline = Pipeline(None, None, None, catalog)
-    positions = []
-    for sample in samples:
-        found = pipeline.candidates(sample)
-        positions.append(None if found is None else target_position(place, *found))
-    return positions
+    values = np.empty(n, dtype=np.float64)
+
+    def position(excluded, target):
+        np.copyto(values, place)
+        return target_position(exclude(values, excluded), target)
+
+    found = map(Pipeline(None, None, None, catalog).candidates, samples)
+    return [None if f is None else position(*f) for f in found]

@@ -2,15 +2,15 @@
 
 The grid is 0.00 to 1.00 in steps of 0.01 plus the integers 2 through 100:
 exactly 200 strictly increasing values. Distances are gamma-independent, so
-Pipeline.prepare computes each sample's normalized distances, checked
-weights, keep mask and target once, and the sweep only redoes the cheap
-divide-and-count step.
-Samples that share one weight array (popularity injection) share its divisor
-(1 + w)^gamma, computed once per gamma and chunk.
+Pipeline.prepare computes each sample's values (normalized distances, +inf
+at its exclusions), checked weights and target once, and the sweep only
+redoes harness.target_positions, the divide-and-count step eval runs at its
+one gamma. Samples that share one weight array (popularity injection) share
+its divisor (1 + w)^gamma, computed once per gamma and chunk.
 
 Samples are prepared and swept CHUNK_SAMPLES at a time, so memory holds one
-chunk's distances and keep masks, plus one position per kept sample and
-gamma, however many samples there are. Each gamma's positions keep sample
+chunk's values and weights, plus one position per kept sample and gamma,
+however many samples there are. Each gamma's positions keep sample
 order, so the sums, and the sweep, equal those of one pass over all samples.
 metrics.aggregate turns each gamma's positions into a MetricsReport, as it
 does eval's; best and write_sweep read the reports by metric name.
@@ -19,10 +19,10 @@ does eval's; best and write_sweep read the reports by metric name.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 
 from .errors import DataError
-from .ground import target_position
-from .harness import Pipeline, fan_out
+from .harness import Pipeline, fan_out, target_positions
 from .metrics import aggregate, metric_names
 
 CHUNK_SAMPLES = 256
@@ -44,7 +44,8 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, threads
     kept = [array("q") for _ in grid]  # per gamma, the kept samples' positions
     for start in range(0, len(samples), CHUNK_SAMPLES):
         chunk = samples[start:start + CHUNK_SAMPLES]
-        found = _sweep(fan_out(pipeline.prepare, chunk, threads), grid, threads)
+        prepared = [p for p in fan_out(pipeline.prepare, chunk, threads) if p is not None]
+        found = fan_out(partial(target_positions, prepared), grid, threads)
         for positions, more in zip(kept, found):
             positions.extend(more)
 
@@ -52,26 +53,6 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, threads
     table = [(gamma, aggregate(positions)) for gamma, positions in zip(grid, kept)]
     best, _ = max(table, key=lambda row: (row[1].metric(metric), -row[0]))
     return best, table
-
-
-def _sweep(prepared, grid, threads):
-    """Per gamma, the target positions of the prepared samples not skipped."""
-    prepared = [entry for entry in prepared if entry is not None]
-
-    def sweep_point(gamma):
-        positions = []
-        shared = divisor = None  # the last weight array and its divisor
-        for norm, weights, keep, target in prepared:
-            if weights is not None and gamma > 0:
-                if weights is not shared:
-                    shared, divisor = weights, (1.0 + weights) ** gamma
-                adjusted = norm / divisor
-            else:
-                adjusted = norm
-            positions.append(target_position(adjusted, keep, target))
-        return positions
-
-    return fan_out(sweep_point, grid, threads)
 
 
 def write_sweep(path, table):

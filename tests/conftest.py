@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from groundrec.collab import CoScorer
+from groundrec.embed import EmbeddingMatrix
 from groundrec.ingest import (
     HISTORY_LEN,
     OUTSIDE_INDEX,
@@ -28,6 +29,25 @@ def make_log(triples):
 def user_ids(log):
     """The user id of each row of an InteractionLog."""
     return [log.users[c] for c in log.user_codes]
+
+
+def held(vectors):
+    """The catalog matrix (an EmbeddingMatrix) of an array, as
+    ground.l2_distances takes it."""
+    vectors = np.asarray(vectors)
+    return EmbeddingMatrix(vectors.shape[1], vectors)
+
+
+def masked_position(values, excluded, target):
+    """The brute-force 1-based position of target over a keep mask: the
+    kept items with a smaller value, or an equal value and a smaller index,
+    come before it."""
+    keep = np.ones(values.size, dtype=bool)
+    keep[list(excluded)] = False
+    assert keep[target]
+    at = values[target]
+    return int(np.count_nonzero(keep & (values < at))
+               + np.count_nonzero(keep[:target] & (values[:target] == at))) + 1
 
 
 def make_catalog(entries):

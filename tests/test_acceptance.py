@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from conftest import held, make_catalog, make_log, make_sample, synthetic_dataset
 from groundrec import cli
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.generate import GeneratedText, OracleEchoGenerator
@@ -168,7 +168,7 @@ class TestCriterion5BruteForceEquivalence:
                 (i for i in range(n) if i not in excl),
                 key=lambda i: (naive_adj[i], i),
             )
-            norm = normalize_distances(l2_distances(np.array(vectors), np.array(oracle)))
+            norm = normalize_distances(l2_distances(held(vectors), np.array(oracle)))
             adj = inject(norm, np.array(weights), gamma) if gamma > 0 else norm
             got = list(rank(adj, excl).indices)
             assert got == expected, f"trial {trial}"
@@ -330,7 +330,7 @@ class TestCriterion11BM25NoiseSensitivity:
             "pad1": [0.0, 1.0, 0.0],
             "pad2": [0.0, 0.0, 1.0],
         }
-        matrix = np.array([vectors[i] for i in catalog.ids])
+        matrix = held([vectors[i] for i in catalog.ids])
         bm25 = BM25Index(catalog)
         bm25_list = bm25_rank(query, bm25)
         bm25_top = catalog.ids[bm25_list.indices[0]]

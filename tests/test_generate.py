@@ -1,3 +1,7 @@
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -167,6 +171,43 @@ class TestNGramTiedMemo:
                 assert memo.generate(sample) == scan.generate(sample)
             assert memo.generate(make_sample(cat, [], "m000")) == \
                 scan.generate(make_sample(cat, [], "m000"))
+
+    def test_threads_fill_each_context_once(self):
+        """A generator shared by threads, as eval's is, fills each context
+        once: 8 threads that switch as often as they can, started together
+        on samples that walk the same contexts, ask the model for the same
+        successors, as often, as one thread does, and get its texts."""
+        cat = make_catalog({f"m{k:03d}": f"{('lost', 'red', 'far')[k % 3]} "
+                                          f"{('river', 'echo')[k % 2]} volume {k}"
+                            for k in range(60)})
+        samples = [make_sample(cat, [f"m{k % 60:03d}"], "m000", ts=k) for k in range(64)]
+
+        def run(threads):
+            model = train_ngram(cat.titles(), order=2)
+            asked, successors = [], model.successors
+            model.successors = lambda ctx: asked.append(ctx) or successors(ctx)
+            gen = NGramGenerator(cat, model, seed=3)
+            start = threading.Barrier(threads)
+
+            def walk(part):
+                start.wait(timeout=10)
+                return [gen.generate(s) for s in part]
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    parts = [pool.submit(walk, samples[i::threads]) for i in range(threads)]
+                    texts = [part.result(timeout=60) for part in parts]
+            finally:
+                sys.setswitchinterval(switch)
+            return Counter(asked), texts
+
+        alone, (texts,) = run(1)
+        racing, parts = run(8)
+        assert racing == alone
+        assert [t for i in range(8) for t in parts[i]] == \
+            [texts[j] for i in range(8) for j in range(i, 64, 8)]
 
 
 def train_ngram_reference(titles, order=1):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_catalog
+from conftest import held, make_catalog
 from groundrec.errors import DataError
 from groundrec.ground import (
     BM25Index,
@@ -39,18 +39,18 @@ def naive_full_sort(vectors, oracle, weights=None, gamma=0.0, exclusions=frozens
 
 class TestL2Distances:
     def test_3_4_5(self):
-        assert l2_distances(np.array([[0.0, 0.0]]), [3.0, 4.0])[0] == pytest.approx(5.0)
+        assert l2_distances(held([[0.0, 0.0]]), [3.0, 4.0])[0] == pytest.approx(5.0)
 
     def test_identity_zero(self):
-        assert l2_distances(np.array([[1.5, -2.0]]), [1.5, -2.0])[0] == 0.0
+        assert l2_distances(held([[1.5, -2.0]]), [1.5, -2.0])[0] == 0.0
 
     def test_equidistant_pair(self):
-        d = l2_distances(np.array([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
+        d = l2_distances(held([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
         assert np.allclose(d, [1.0, 1.0])
 
     def test_dim_mismatch_fatal(self):
         with pytest.raises(DataError):
-            l2_distances(np.array([[1.0, 0.0]]), [1.0, 1.0, 1.0])
+            l2_distances(held([[1.0, 0.0]]), [1.0, 1.0, 1.0])
 
     @given(
         st.lists(
@@ -63,8 +63,8 @@ class TestL2Distances:
     def test_coordinate_permutation_invariance(self, rows, oracle, perm):
         mat = np.array(rows)
         orc = np.array(oracle)
-        a = l2_distances(mat, orc)
-        b = l2_distances(mat[:, perm], orc[perm])
+        a = l2_distances(held(mat), orc)
+        b = l2_distances(held(mat[:, perm]), orc[perm])
         assert np.allclose(a, b, rtol=1e-12, atol=1e-9)
 
 
@@ -171,7 +171,7 @@ class TestBruteForceEquivalence:
             exclusions = frozenset(rng.sample(range(n), k_excl))
             expected = naive_full_sort(vectors, oracle, weights, gamma, exclusions)
             mat = np.array(vectors)
-            norm = normalize_distances(l2_distances(mat, np.array(oracle)))
+            norm = normalize_distances(l2_distances(held(mat), np.array(oracle)))
             adj = inject(norm, np.array(weights), gamma) if gamma > 0 else norm
             got = list(rank(adj, exclusions).indices)
             assert got == expected, f"trial {trial}"

@@ -3,10 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from conftest import held, make_catalog, make_log, make_sample, synthetic_dataset
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import OracleEchoGenerator
@@ -24,6 +24,7 @@ from groundrec.metrics import (
     write_report,
 )
 from groundrec.pop import compute_popularity
+from groundrec.tune import tune_gamma
 
 
 class TestPointMetrics:
@@ -100,16 +101,13 @@ class TestEvaluate:
             def embed(self, text):
                 return np.array([0.0, 0.0], dtype=np.float32)
 
-        class FixedMatrix:
-            vectors = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
-            dim = 2
-
         class EchoGen:
             def generate(self, sample):
                 from groundrec.generate import GeneratedText
                 return GeneratedText(("x",), "fixed")
 
-        pipe = Pipeline(EchoGen(), FixedProvider(), FixedMatrix(), catalog)
+        matrix = held([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
+        pipe = Pipeline(EchoGen(), FixedProvider(), matrix, catalog)
         sample = make_sample(catalog, ["a"], "c")  # target 'c' = farthest = rank 3
         report = aggregate(evaluate([sample], pipe))
         assert report.hr[5] == 1.0
@@ -218,6 +216,35 @@ class TestMostPopBaseline:
         assert report.hr[1] == 0.0
         assert report.hr[3] == 1.0
         assert report.ndcg[3] == pytest.approx(1.0 / math.log2(3))
+
+
+class TestNoSharedArrayWritten:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([1, 2]))
+    def test_weights_and_place_order_unchanged(self, seed, gamma, threads):
+        """The popularity weights every sample shares and the order Most-Pop
+        places items by hold the same bits after evaluate, tune_gamma and
+        most_pop_baseline, which write each sample's exclusions into an
+        array of its own; Most-Pop's reused buffer gives the brute-force
+        positions."""
+        log, catalog = synthetic_dataset(n_users=8, n_items=12, events_per_user=6,
+                                         seed=seed)
+        split = temporal_split(log)
+        samples = build_samples(split, catalog)["test"]
+        table = compute_popularity(split.train, catalog)
+        weights, order = table.normalized.copy(), table.order()
+        pipe = oracle_pipeline(catalog, dim=32, gamma=gamma, source=table)
+        evaluate(samples, pipe, threads=threads)
+        tune_gamma(samples, pipe, grid=[0.0, gamma, 7.0], threads=threads)
+        got = most_pop_baseline(table, samples, catalog)
+        assert table.normalized.tobytes() == weights.tobytes()
+        assert table.order().tobytes() == order.tobytes()
+        for s, position in zip(samples, got):
+            if s.target in s.known:
+                assert position is None
+            else:
+                ranked = [i for i in order.tolist() if i not in set(s.known)]
+                assert position == ranked.index(s.target) + 1
 
 
 class TestImprove2lv:

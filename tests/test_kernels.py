@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog
+from conftest import held, make_catalog, masked_position
 from groundrec.embed import (
     EmbeddingMatrix,
     HashEmbedder,
@@ -24,7 +24,7 @@ from groundrec.ground import (
     BM25Index,
     SparseL2Plan,
     bm25_rank,
-    exclusion_mask,
+    exclude,
     grid_exponent,
     l2_distances,
     rank,
@@ -90,25 +90,22 @@ class TestBlockedL2:
         rng = np.random.default_rng(n * 1000 + dim)
         vectors = mixed_magnitude(rng, n, dim)
         oracle = rng.standard_normal(dim) * 10.0 ** rng.integers(-6, 7, size=dim)
-        got = l2_distances(vectors, oracle)
+        got = l2_distances(held(vectors), oracle)
         assert got.dtype == np.float64
         assert np.array_equal(got, one_shot_l2(vectors, oracle))
 
     def test_float64_and_matrix_object(self):
         rng = np.random.default_rng(5)
         vectors = rng.standard_normal((L2_BLOCK + 9, 4))
-
-        class Matrix:
-            pass
-
-        m = Matrix()
-        m.vectors = vectors.astype(np.float32)
+        m = held(vectors.astype(np.float32))
         oracle = rng.standard_normal(4)
-        assert np.array_equal(l2_distances(vectors, oracle), one_shot_l2(vectors, oracle))
+        assert np.array_equal(l2_distances(held(vectors), oracle),
+                              one_shot_l2(vectors, oracle))
         assert np.array_equal(l2_distances(m, oracle), one_shot_l2(m.vectors, oracle))
 
     def test_empty_matrix(self):
-        assert l2_distances(np.zeros((0, 3), dtype=np.float32), [1.0, 2.0, 3.0]).size == 0
+        assert l2_distances(held(np.zeros((0, 3), dtype=np.float32)),
+                            [1.0, 2.0, 3.0]).size == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 2**32 - 1))
@@ -116,7 +113,8 @@ class TestBlockedL2:
         rng = np.random.default_rng(seed)
         vectors = mixed_magnitude(rng, n, dim)
         oracle = vectors[rng.integers(n)].astype(np.float64) + rng.standard_normal(dim)
-        assert np.array_equal(l2_distances(vectors, oracle), one_shot_l2(vectors, oracle))
+        assert np.array_equal(l2_distances(held(vectors), oracle),
+                              one_shot_l2(vectors, oracle))
 
 
 class OffsetEmbedder:
@@ -135,12 +133,10 @@ def sparse_path(vectors, oracle):
 
 
 def assert_both_forms_exact(vectors, oracle):
-    """l2_distances of the plain array and of an EmbeddingMatrix equal the
-    one-shot formula bit for bit; returns whether the sparse path ran."""
+    """l2_distances of the array's EmbeddingMatrix equals the one-shot
+    formula bit for bit; returns whether the sparse path ran."""
     expected = one_shot_l2(vectors, oracle)
-    assert np.array_equal(l2_distances(vectors, oracle), expected)
-    assert np.array_equal(l2_distances(EmbeddingMatrix(vectors.shape[1], vectors), oracle),
-                          expected)
+    assert np.array_equal(l2_distances(held(vectors), oracle), expected)
     fast = sparse_path(vectors, oracle)
     if fast is not None:
         assert np.array_equal(fast, expected)
@@ -214,8 +210,12 @@ class TestSparseL2:
     ])
     def test_edge_inputs(self, vectors, oracle):
         vectors = np.array(vectors)
+        if not np.isfinite(vectors).all():  # refused where the matrix is made
+            with pytest.raises(DataError, match="non-finite"):
+                held(vectors)
+            return
         expected = one_shot_l2(vectors, oracle)
-        got = l2_distances(vectors, oracle)
+        got = l2_distances(held(vectors), oracle)
         assert np.array_equal(got, expected, equal_nan=True)
         assert not np.signbit(got[~np.isnan(got)]).any()
 
@@ -237,7 +237,7 @@ class TestSparseL2:
         for scale in (1, 8):
             for q in (2.0 ** 25, 2.0 ** 25 - 1, 2.0 ** 26 + 1):
                 oracle = np.array([3.0, q]) / scale
-                assert np.array_equal(l2_distances(vectors / scale, oracle),
+                assert np.array_equal(l2_distances(held(vectors / scale), oracle),
                                       one_shot_l2(vectors / scale, oracle))
 
     def test_refused_where_the_grid_step_squared_underflows(self):
@@ -310,28 +310,31 @@ class TestTargetPosition:
         others = [i for i in range(n) if i != target]
         excluded = frozenset(data.draw(st.lists(st.sampled_from(others), unique=True))
                              if others else [])
-        keep = exclusion_mask(n, excluded)
-        assert target_position(adjusted, keep, target) == \
-            rank(adjusted, excluded).position(target)
+        got = target_position(exclude(adjusted.copy(), excluded), target)
+        assert got == rank(adjusted, excluded).position(target)
+        assert got == masked_position(adjusted, excluded, target)
 
     def test_all_tied_is_index_order(self):
-        adjusted = np.zeros(10)
-        keep = exclusion_mask(10, {1, 3})
-        assert [target_position(adjusted, keep, t) for t in (0, 2, 4, 9)] == [1, 2, 3, 8]
+        values = exclude(np.zeros(10), {1, 3})
+        assert [target_position(values, t) for t in (0, 2, 4, 9)] == [1, 2, 3, 8]
 
     def test_excluded_target_fatal(self):
         with pytest.raises(DataError, match="not in the ranked list"):
-            target_position(np.zeros(3), exclusion_mask(3, {1}), 1)
+            target_position(exclude(np.zeros(3), {1}), 1)
 
 
-class TestExclusionMask:
+class TestExclude:
     def test_marks_excluded(self):
-        assert list(exclusion_mask(4, {0, 2})) == [False, True, False, True]
+        values = np.array([0.5, 0.25, 0.0, 1.0])
+        assert exclude(values, {0, 2}) is values
+        assert list(values) == [np.inf, 0.25, np.inf, 1.0]
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_out_of_range_fatal(self, bad):
+        values = np.zeros(4)
         with pytest.raises(DataError, match=f"exclusion index {bad} out of range"):
-            exclusion_mask(4, {1, bad})
+            exclude(values, {1, bad})
+        assert not values.any()  # nothing written
 
 
 class TestTopK:
@@ -422,3 +425,34 @@ class TestBM25PostingLists:
         full = bm25_rank(query or ["zzz"], index, frozenset(excluded))
         got = bm25_rank(query or ["zzz"], index, frozenset(excluded), k=k)
         assert_prefix(got, full, k)
+
+
+class TestNoSharedArrayWritten:
+    @settings(max_examples=100, deadline=None)
+    @given(tied_values, st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5),
+           st.data())
+    def test_rank_and_bm25_rank_exclude_on_a_copy(self, values, query, data):
+        """Two calls on one array, and on one BM25 index, with different
+        exclusions give what calls on fresh copies give, and leave the
+        caller's array and the index's scores as they were."""
+        adjusted = np.array(values)
+        before = adjusted.copy()
+        catalog = make_catalog({f"i{k}": t for k, t in enumerate(TITLES)})
+        index = BM25Index(catalog)
+        scores = index.scores(query)
+
+        def exclusions(n):
+            return [frozenset(data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                                 max_size=n - 1))) for _ in range(2)]
+
+        for excluded in exclusions(adjusted.size):
+            got, want = rank(adjusted, excluded), rank(before.copy(), excluded)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert adjusted.tobytes() == before.tobytes()
+        for excluded in exclusions(len(TITLES)):
+            got = bm25_rank(query, index, excluded)
+            want = bm25_rank(query, BM25Index(catalog), excluded)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert index.scores(query).tobytes() == scores.tobytes()

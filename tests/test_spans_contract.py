@@ -71,6 +71,18 @@ def workspace(tmp_path_factory):
     return d
 
 
+def _traced(d, name, argv):
+    """The spans of argv run under spans.py to the end."""
+    spans_json = d / f"spans_{name}.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, str(SPANS_PATH), str(spans_json), "--", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(spans_json.read_text())
+
+
 @pytest.mark.parametrize("command", ["ground", "eval"])
 def test_traced_command_counts_distance_bytes(workspace, command):
     """The traced command runs to the end, and each distance span counts
@@ -82,13 +94,29 @@ def test_traced_command_counts_distance_bytes(workspace, command):
         "eval": ["eval", "--test", d / "samples_test.tsv", "--catalog", d / "catalog.tsv",
                  "--emb", d / "emb.bin", "--seed", 1, "--out", d / "report.tsv"],
     }[command]
-    spans_json = d / f"spans_{command}.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, str(SPANS_PATH), str(spans_json), "--", *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    counts = [span[7] for span in json.loads(spans_json.read_text())
+    counts = [span[7] for span in _traced(d, command, argv)
               if span[0] == "ground.l2_distances"]
     assert counts and all(type(c) is int and c > 0 for c in counts)
+
+
+@pytest.mark.parametrize("command, inject, span", [
+    ("tune-gamma", "pop", "tune.tune_gamma"),
+    ("eval", "collab", "harness.sample"),
+])
+def test_traced_injected_command_runs_to_the_end(workspace, command, inject, span):
+    """The injected sweep and eval, both traced by the benchmark, run to the
+    end under spans.py: tune-gamma --inject pop and eval --inject collab
+    (one harness.sample span per test sample)."""
+    d = workspace
+    samples = d / ("samples_valid.tsv" if command == "tune-gamma" else "samples_test.tsv")
+    argv = [command, "--valid" if command == "tune-gamma" else "--test", samples,
+            "--catalog", d / "catalog.tsv", "--emb", d / "emb.bin",
+            "--train", d / "train.tsv", "--inject", inject, "--seed", 1,
+            "--threads", 2, "--out", d / f"{command}_{inject}.tsv"]
+    if command == "eval":
+        argv += ["--gamma", 2]
+    names = [entry[0] for entry in _traced(d, f"{command}_{inject}", argv)]
+    expected = 1 if command == "tune-gamma" else sum(
+        1 for line in samples.read_text().splitlines() if line and not line.startswith("#"))
+    assert names.count(span) == expected
+    assert (d / f"{command}_{inject}.tsv").stat().st_size > 0

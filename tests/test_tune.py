@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_log, make_sample, synthetic_dataset
+from conftest import (
+    held,
+    make_catalog,
+    make_log,
+    make_sample,
+    masked_position,
+    synthetic_dataset,
+)
 from groundrec import tune
 from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import GeneratedText, OracleEchoGenerator
-from groundrec.ground import exclusion_mask, target_position
 from groundrec.harness import Pipeline, evaluate
 from groundrec.ingest import build_samples, temporal_split
 from groundrec.metrics import aggregate, metric_names
@@ -100,16 +106,12 @@ class TestTuneGamma:
             def embed(self, text):
                 return np.zeros(1)
 
-        class FixedMatrix:
-            dim = 1
-            vectors = np.array([[0.0], [1e-29], [1.0]])  # a, c, s
-
         class JunkGen:
             def generate(self, sample):
                 return GeneratedText(("zzz",), "junk")
 
-        pipe = Pipeline(JunkGen(), FixedProvider(), FixedMatrix(), catalog,
-                        source=table_pop)
+        matrix = held([[0.0], [1e-29], [1.0]])  # a, c, s
+        pipe = Pipeline(JunkGen(), FixedProvider(), matrix, catalog, source=table_pop)
         samples = [make_sample(catalog, ["a"], "s", known={"a"}) for _ in range(5)]
         best, table = tune_gamma(samples, pipe, metric="ndcg@20",
                                  grid=[0.0, 1.0, 10.0, 100.0])
@@ -160,7 +162,8 @@ class TestTuneGamma:
 
 def reference_sweep(samples, pipeline, grid):
     """The sweep before the weights were checked once per sample: inject (and
-    its checks) once per (gamma, sample), through Pipeline.reweighted."""
+    its checks) once per (gamma, sample), through Pipeline.reweighted, and
+    the position counted over a keep mask (masked_position)."""
     table = []
     for gamma in grid:
         positions = []
@@ -170,8 +173,7 @@ def reference_sweep(samples, pipeline, grid):
                 continue
             adjusted = pipeline.reweighted(pipeline.normalized_distances(s),
                                            pipeline.weights(s), gamma)
-            keep = exclusion_mask(adjusted.shape[0], pipeline.exclusions(s))
-            positions.append(target_position(adjusted, keep, s.target))
+            positions.append(masked_position(adjusted, pipeline.exclusions(s), s.target))
         report = aggregate(positions)
         table.append({**{f"hr@{k}": v for k, v in report.hr.items()},
                       **{f"ndcg@{k}": v for k, v in report.ndcg.items()}})
