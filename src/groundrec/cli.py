@@ -134,7 +134,7 @@ def _pipeline_from_args(args, catalog, fits, gamma=0.0):
 
     mat, provider = _embeddings(args, catalog)
     generator = _make_generator(args, catalog, fits)
-    return Pipeline(generator, provider, mat, catalog, gamma, fits.get(args.inject))
+    return Pipeline(generator, provider, mat, gamma, fits.get(args.inject))
 
 
 def _fingerprint(args, input_digests):
@@ -282,14 +282,14 @@ def cmd_collab_fit(args):
 
 
 def _read_generated(path, n_samples=None):
-    """(sample index, text) per line of a generate output; with n_samples,
-    every index must lie in 0..n_samples-1."""
+    """(sample index, text) per line of a generate output; every index must
+    be >= 0 and, with n_samples, below n_samples."""
     found = []
     for lineno, parts in rows(path, "generated-text"):
         if len(parts) < 2:
             raise DataError(f"malformed generated-text line {lineno} in {path}")
         idx = parse_int(parts[0], "sample index", lineno, path)
-        if n_samples is not None and not 0 <= idx < n_samples:
+        if idx < 0 or n_samples is not None and idx >= n_samples:
             raise DataError(f"sample index {idx} out of range at line {lineno} in {path}")
         found.append((idx, parts[1]))
     return found
@@ -298,35 +298,31 @@ def _read_generated(path, n_samples=None):
 def cmd_ground(args):
     from .collab import load_scorer
     from .ground import BM25Index, bm25_rank, rank
-    from .harness import Pipeline
+    from .harness import Pipeline, adjusted
     from .ingest import parse_catalog, read_samples
     from .pop import read_popularity
 
     catalog = parse_catalog(args.catalog)
     samples = read_samples(args.samples, catalog) if args.samples else None
     queries = _read_generated(args.gen, None if samples is None else len(samples))
+    found = [(None if samples is None else samples[i], text) for i, text in queries]
     source = None
     if args.inject == "pop":
         source = read_popularity(args.popularity, catalog)
     elif args.inject == "collab":
         source = load_scorer(args.scorer, len(catalog))
     if args.strategy == "bm25":  # --emb is hashed into the manifest, never read
-        pipeline = None
         bm25 = BM25Index(catalog, k1=args.bm25_k1, b=args.bm25_b)
+        ranks = (bm25_rank(text, bm25, s.known if s else (), k=args.topk)
+                 for s, text in found)
     else:
         mat, provider = _embeddings(args, catalog)
-        pipeline = Pipeline(None, provider, mat, catalog, args.gamma, source)
+        pipeline = Pipeline(None, provider, mat, source=source)
+        l2 = (pipeline.query(pipeline.distances(text), s) for s, text in found)
+        ranks = (rank(values, k=args.topk) for values in adjusted(l2, args.gamma))
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        for sample_idx, text in queries:
-            sample = None if samples is None else samples[sample_idx]
-            exclusions = sample.known if sample else ()
-            if pipeline is None:
-                ranked = bm25_rank(text, bm25, exclusions, k=args.topk)
-            else:
-                adjusted = pipeline.reweighted(pipeline.distances(text),
-                                               pipeline.weights(sample))
-                ranked = rank(adjusted, exclusions, k=args.topk)
+        for (sample_idx, _), ranked in zip(queries, ranks):
             for pos in range(len(ranked.indices)):
                 idx = int(ranked.indices[pos])
                 fh.write(f"{sample_idx}\t{pos + 1}\t{catalog.ids[idx]}"

@@ -3,13 +3,13 @@ and give each sample's target position, plus the Most-Pop baseline's. A
 position list is the one result of every ranking path; metrics.aggregate
 alone turns it into HR@K / NDCG@K, and metrics holds the report format.
 
-Pipeline is the one grounding path. ground ranks the top k for the text it
-is given through Pipeline.distances, weights and reweighted. eval and
-tune-gamma take each sample's gamma-independent part from Pipeline.prepare,
-and target_positions divides and counts: eval at its one gamma, tune-gamma at
-every grid point. Pipeline.candidates is the one skip/target/exclusion step,
-which Most-Pop shares. fan_out runs a per-sample or per-gamma step on threads.
-A sample's exclusions are its known array of canonical indices, from ingest.
+Pipeline is the one grounding path: Pipeline.query is every L2 query's
+exclusion and weight-check step, adjusted its (1 + w)^gamma divide. ground
+ranks the top k of each adjusted query; target_positions counts prepared
+samples' target positions over it, eval at its gamma and tune-gamma at each
+grid point. Most-Pop shares query and the skip/target step, candidates.
+fan_out runs a per-sample or per-gamma step on threads. A sample's
+exclusions are its known array of canonical indices, from ingest.
 
 Every item the user has not interacted with is a candidate; there is no
 negative sampling.
@@ -24,7 +24,6 @@ import numpy as np
 from .ground import (
     check_weights,
     exclude,
-    inject,
     l2_distances,
     normalize_distances,
     target_position,
@@ -35,19 +34,17 @@ from .ingest import ItemCatalog, SequenceSample
 class Pipeline:
     """The one grounding path of the ground, eval and tune-gamma commands:
     query text -> normalized L2 distances -> +inf at the items seen before
-    the target -> checked weights -> division by (1 + w)^gamma.
+    the target -> checked weights, then adjusted's division by (1 + w)^gamma.
 
     The generator turns a sample into query text; ground passes its text in
     directly and has no generator. The weight source, if any, is a
     PopularityTable or a CoScorer: source.sample_weights(sample).
     """
 
-    def __init__(self, generator, provider, matrix, catalog: ItemCatalog,
-                 gamma=0.0, source=None):
+    def __init__(self, generator, provider, matrix, gamma=0.0, source=None):
         self.generator = generator
         self.provider = provider
         self.matrix = matrix
-        self.catalog = catalog
         self.gamma = gamma
         self.source = source
 
@@ -65,32 +62,28 @@ class Pipeline:
     def exclusions(self, sample: SequenceSample):
         return sample.known
 
-    def reweighted(self, norm, weights, gamma=None) -> np.ndarray:
-        """ground's query: norm divided by (1 + w)^gamma (ground.inject);
-        norm itself without weights. gamma defaults to the pipeline's."""
-        gamma = self.gamma if gamma is None else gamma
-        return norm if weights is None else inject(norm, weights, gamma)
-
     def candidates(self, sample: SequenceSample):
-        """(exclusions, target index): every item not seen before the target.
-        None skips a repeat consumption, whose target is its own exclusion."""
-        if sample.knows(sample.target):
-            return None
-        return self.exclusions(sample), sample.target
+        """The target index (every item not seen before it is a candidate), or
+        None for a repeat consumption, whose target is its own exclusion."""
+        return None if sample.knows(sample.target) else sample.target
 
-    def prepare(self, sample: SequenceSample):
-        """(values, checked weights or None, target index), gamma-independent:
-        values are the normalized distances, a fresh array with +inf written
-        at the exclusions (ground.exclude); None where candidates skips."""
-        found = self.candidates(sample)
-        if found is None:
-            return None
-        excluded, target = found
-        values = self.normalized_distances(sample)
+    def query(self, norm, sample):
+        """(values, checked weights or None), gamma-independent: norm, a fresh
+        float64 array, with +inf written in place at the sample's exclusions
+        (ground.exclude); ground without --samples has no sample to exclude."""
         weights = self.weights(sample)
         if weights is not None:
-            values, weights = check_weights(values, weights)
-        return exclude(values, excluded), weights, target
+            norm, weights = check_weights(norm, weights)
+        if sample is not None:
+            exclude(norm, self.exclusions(sample))
+        return norm, weights
+
+    def prepare(self, sample: SequenceSample):
+        """(values, weights) of query and the target index; None if candidates skips."""
+        target = self.candidates(sample)
+        if target is None:
+            return None
+        return (*self.query(self.normalized_distances(sample), sample), target)
 
 
 def fan_out(fn, items, threads=1):
@@ -101,19 +94,25 @@ def fan_out(fn, items, threads=1):
     return [fn(item) for item in items]
 
 
-def target_positions(prepared, gamma):
-    """The target positions of prepared samples (none skipped) at gamma: the
-    values divided by (1 + w)^gamma where there are weights, then counted.
-    Samples that hold one weight array share its divisor; nothing is written."""
-    positions = []
+def adjusted(queries, gamma):
+    """Each (values, weights) query's values divided by (1 + w)^gamma, or as
+    they are without weights. Queries that hold one weight array share its
+    divisor; nothing is written, and an excluded +inf stays +inf."""
     shared = divisor = None  # the last weight array and its divisor
-    for values, weights, target in prepared:
+    for values, weights in queries:
         if weights is not None:
             if weights is not shared:
                 shared, divisor = weights, (1.0 + weights) ** gamma
             values = values / divisor
-        positions.append(target_position(values, target))
-    return positions
+        yield values
+
+
+def target_positions(prepared, gamma):
+    """The target positions of a list of prepared samples (none skipped) at
+    gamma, each counted over its adjusted values."""
+    values = adjusted([(v, w) for v, w, _ in prepared], gamma)
+    # map holds no adjusted array while adjusted makes the next one
+    return list(map(target_position, values, [t for _, _, t in prepared]))
 
 
 def _target_position(pipeline, sample):
@@ -129,17 +128,20 @@ def evaluate(samples, pipeline: Pipeline, threads=1):
 
 
 def most_pop_baseline(table, samples, catalog: ItemCatalog):
-    """Target positions when ranking by global training popularity
-    (PopularityTable.order), minus the exclusions of Pipeline.candidates; an
-    item's place stands in for its value, copied into one reused array."""
+    """Target positions ranked by global training popularity (PopularityTable.order)
+    through Pipeline.candidates, query and target_positions; an item's place
+    stands in for its value, copied into one reused array."""
     n = len(catalog)
     place = np.empty(n, dtype=np.float64)
     place[table.order()] = np.arange(n)
     values = np.empty(n, dtype=np.float64)
+    pipeline = Pipeline(None, None, None)
 
-    def position(excluded, target):
+    def position(sample):
+        target = pipeline.candidates(sample)
+        if target is None:
+            return None
         np.copyto(values, place)
-        return target_position(exclude(values, excluded), target)
+        return target_positions([(*pipeline.query(values, sample), target)], 0.0)[0]
 
-    found = map(Pipeline(None, None, None, catalog).candidates, samples)
-    return [None if f is None else position(*f) for f in found]
+    return [position(s) for s in samples]

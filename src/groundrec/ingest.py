@@ -115,8 +115,6 @@ class ItemCatalog:
                 raise DataError("catalog contains an empty item_id")
             if not title:
                 raise DataError(f"catalog item {item_id!r} has an empty title")
-        if PAD in self.entries:
-            raise DataError(f"catalog item_id collides with the PAD token {PAD!r}")
         self.ids = sorted(self.entries)
         self.index_of = {item_id: i for i, item_id in enumerate(self.ids)}
 
@@ -221,15 +219,20 @@ def parse_catalog(path) -> ItemCatalog:
     for lineno, parts in rows(path, "catalog"):
         if len(parts) < 2 or not parts[0] or not parts[1]:
             raise DataError(f"malformed catalog line {lineno} in {path}")
+        if parts[0] == PAD:
+            raise DataError(f"catalog item_id collides with the PAD token {PAD!r} "
+                            f"at line {lineno} in {path}")
         if parts[0] in entries:
             raise DataError(f"duplicate catalog item_id {parts[0]!r} at line {lineno} "
                             f"in {path}")
         entries[parts[0]] = parts[1]
+    if not entries:
+        raise DataError(f"catalog is empty: no item lines in {path}")
     return ItemCatalog(entries)
 
 
 def period_sizes(n, periods=NUM_PERIODS):
-    """Equal-count period sizes; remainder assigned one-per-period from the earliest."""
+    """Equal-count period (or decile) sizes; remainder one per period from the earliest."""
     base, rem = divmod(n, periods)
     return [base + 1 if k < rem else base for k in range(periods)]
 
@@ -390,7 +393,8 @@ def build_samples(split: SplitLog, catalog: ItemCatalog) -> dict[str, list[Seque
     """The samples of all three partitions, in memory: the rows of
     _sample_rows, each in (timestamp, user) order, each numbered by the line
     it takes in the file write_sample_files writes. Rows whose known text is
-    one object share one index array."""
+    one object share one index array. Only tests call it (split streams); it
+    stays here because perfbench/spans.py traces it under this name."""
     index_of = catalog.index_of
     lists: list[list[SequenceSample]] = [[] for _ in PARTITIONS]
     last: dict[str, tuple[str, array]] = {}  # user -> text, indices
@@ -415,7 +419,7 @@ def write_samples(path, samples, catalog: ItemCatalog):
     """TSV: user, comma-joined history, target, timestamp, comma-joined sorted
     known set, from in-memory samples, each index written as its id. Item ids
     must not contain commas or tabs, and a history item outside the catalog
-    has no id (both enforced at write time)."""
+    has no id (both enforced at write time). Only tests call it; see build_samples."""
     ids = catalog.ids
     clean: set[str] = set()
     with open(path, "w", encoding="utf-8") as fh:

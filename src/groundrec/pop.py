@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, parse_int, rows
-from .ingest import InteractionLog, ItemCatalog
+from .ingest import InteractionLog, ItemCatalog, period_sizes
 
 
 @dataclass
@@ -118,11 +118,9 @@ def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
 def decile_report(table: PopularityTable, num_buckets: int = 10) -> DecileReport:
     n = len(table.counts)
     order = table.order()
-    base, rem = divmod(n, num_buckets)
-    sizes = [base + 1 if k < rem else base for k in range(num_buckets)]
     groups = []
     acc = 0
-    for s in sizes:
+    for s in period_sizes(n, num_buckets):
         groups.append([int(i) for i in order[acc : acc + s]])
         acc += s
     total = table.counts.sum()

@@ -63,7 +63,7 @@ class TestCriterion1OracleRecovery:
         ]
         samples = [s for s in samples if s.target not in s.known]
         assert len(samples) == 200
-        pipe = Pipeline(OracleEchoGenerator(catalog), provider, matrix, catalog)
+        pipe = Pipeline(OracleEchoGenerator(catalog), provider, matrix)
         start = time.perf_counter()
         report = aggregate(evaluate(samples, pipe))
         elapsed = time.perf_counter() - start
@@ -220,7 +220,7 @@ class TestCriterion7NullModelCalibration:
             )
             for k in range(n_samples)
         ]
-        pipe = Pipeline(JunkGen(), provider, matrix, catalog)
+        pipe = Pipeline(JunkGen(), provider, matrix)
         report = aggregate(evaluate(samples, pipe, threads=4))
         p = 0.1
         margin = 2.576 * math.sqrt(p * (1 - p) / n_samples)
@@ -239,7 +239,7 @@ class TestCriterion8TemporalLeakage:
         assert samples
         provider = HashEmbedder(dim=128, seed=2)
         matrix = embed_catalog(catalog, provider)
-        pipe = Pipeline(OracleEchoGenerator(catalog), provider, matrix, catalog)
+        pipe = Pipeline(OracleEchoGenerator(catalog), provider, matrix)
         for s in samples:
             assert s.target_timestamp >= max_train_ts
             ranked = rank(pipe.normalized_distances(s), pipe.exclusions(s))
@@ -289,11 +289,11 @@ class TestCriterion10PopularityInjectionEffect:
         provider = HashEmbedder(dim=256, seed=21)
         matrix = embed_catalog(catalog, provider)
         plain = aggregate(evaluate(
-            samples, Pipeline(JunkGen(), provider, matrix, catalog)
+            samples, Pipeline(JunkGen(), provider, matrix)
         ))
         injected = aggregate(evaluate(
             samples,
-            Pipeline(JunkGen(), provider, matrix, catalog, gamma=100.0, source=table),
+            Pipeline(JunkGen(), provider, matrix, gamma=100.0, source=table),
         ))
         assert injected.ndcg[20] > plain.ndcg[20]
         assert injected.hr[20] > plain.hr[20]

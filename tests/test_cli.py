@@ -654,6 +654,16 @@ class TestGroundInputErrors:
         err = capsys.readouterr().err
         assert "'x7'" in err and "line 2" in err and str(gen) in err
 
+    def test_negative_sample_index_without_samples(self, ground_inputs, capsys):
+        """Without --samples there is no count to check an index against, but a
+        negative index is out of range all the same."""
+        tmp_path, cat, gen = ground_inputs
+        gen.write_text("0\tfirst text\toracle\n-1\tsecond text\toracle\n")
+        assert self.ground(tmp_path, cat, gen) == 2
+        err = capsys.readouterr().err
+        assert "sample index -1 out of range" in err and "line 2" in err and str(gen) in err
+        assert not (tmp_path / "out.tsv").exists()
+
     def test_non_integer_popularity_count(self, ground_inputs, capsys):
         tmp_path, cat, gen = ground_inputs
         pop = tmp_path / "pop.tsv"
@@ -885,6 +895,10 @@ class TestReaderErrorsNameFileAndLine:
     @pytest.mark.parametrize("case, bad, line, message", [
         pytest.param("catalog", "a\tx\nb\ty\na\tz\n", 3,
                      "duplicate catalog item_id 'a'", id="catalog-duplicate"),
+        pytest.param("catalog", "a\tx\n<PAD>\ty\n", 2,
+                     "catalog item_id collides with the PAD token", id="catalog-pad"),
+        pytest.param("catalog", "# item_id\ttitle\n\n", None, "catalog is empty",
+                     id="catalog-empty"),
         pytest.param("interactions", "u\ta\t1\nu\t<PAD>\t2\n", 2,
                      "item_id collides with PAD token", id="interactions-pad"),
         pytest.param("emb", "a\t0.5\nb\t0.25\na\t0.5\n", 3,
@@ -903,6 +917,8 @@ class TestReaderErrorsNameFileAndLine:
                      "embedding row for item 'zzz' not in catalog", id="emb-extra-item"),
         pytest.param("gen", "0\tan apple\n5\ta banana\n", 2,
                      "sample index 5 out of range", id="gen-index-out-of-range"),
+        pytest.param("gen", "0\tan apple\n-1\ta banana\n", 2,
+                     "sample index -1 out of range", id="gen-index-negative"),
         pytest.param("samples", "u\t" + ",".join(["<PAD>"] * 9 + ["a"]) + "\tb\t5\ta\n"
                      "u\t" + ",".join(["<PAD>"] * 9 + ["a"]) + "\tzzz\t6\ta\n", 2,
                      "sample target 'zzz'", id="samples-target-outside-catalog"),
@@ -1385,3 +1401,82 @@ class TestGroundMatchesEval:
             assert set(listed.values()) == {"1"}
         else:
             assert len(set(listed.values())) > 1
+
+
+class TestGroundL2Rows:
+    """ground's L2 rows, ids and .10g values, equal a brute force that injects
+    first and excludes after: ground.inject over the whole catalog, then
+    ground.rank with the sample's exclusions. A repeat-consumption sample (its
+    target among its exclusions) is listed too, without its target."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("ground_l2")
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        lines = (out / "samples_test.tsv").read_text().splitlines(keepends=True)
+        user, history, _, ts, known = lines[0].rstrip("\n").split("\t")
+        repeat = f"{user}\t{history}\t{known.split(',')[0]}\t{ts}\t{known}\n"
+        samples = tmp_path / "samples.tsv"
+        samples.write_text("".join([*lines[:5], repeat]))
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("".join(f"{i}\ttale {3 * i} of the i{i:03d} saga story\toracle\n"
+                               for i in (0, 1, 2, 3, 4, 5, 5, 2)))
+        files = {"--popularity": tmp_path / "pop.tsv", "--scorer": tmp_path / "co.bin",
+                 "--emb": tmp_path / "emb.bin"}
+        run_ok(["popularity", "--train", out / "train.tsv", "--catalog", cat,
+                "--out", files["--popularity"]])
+        run_ok(["collab-fit", "--train", out / "train.tsv", "--catalog", cat,
+                "--out", files["--scorer"]])
+        embed(cat, files["--emb"], 16, 3)
+        return tmp_path, cat, samples, gen, files
+
+    @staticmethod
+    def brute_force(cat, samples, gen, files, inject, gamma, topk):
+        from groundrec.collab import load_scorer
+        from groundrec.embed import HashEmbedder
+        from groundrec.ground import l2_distances, normalize_distances, rank
+        from groundrec.ground import inject as divide
+        from groundrec.ingest import parse_catalog, read_samples
+
+        catalog = parse_catalog(cat)
+        held = read_samples(samples, catalog) if samples else None
+        matrix = load_embeddings(files["--emb"], catalog)
+        provider = HashEmbedder(dim=matrix.dim, seed=3)
+        source = (read_popularity(files["--popularity"], catalog) if inject == "pop"
+                  else load_scorer(files["--scorer"], len(catalog)))
+        rows = []
+        for line in gen.read_text().splitlines():
+            idx, text, _ = line.split("\t")
+            sample = held[int(idx)] if held else None
+            weights = source.sample_weights(sample)
+            norm = normalize_distances(l2_distances(matrix, provider.embed(text)))
+            ranked = rank(divide(norm, weights, gamma), sample.known if sample else (),
+                          k=topk)
+            rows += [f"{idx}\t{pos}\t{catalog.ids[i]}\t{v:.10g}"
+                     for pos, (i, v) in enumerate(zip(ranked.indices, ranked.values), 1)]
+        return rows
+
+    @pytest.mark.parametrize("gamma", [0, 1, 100])
+    @pytest.mark.parametrize("inject, source, with_samples", [
+        ("pop", "--popularity", True), ("pop", "--popularity", False),
+        ("collab", "--scorer", True)])
+    @pytest.mark.parametrize("topk", [7, 20])
+    def test_rows_equal_inject_then_exclude(self, inputs, inject, source, with_samples,
+                                            gamma, topk):
+        tmp_path, cat, samples, gen, files = inputs
+        out = tmp_path / f"ranks_{inject}_{with_samples}_{gamma}_{topk}.tsv"
+        extra = ["--samples", samples] if with_samples else []
+        run_ok(["ground", "--emb", files["--emb"], "--gen", gen, "--catalog", cat,
+                "--inject", inject, source, files[source], "--gamma", gamma,
+                "--topk", topk, "--seed", 3, "--out", out, *extra])
+        rows = out.read_text().splitlines()
+        assert rows == self.brute_force(cat, samples if with_samples else None, gen,
+                                        files, inject, gamma, topk)
+        # the top 20 of a 20-item catalog: every item but the exclusions
+        _, _, target, _, known = samples.read_text().splitlines()[5].split("\t")
+        known = known.split(",") if with_samples else []
+        repeat = [r.split("\t")[2] for r in rows if r.startswith("5\t")]
+        assert len(repeat) == 2 * min(topk, 20 - len(known))
+        assert topk < 20 or (target in repeat) == (not with_samples)

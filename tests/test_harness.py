@@ -80,7 +80,7 @@ class TestPointMetrics:
 def oracle_pipeline(catalog, dim=256, seed=5, **kw):
     provider = HashEmbedder(dim=dim, seed=seed)
     matrix = embed_catalog(catalog, provider)
-    return Pipeline(OracleEchoGenerator(catalog), provider, matrix, catalog, **kw)
+    return Pipeline(OracleEchoGenerator(catalog), provider, matrix, **kw)
 
 
 class TestEvaluate:
@@ -107,7 +107,7 @@ class TestEvaluate:
                 return GeneratedText(("x",), "fixed")
 
         matrix = held([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
-        pipe = Pipeline(EchoGen(), FixedProvider(), matrix, catalog)
+        pipe = Pipeline(EchoGen(), FixedProvider(), matrix)
         sample = make_sample(catalog, ["a"], "c")  # target 'c' = farthest = rank 3
         report = aggregate(evaluate([sample], pipe))
         assert report.hr[5] == 1.0

@@ -16,6 +16,7 @@ from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import GeneratedText, OracleEchoGenerator
+from groundrec.ground import inject
 from groundrec.harness import Pipeline, evaluate
 from groundrec.ingest import build_samples, temporal_split
 from groundrec.metrics import aggregate, metric_names
@@ -66,7 +67,7 @@ def pop_pipeline(catalog, train, generator=None, provider=None):
     matrix = embed_catalog(catalog, provider)
     table = compute_popularity(train, catalog)
     generator = generator or OracleEchoGenerator(catalog)
-    return Pipeline(generator, provider, matrix, catalog, source=table)
+    return Pipeline(generator, provider, matrix, source=table)
 
 
 class TestTuneGamma:
@@ -111,7 +112,7 @@ class TestTuneGamma:
                 return GeneratedText(("zzz",), "junk")
 
         matrix = held([[0.0], [1e-29], [1.0]])  # a, c, s
-        pipe = Pipeline(JunkGen(), FixedProvider(), matrix, catalog, source=table_pop)
+        pipe = Pipeline(JunkGen(), FixedProvider(), matrix, source=table_pop)
         samples = [make_sample(catalog, ["a"], "s", known={"a"}) for _ in range(5)]
         best, table = tune_gamma(samples, pipe, metric="ndcg@20",
                                  grid=[0.0, 1.0, 10.0, 100.0])
@@ -161,9 +162,9 @@ class TestTuneGamma:
 
 
 def reference_sweep(samples, pipeline, grid):
-    """The sweep before the weights were checked once per sample: inject (and
-    its checks) once per (gamma, sample), through Pipeline.reweighted, and
-    the position counted over a keep mask (masked_position)."""
+    """The sweep before the weights were checked once per sample: ground.inject
+    (and its checks) once per (gamma, sample), and the position counted over
+    a keep mask (masked_position)."""
     table = []
     for gamma in grid:
         positions = []
@@ -171,8 +172,7 @@ def reference_sweep(samples, pipeline, grid):
             if s.target in s.known:
                 positions.append(None)
                 continue
-            adjusted = pipeline.reweighted(pipeline.normalized_distances(s),
-                                           pipeline.weights(s), gamma)
+            adjusted = inject(pipeline.normalized_distances(s), pipeline.weights(s), gamma)
             positions.append(masked_position(adjusted, pipeline.exclusions(s), s.target))
         report = aggregate(positions)
         table.append({**{f"hr@{k}": v for k, v in report.hr.items()},
@@ -195,7 +195,7 @@ class TestSweepMatchesPerPointInjection:
 
         fit = compute_popularity if injection == "popularity" else fit_cooccurrence
         pipe = Pipeline(OneTextGen(), provider, embed_catalog(catalog, provider),
-                        catalog, source=fit(split.train, catalog))
+                        source=fit(split.train, catalog))
         _, table = tune_gamma(samples, pipe, threads=threads)
         assert [{name: report.metric(name) for name in metric_names()}
                 for _, report in table] == reference_sweep(samples, pipe, gamma_grid())
