@@ -389,13 +389,9 @@ def cmd_report(args):
         imp = improve2lv(reports[0], reports[1], reports[2])
         lines.append("metric\ta\tb\tcombined\timprove2lv")
         for name in names:
-            val = imp[name]
-            shown = "null" if val is None else f"{val:+.6g}"
-            lines.append(
-                f"{name}\t{reports[0].metric(name):.6g}"
-                f"\t{reports[1].metric(name):.6g}"
-                f"\t{reports[2].metric(name):.6g}\t{shown}"
-            )
+            shown = "null" if imp[name] is None else f"{imp[name]:+.6g}"
+            lines.append("\t".join([name, *(f"{r.metric(name):.6g}" for r in reports),
+                                    shown]))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -509,12 +505,9 @@ def run(argv=None):
 def main(argv=None):
     try:
         return run(argv)
-    except UsageError as e:
+    except (UsageError, DataError) as e:
         print(f"groundrec: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"groundrec: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, UsageError) else 2
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ exclusion and weight-check step, adjusted its (1 + w)^gamma divide. ground
 ranks the top k of each adjusted query; target_positions counts prepared
 samples' target positions over it, eval at its gamma and tune-gamma at each
 grid point. Most-Pop shares query and the skip/target step, candidates.
-fan_out runs a per-sample or per-gamma step on threads. A sample's
-exclusions are its known array of canonical indices, from ingest.
+Pipeline.fan_out runs a per-sample step on threads where the matrix is held
+dense. A sample's exclusions are its known array of indices, from ingest.
 
 Every item the user has not interacted with is a candidate; there is no
 negative sampling.
@@ -68,12 +68,14 @@ class Pipeline:
         return None if sample.knows(sample.target) else sample.target
 
     def query(self, norm, sample):
-        """(values, checked weights or None), gamma-independent: norm, a fresh
-        float64 array, with +inf written in place at the sample's exclusions
-        (ground.exclude); ground without --samples has no sample to exclude."""
+        """(values, weights or None), gamma-independent: norm, a fresh float64
+        array, with +inf written in place at the sample's exclusions
+        (ground.exclude; ground without --samples has none), and the checked
+        weights in their source's divided_at form."""
         weights = self.weights(sample)
         if weights is not None:
             norm, weights = check_weights(norm, weights)
+            weights = self.source.divided_at(weights)
         if sample is not None:
             exclude(norm, self.exclusions(sample))
         return norm, weights
@@ -85,22 +87,26 @@ class Pipeline:
             return None
         return (*self.query(self.normalized_distances(sample), sample), target)
 
-
-def fan_out(fn, items, threads=1):
-    """[fn(item) for item in items], on a pool of threads when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    def fan_out(self, fn, samples, threads=1):
+        """[fn(s) for s in samples], on threads only where the matrix is held
+        dense: its block ops let go of the GIL, a plan's small numpy calls not."""
+        if threads > 1 and self.matrix.plan.rows is None:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(fn, samples))
+        return [fn(s) for s in samples]
 
 
 def adjusted(queries, gamma):
     """Each (values, weights) query's values divided by (1 + w)^gamma, or as
     they are without weights. Queries that hold one weight array share its
-    divisor; nothing is written, and an excluded +inf stays +inf."""
+    divisor; weights held as (indices, 1 + w at them) divide a copy there
+    alone, as x / (1 + 0)^gamma == x. Nothing is written; +inf stays +inf."""
     shared = divisor = None  # the last weight array and its divisor
     for values, weights in queries:
-        if weights is not None:
+        if isinstance(weights, tuple):  # (indices, 1 + w at them)
+            values = values.copy()
+            values[weights[0]] /= weights[1] ** gamma  # array **, as the dense divisor
+        elif weights is not None:
             if weights is not shared:
                 shared, divisor = weights, (1.0 + weights) ** gamma
             values = values / divisor
@@ -124,7 +130,7 @@ def _target_position(pipeline, sample):
 def evaluate(samples, pipeline: Pipeline, threads=1):
     """Each sample's target position (None where skipped), in sample order
     for any thread count."""
-    return fan_out(lambda s: _target_position(pipeline, s), samples, threads)
+    return pipeline.fan_out(lambda s: _target_position(pipeline, s), samples, threads)
 
 
 def most_pop_baseline(table, samples, catalog: ItemCatalog):

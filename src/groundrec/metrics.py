@@ -54,12 +54,15 @@ def ndcg_from_rank(position, k):
 
 
 def aggregate(positions, ks=DEFAULT_KS, fingerprint=None) -> MetricsReport:
-    """Mean HR@K / NDCG@K over the 1-based positions; None marks a skipped sample."""
+    """Mean HR@K / NDCG@K over the 1-based positions; None marks a skipped
+    sample. Each gain is computed once; each K sums its hits in sample order."""
     kept = [p for p in positions if p is not None]
     n = max(len(kept), 1)  # no kept sample: every metric is 0.0
+    top = max(ks, default=0)
+    hits = [(p, ndcg_from_rank(p, top)) for p in kept if p <= top]
     return MetricsReport(
-        hr={k: sum(hr_from_rank(p, k) for p in kept) / n for k in ks},
-        ndcg={k: sum(ndcg_from_rank(p, k) for p in kept) / n for k in ks},
+        hr={k: sum(1.0 for p, _ in hits if p <= k) / n for k in ks},
+        ndcg={k: sum(gain for p, gain in hits if p <= k) / n for k in ks},
         n_samples=len(kept), skipped=len(positions) - len(kept),
         fingerprint=dict(fingerprint or {}),
     )

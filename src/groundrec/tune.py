@@ -3,15 +3,15 @@
 The grid is 0.00 to 1.00 in steps of 0.01 plus the integers 2 through 100:
 exactly 200 strictly increasing values. Distances are gamma-independent, so
 Pipeline.prepare computes each sample's values (normalized distances, +inf
-at its exclusions), checked weights and target once, and the sweep only
-redoes harness.target_positions, the divide-and-count step eval runs at its
-one gamma. Samples that share one weight array (popularity injection) share
-its divisor (1 + w)^gamma, computed once per gamma and chunk.
+at its exclusions), weights and target once (Pipeline.fan_out), and the
+sweep, on the calling thread, redoes only harness.target_positions, the
+divide-and-count step eval runs at its one gamma.
 
 Samples are prepared and swept CHUNK_SAMPLES at a time, so memory holds one
-chunk's values and weights, plus one position per kept sample and gamma,
-however many samples there are. Each gamma's positions keep sample
-order, so the sums, and the sweep, equal those of one pass over all samples.
+chunk's values and weights (popularity's one shared array, or each collab
+sample's nonzero weights), plus one position per kept sample and gamma,
+however many samples there are. Each gamma's positions keep sample order,
+so the sums, and the sweep, equal those of one pass over all samples.
 metrics.aggregate turns each gamma's positions into a MetricsReport, as it
 does eval's; best and write_sweep read the reports by metric name.
 """
@@ -19,10 +19,9 @@ does eval's; best and write_sweep read the reports by metric name.
 from __future__ import annotations
 
 from array import array
-from functools import partial
 
 from .errors import DataError
-from .harness import Pipeline, fan_out, target_positions
+from .harness import Pipeline, target_positions
 from .metrics import aggregate, metric_names
 
 CHUNK_SAMPLES = 256
@@ -44,10 +43,10 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, threads
     kept = [array("q") for _ in grid]  # per gamma, the kept samples' positions
     for start in range(0, len(samples), CHUNK_SAMPLES):
         chunk = samples[start:start + CHUNK_SAMPLES]
-        prepared = [p for p in fan_out(pipeline.prepare, chunk, threads) if p is not None]
-        found = fan_out(partial(target_positions, prepared), grid, threads)
-        for positions, more in zip(kept, found):
-            positions.extend(more)
+        prepared = pipeline.fan_out(pipeline.prepare, chunk, threads)
+        prepared = [p for p in prepared if p is not None]
+        for positions, gamma in zip(kept, grid):
+            positions.extend(target_positions(prepared, gamma))
 
     # skipped samples change no mean
     table = [(gamma, aggregate(positions)) for gamma, positions in zip(grid, kept)]

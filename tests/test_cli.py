@@ -604,8 +604,9 @@ class TestDeterminism:
 class TestThreadsOnBothDistancePaths:
     def test_eval_and_tune_gamma_byte_identical(self, tmp_path):
         """Titles of 1 to 6 tokens put the catalog off the grid, so every
-        distance takes the dense path; with 4-token titles every one takes the
-        sparse path, whose plan eight threads share."""
+        distance takes the dense path, where eight threads share the matrix;
+        with 4-token titles every one takes the sparse path, and the plan-held
+        matrix's queries run on the calling thread whatever --threads is."""
         outputs = {}
         for titles in ("mixed", "four"):
             inter, _ = write_fixture(tmp_path, n_items=30)

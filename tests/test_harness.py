@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import held, make_catalog, make_log, make_sample, synthetic_dataset
+from groundrec import harness
+from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import OracleEchoGenerator
@@ -218,6 +221,58 @@ class TestMostPopBaseline:
         assert report.ndcg[3] == pytest.approx(1.0 / math.log2(3))
 
 
+class TestThreadPolicy:
+    """Threads run only where the catalog matrix is held dense, whose block
+    ops let go of the GIL: eval's samples and tune-gamma's prepare step fan
+    out there. On a plan-held matrix, and in every gamma sweep, the work
+    runs on the calling thread."""
+
+    GRID = [0.0, 0.5, 3.0]
+
+    @pytest.fixture
+    def pipelines(self):
+        """Collab-injected samples, and pipelines over the plan-held matrix
+        and over a dense-held one, off the plan's grid."""
+        log, catalog = synthetic_dataset(n_users=10, n_items=14, events_per_user=6)
+        split = temporal_split(log)
+        samples = build_samples(split, catalog)["test"]
+        provider = HashEmbedder(dim=32, seed=5)
+        plan_held = embed_catalog(catalog, provider)
+        dense = held(plan_held.vectors + np.float32(0.1))
+        assert plan_held.plan.rows is not None and dense.plan.rows is None
+        scorer = fit_cooccurrence(split.train, catalog)
+        return samples, [Pipeline(OracleEchoGenerator(catalog), provider, m, gamma=1.0,
+                                  source=scorer) for m in (plan_held, dense)]
+
+    def test_plan_held_matrix_starts_no_worker(self, pipelines, monkeypatch):
+        samples, (pipe, _) = pipelines
+        want = evaluate(samples, pipe), tune_gamma(samples, pipe, grid=self.GRID)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", refuse)
+        assert (evaluate(samples, pipe, threads=8),
+                tune_gamma(samples, pipe, grid=self.GRID, threads=8)) == want
+
+    def test_dense_held_matrix_fans_out(self, pipelines, monkeypatch):
+        samples, (_, pipe) = pipelines
+        want = evaluate(samples, pipe), tune_gamma(samples, pipe, grid=self.GRID)
+        started = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorded)
+        assert evaluate(samples, pipe, threads=8) == want[0]
+        assert started == [8]
+        # one pool for the one chunk's prepare step; the sweep starts none
+        assert tune_gamma(samples, pipe, grid=self.GRID, threads=8) == want[1]
+        assert started == [8, 8]
+
+
 class TestNoSharedArrayWritten:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([1, 2]))
@@ -313,3 +368,17 @@ class TestAggregateProperties:
             assert report.hr[k] >= prev_hr and report.ndcg[k] >= prev_ndcg
             prev_hr, prev_ndcg = report.hr[k], report.ndcg[k]
         assert report.n_samples + report.skipped == len(positions)
+
+    @given(
+        st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=30)), max_size=60),
+        st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=6, unique=True),
+    )
+    def test_equals_a_sum_per_k(self, positions, ks):
+        """Each K's means have the bits of a sum over every kept sample, in
+        sample order, of hr_from_rank and ndcg_from_rank at that K."""
+        kept = [p for p in positions if p is not None]
+        n = max(len(kept), 1)
+        report = aggregate(positions, ks)
+        for k in ks:
+            assert report.hr[k] == sum(hr_from_rank(p, k) for p in kept) / n
+            assert report.ndcg[k] == sum(ndcg_from_rank(p, k) for p in kept) / n

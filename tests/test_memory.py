@@ -18,10 +18,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groundrec import cli, ingest
+from groundrec import cli, ingest, tune
+from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog, load_embeddings, save_embeddings_bin
-from groundrec.generate import train_ngram
+from groundrec.generate import OracleEchoGenerator, train_ngram
 from groundrec.ground import L2_BLOCK, BM25Index
+from groundrec.harness import Pipeline
 from groundrec.ingest import (
     ItemCatalog,
     parse_interactions,
@@ -232,3 +234,23 @@ def test_train_fitted_before_samples_are_read(cli_inputs, tmp_path, monkeypatch,
         *argv, "--catalog", "catalog.tsv", "--train", "splits/train.tsv",
         "--seed", 3, "--out", tmp_path / "out.tsv"]]) == 0
     assert calls == ["parse_interactions", "read_samples"]
+
+
+def test_collab_tune_chunk_holds_nonzero_weights(inputs):
+    """A collab tune chunk holds each prepared sample's n_items values and
+    its weights at their nonzero items (CoScorer.divided_at: an index and a
+    divisor base, 16 bytes each), not a second n_items array per sample."""
+    catalog, interactions, samples = inputs
+    scorer = fit_cooccurrence(parse_interactions(interactions), catalog)
+    provider = HashEmbedder(dim=16, seed=3)
+    pipeline = Pipeline(OracleEchoGenerator(catalog), provider,
+                        embed_catalog(catalog, provider), source=scorer)
+    drawn = read_samples(samples, catalog, 250, 7)
+    assert len(drawn) <= tune.CHUNK_SAMPLES
+    kept = [s for s in drawn if not s.knows(s.target)]
+    nonzero = sum(int(np.count_nonzero(pipeline.weights(s))) for s in kept)
+    row = len(catalog) * 8  # bytes of one n_items float64 array
+    _, _, peak = traced(lambda: tune.tune_gamma(drawn, pipeline, grid=[0.0, 1.0]))
+    # beyond the values and nonzero weights: 4.5 rows here, 58 with the
+    # dense weights of the 80 kept samples
+    assert peak < len(kept) * row + 16 * nonzero + 16 * row

@@ -12,12 +12,12 @@ from conftest import (
     synthetic_dataset,
 )
 from groundrec import tune
-from groundrec.collab import fit_cooccurrence
+from groundrec.collab import CoScorer, fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import GeneratedText, OracleEchoGenerator
-from groundrec.ground import inject
-from groundrec.harness import Pipeline, evaluate
+from groundrec.ground import exclude, inject, target_position
+from groundrec.harness import Pipeline, adjusted, evaluate
 from groundrec.ingest import build_samples, temporal_split
 from groundrec.metrics import aggregate, metric_names
 from groundrec.pop import compute_popularity
@@ -180,32 +180,48 @@ def reference_sweep(samples, pipeline, grid):
     return table
 
 
+def assert_sweep_matches_reference(injection, threads, dense=False):
+    """tune_gamma's table equals reference_sweep's over the full grid; the
+    catalog matrix is plan-held, or with dense held off the plan's grid."""
+    log, catalog = synthetic_dataset(n_users=14, n_items=15, events_per_user=7)
+    split = temporal_split(log)
+    samples = build_samples(split, catalog)["valid"]
+    provider = HashEmbedder(dim=16, seed=5)
+    matrix = embed_catalog(catalog, provider)
+    if dense:  # +0.1 puts every entry off the grid: every distance takes the dense path
+        matrix = held(matrix.vectors + np.float32(0.1))
+    assert (matrix.plan.rows is None) is dense
+
+    class OneTextGen:  # the weights, not the text, decide most ranks
+        def generate(self, sample):
+            return GeneratedText(("story", "chronicle"), "fixed")
+
+    fit = compute_popularity if injection == "popularity" else fit_cooccurrence
+    pipe = Pipeline(OneTextGen(), provider, matrix, source=fit(split.train, catalog))
+    _, table = tune_gamma(samples, pipe, threads=threads)
+    assert [{name: report.metric(name) for name in metric_names()}
+            for _, report in table] == reference_sweep(samples, pipe, gamma_grid())
+
+
 class TestSweepMatchesPerPointInjection:
     @pytest.mark.parametrize("injection", ["popularity", "collaborative"])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bit_identical_table(self, injection, threads):
-        log, catalog = synthetic_dataset(n_users=14, n_items=15, events_per_user=7)
-        split = temporal_split(log)
-        samples = build_samples(split, catalog)["valid"]
-        provider = HashEmbedder(dim=16, seed=5)
+        assert_sweep_matches_reference(injection, threads)
 
-        class OneTextGen:  # the weights, not the text, decide most ranks
-            def generate(self, sample):
-                return GeneratedText(("story", "chronicle"), "fixed")
-
-        fit = compute_popularity if injection == "popularity" else fit_cooccurrence
-        pipe = Pipeline(OneTextGen(), provider, embed_catalog(catalog, provider),
-                        source=fit(split.train, catalog))
-        _, table = tune_gamma(samples, pipe, threads=threads)
-        assert [{name: report.metric(name) for name in metric_names()}
-                for _, report in table] == reference_sweep(samples, pipe, gamma_grid())
+    @pytest.mark.parametrize("dense", [False, True], ids=["plan-held", "dense-held"])
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_collab_on_both_matrix_forms(self, dense, threads):
+        """Collaborative weights, divided at their nonzeros alone, on either
+        form of the catalog matrix (threads run on the dense one only)."""
+        assert_sweep_matches_reference("collaborative", threads, dense)
 
     @pytest.mark.parametrize("injection", ["popularity", "collaborative"])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_chunked_sweep_equals_reference(self, monkeypatch, injection, threads):
         """Prepared and swept two samples at a time, the table is unchanged."""
         monkeypatch.setattr(tune, "CHUNK_SAMPLES", 2)
-        self.test_bit_identical_table(injection, threads)
+        assert_sweep_matches_reference(injection, threads)
 
     def test_weights_out_of_range_fatal(self):
         log, catalog = synthetic_dataset(n_users=6, n_items=8, events_per_user=5)
@@ -214,6 +230,33 @@ class TestSweepMatchesPerPointInjection:
         pipe.source.normalized = pipe.source.normalized + 1.5
         with pytest.raises(DataError, match=r"must lie in \[0,1\]"):
             tune_gamma(build_samples(split, catalog)["valid"], pipe, grid=[0.0, 1.0])
+
+
+class TestDivideAtNonzeros:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_inject_over_dense_weights(self, data):
+        """A collaborative query's weights held at their nonzeros alone
+        (CoScorer.divided_at), divided by harness.adjusted, give the bits of
+        ground.inject over the dense weights, +inf at the exclusions, and so
+        every target's position: weights with many zeros, exact 1.0s and
+        ties, at gamma 0, 0.01, 1 and 100."""
+        n = data.draw(st.integers(1, 40))
+        level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
+        values = np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
+        weights = np.array(data.draw(st.lists(
+            st.just(0.0) | st.just(1.0) | st.sampled_from([0.5, 0.125]) | st.floats(0, 1),
+            min_size=n, max_size=n)))
+        excluded = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+        empty = np.zeros(0, dtype=np.int64)
+        form = CoScorer(n, empty, empty, empty).divided_at(weights)
+        assert np.count_nonzero(weights) == form[0].size
+        for gamma in (0.0, 0.01, 1.0, 100.0):
+            got = next(adjusted([(exclude(values.copy(), excluded), form)], gamma))
+            want = exclude(inject(values, weights, gamma), excluded)
+            assert got.tobytes() == want.tobytes()
+            for t in sorted(set(range(n)) - set(excluded)):
+                assert target_position(got, t) == target_position(want, t)
 
 
 class TestWriteSweep:
