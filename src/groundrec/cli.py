@@ -3,8 +3,8 @@ split -> popularity -> embed -> generate -> ground -> eval -> tune-gamma.
 
 Exit codes: 0 success, 1 usage error (flags are checked, in _check_flags,
 before any input is opened), 2 data error. All randomness flows
-through explicit --seed flags; --threads (default 1, at least 1) never
-changes output bytes.
+through explicit --seed flags. eval and tune-gamma accept --threads (default
+1, at least 1) and run on the calling thread whatever it is.
 
 Each command runs as its own process, so start-up is part of its cost. At
 module level this file imports only modules that load no numpy (errors,
@@ -344,7 +344,7 @@ def cmd_eval(args):
         positions = most_pop_baseline(fits["pop"], samples, catalog)
     else:
         pipeline = _pipeline_from_args(args, catalog, fits, args.gamma)
-        positions = evaluate(samples, pipeline, threads=args.threads)
+        positions = evaluate(samples, pipeline)
     report = aggregate(positions, fingerprint=_fingerprint(args, input_digests))
     if args.dump_ranks:
         with open(args.dump_ranks, "w", encoding="utf-8") as fh:
@@ -367,7 +367,7 @@ def cmd_tune_gamma(args):
     fits = _train_fits(args, catalog)
     samples = read_samples(args.valid, catalog, args.sample_n, args.seed)
     pipeline = _pipeline_from_args(args, catalog, fits)
-    best, table = tune_gamma(samples, pipeline, metric=args.metric, threads=args.threads)
+    best, table = tune_gamma(samples, pipeline, metric=args.metric)
     write_sweep(args.out, table)
     manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"best_gamma={best:.10g} metric={args.metric}")
@@ -389,9 +389,13 @@ def cmd_report(args):
         imp = improve2lv(reports[0], reports[1], reports[2])
         lines.append("metric\ta\tb\tcombined\timprove2lv")
         for name in names:
-            shown = "null" if imp[name] is None else f"{imp[name]:+.6g}"
-            lines.append("\t".join([name, *(f"{r.metric(name):.6g}" for r in reports),
-                                    shown]))
+            val = imp[name]
+            shown = "null" if val is None else f"{val:+.6g}"
+            lines.append(
+                f"{name}\t{reports[0].metric(name):.6g}"
+                f"\t{reports[1].metric(name):.6g}"
+                f"\t{reports[2].metric(name):.6g}\t{shown}"
+            )
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -505,9 +509,12 @@ def run(argv=None):
 def main(argv=None):
     try:
         return run(argv)
-    except (UsageError, DataError) as e:
+    except UsageError as e:
         print(f"groundrec: {e}", file=sys.stderr)
-        return 1 if isinstance(e, UsageError) else 2
+        return 1
+    except DataError as e:
+        print(f"groundrec: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

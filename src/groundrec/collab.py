@@ -51,11 +51,6 @@ class CoScorer:
         """The injection weights of one sample: its scores, min-max normalized."""
         return normalize_scores(score(self, sample))
 
-    def divided_at(self, weights):
-        """(nonzero indices, 1 + w at them): the form harness.adjusted divides."""
-        at = np.flatnonzero(weights)
-        return at, 1.0 + weights[at]
-
 
 def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
     if len(train) == 0:

@@ -52,7 +52,7 @@ class EmbeddingMatrix:
     alone is held; else the dense array, whose finiteness is checked here a
     block at a time. A plan-held matrix makes its array from the plan the
     first time .vectors is read (a query off the plan's grid), once, under a
-    lock, for any threads that share it (eval runs none on a plan-held matrix)."""
+    lock that threads sharing the matrix share (no command starts one)."""
 
     def __init__(self, dim, vectors=None, plan=None):
         self.dim = dim

@@ -141,9 +141,9 @@ class NGramGenerator:
         self.model = model
         self.seed = seed
         # context -> the sorted most-frequent successors of its longest suffix
-        # that occurs, filled on first use, one fill at a time: eval's threads on a
-        # dense-held matrix start on the same contexts, and two concurrent fills of
-        # a context whose last token is in every title each held a catalog-long list
+        # that occurs, filled on first use, one fill at a time: threads sharing the
+        # generator start on the same contexts, and two concurrent fills of a
+        # context whose last token is in every title each held a catalog-long list
         self._tied: dict[tuple[str, ...], list[str]] = {}
         self._filling = threading.Lock()
 

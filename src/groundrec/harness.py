@@ -8,16 +8,14 @@ exclusion and weight-check step, adjusted its (1 + w)^gamma divide. ground
 ranks the top k of each adjusted query; target_positions counts prepared
 samples' target positions over it, eval at its gamma and tune-gamma at each
 grid point. Most-Pop shares query and the skip/target step, candidates.
-Pipeline.fan_out runs a per-sample step on threads where the matrix is held
-dense. A sample's exclusions are its known array of indices, from ingest.
+Every step runs on the calling thread. A sample's exclusions are its known
+array of canonical indices, from ingest.
 
 Every item the user has not interacted with is a candidate; there is no
 negative sampling.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .ground import (
     target_position,
 )
 from .ingest import ItemCatalog, SequenceSample
+from .pop import PopularityTable
 
 
 class Pipeline:
@@ -71,11 +70,14 @@ class Pipeline:
         """(values, weights or None), gamma-independent: norm, a fresh float64
         array, with +inf written in place at the sample's exclusions
         (ground.exclude; ground without --samples has none), and the checked
-        weights in their source's divided_at form."""
+        weights in the form adjusted divides by: a PopularityTable's one array
+        as it is, any other source's as (nonzero indices, 1 + w at them)."""
         weights = self.weights(sample)
         if weights is not None:
             norm, weights = check_weights(norm, weights)
-            weights = self.source.divided_at(weights)
+            if not isinstance(self.source, PopularityTable):
+                at = np.flatnonzero(weights)
+                weights = at, 1.0 + weights[at]
         if sample is not None:
             exclude(norm, self.exclusions(sample))
         return norm, weights
@@ -86,14 +88,6 @@ class Pipeline:
         if target is None:
             return None
         return (*self.query(self.normalized_distances(sample), sample), target)
-
-    def fan_out(self, fn, samples, threads=1):
-        """[fn(s) for s in samples], on threads only where the matrix is held
-        dense: its block ops let go of the GIL, a plan's small numpy calls not."""
-        if threads > 1 and self.matrix.plan.rows is None:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, samples))
-        return [fn(s) for s in samples]
 
 
 def adjusted(queries, gamma):
@@ -127,10 +121,9 @@ def _target_position(pipeline, sample):
     return None if prepared is None else target_positions([prepared], pipeline.gamma)[0]
 
 
-def evaluate(samples, pipeline: Pipeline, threads=1):
-    """Each sample's target position (None where skipped), in sample order
-    for any thread count."""
-    return pipeline.fan_out(lambda s: _target_position(pipeline, s), samples, threads)
+def evaluate(samples, pipeline: Pipeline):
+    """Each sample's target position (None where skipped), in sample order."""
+    return [_target_position(pipeline, s) for s in samples]
 
 
 def most_pop_baseline(table, samples, catalog: ItemCatalog):

@@ -42,7 +42,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -240,8 +240,16 @@ def period_sizes(n, periods=NUM_PERIODS):
 def temporal_split(log: InteractionLog) -> SplitLog:
     n = len(log)
     if n < NUM_PERIODS:
-        raise DataError(f"temporal split needs at least {NUM_PERIODS} interactions, got {n}")
-    return SplitLog(log, list(accumulate(period_sizes(n)[:-1])))
+        raise DataError(
+            f"temporal split needs at least {NUM_PERIODS} interactions, got {n}"
+        )
+    sizes = period_sizes(n)
+    boundaries = []
+    acc = 0
+    for s in sizes[:-1]:
+        acc += s
+        boundaries.append(acc)
+    return SplitLog(log, boundaries)
 
 
 def _timelines(full: InteractionLog):

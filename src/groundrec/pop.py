@@ -13,7 +13,6 @@ ground --popularity reads, holds one line per catalog item: id, count, C, P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -42,10 +41,6 @@ class PopularityTable:
     def sample_weights(self, sample) -> np.ndarray:
         """The injection weights of any sample: P, the same array each time."""
         return self.normalized
-
-    def divided_at(self, weights):
-        """The form harness.adjusted divides by: P, every sample's one array."""
-        return weights
 
     def order(self) -> np.ndarray:
         """Canonical indices by count descending, index ascending on ties."""
@@ -122,9 +117,12 @@ def read_popularity(path, catalog: ItemCatalog) -> PopularityTable:
 
 def decile_report(table: PopularityTable, num_buckets: int = 10) -> DecileReport:
     n = len(table.counts)
-    order = table.order().tolist()
-    edges = [0, *accumulate(period_sizes(n, num_buckets))]
-    groups = [order[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    order = table.order()
+    groups = []
+    acc = 0
+    for s in period_sizes(n, num_buckets):
+        groups.append([int(i) for i in order[acc : acc + s]])
+        acc += s
     total = table.counts.sum()
     if total > 0:
         share = [float(table.counts[g].sum() / total) for g in groups]

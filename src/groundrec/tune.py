@@ -3,12 +3,13 @@
 The grid is 0.00 to 1.00 in steps of 0.01 plus the integers 2 through 100:
 exactly 200 strictly increasing values. Distances are gamma-independent, so
 Pipeline.prepare computes each sample's values (normalized distances, +inf
-at its exclusions), weights and target once (Pipeline.fan_out), and the
-sweep, on the calling thread, redoes only harness.target_positions, the
-divide-and-count step eval runs at its one gamma.
+at its exclusions), checked weights and target once, and the sweep only
+redoes harness.target_positions, the divide-and-count step eval runs at its
+one gamma. Samples that share one weight array (popularity injection) share
+its divisor (1 + w)^gamma, computed once per gamma and chunk.
 
 Samples are prepared and swept CHUNK_SAMPLES at a time, so memory holds one
-chunk's values and weights (popularity's one shared array, or each collab
+chunk's values and weights (popularity's one shared array, or each other
 sample's nonzero weights), plus one position per kept sample and gamma,
 however many samples there are. Each gamma's positions keep sample order,
 so the sums, and the sweep, equal those of one pass over all samples.
@@ -33,7 +34,7 @@ def gamma_grid():
     return fine + coarse
 
 
-def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, threads=1):
+def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None):
     """Returns (best gamma, sweep table of (gamma, MetricsReport) rows). Ties
     pick the smallest gamma."""
     if not samples:
@@ -43,8 +44,7 @@ def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, threads
     kept = [array("q") for _ in grid]  # per gamma, the kept samples' positions
     for start in range(0, len(samples), CHUNK_SAMPLES):
         chunk = samples[start:start + CHUNK_SAMPLES]
-        prepared = pipeline.fan_out(pipeline.prepare, chunk, threads)
-        prepared = [p for p in prepared if p is not None]
+        prepared = [p for p in map(pipeline.prepare, chunk) if p is not None]
         for positions, gamma in zip(kept, grid):
             positions.extend(target_positions(prepared, gamma))
 

@@ -1,5 +1,7 @@
 import random
+import threading
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,20 @@ from groundrec.ingest import (
     ItemCatalog,
     SequenceSample,
 )
+
+
+def concurrent_calls(fn, callers):
+    """fn() from each of `callers` threads started together, as a caller
+    sharing one pipeline across threads of its own would; results in thread
+    order. No groundrec command starts a thread."""
+    start = threading.Barrier(callers)
+
+    def call(_):
+        start.wait(timeout=10)
+        return fn()
+
+    with ThreadPoolExecutor(max_workers=callers) as pool:
+        return list(pool.map(call, range(callers), timeout=120))
 
 
 def make_log(triples):

@@ -221,7 +221,7 @@ class TestCriterion7NullModelCalibration:
             for k in range(n_samples)
         ]
         pipe = Pipeline(JunkGen(), provider, matrix)
-        report = aggregate(evaluate(samples, pipe, threads=4))
+        report = aggregate(evaluate(samples, pipe))
         p = 0.1
         margin = 2.576 * math.sqrt(p * (1 - p) / n_samples)
         assert abs(report.hr[10] - p) < margin, (

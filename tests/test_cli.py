@@ -4,6 +4,7 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -602,11 +603,16 @@ class TestDeterminism:
 
 
 class TestThreadsOnBothDistancePaths:
-    def test_eval_and_tune_gamma_byte_identical(self, tmp_path):
+    def test_eval_and_tune_gamma_byte_identical(self, tmp_path, monkeypatch):
         """Titles of 1 to 6 tokens put the catalog off the grid, so every
-        distance takes the dense path, where eight threads share the matrix;
-        with 4-token titles every one takes the sparse path, and the plan-held
-        matrix's queries run on the calling thread whatever --threads is."""
+        distance takes the dense path; with 4-token titles every one takes
+        the sparse path. On both, eval and tune-gamma run on the calling
+        thread whatever --threads is: starting a thread fails the test."""
+
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         outputs = {}
         for titles in ("mixed", "four"):
             inter, _ = write_fixture(tmp_path, n_items=30)

@@ -173,7 +173,7 @@ class TestNGramTiedMemo:
                 scan.generate(make_sample(cat, [], "m000"))
 
     def test_threads_fill_each_context_once(self):
-        """A generator shared by threads, as eval's is, fills each context
+        """A generator shared by a caller's threads fills each context
         once: 8 threads that switch as often as they can, started together
         on samples that walk the same contexts, ask the model for the same
         successors, as often, as one thread does, and get its texts."""

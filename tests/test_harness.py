@@ -1,15 +1,19 @@
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import held, make_catalog, make_log, make_sample, synthetic_dataset
-from groundrec import harness
-from groundrec.collab import fit_cooccurrence
+from conftest import (
+    concurrent_calls,
+    held,
+    make_catalog,
+    make_log,
+    make_sample,
+    synthetic_dataset,
+)
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import OracleEchoGenerator
@@ -134,12 +138,13 @@ class TestEvaluate:
         assert a.hr == b.hr and a.ndcg == b.ndcg
 
     def test_thread_count_invariance(self):
+        """Eight callers sharing one fresh pipeline, each on a thread of its
+        own, each get the positions of one call on a pipeline of their own."""
         log, catalog = synthetic_dataset()
         samples = build_samples(temporal_split(log), catalog)["test"]
+        want = evaluate(samples, oracle_pipeline(catalog))
         pipe = oracle_pipeline(catalog)
-        a = aggregate(evaluate(samples, pipe, threads=1))
-        b = aggregate(evaluate(samples, pipe, threads=8))
-        assert a.hr == b.hr and a.ndcg == b.ndcg
+        assert concurrent_calls(lambda: evaluate(samples, pipe), 8) == [want] * 8
 
     def test_exclusions_never_ranked(self):
         log, catalog = synthetic_dataset()
@@ -221,67 +226,15 @@ class TestMostPopBaseline:
         assert report.ndcg[3] == pytest.approx(1.0 / math.log2(3))
 
 
-class TestThreadPolicy:
-    """Threads run only where the catalog matrix is held dense, whose block
-    ops let go of the GIL: eval's samples and tune-gamma's prepare step fan
-    out there. On a plan-held matrix, and in every gamma sweep, the work
-    runs on the calling thread."""
-
-    GRID = [0.0, 0.5, 3.0]
-
-    @pytest.fixture
-    def pipelines(self):
-        """Collab-injected samples, and pipelines over the plan-held matrix
-        and over a dense-held one, off the plan's grid."""
-        log, catalog = synthetic_dataset(n_users=10, n_items=14, events_per_user=6)
-        split = temporal_split(log)
-        samples = build_samples(split, catalog)["test"]
-        provider = HashEmbedder(dim=32, seed=5)
-        plan_held = embed_catalog(catalog, provider)
-        dense = held(plan_held.vectors + np.float32(0.1))
-        assert plan_held.plan.rows is not None and dense.plan.rows is None
-        scorer = fit_cooccurrence(split.train, catalog)
-        return samples, [Pipeline(OracleEchoGenerator(catalog), provider, m, gamma=1.0,
-                                  source=scorer) for m in (plan_held, dense)]
-
-    def test_plan_held_matrix_starts_no_worker(self, pipelines, monkeypatch):
-        samples, (pipe, _) = pipelines
-        want = evaluate(samples, pipe), tune_gamma(samples, pipe, grid=self.GRID)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", refuse)
-        assert (evaluate(samples, pipe, threads=8),
-                tune_gamma(samples, pipe, grid=self.GRID, threads=8)) == want
-
-    def test_dense_held_matrix_fans_out(self, pipelines, monkeypatch):
-        samples, (_, pipe) = pipelines
-        want = evaluate(samples, pipe), tune_gamma(samples, pipe, grid=self.GRID)
-        started = []
-
-        class Recorded(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorded)
-        assert evaluate(samples, pipe, threads=8) == want[0]
-        assert started == [8]
-        # one pool for the one chunk's prepare step; the sweep starts none
-        assert tune_gamma(samples, pipe, grid=self.GRID, threads=8) == want[1]
-        assert started == [8, 8]
-
-
 class TestNoSharedArrayWritten:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([1, 2]))
     def test_weights_and_place_order_unchanged(self, seed, gamma, threads):
         """The popularity weights every sample shares and the order Most-Pop
-        places items by hold the same bits after evaluate, tune_gamma and
-        most_pop_baseline, which write each sample's exclusions into an
-        array of its own; Most-Pop's reused buffer gives the brute-force
-        positions."""
+        places items by hold the same bits after evaluate and tune_gamma (from
+        `threads` callers sharing the pipeline) and most_pop_baseline, which
+        write each sample's exclusions into an array of their own; Most-Pop's
+        reused buffer gives the brute-force positions."""
         log, catalog = synthetic_dataset(n_users=8, n_items=12, events_per_user=6,
                                          seed=seed)
         split = temporal_split(log)
@@ -289,8 +242,8 @@ class TestNoSharedArrayWritten:
         table = compute_popularity(split.train, catalog)
         weights, order = table.normalized.copy(), table.order()
         pipe = oracle_pipeline(catalog, dim=32, gamma=gamma, source=table)
-        evaluate(samples, pipe, threads=threads)
-        tune_gamma(samples, pipe, grid=[0.0, gamma, 7.0], threads=threads)
+        concurrent_calls(lambda: (evaluate(samples, pipe),
+                                  tune_gamma(samples, pipe, grid=[0.0, gamma, 7.0])), threads)
         got = most_pop_baseline(table, samples, catalog)
         assert table.normalized.tobytes() == weights.tobytes()
         assert table.order().tobytes() == order.tobytes()

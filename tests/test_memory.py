@@ -238,7 +238,7 @@ def test_train_fitted_before_samples_are_read(cli_inputs, tmp_path, monkeypatch,
 
 def test_collab_tune_chunk_holds_nonzero_weights(inputs):
     """A collab tune chunk holds each prepared sample's n_items values and
-    its weights at their nonzero items (CoScorer.divided_at: an index and a
+    its weights at their nonzero items (Pipeline.query: an index and a
     divisor base, 16 bytes each), not a second n_items array per sample."""
     catalog, interactions, samples = inputs
     scorer = fit_cooccurrence(parse_interactions(interactions), catalog)

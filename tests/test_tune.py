@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    concurrent_calls,
     held,
     make_catalog,
     make_log,
@@ -12,7 +15,7 @@ from conftest import (
     synthetic_dataset,
 )
 from groundrec import tune
-from groundrec.collab import CoScorer, fit_cooccurrence
+from groundrec.collab import fit_cooccurrence
 from groundrec.embed import HashEmbedder, embed_catalog
 from groundrec.errors import DataError
 from groundrec.generate import GeneratedText, OracleEchoGenerator
@@ -151,14 +154,16 @@ class TestTuneGamma:
         assert a[1] == b[1]
 
     def test_thread_invariance(self):
+        """Eight callers sharing one fresh pipeline, each on a thread of its
+        own, each get the sweep of one call on a pipeline of their own."""
         log, catalog = synthetic_dataset(n_users=10, n_items=10, events_per_user=6)
         split = temporal_split(log)
         samples = build_samples(split, catalog)["valid"]
+        a = tune_gamma(samples, pop_pipeline(catalog, split.train), grid=[0.0, 1.0, 2.0])
         pipe = pop_pipeline(catalog, split.train)
-        a = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=1)
-        b = tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0], threads=8)
-        assert a[0] == b[0]
-        assert a[1] == b[1]
+        for b in concurrent_calls(lambda: tune_gamma(samples, pipe, grid=[0.0, 1.0, 2.0]), 8):
+            assert a[0] == b[0]
+            assert a[1] == b[1]
 
 
 def reference_sweep(samples, pipeline, grid):
@@ -181,8 +186,9 @@ def reference_sweep(samples, pipeline, grid):
 
 
 def assert_sweep_matches_reference(injection, threads, dense=False):
-    """tune_gamma's table equals reference_sweep's over the full grid; the
-    catalog matrix is plan-held, or with dense held off the plan's grid."""
+    """tune_gamma's table, for each of `threads` callers sharing the pipeline,
+    equals reference_sweep's over the full grid; the catalog matrix is
+    plan-held, or with dense held off the plan's grid."""
     log, catalog = synthetic_dataset(n_users=14, n_items=15, events_per_user=7)
     split = temporal_split(log)
     samples = build_samples(split, catalog)["valid"]
@@ -198,9 +204,11 @@ def assert_sweep_matches_reference(injection, threads, dense=False):
 
     fit = compute_popularity if injection == "popularity" else fit_cooccurrence
     pipe = Pipeline(OneTextGen(), provider, matrix, source=fit(split.train, catalog))
-    _, table = tune_gamma(samples, pipe, threads=threads)
-    assert [{name: report.metric(name) for name in metric_names()}
-            for _, report in table] == reference_sweep(samples, pipe, gamma_grid())
+    tables = concurrent_calls(lambda: tune_gamma(samples, pipe)[1], threads)
+    want = reference_sweep(samples, pipe, gamma_grid())
+    for table in tables:
+        assert [{name: report.metric(name) for name in metric_names()}
+                for _, report in table] == want
 
 
 class TestSweepMatchesPerPointInjection:
@@ -213,7 +221,7 @@ class TestSweepMatchesPerPointInjection:
     @pytest.mark.parametrize("threads", [1, 8])
     def test_collab_on_both_matrix_forms(self, dense, threads):
         """Collaborative weights, divided at their nonzeros alone, on either
-        form of the catalog matrix (threads run on the dense one only)."""
+        form of the catalog matrix."""
         assert_sweep_matches_reference("collaborative", threads, dense)
 
     @pytest.mark.parametrize("injection", ["popularity", "collaborative"])
@@ -236,11 +244,11 @@ class TestDivideAtNonzeros:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_equals_inject_over_dense_weights(self, data):
-        """A collaborative query's weights held at their nonzeros alone
-        (CoScorer.divided_at), divided by harness.adjusted, give the bits of
-        ground.inject over the dense weights, +inf at the exclusions, and so
-        every target's position: weights with many zeros, exact 1.0s and
-        ties, at gamma 0, 0.01, 1 and 100."""
+        """A query whose weights are not a PopularityTable's is held at their
+        nonzeros alone (Pipeline.query), and harness.adjusted's divide there
+        gives the bits of ground.inject over the dense weights, +inf at the
+        exclusions, and so every target's position: weights with many zeros,
+        exact 1.0s and ties, at gamma 0, 0.01, 1 and 100."""
         n = data.draw(st.integers(1, 40))
         level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
         values = np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
@@ -248,15 +256,26 @@ class TestDivideAtNonzeros:
             st.just(0.0) | st.just(1.0) | st.sampled_from([0.5, 0.125]) | st.floats(0, 1),
             min_size=n, max_size=n)))
         excluded = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
-        empty = np.zeros(0, dtype=np.int64)
-        form = CoScorer(n, empty, empty, empty).divided_at(weights)
-        assert np.count_nonzero(weights) == form[0].size
+        source = SimpleNamespace(sample_weights=lambda sample: weights)
+        query = Pipeline(None, None, None, source=source).query(
+            values.copy(), SimpleNamespace(known=excluded))
+        assert np.count_nonzero(weights) == query[1][0].size
         for gamma in (0.0, 0.01, 1.0, 100.0):
-            got = next(adjusted([(exclude(values.copy(), excluded), form)], gamma))
+            got = next(adjusted([query], gamma))
             want = exclude(inject(values, weights, gamma), excluded)
             assert got.tobytes() == want.tobytes()
             for t in sorted(set(range(n)) - set(excluded)):
                 assert target_position(got, t) == target_position(want, t)
+
+
+    def test_popularity_array_held_as_it_is(self):
+        """Every query of a PopularityTable holds its one array, so the
+        queries of a chunk share its divisor."""
+        log, catalog = synthetic_dataset(n_users=6, n_items=8, events_per_user=5)
+        pipe = pop_pipeline(catalog, temporal_split(log).train)
+        for known in ([], [1, 3]):
+            _, weights = pipe.query(np.linspace(0.0, 1.0, 8), SimpleNamespace(known=known))
+            assert weights is pipe.source.normalized
 
 
 class TestWriteSweep:
