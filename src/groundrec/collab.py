@@ -6,9 +6,13 @@ history indices with geometric recency weights 1.0, 0.5, 0.25. As a Pipeline
 weight source, a CoScorer gives each sample those scores, min-max normalized.
 
 A CoScorer is one form from fit to file to score: int64 arrays prevs, nexts
-and counts, sorted by (prev, next), each pair once. Fitting gets them from
-one np.unique over (prev, next) canonical-index keys; a pair with an item
-outside the catalog is not counted.
+and counts, sorted by (prev, next), each pair once. Fitting makes one
+prev * n_items + next key per adjacent pair of canonical indices, sorts the
+keys in place and counts each run of equal keys; a pair with an item outside
+the catalog is not counted. It frees each O(rows) array once it is used and
+writes the keys over the user order's buffer, so no more than three int64
+columns of the log are live at once. save_scorer fills one u32 triple array
+and writes its buffer.
 
 Scorer file format: magic b"GRCO", u32 pair count, then those arrays as
 (u32 prev, u32 next, u32 count) triples, little-endian. load_scorer checks
@@ -55,14 +59,32 @@ class CoScorer:
 def fit_cooccurrence(train: InteractionLog, catalog: ItemCatalog) -> CoScorer:
     if len(train) == 0:
         raise DataError("cannot fit co-occurrence scorer on an empty training log")
+    n = len(catalog)
     order = train.user_order()  # each user's timeline, in (timestamp, pos) order
     users = train.user_codes[order]
+    # adjacent: k and k + 1 are one user's, and both items are in the catalog
+    adjacent = users[:-1] == users[1:]
+    del users
     idx = catalog.indices(train.item_ids)[order]
-    prev, nxt = idx[:-1], idx[1:]
-    adjacent = (users[:-1] == users[1:]) & (prev >= 0) & (nxt >= 0)
-    n = len(catalog)
-    keys, counts = np.unique(prev[adjacent] * n + nxt[adjacent], return_counts=True)
-    return CoScorer(n, keys // n, keys % n, counts)
+    adjacent &= idx[:-1] >= 0
+    adjacent &= idx[1:] >= 0
+    # the keys are written over order, which is no longer needed
+    keys = np.multiply(idx[:-1], n, out=order[:-1])
+    keys += idx[1:]
+    del idx
+    keys = keys[adjacent]
+    del order, adjacent
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)  # where each run of equal keys starts
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.diff(starts, append=len(keys))  # each run is one pair
+    keys = keys[starts]
+    del starts
+    nexts = keys % n
+    keys //= n
+    return CoScorer(n, keys, nexts, counts)
 
 
 def score(scorer: CoScorer, sample: SequenceSample) -> np.ndarray:
@@ -90,13 +112,15 @@ def normalize_scores(raw) -> np.ndarray:
 
 
 def save_scorer(path, scorer: CoScorer):
-    triples = np.column_stack((scorer.prevs, scorer.nexts, scorer.counts))
-    if len(triples) and (triples.min() < 0 or triples.max() > U32_MAX):
-        raise DataError(f"scorer holds a value outside u32; cannot write {path}")
+    triples = np.empty((len(scorer.counts), 3), dtype="<u4")
+    for k, column in enumerate((scorer.prevs, scorer.nexts, scorer.counts)):
+        if len(column) and (column.min() < 0 or column.max() > U32_MAX):
+            raise DataError(f"scorer holds a value outside u32; cannot write {path}")
+        triples[:, k] = column
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(triples)))
-        fh.write(triples.astype("<u4").tobytes())
+        fh.write(triples.data)
 
 
 def load_scorer(path, n_items) -> CoScorer:

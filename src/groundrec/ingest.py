@@ -27,7 +27,9 @@ as catalog indices: the readers map each id once (one row-to-sample function)
 and write_samples maps them back; the split side needs no catalog.
 
 Samples come from one lazy walk per user timeline, linear in its length
-(_walk), merged into global (timestamp, user) order (_sample_rows).
+(_walk), merged into global (timestamp, user) order (_sample_rows). Each
+timeline is a memoryview slice of one int64 array of log positions, so the
+walks hold no Python int per row.
 write_sample_files streams the rows into the three samples files, holding
 O(users x known set) in memory rather than O(samples); build_samples reads
 the same stream into SequenceSamples.
@@ -74,15 +76,18 @@ class InteractionLog:
     def from_columns(cls, users, user_codes, item_ids, timestamps, rejected=0):
         """A log from columns in input-file order (user_codes and timestamps
         as array("q")), stably sorted on the timestamps, so file order breaks
-        ties; columns already in timestamp order are kept as they are."""
+        ties; columns already in timestamp order are kept as they are. Out of
+        order, each column is reordered through the one numpy order, with no
+        Python int per row."""
         import numpy as np
 
         codes = np.frombuffer(user_codes, np.int64)
         stamps = np.frombuffer(timestamps, np.int64)
         if (stamps[1:] < stamps[:-1]).any():
             order = np.argsort(stamps, kind="stable")
-            codes, timestamps = codes[order], array("q", stamps[order].tobytes())
-            item_ids = [item_ids[i] for i in order.tolist()]
+            codes, timestamps = codes[order], array("q", [0]) * len(order)
+            np.take(stamps, order, out=np.frombuffer(timestamps, np.int64))
+            item_ids = list(map(item_ids.__getitem__, memoryview(order)))
         return cls(users, codes, item_ids, timestamps, rejected)
 
     def __len__(self):
@@ -131,8 +136,8 @@ class ItemCatalog:
         """Canonical index of each id, -1 for an id not in the catalog."""
         import numpy as np
 
-        get = self.index_of.get
-        return np.fromiter((get(i, -1) for i in item_ids), np.int64, len(item_ids))
+        return np.fromiter(map(self.index_of.get, item_ids, repeat(-1)), np.int64,
+                           len(item_ids))
 
 
 @dataclass
@@ -253,12 +258,14 @@ def temporal_split(log: InteractionLog) -> SplitLog:
 
 
 def _timelines(full: InteractionLog):
-    """Each user's log positions, in global (timestamp, position) order."""
+    """Each user's log positions, in global (timestamp, position) order: one
+    memoryview slice per user of the one array of all users' positions."""
     import numpy as np
 
     order = full.user_order()
-    cuts = np.flatnonzero(np.diff(full.user_codes[order])) + 1
-    return [t.tolist() for t in np.split(order, cuts)] if len(full) else []
+    ends = np.cumsum(np.bincount(full.user_codes)).tolist()
+    positions = memoryview(order)
+    return [positions[lo:hi] for lo, hi in zip([0, *ends], ends) if hi > lo]
 
 
 def _check_id(item, clean):

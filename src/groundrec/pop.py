@@ -6,7 +6,8 @@ P is defined as 0 everywhere, which makes popularity injection a no-op.
 As a Pipeline weight source, a PopularityTable gives every sample the one
 array P.
 The counts come from one np.bincount over the canonical indices of the
-training log's item column. pop.tsv, which the popularity command writes and
+training log's item column, shifted by one in place so that bin 0 counts the
+ids outside the catalog. pop.tsv, which the popularity command writes and
 ground --popularity reads, holds one line per catalog item: id, count, C, P.
 """
 
@@ -68,9 +69,9 @@ def compute_popularity(train: InteractionLog, catalog: ItemCatalog) -> Popularit
     if len(catalog) == 0:
         raise DataError("cannot compute popularity over an empty catalog")
     idx = catalog.indices(train.item_ids)
-    known = idx[idx >= 0]
-    counts = np.bincount(known, minlength=len(catalog)).astype(np.int64, copy=False)
-    return PopularityTable.from_counts(counts, rejected=len(idx) - len(known))
+    idx += 1  # bin 0 counts the ids outside the catalog
+    counts = np.bincount(idx, minlength=len(catalog) + 1).astype(np.int64, copy=False)
+    return PopularityTable.from_counts(counts[1:], rejected=int(counts[0]))
 
 
 def write_popularity(path, table: PopularityTable, catalog: ItemCatalog):

@@ -1,9 +1,10 @@
 """Memory bounds of the steps that hold a large input: the catalog matrix
 built and written, or read, or made dense from its plan, an interaction log
-parsed, samples read or drawn from a samples file, and the BM25 index and n-gram
-model of the catalog's titles; and the order in which a command that fits
---train reads its inputs, so the parsed log is freed before the samples
-arrive.
+parsed or put in timestamp order, samples read or drawn from a samples file,
+or walked into the samples files, popularity counted, the co-occurrence
+scorer fitted and written, and the BM25 index and n-gram model of the
+catalog's titles; and the order in which a command that fits --train reads
+its inputs, so the parsed log is freed before the samples arrive.
 
 Memory is measured with tracemalloc (what Python and numpy allocate, not the
 process RSS), so each ratio repeats on any machine. Each bound sits between
@@ -14,23 +15,26 @@ plan (about 0.17 of the dense bytes here) and the dense array (1).
 
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
 from groundrec import cli, ingest, tune
-from groundrec.collab import fit_cooccurrence
+from groundrec.collab import fit_cooccurrence, save_scorer
 from groundrec.embed import HashEmbedder, embed_catalog, load_embeddings, save_embeddings_bin
 from groundrec.generate import OracleEchoGenerator, train_ngram
 from groundrec.ground import L2_BLOCK, BM25Index
 from groundrec.harness import Pipeline
 from groundrec.ingest import (
+    InteractionLog,
     ItemCatalog,
     parse_interactions,
     read_samples,
     temporal_split,
     write_sample_files,
 )
+from groundrec.pop import compute_popularity
 
 
 def traced(fn):
@@ -192,6 +196,60 @@ def test_interaction_log_parsed_a_block_at_a_time(inputs):
     assert len(log) == 400 * 50
     assert held < 3.2 * size
     assert peak < 5 * size
+
+
+def test_interaction_log_sorted_without_an_int_per_row():
+    """Columns out of timestamp order are put in (timestamp, file position)
+    order through the numpy order, not a Python int per row."""
+    rng = random.Random(4)
+    rows = [(rng.randrange(50), f"m{rng.randrange(900):04d}", rng.randrange(10**6, 10**7))
+            for _ in range(20_000)]
+    users = [f"u{k}" for k in range(50)]
+    codes = array("q", [r[0] for r in rows])
+    items = [r[1] for r in rows]
+    stamps = array("q", [r[2] for r in rows])
+    log, _, peak = traced(lambda: InteractionLog.from_columns(users, codes, items, stamps))
+    ordered = sorted(range(len(rows)), key=lambda k: rows[k][2])  # stable: ties keep file order
+    assert log.user_codes.tolist() == [rows[k][0] for k in ordered]
+    assert log.item_ids == [rows[k][1] for k in ordered]
+    assert log.timestamps == array("q", [rows[k][2] for k in ordered])
+    assert peak < 50 * len(rows)  # 33 bytes a row here, 73 with an int per row
+
+
+def test_sample_files_walked_without_an_int_per_row(tmp_path):
+    """The timelines the walks read are slices of one array of log
+    positions, not a Python int per row."""
+    log = parse_interactions(zipf_log(tmp_path / "timelines.tsv", 40, 400, 600, seed=6))
+    split = temporal_split(log)
+    _, _, peak = traced(lambda: write_sample_files(split, tmp_path))
+    assert peak < 32 * len(log)  # 18 bytes a row here, 49 with an int per row
+
+
+def test_cooccurrence_fitted_in_place(inputs):
+    """The fit holds about three int64 columns of the log at its peak, the
+    scorer's arrays among them: no np.unique copies beside the keys."""
+    catalog, interactions, _ = inputs
+    log = parse_interactions(interactions)
+    column = 8 * len(log)
+    _, _, peak = traced(lambda: fit_cooccurrence(log, catalog))
+    assert peak < 5 * column  # 3.1 here, 7.3 with np.unique over masked copies
+
+
+def test_popularity_counted_in_place(inputs):
+    """The counts come from the index column itself: no mask or copy of the
+    in-catalog indices beside it."""
+    catalog, interactions, _ = inputs
+    log = parse_interactions(interactions)
+    _, _, peak = traced(lambda: compute_popularity(log, catalog))
+    assert peak < 2.5 * 8 * len(log)  # 2.0 int64 columns here, 3.0 with the copy
+
+
+def test_scorer_written_from_one_triple_array(inputs, tmp_path):
+    catalog, interactions, _ = inputs
+    scorer = fit_cooccurrence(parse_interactions(interactions), catalog)
+    _, _, peak = traced(lambda: save_scorer(tmp_path / "co.bin", scorer))
+    # 1.03 of the file here, 4.0 with an int64 stack, a u32 copy and its bytes
+    assert peak < 2 * (tmp_path / "co.bin").stat().st_size
 
 
 @pytest.fixture(scope="module")
