@@ -17,6 +17,12 @@ fingerprint) hashes exactly those flags. --train is parsed and fitted by
 _train_fits alone, once per command, and before the samples are read, so the
 parsed log is freed before the samples arrive. The catalog matrix is made
 only by embed; ground, eval and tune-gamma load it from --emb in _embeddings.
+
+Inputs are hashed last. Each cmd_* returns the path of its manifest, and run
+writes it once the command's catalog, log, matrix and pipeline are freed;
+eval hashes once its positions are computed. hashlib, which maps OpenSSL's
+libcrypto (about 3.5 MiB), is imported at the first digest, so it adds to
+what the process holds after its work, not to the work's peak.
 """
 
 from __future__ import annotations
@@ -209,10 +215,9 @@ def cmd_split(args):
             fh.write(f"boundary_{i + 1}={b}\n")
         for i, b in enumerate(split.boundaries):
             fh.write(f"boundary_ts_{i + 1}={log.timestamps[b]}\n")
-    manifest.write_manifest(out / "run.manifest", args)
     print(f"split: {len(split.train)} train / {len(split.valid)} valid / "
           f"{len(split.test)} test -> {out}")
-    return 0
+    return out / "run.manifest", None
 
 
 def cmd_popularity(args):
@@ -231,10 +236,9 @@ def cmd_popularity(args):
                 fh.write("# small-catalog mode: fewer items than buckets\n")
             for k, (group, share) in enumerate(zip(report.groups, report.share)):
                 fh.write(f"{k}\t{len(group)}\t{share:.10g}\n")
-    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"popularity: {len(catalog)} items, {table.rejected} unknown-item "
           f"interactions ignored -> {args.out}")
-    return 0
+    return f"{args.out}.manifest", None
 
 
 def cmd_embed(args):
@@ -248,9 +252,8 @@ def cmd_embed(args):
         save_embeddings_tsv(args.out, mat, catalog)
     else:
         save_embeddings_bin(args.out, mat)
-    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"embed: {len(catalog)} items x dim {mat.dim} -> {args.out}")
-    return 0
+    return f"{args.out}.manifest", None
 
 
 def cmd_generate(args):
@@ -263,9 +266,8 @@ def cmd_generate(args):
         for i, sample in enumerate(samples):
             gen = generator.generate(sample)
             fh.write(f"{i}\t{gen.text()}\t{gen.source}\n")
-    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"generate: {len(samples)} samples via {args.generator} -> {args.out}")
-    return 0
+    return f"{args.out}.manifest", None
 
 
 def cmd_collab_fit(args):
@@ -276,9 +278,8 @@ def cmd_collab_fit(args):
     train = parse_interactions(args.train)
     scorer = fit_cooccurrence(train, catalog)
     save_scorer(args.out, scorer)
-    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"collab-fit: {len(scorer.counts)} transition pairs -> {args.out}")
-    return 0
+    return f"{args.out}.manifest", None
 
 
 def _read_generated(path, n_samples=None):
@@ -327,36 +328,41 @@ def cmd_ground(args):
                 idx = int(ranked.indices[pos])
                 fh.write(f"{sample_idx}\t{pos + 1}\t{catalog.ids[idx]}"
                          f"\t{ranked.values[pos]:.10g}\n")
-    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"ground: {len(queries)} queries, top-{args.topk} -> {args.out}")
-    return 0
+    return f"{args.out}.manifest", None
 
 
-def cmd_eval(args):
+def _eval_positions(args):
+    """The samples-file lines of the drawn --test samples and their target
+    positions (None where skipped); the catalog, fits, samples and pipeline
+    are freed on return."""
     from .harness import evaluate, most_pop_baseline
     from .ingest import parse_catalog, read_samples
 
     catalog = parse_catalog(args.catalog)
     fits = _train_fits(args, catalog)
     samples = read_samples(args.test, catalog, args.sample_n, args.seed)
-    input_digests = manifest.digests(args)
     if args.generator == "most-pop":
         positions = most_pop_baseline(fits["pop"], samples, catalog)
     else:
-        pipeline = _pipeline_from_args(args, catalog, fits, args.gamma)
-        positions = evaluate(samples, pipeline)
+        positions = evaluate(samples, _pipeline_from_args(args, catalog, fits, args.gamma))
+    return [sample.line for sample in samples], positions
+
+
+def cmd_eval(args):
+    lines, positions = _eval_positions(args)
+    input_digests = manifest.digests(args)  # for the fingerprint and the manifest
     report = aggregate(positions, fingerprint=_fingerprint(args, input_digests))
     if args.dump_ranks:
         with open(args.dump_ranks, "w", encoding="utf-8") as fh:
-            for sample, pos in zip(samples, positions):
-                fh.write(f"{sample.line}\t{'skipped' if pos is None else pos}\n")
+            for line, pos in zip(lines, positions):
+                fh.write(f"{line}\t{'skipped' if pos is None else pos}\n")
     write_report(args.out, report)
-    manifest.write_manifest(str(args.out) + ".manifest", args, input_digests)
     for k in report.ks:
         print(f"hr@{k}={report.hr[k]:.4f} ndcg@{k}={report.ndcg[k]:.4f}")
     print(f"eval: {report.n_samples} samples ({report.skipped} skipped) "
           f"-> {args.out}")
-    return 0
+    return f"{args.out}.manifest", input_digests
 
 
 def cmd_tune_gamma(args):
@@ -367,11 +373,10 @@ def cmd_tune_gamma(args):
     fits = _train_fits(args, catalog)
     samples = read_samples(args.valid, catalog, args.sample_n, args.seed)
     pipeline = _pipeline_from_args(args, catalog, fits)
-    best, table = tune_gamma(samples, pipeline, metric=args.metric)
+    best, table = tune_gamma(samples, pipeline, metric=args.metric, source=args.valid)
     write_sweep(args.out, table)
-    manifest.write_manifest(str(args.out) + ".manifest", args)
     print(f"best_gamma={best:.10g} metric={args.metric}")
-    return 0
+    return f"{args.out}.manifest", None
 
 
 def cmd_report(args):
@@ -401,7 +406,7 @@ def cmd_report(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return 0
+    return None  # a report has no manifest
 
 
 def _add_pipeline_flags(p, samples_flag, generators):
@@ -501,9 +506,17 @@ def build_parser():
 
 
 def run(argv=None):
+    """Run the command the arguments name, then write its manifest: every
+    cmd_* but report returns (manifest path, input digests it has already
+    computed, or None), and its data is freed by the time the inputs are
+    hashed."""
     args = build_parser().parse_args(argv)
     _check_flags(args)
-    return args.func(args)
+    written = args.func(args)
+    if written is not None:
+        path, input_digests = written
+        manifest.write_manifest(path, args, input_digests)
+    return 0
 
 
 def main(argv=None):

@@ -26,16 +26,19 @@ a block at a time and a dense array whole, with the same bytes either way.
 Finiteness is checked where the matrix is built: by the plan on the kept
 entries, and on a dense array ground.L2_BLOCK rows at a time, so no
 full-size bool array is made.
+
+Token slots are hashed with BLAKE2b from CPython's built-in _blake2, the
+class hashlib.blake2b re-exports, so embedding loads no OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import threading
 
 import numpy as np
+from _blake2 import blake2b  # what hashlib.blake2b is, without OpenSSL
 
 from .errors import DataError, open_input, rows
 from .ground import L2_BLOCK, SparseL2Plan
@@ -146,7 +149,7 @@ def hash_embed(text, dim, seed, slots=None):
 
 
 def _token_slot(tok, dim, seed):
-    digest = hashlib.blake2b(f"{seed}\x00{tok}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}\x00{tok}".encode(), digest_size=8).digest()
     h = int.from_bytes(digest, "little")
     return (h >> 1) % dim, 1.0 if h & 1 else -1.0
 

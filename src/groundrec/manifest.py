@@ -9,11 +9,14 @@ output byte. The inputs come from them too: every flag that names a file the
 command reads has InputPath as its argparse type, and each one given is
 hashed under its name. Re-running the recorded command on the same inputs
 must reproduce byte-identical outputs.
+
+cli.run writes a command's manifest once the command has returned, so its
+data is freed before any input is hashed. hashlib is imported only by
+sha256_file: it maps OpenSSL's libcrypto (about 3.5 MiB of RSS), which then
+adds to what the process holds after its work, not to its work's peak.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from . import __version__
 from .errors import open_input
@@ -24,6 +27,8 @@ NOT_RECORDED = ("command", "func", "threads")
 
 
 def sha256_file(path):
+    import hashlib  # OpenSSL's sha256, loaded on the first input hashed
+
     h = hashlib.sha256()
     with open_input(path, "input", "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -34,19 +34,28 @@ def gamma_grid():
     return fine + coarse
 
 
-def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None):
+def tune_gamma(samples, pipeline: Pipeline, metric="ndcg@20", grid=None, source=None):
     """Returns (best gamma, sweep table of (gamma, MetricsReport) rows). Ties
-    pick the smallest gamma."""
+    pick the smallest gamma. Refuses a sweep of no kept sample: an empty
+    list, or one where every sample skips (a repeat consumption); source,
+    the samples' file, is named in the error."""
+    where = "" if source is None else f" in {source}"
     if not samples:
-        raise DataError("validation set is empty; cannot tune gamma")
+        raise DataError(f"validation set{where} is empty; cannot tune gamma")
     grid = gamma_grid() if grid is None else list(grid)
 
     kept = [array("q") for _ in grid]  # per gamma, the kept samples' positions
+    n_kept = 0
     for start in range(0, len(samples), CHUNK_SAMPLES):
         chunk = samples[start:start + CHUNK_SAMPLES]
         prepared = [p for p in map(pipeline.prepare, chunk) if p is not None]
+        n_kept += len(prepared)
         for positions, gamma in zip(kept, grid):
             positions.extend(target_positions(prepared, gamma))
+    if not n_kept:
+        raise DataError(f"no drawn validation sample{where} was kept: each one is "
+                        "a repeat consumption, whose target is in its history; "
+                        "cannot tune gamma")
 
     # skipped samples change no mean
     table = [(gamma, aggregate(positions)) for gamma, positions in zip(grid, kept)]

@@ -364,6 +364,34 @@ class TestPipelineCommands:
         lines = (tmp_path / "sweep.tsv").read_text().splitlines()
         assert len(lines) == 201  # header + 200 grid points
 
+    def test_tune_gamma_refuses_a_draw_of_repeats_only(self, workspace, capsys):
+        tmp_path, inter, cat, out = workspace
+        repeats = tmp_path / "repeats.tsv"
+        with open(repeats, "w", encoding="utf-8") as fh:
+            for line in (out / "samples_valid.tsv").read_text().splitlines():
+                user, history, _, ts, known = line.split("\t")
+                fh.write(f"{user}\t{history}\t{known.split(',')[0]}\t{ts}\t{known}\n")
+        sweep = tmp_path / "sweep.tsv"
+        assert cli.main(["tune-gamma", "--valid", str(repeats), "--catalog", str(cat),
+                         "--emb", str(embed(cat, tmp_path / "emb.bin", 16, 3)),
+                         "--train", str(out / "train.tsv"), "--inject", "pop",
+                         "--sample-n", "3", "--seed", "3", "--out", str(sweep)]) == 2
+        err = capsys.readouterr().err
+        assert f"no drawn validation sample in {repeats} was kept" in err
+        assert not sweep.exists()
+
+
+def run_probe(probe, argv):
+    """The last line that the probe, run with the groundrec arguments argv in
+    a fresh interpreter, prints."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
 
 # runs the groundrec command given as its arguments, then prints whether numpy
 # was imported
@@ -392,13 +420,100 @@ class TestImportsPerCommand:
         }.get(command, ["generate", "--samples", tmp_path / "samples_test.tsv",
                         "--catalog", cat, "--generator", command, "--seed", 1,
                         "--train", tmp_path / "train.tsv", "--out", tmp_path / "gen.tsv"])
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
-                                env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == f"numpy imported: {command == 'pop'}"
+        assert run_probe(NUMPY_PROBE, argv) == f"numpy imported: {command == 'pop'}"
+
+
+# runs the groundrec command given as its arguments and prints, as of its first
+# manifest.sha256_file call, whether _hashlib (OpenSSL) was loaded and which
+# objects of the command's data gc still finds
+HASH_PROBE = """
+import atexit, gc, runpy, sys
+from groundrec import manifest
+HELD = {"ItemCatalog", "InteractionLog", "EmbeddingMatrix", "Pipeline", "BM25Index"}
+seen = []
+original = manifest.sha256_file
+
+def probe(path):
+    if not seen:
+        live = sorted({type(o).__name__ for o in gc.get_objects()
+                       if type(o).__name__ in HELD
+                       and type(o).__module__.startswith("groundrec.")})
+        seen.append(f"_hashlib loaded: {'_hashlib' in sys.modules}; live: {live}")
+    return original(path)
+
+manifest.sha256_file = probe
+atexit.register(lambda: print(seen[0] if seen else
+                              f"nothing hashed; _hashlib loaded: {'_hashlib' in sys.modules}"))
+sys.argv[0] = "groundrec"
+runpy.run_module("groundrec.cli", run_name="__main__")
+"""
+
+
+class TestHashedLast:
+    """Each command hashes its inputs only once its data is freed, and loads
+    OpenSSL (_hashlib) only to hash: at the first digest no catalog, log,
+    matrix, pipeline or BM25 index is alive and _hashlib is not yet loaded.
+    report and --help never load it."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("hashed_last")
+        inter, cat = write_fixture(tmp_path)
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        run_ok(["popularity", "--train", out / "train.tsv", "--catalog", cat,
+                "--out", tmp_path / "pop.tsv"])
+        run_ok(["collab-fit", "--train", out / "train.tsv", "--catalog", cat,
+                "--out", tmp_path / "co.bin"])
+        embed(cat, tmp_path / "items.emb", 32, 3)
+        run_ok(["generate", "--samples", out / "samples_test.tsv", "--catalog", cat,
+                "--generator", "oracle", "--seed", 3, "--out", tmp_path / "gen.tsv"])
+        report = tmp_path / "report.tsv"
+        report.write_text("hr@1\t0.5\nndcg@1\t0.5\nn_samples\t2\nskipped\t0\n")
+        return tmp_path, inter, cat, out
+
+    def commands(self, tmp_path, inter, cat, out):
+        o = tmp_path / "probe"
+        train = ["--train", out / "train.tsv"]
+        pipeline = ["--catalog", cat, "--emb", tmp_path / "items.emb", *train,
+                    "--generator", "ngram", "--seed", 3, "--threads", 2]
+        ground = ["ground", "--emb", tmp_path / "items.emb", "--gen", tmp_path / "gen.tsv",
+                  "--catalog", cat, "--samples", out / "samples_test.tsv", "--seed", 3]
+        return {
+            "split": ["split", "--interactions", inter, "--out", o],
+            "popularity": ["popularity", *train, "--catalog", cat,
+                           "--out", f"{o}.pop", "--deciles", f"{o}.deciles"],
+            "embed": ["embed", "--catalog", cat, "--dim", 32, "--seed", 3,
+                      "--out", f"{o}.emb"],
+            "collab-fit": ["collab-fit", *train, "--catalog", cat, "--out", f"{o}.co"],
+            "generate": ["generate", "--samples", out / "samples_test.tsv",
+                         "--catalog", cat, "--generator", "ngram", *train, "--seed", 3,
+                         "--out", f"{o}.gen"],
+            "ground-l2": ground + ["--inject", "collab", "--scorer", tmp_path / "co.bin",
+                                   "--gamma", 1, "--out", f"{o}.l2"],
+            "ground-bm25": ground + ["--strategy", "bm25", "--out", f"{o}.bm25"],
+            "eval": ["eval", "--test", out / "samples_test.tsv", *pipeline,
+                     "--inject", "pop", "--gamma", 1, "--dump-ranks", f"{o}.ranks",
+                     "--out", f"{o}.report"],
+            "tune-gamma": ["tune-gamma", "--valid", out / "samples_valid.tsv", *pipeline,
+                           "--inject", "collab", "--out", f"{o}.sweep"],
+        }
+
+    @pytest.mark.parametrize("command", ["split", "popularity", "embed", "collab-fit",
+                                         "generate", "ground-l2", "ground-bm25", "eval",
+                                         "tune-gamma"])
+    def test_inputs_hashed_after_the_data_is_freed(self, workspace, command):
+        argv = self.commands(*workspace)[command]
+        assert run_probe(HASH_PROBE, argv) == "_hashlib loaded: False; live: []"
+
+    @pytest.mark.parametrize("command", ["help", "report"])
+    def test_no_openssl_without_a_manifest(self, workspace, command):
+        tmp_path = workspace[0]
+        report = tmp_path / "report.tsv"
+        argv = {"help": ["--help"],
+                "report": ["report", report, report, "--out", tmp_path / "compare.txt"]}
+        assert run_probe(HASH_PROBE, argv[command]) == \
+            "nothing hashed; _hashlib loaded: False"
 
 
 class TestReportCommand:

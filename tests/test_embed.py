@@ -137,6 +137,16 @@ class TestMemoizedHashEmbedder:
             provider.embed(text)
         assert sorted(hashed) == sorted({t for text in self.TEXTS for t in tokenize(text)})
 
+    @pytest.mark.parametrize("dim, seed", [(1, 0), (7, 3), (256, 41), (1000, -5)])
+    def test_token_slot_is_hashlib_blake2b(self, dim, seed):
+        import hashlib
+
+        for tok in ["silent", "river", "1", "", "ünïcode", "x" * 300]:
+            digest = hashlib.blake2b(f"{seed}\x00{tok}".encode(), digest_size=8).digest()
+            h = int.from_bytes(digest, "little")
+            assert embed._token_slot(tok, dim, seed) == ((h >> 1) % dim,
+                                                          1.0 if h & 1 else -1.0)
+
     def test_threads_sharing_one_embedder(self):
         provider = HashEmbedder(dim=16, seed=2)
         texts = [f"title {k % 7} volume {k % 13}" for k in range(300)]

@@ -130,6 +130,14 @@ class TestTuneGamma:
         with pytest.raises(DataError):
             tune_gamma([], pipe)
 
+    def test_only_repeats_fatal(self):
+        # every sample's target is in its history: prepare skips each one
+        catalog = make_catalog({"a": "ta", "b": "tb"})
+        pipe = pop_pipeline(catalog, make_log([("u", "a", 0), ("u", "b", 1)]))
+        samples = [make_sample(catalog, ["a", "b"], "a", known={"a", "b"})] * 3
+        with pytest.raises(DataError, match="no drawn validation sample in valid.tsv"):
+            tune_gamma(samples, pipe, grid=[0.0, 1.0], source="valid.tsv")
+
     def test_cached_sweep_matches_fresh_run(self):
         log, catalog = synthetic_dataset(n_users=12, n_items=12, events_per_user=6)
         split = temporal_split(log)
