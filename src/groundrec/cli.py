@@ -307,6 +307,10 @@ def cmd_ground(args):
     samples = read_samples(args.samples, catalog) if args.samples else None
     queries = _read_generated(args.gen, None if samples is None else len(samples))
     found = [(None if samples is None else samples[i], text) for i, text in queries]
+    for sample, _ in found:  # refused before --out is opened
+        if sample is not None and len(sample.known) == len(catalog):
+            raise DataError(f"sample at line {sample.line} in {args.samples} knows "
+                            "every catalog item; nothing to rank")
     source = None
     if args.inject == "pop":
         source = read_popularity(args.popularity, catalog)

@@ -24,7 +24,11 @@ it, and a log already in timestamp order skips the index sort. read_samples
 with a draw checks every line in a first pass, keeping only its line number,
 and splits only the drawn lines in a second. A SequenceSample holds its items
 as catalog indices: the readers map each id once (one row-to-sample function)
-and write_samples maps them back; the split side needs no catalog.
+and write_samples maps them back; the split side needs no catalog. The
+catalog keeps no id -> title dict and no string per title: its titles are
+one string in canonical order with an array("i") of end offsets, and
+titles() yields one at a time, so the term column and the embedder never
+hold a list of every title.
 
 Samples come from one lazy walk per user timeline, linear in its length
 (_walk), merged into global (timestamp, user) order (_sample_rows). Each
@@ -44,7 +48,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -104,33 +108,43 @@ class InteractionLog:
         return np.argsort(self.user_codes, kind="stable")
 
 
-@dataclass
 class ItemCatalog:
-    """item_id -> title, with a canonical index from sorted item_id order."""
+    """The catalog's ids and titles, each at its canonical index: the index
+    of its id in sorted id order.
 
-    entries: dict[str, str]
-    index_of: dict[str, int] = field(init=False)
-    ids: list[str] = field(init=False)
+    Built from an item_id -> title dict, which it does not keep. The titles
+    are one string, joined in canonical order, and `_ends` holds each title's
+    end offset in it (in characters), so the catalog holds no object per
+    title: title(item_id) slices one, and titles() yields them one at a
+    time.
+    """
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: dict[str, str]):
+        if not entries:
             raise DataError("catalog is empty")
-        for item_id, title in self.entries.items():
+        for item_id, title in entries.items():
             if not item_id:
                 raise DataError("catalog contains an empty item_id")
             if not title:
                 raise DataError(f"catalog item {item_id!r} has an empty title")
-        self.ids = sorted(self.entries)
+        self.ids = sorted(entries)
         self.index_of = {item_id: i for i, item_id in enumerate(self.ids)}
+        self._text = "".join(map(entries.__getitem__, self.ids))
+        self._ends = array("i", accumulate(map(len, map(entries.__getitem__, self.ids))))
 
     def __len__(self):
         return len(self.ids)
 
     def title(self, item_id):
-        return self.entries[item_id]
+        i = self.index_of[item_id]
+        return self._text[self._ends[i - 1] if i else 0:self._ends[i]]
 
     def titles(self):
-        return [self.entries[i] for i in self.ids]
+        """The titles in canonical order, one string at a time."""
+        text, start = self._text, 0
+        for end in self._ends:
+            yield text[start:end]
+            start = end
 
     def indices(self, item_ids) -> np.ndarray:
         """Canonical index of each id, -1 for an id not in the catalog."""

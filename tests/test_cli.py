@@ -902,6 +902,30 @@ class TestGroundInputErrors:
         assert (f"overlong scorer file {scorer}: the header counts 2 pairs, 24 bytes, "
                 "but 27 bytes follow it") in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("strategy", ["l2", "bm25"])
+    def test_ground_refuses_a_sample_that_knows_every_item(self, tmp_path, capsys,
+                                                           strategy):
+        """A queried sample whose known set is the whole catalog is refused,
+        naming the --samples file and its line, before --out is opened."""
+        cat = tmp_path / "catalog.tsv"
+        cat.write_text("a\tred river\nb\tblue echo\nc\tgold storm\nd\tsilent harbor\n")
+        pads = ",".join(["<PAD>"] * 7)
+        samples = tmp_path / "samples.tsv"
+        samples.write_text(f"u\ta,b,c,{pads}\td\t5\ta,b\n"
+                           f"u\ta,b,c,{pads}\td\t6\ta,b\n"
+                           f"u\tb,c,d,{pads}\ta\t9\ta,b,c,d\n")
+        gen = tmp_path / "gen.tsv"
+        gen.write_text("0\tred river\n1\tgold\n2\tblue echo\n")
+        out = tmp_path / "ranks.tsv"
+        assert cli.main([str(a) for a in [
+            "ground", "--emb", embed(cat, tmp_path / "emb.bin", 8, 3), "--gen", gen,
+            "--catalog", cat, "--samples", samples, "--strategy", strategy,
+            "--seed", 3, "--out", out]]) == 2
+        err = capsys.readouterr().err
+        assert f"sample at line 3 in {samples} knows every catalog item" in err
+        assert not out.exists()
+        assert not Path(f"{out}.manifest").exists()
+
 
 class TestGroundBm25:
     def test_emb_hashed_but_never_read(self, tmp_path):

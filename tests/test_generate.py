@@ -163,9 +163,10 @@ class TestNGramTiedMemo:
         cat = make_catalog({f"m{k:03d}": f"{('lost', 'red', 'far')[k % 3]} "
                                           f"{('river', 'echo')[k % 2]} volume {k}"
                             for k in range(60)})
+        titles = list(cat.titles())
         for seed in (0, 5, 11):
-            memo = NGramGenerator(cat, train_ngram(cat.titles(), order=order), seed=seed)
-            scan = ScanEveryStep(cat, cat.titles(), order, seed)
+            memo = NGramGenerator(cat, train_ngram(titles, order=order), seed=seed)
+            scan = ScanEveryStep(cat, titles, order, seed)
             for k in range(60):
                 sample = make_sample(cat, [f"m{(7 * k) % 60:03d}"], "m000", ts=k)
                 assert memo.generate(sample) == scan.generate(sample)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_log, make_sample, synthetic_dataset, user_ids
-from groundrec import errors
+from groundrec import cli, errors
 from groundrec.errors import DataError
 from groundrec.ingest import (
     HISTORY_LEN,
@@ -16,6 +16,7 @@ from groundrec.ingest import (
     PARTITIONS,
     SequenceSample,
     build_samples,
+    parse_catalog,
     parse_interactions,
     period_sizes,
     read_samples,
@@ -227,6 +228,49 @@ class TestColumnarParse:
             assert part.item_ids == log.item_ids[lo:hi]
             assert part.timestamps == log.timestamps[lo:hi]
             assert part.user_codes.tolist() == log.user_codes[lo:hi].tolist()
+
+
+# words of a title: ASCII, Latin-1 (é), outside Latin-1 (CJK) and outside
+# the BMP (an emoji), so the joined titles take 1, 2 or 4 bytes a character
+TITLE_WORDS = ["red", "river", "x1", "café", "naïve", "東京", "猫の歌", "🎬", "a🎵b", "Ünï"]
+
+
+class TestCatalogTitles:
+    @pytest.mark.filterwarnings("ignore:empty BM25 query")
+    @settings(max_examples=25, deadline=None)
+    @given(titles=st.lists(st.lists(st.sampled_from(TITLE_WORDS), min_size=1, max_size=4)
+                           .map(" ".join), min_size=1, max_size=8),
+           data=st.data())
+    def test_shuffled_file_matches_the_sorted_one(self, tmp_path_factory, titles, data):
+        """A catalog file whose lines are shuffled gives each id its own
+        title, as the id-sorted file does, and the same items.emb, bm25
+        ranks and oracle texts: the title offsets count characters and
+        follow canonical order, not file order."""
+        d = tmp_path_factory.mktemp("titles")
+        entries = {f"i{k:02d}": title for k, title in enumerate(titles)}
+        lines = [f"{item}\t{title}\n" for item, title in entries.items()]
+        shuffled = data.draw(st.permutations(lines))
+        pads = ",".join([PAD] * HISTORY_LEN)
+        (d / "samples.tsv").write_text(
+            "".join(f"u\t{pads}\t{item}\t{k}\t\n" for k, item in enumerate(entries)),
+            encoding="utf-8")
+        outputs = []
+        for name, text in (("sorted", lines), ("shuffled", shuffled)):
+            cat = d / f"{name}.tsv"
+            cat.write_text("".join(text), encoding="utf-8")
+            catalog = parse_catalog(cat)
+            assert {item: catalog.title(item) for item in catalog.ids} == entries
+            assert list(catalog.titles()) == [entries[item] for item in sorted(entries)]
+            out = [d / f"{name}.{ext}" for ext in ("emb", "gen.tsv", "bm25.tsv")]
+            for argv in (
+                    ["embed", "--catalog", cat, "--dim", 16, "--seed", 3, "--out", out[0]],
+                    ["generate", "--samples", d / "samples.tsv", "--catalog", cat,
+                     "--generator", "oracle", "--seed", 3, "--out", out[1]],
+                    ["ground", "--emb", out[0], "--gen", out[1], "--catalog", cat,
+                     "--strategy", "bm25", "--topk", 3, "--seed", 3, "--out", out[2]]):
+                assert cli.run([str(a) for a in argv]) == 0
+            outputs.append([path.read_bytes() for path in out])
+        assert outputs[0] == outputs[1]
 
 
 class TestTemporalSplit:

@@ -1,9 +1,9 @@
-"""Memory bounds of the steps that hold a large input: the catalog matrix
-built and written, or read, or made dense from its plan, an interaction log
-parsed or put in timestamp order, samples read or drawn from a samples file,
-or walked into the samples files, popularity counted, the co-occurrence
-scorer fitted and written, and the BM25 index and n-gram model of the
-catalog's titles; and the order in which a command that fits --train reads
+"""Memory bounds of the steps that hold a large input: the catalog parsed,
+its matrix built and written, or read, or made dense from its plan, an
+interaction log parsed or put in timestamp order, samples read or drawn from
+a samples file, or walked into the samples files, popularity counted, the
+co-occurrence scorer fitted and written, and the BM25 index and n-gram model
+of the catalog's titles; and the order in which a command that fits --train reads
 its inputs, so the parsed log is freed before the samples arrive.
 
 Memory is measured with tracemalloc (what Python and numpy allocate, not the
@@ -29,6 +29,7 @@ from groundrec.harness import Pipeline
 from groundrec.ingest import (
     InteractionLog,
     ItemCatalog,
+    parse_catalog,
     parse_interactions,
     read_samples,
     temporal_split,
@@ -126,6 +127,19 @@ def titled_catalog():
     return catalog, sum(len(t.encode()) for t in catalog.titles())
 
 
+def test_catalog_holds_no_object_per_title(titled_catalog, tmp_path):
+    """The parsed catalog holds its titles as one string in canonical order
+    and an array of end offsets: no string per title, no id -> title dict."""
+    catalog, _ = titled_catalog
+    path = tmp_path / "catalog.tsv"
+    path.write_text("".join(f"{item}\t{title}\n"
+                            for item, title in zip(catalog.ids, catalog.titles())))
+    parsed, held, _ = traced(lambda: parse_catalog(path))
+    assert len(parsed) == 20_000
+    # bytes an item: 141 here, 207 with a dict of a string per title
+    assert held < 150 * len(parsed)
+
+
 def test_plan_held_matrix_made_dense_without_a_sort_order(titled_catalog):
     """The first .vectors of a plan-held matrix fills the array from each
     block's runs of the plan's columns: no per-entry sort order or block
@@ -157,7 +171,7 @@ def test_ngram_model_holds_the_term_column(titled_catalog):
     catalog, size = titled_catalog
     _, held, peak = traced(lambda: train_ngram(catalog.titles()))
     assert held < 9.5 * size  # 6.3 here, 13.2 with a dict per context
-    assert peak < 11.5 * size  # 9.3 here, 13.6 with a dict per context
+    assert peak < 11.5 * size  # 9.0 here, 13.6 with a dict per context
 
 
 def test_drawn_samples_hold_the_draw_not_the_file(inputs):
