@@ -17,8 +17,11 @@ script warns when the two checkout paths differ in length.
 For each end-to-end metric that BENCHMARK.json declares it reports both
 sides' median, quartiles and IQR, the pairs in which the change is better,
 and the median difference; for each command, the median over runs of its
-per-run median peak RSS; failed operations; and whether every artifact
-sha256 is the same in every run of both sides. The summary goes under
+per-run median peak RSS; each run's per-command peak RSS and the command
+that set the run's peak (the largest of them, as the benchmark takes it),
+and how often each command set it on each side, so that a flip of one
+command's heap layout shows as one; failed operations; and whether every
+artifact sha256 is the same in every run of both sides. The summary goes under
 ``workloads.<workload>.seed<seed>`` of --out, which is updated in place if it
 exists (other workloads and seeds are kept), after every pair, so a stopped
 session keeps the pairs it finished. Standard library only.
@@ -32,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -39,7 +43,8 @@ SIDES = ("parent", "change")
 
 def run_once(checkout, workload, seed, seconds):
     """One benchmark run: its JSON result plus, from its detail file, the
-    per-command peak RSS medians and the artifact digests."""
+    per-command peak RSS medians, the command with the largest (which sets
+    the run's peak_rss_mib) and the artifact digests."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -54,11 +59,13 @@ def run_once(checkout, workload, seed, seconds):
     for rec in detail["commands"]:
         if rec["phase"] != "warm-up":
             rss.setdefault(rec["step"], []).append(rec["rss_mib"])
+    command_rss = {step: statistics.median(v) for step, v in rss.items()}
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "failed": result["failed"],
         "attempted": result["attempted"],
-        "command_rss_mib": {step: statistics.median(v) for step, v in rss.items()},
+        "command_rss_mib": command_rss,
+        "peak_command": max(command_rss, key=command_rss.get),
         "artifacts_sha256": detail.get("artifacts_sha256", {}),
     }
 
@@ -98,6 +105,12 @@ def summarize(runs, end_to_end):
         "pairs": len(runs),
         "end_to_end": metrics,
         "per_command_peak_rss_mib": per_command,
+        "peak_command_counts": {side: dict(Counter(
+            p[side]["peak_command"] for p in runs).most_common()) for side in SIDES},
+        "runs": {side: [{"peak_command": p[side]["peak_command"],
+                         "command_rss_mib": {step: round(v, 4) for step, v
+                                             in p[side]["command_rss_mib"].items()}}
+                        for p in runs] for side in SIDES},
         "failed": {side: sum(p[side]["failed"] for p in runs) for side in SIDES},
         "attempted": {side: sum(p[side]["attempted"] for p in runs) for side in SIDES},
         "artifacts": len(digests[0]) if digests else 0,
@@ -151,6 +164,10 @@ def main(argv=None):
         print(f"{name}: {m['parent']['median']} -> {m['change']['median']} "
               f"(change better in {m['change_wins']}/{summary['pairs']}, "
               f"parent IQR {m['parent']['iqr']})")
+    for side in SIDES:
+        counts = summary["peak_command_counts"][side]
+        counts = ", ".join(f"{step} {k}" for step, k in counts.items())
+        print(f"{side} peak set by: {counts}")
     print(f"artifacts identical: {summary['artifacts_identical']}; failed: "
           f"{summary['failed']}")
     return 0

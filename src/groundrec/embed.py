@@ -10,22 +10,24 @@ File formats:
   binary magic b"GREC", u32 dim (little-endian), then dim f32 per item in
          canonical catalog order.
 
-Each matrix gets its ground.SparseL2Plan, the entries with a bit set
-grouped by column that l2_distances ranks from, when it is made, and its
-form is decided there, once. embed_catalog makes the rows ground.L2_BLOCK
-at a time in one buffer (--normalize divides each block in place), and the
-GREC reader reads them the same way; each block goes into the plan. The TSV
-reader fills one float32 array and plans it. Where the plan takes every
-row, the matrix is held as the plan alone: about 16 bytes per nonzero,
-against 4 per entry of the dense array (1.4 MB against 20 MB for 20k
+Every matrix is a ground.EmbeddingMatrix, whose one constructor decides its
+form when it is made: the sparse plan that l2_distances ranks from (the
+entries with a bit set, grouped by column), or the dense array.
+embed_catalog makes the rows ground.L2_BLOCK at a time in one buffer
+(--normalize divides each block in place), and the GREC reader reads them
+the same way; each block goes into the plan. The TSV reader fills one
+float32 array and hands it to EmbeddingMatrix.of. Where the plan takes
+every row, the matrix is held as the plan alone: about 10 bytes per nonzero
+(a row id, 2 bytes up to 65,536 rows, and a float64 value) and 8 per row,
+against 4 per entry of the dense array (0.96 MB against 20 MB for 20k
 four-token titles hash-embedded at dim 256), and a negative zero keeps its
 sign. The plan refuses a non-finite value and a grid too fine for the rows'
 sums of squares; the rows are then made or read a second time into one
-dense float32 array, held with the refusing plan. Both writers write a plan
-a block at a time and a dense array whole, with the same bytes either way.
-Finiteness is checked where the matrix is built: by the plan on the kept
-entries, and on a dense array ground.L2_BLOCK rows at a time, so no
-full-size bool array is made.
+dense float32 array (the TSV reader's own array is kept as it is), and
+only that array is held. Both writers write a plan a block at a time and a
+dense array whole, with the same bytes either way. Finiteness is checked
+where the matrix is built: by the plan on the kept entries, and on a dense
+array ground.L2_BLOCK rows at a time, so no full-size bool array is made.
 
 Token slots are hashed with BLAKE2b from CPython's built-in _blake2, the
 class hashlib.blake2b re-exports, so embedding loads no OpenSSL.
@@ -35,79 +37,16 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 
 import numpy as np
 from _blake2 import blake2b  # what hashlib.blake2b is, without OpenSSL
 
 from .errors import DataError, open_input, rows
-from .ground import L2_BLOCK, SparseL2Plan
+from .ground import L2_BLOCK, EmbeddingMatrix
 from .ingest import ItemCatalog
 from .text import tokenize
 
 MAGIC = b"GREC"
-
-
-class EmbeddingMatrix:
-    """The |I| x dim catalog matrix, rows in canonical order, and the
-    SparseL2Plan it is ranked from (plan=, or made here from vectors=). Its
-    form is decided here, once: where the plan takes every row, the plan
-    alone is held; else the dense array, whose finiteness is checked here a
-    block at a time. A plan-held matrix makes its array from the plan the
-    first time .vectors is read (a query off the plan's grid), once, under a
-    lock that threads sharing the matrix share (no command starts one)."""
-
-    def __init__(self, dim, vectors=None, plan=None):
-        self.dim = dim
-        self.plan = SparseL2Plan.of(vectors) if plan is None else plan
-        self._vectors = None if self.plan.rows is not None else vectors
-        self._lock = threading.Lock()
-        if self._vectors is not None:
-            for s in range(0, len(vectors), L2_BLOCK):
-                if not np.isfinite(vectors[s:s + L2_BLOCK]).all():
-                    raise DataError("embedding matrix contains non-finite values")
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The |I| x dim array."""
-        with self._lock:
-            if self._vectors is None:
-                plan = self.plan
-                out = np.zeros((plan.sq.size, self.dim), plan.dtype)
-                for s, rows, cols, vals in plan.block_entries():
-                    out[s + rows, cols] = vals
-                self._vectors = out
-            return self._vectors
-
-    def row_blocks(self):
-        """The rows in order, from whichever form is held: the plan's
-        ground.L2_BLOCK at a time, or the dense array whole."""
-        if self._vectors is None:
-            return self.plan.row_blocks()
-        return [self._vectors]
-
-
-def _filled(out, blocks):
-    """out, its rows filled in order from blocks, L2_BLOCK at a time."""
-    for s, block in zip(range(0, len(out), L2_BLOCK), blocks):
-        out[s:s + len(block)] = block
-    return out
-
-
-def _held(dim, n, blocks, source=None):
-    """The n x dim matrix whose float32 rows blocks() yields, L2_BLOCK at a
-    time: held as its plan where the plan takes every block, else as the
-    dense array, filled from a second blocks(). A non-finite value is a
-    DataError naming source, if given."""
-    plan = SparseL2Plan(dim, blocks())
-    vectors = None if plan.rows is not None else _filled(
-        np.empty((n, dim), dtype=np.float32), blocks())
-    try:
-        return EmbeddingMatrix(dim, vectors, plan)
-    except DataError:  # the matrix's one check: finiteness
-        if source is None:
-            raise
-        raise DataError(f"non-finite embedding value in {source}") from None
 
 
 class HashEmbedder:
@@ -179,13 +118,13 @@ def embed_catalog(catalog: ItemCatalog, provider, normalize=False) -> EmbeddingM
             yield block
 
     dim = row(ids[0]).size
-    return _held(dim, len(ids), blocks)
+    return EmbeddingMatrix(dim, len(ids), blocks)
 
 
 def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
     """The matrix of an embeddings TSV, each row written into its canonical
     place as it is read; the first row sets the dim. Where the plan takes
-    every row, only the plan is kept."""
+    every row, only the plan is kept; else this one array, uncopied."""
     matrix = None
     filled = np.zeros(len(catalog), dtype=bool)
     for lineno, parts in rows(path, "embedding"):
@@ -216,7 +155,7 @@ def load_embeddings_tsv(path, catalog: ItemCatalog) -> EmbeddingMatrix:
         shown = ", ".join(missing[:10])
         raise DataError(f"{len(missing)} catalog items missing embeddings in {path}: "
                         f"{shown}")
-    return EmbeddingMatrix(dim=matrix.shape[1], vectors=matrix)
+    return EmbeddingMatrix.of(matrix)
 
 
 def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
@@ -246,7 +185,7 @@ def load_embeddings_bin(path, catalog: ItemCatalog) -> EmbeddingMatrix:
                     raise DataError(f"embedding file {path} changed while it was read")
                 yield block
 
-        return _held(dim, n, blocks, path)
+        return EmbeddingMatrix(dim, n, blocks, path)
 
 
 def load_embeddings(path, catalog: ItemCatalog) -> EmbeddingMatrix:

@@ -43,13 +43,14 @@ fine for the bound, such as k/3 entries (float32 1/3 needs e = 25) or
 imported TSV embeddings. No GEMM or BLAS call is made: its rounding would
 reorder near-ties on off-grid inputs, and BLAS threads slowed it.
 
-The plan of the sparse path (SparseL2Plan) is built once per catalog
-matrix, when the matrix is made: embed.embed_catalog and the GREC reader
-build it a block of rows at a time as they make or read the rows, and the
-TSV reader from its array. Where it takes every row it is the only form of
-the matrix kept, bit for bit, negative zeros included: the dense array is
-rebuilt from it only for a query off its grid. A matrix whose rows the plan
-refuses is held dense, together with that plan.
+The plan of the sparse path is built once per catalog matrix, by the one
+constructor of EmbeddingMatrix, when the matrix is made: embed.embed_catalog
+and the GREC reader give it the rows a block at a time as they make or read
+them, and the TSV reader its array (EmbeddingMatrix.of). Where the plan
+takes every row it is the only form of the matrix kept, bit for bit,
+negative zeros included: the dense array is rebuilt from it only for a query
+off its grid. A matrix whose rows the plan refuses is held as its dense
+array alone, and every query on it takes the dense path.
 
 A query is one float64 array: exclude writes +inf at every excluded item,
 which marks exactly those items, as distances and BM25 scores are finite;
@@ -67,6 +68,7 @@ requires gamma to be a finite number >= 0 before it reaches inject.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -95,20 +97,20 @@ class RankedList:
 
 def l2_distances(matrix, oracle) -> np.ndarray:
     """Euclidean distance from the oracle to every row of the catalog matrix
-    (an embed.EmbeddingMatrix), in float64.
+    (an EmbeddingMatrix), in float64.
 
     The sparse path runs where it is exact (see the module docstring), from
-    the plan the matrix was made with. Where the plan refuses the query the
-    dense path runs: rows of matrix.vectors are taken L2_BLOCK at a time,
-    each block widened to float64 and differenced into one reused buffer, so
-    no full-size copy of the matrix is made. Both give the bits of the
+    the matrix's plan (EmbeddingMatrix.distances). Where that refuses the
+    query, the dense path runs: rows of matrix.vectors are taken L2_BLOCK at
+    a time, each block widened to float64 and differenced into one reused
+    buffer, so no full-size copy of the matrix is made. Both give the bits of the
     one-shot formula sqrt(sum((row.astype(float64) - oracle) ** 2)).
     """
     oracle = np.asarray(oracle, dtype=np.float64)
     dim = matrix.dim
     if dim != oracle.shape[0]:
         raise DataError(f"dim mismatch: matrix dim {dim}, oracle dim {oracle.shape[0]}")
-    out = matrix.plan.distances(oracle)
+    out = matrix.distances(oracle)
     if out is not None:
         return out
     vectors = matrix.vectors
@@ -141,28 +143,49 @@ def _within_bound(e, sum_sq) -> bool:
     return 2 * e <= 1074 and sum_sq < math.ldexp(1.0, 51 - 2 * e)
 
 
-class SparseL2Plan:
-    """What the sparse distance path reads of a matrix: its entries with a
-    bit set (a negative zero among them) grouped by column (column d's rows
-    and float64 values are rows[starts[d]:starts[d+1]] and vals[...]), each
-    row's sum of squares sq, their maximum and the matrix's grid exponent.
-    rows is None when the matrix alone breaks the precondition (a non-finite
-    entry, or a grid too fine for its sums of squares), so that no query can
-    pass; the build then stops at the first L2_BLOCK rows that show it, and
-    keeps nothing. The matrix must not change after the plan is built.
+class EmbeddingMatrix:
+    """The |I| x dim catalog matrix, rows in canonical order, in the one form
+    decided when it is made.
 
-    A plan holds its matrix bit for bit: row_blocks() gives it back. A kept
+    Where the rows alone meet the sparse path's precondition (every entry
+    finite, a grid coarse enough for the rows' sums of squares), the matrix
+    is held as that path's plan: its entries with a bit set (a negative zero
+    among them) grouped by column (column d's row ids and float64 values are
+    rows[starts[d]:starts[d+1]] and vals[...]), each row's sum of squares sq,
+    their maximum max_sq and the grid exponent grid. Row ids take the
+    smallest unsigned type that holds n - 1, column ids that of dim - 1. The
+    plan holds the matrix bit for bit: row_blocks() gives it back, and a kept
     negative zero adds +0.0 to its row's sq and leaves every d2 as it is, so
-    no distance moves.
+    no distance moves. A plan-held matrix makes its array the first time
+    .vectors is read (a query off the plan's grid), once, under a lock that
+    threads sharing the matrix share (no command starts one).
+
+    Else rows is None and the matrix is one dense array, whose finiteness is
+    checked a block at a time as it is filled, so no full-size bool array is
+    made. The matrix must not change after it is made.
     """
 
-    def __init__(self, dim, blocks):
-        """The plan of the matrix whose rows blocks yields in order, L2_BLOCK
-        at a time (one reused buffer may hold them all)."""
+    def __init__(self, dim, n, blocks, source=None, array=None):
+        """The n x dim matrix whose rows blocks() yields in order, L2_BLOCK
+        at a time (one reused buffer may hold them all). The plan is built
+        from one blocks(), and stops at the first block that breaks the
+        precondition, keeping nothing; the dense array is then array, if
+        given (blocks() must yield its slices), else a float32 array filled
+        from a second blocks(). A non-finite value is a DataError naming
+        source, if given."""
         self.dim, self.dtype, self.grid, self.max_sq = dim, np.float32, 0, 0.0
-        self.rows = None
-        parts = self._parts(dim, blocks)
+        self.rows = self._vectors = None
+        self._lock = threading.Lock()
+        parts = self._parts(dim, n, blocks())
         if parts is None:
+            vectors = np.empty((n, dim), np.float32) if array is None else array
+            for s, block in zip(range(0, n, L2_BLOCK), blocks()):
+                if not np.isfinite(block).all():
+                    raise DataError(f"non-finite embedding value in {source}" if source
+                                    else "embedding matrix contains non-finite values")
+                if array is None:
+                    vectors[s:s + len(block)] = block
+            self._vectors = vectors
             return
         rows, cols, vals, sq = parts  # each list of parts is freed once joined
         del parts
@@ -177,18 +200,22 @@ class SparseL2Plan:
         self.sq = np.concatenate(sq)
 
     @classmethod
-    def of(cls, vectors):
-        """The plan of an array."""
-        return cls(vectors.shape[1],
-                   (vectors[s:s + L2_BLOCK] for s in range(0, len(vectors), L2_BLOCK)))
+    def of(cls, array):
+        """The matrix of a 2-D array, held as the array itself where the
+        plan refuses its rows."""
+        n = len(array)
+        return cls(array.shape[1], n,
+                   lambda: (array[s:s + L2_BLOCK] for s in range(0, n, L2_BLOCK)),
+                   array=array)
 
-    def _parts(self, dim, blocks):
-        """Lists of each block's kept rows, columns and float64 values and
-        of its rows' sums of squares, with dtype, grid and max_sq set; None
-        at the first block that breaks the precondition."""
-        col_type = np.min_scalar_type(dim - 1)  # radix-sorted by a stable argsort
-        kept = ([np.empty(0, np.intp)], [np.empty(0, col_type)], [np.empty(0)], [np.empty(0)])
-        n = 0
+    def _parts(self, dim, n, blocks):
+        """Lists of each block's kept row ids, column ids and float64 values
+        and of its rows' sums of squares, with dtype, grid and max_sq set;
+        None at the first block that breaks the precondition."""
+        # the narrowest id types: columns are radix-sorted by a stable argsort
+        row_type, col_type = np.min_scalar_type(n - 1), np.min_scalar_type(dim - 1)
+        kept = ([np.empty(0, row_type)], [np.empty(0, col_type)], [np.empty(0)], [np.empty(0)])
+        at = 0
         for block in blocks:
             self.dtype = block.dtype
             bits = block.view(f"u{block.itemsize}")  # a negative zero is kept too
@@ -202,9 +229,10 @@ class SparseL2Plan:
             self.max_sq = max(self.max_sq, float(sq.max()))
             if not _within_bound(self.grid, self.max_sq):
                 return None
-            for part, got in zip(kept, (rows + n, cols.astype(col_type), vals, sq)):
+            rows += at
+            for part, got in zip(kept, (rows.astype(row_type), cols.astype(col_type), vals, sq)):
                 part.append(got)
-            n += block.shape[0]
+            at += block.shape[0]
         return kept
 
     def block_entries(self):
@@ -226,9 +254,24 @@ class SparseL2Plan:
             take = np.arange(ends[-1]) + np.repeat(lo - (ends - runs), runs)
             yield s, self.rows[take] - s, np.repeat(cols, runs), self.vals[take]
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """The |I| x dim array."""
+        with self._lock:
+            if self._vectors is None:
+                out = np.zeros((self.sq.size, self.dim), self.dtype)
+                for s, rows, cols, vals in self.block_entries():
+                    out[s + rows, cols] = vals
+                self._vectors = out
+            return self._vectors
+
     def row_blocks(self):
-        """The matrix, L2_BLOCK rows at a time in one reused buffer, without
-        the whole array."""
+        """The rows in order: the dense array whole where it is held, else
+        the plan's L2_BLOCK rows at a time in one reused buffer, without the
+        whole array."""
+        if self._vectors is not None:
+            yield self._vectors
+            return
         n = self.sq.size
         buf = np.zeros((min(n, L2_BLOCK), self.dim), dtype=self.dtype)
         for s, rows, cols, vals in self.block_entries():
@@ -254,7 +297,8 @@ class SparseL2Plan:
         d2 = self.sq + q_sq
         for d, q in zip(q_cols.tolist(), q_vals.tolist()):
             lo, hi = self.starts[d], self.starts[d + 1]
-            d2[self.rows[lo:hi]] -= (2.0 * q) * self.vals[lo:hi]  # rows unique per column
+            rows = self.rows[lo:hi].astype(np.intp)  # widened once, not at each index
+            d2[rows] -= (2.0 * q) * self.vals[lo:hi]  # rows unique per column
         return np.sqrt(d2, out=d2)
 
 

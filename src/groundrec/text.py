@@ -1,5 +1,6 @@
-"""Shared tokenizer (lowercase, split on non-alphanumerics, drop empties), and
-the term-id column that BM25 and the n-gram walk read titles from.
+"""Shared tokenizer (the runs of letters and digits, in any script, of the
+lowercased text), and the term-id column that BM25 and the n-gram walk read
+titles from.
 
 A TermColumn holds a list of titles as one array("i") of term ids, in title
 order, with TITLE_END after each title, so the token after position p is
@@ -16,7 +17,7 @@ without it.
 import re
 from array import array
 
-_TOKEN_RE = re.compile(r"[0-9a-z]+")
+_TOKEN_RE = re.compile(r"[^\W_]+")  # runs of letters and digits, in any script
 
 TITLE_END = 0  # the term id after each title in a TermColumn
 END = "</s>"  # its name in TermColumn.terms

@@ -51,7 +51,7 @@ def held(vectors):
     """The catalog matrix (an EmbeddingMatrix) of an array, as
     ground.l2_distances takes it."""
     vectors = np.asarray(vectors)
-    return EmbeddingMatrix(vectors.shape[1], vectors)
+    return EmbeddingMatrix.of(vectors)
 
 
 def masked_position(values, excluded, target):

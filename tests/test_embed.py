@@ -99,7 +99,7 @@ class TestFinitenessByBlock:
         vectors = np.zeros((self.N, 3), dtype=np.float32)
         vectors[row, 2] = np.nan
         with pytest.raises(DataError, match="non-finite"):
-            EmbeddingMatrix(dim=3, vectors=vectors)
+            EmbeddingMatrix.of(vectors)
 
 
 class TestNormalizeInPlace:
@@ -309,7 +309,7 @@ class TestPlanHeldMatrix:
             for item_id, row in zip(catalog.ids, rows)))
         matrix = load_embeddings(scratch / "in.tsv", catalog)
         assert (matrix._vectors is None) is on_grid
-        assert (matrix.plan.rows is None) is not on_grid
+        assert (matrix.rows is None) is not on_grid
         query = sparse_rows(1, dim, seed + 1)[0]
         assert l2_distances(matrix, query).tobytes() == one_shot_l2(rows, query).tobytes()
         assert matrix.vectors.tobytes() == rows.tobytes()
@@ -325,7 +325,7 @@ class TestPlanHeldMatrix:
         matrix = embed_catalog(catalog, provider)
         query = provider.embed("w1 w2 w3")  # entries k/3: too fine a grid for those sums
         assert matrix._vectors is None
-        assert matrix.plan.distances(query.astype(np.float64)) is None
+        assert matrix.distances(query.astype(np.float64)) is None
         got = l2_distances(matrix, query)
         diff = matrix.vectors.astype(np.float64) - query.astype(np.float64)
         assert np.array_equal(got, np.sqrt(np.sum(diff * diff, axis=1)))
@@ -355,3 +355,40 @@ class TestPlanHeldMatrix:
         with mock.patch.object(embed.os, "fstat", lambda fd: whole), \
                 pytest.raises(DataError, match=f"embedding file {path} changed while it was read"):
             load_embeddings(path, numbered_catalog(n))
+
+
+class TestRowIdWidths:
+    """A plan's row ids take the smallest unsigned type that holds n - 1;
+    on each side of a width's edge, either form of the matrix gives back
+    what its dense array gives."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+    def test_matrix_equals_its_dense_array(self, tmp_path, n):
+        on_grid = sparse_rows(n, 2, n)
+        off_grid = on_grid + np.float32(0.1)  # the 2^-27 grid: too fine for the plan
+        grid_query = sparse_rows(1, 2, n + 1)[0]
+        off_query = np.array([1 / 3, 0.5], dtype=np.float32)
+        catalog = numbered_catalog(n)
+        for rows in (on_grid, off_grid):
+            body = grec_file(tmp_path / "in.emb", rows)
+            read = load_embeddings(tmp_path / "in.emb", catalog)
+            for matrix in (EmbeddingMatrix.of(rows), read):
+                held_as_plan = rows is on_grid
+                assert (matrix.rows is not None) is held_as_plan
+                if held_as_plan:
+                    assert matrix.rows.dtype == np.min_scalar_type(n - 1)
+                    assert matrix.distances(grid_query.astype(np.float64)) is not None
+                blocks = np.concatenate([block.copy() for block in matrix.row_blocks()])
+                assert blocks.tobytes() == body
+                save_embeddings_bin(tmp_path / "out.emb", matrix)
+                assert (tmp_path / "out.emb").read_bytes() == (tmp_path / "in.emb").read_bytes()
+                for query in (grid_query, off_query):  # sparse path where it may run, dense
+                    assert (l2_distances(matrix, query).tobytes()
+                            == one_shot_l2(rows, query).tobytes())
+                assert matrix.vectors.tobytes() == body
+
+    def test_off_grid_array_held_as_it_is(self):
+        a = sparse_rows(L2_BLOCK + 3, 4, 5) + np.float32(0.1)
+        matrix = EmbeddingMatrix.of(a)
+        assert matrix.rows is None
+        assert matrix._vectors is a and matrix.vectors is a

@@ -22,7 +22,6 @@ from groundrec.errors import DataError
 from groundrec.ground import (
     L2_BLOCK,
     BM25Index,
-    SparseL2Plan,
     bm25_rank,
     exclude,
     grid_exponent,
@@ -129,7 +128,7 @@ class OffsetEmbedder:
 
 def sparse_path(vectors, oracle):
     """The sparse path's distances, or None where it refuses the inputs."""
-    return SparseL2Plan.of(vectors).distances(np.asarray(oracle, dtype=np.float64))
+    return EmbeddingMatrix.of(vectors).distances(np.asarray(oracle, dtype=np.float64))
 
 
 def assert_both_forms_exact(vectors, oracle):
@@ -194,7 +193,7 @@ class TestSparseL2:
                 fast = assert_both_forms_exact(matrix.vectors, query)
                 if catalog is dyadic and n_tokens in (1, 2, 4, 8, 16):
                     assert fast  # hash embeddings stay on the 2^-4 grid
-        assert matrix.plan.grid <= 4
+        assert matrix.grid <= 4
 
     @pytest.mark.parametrize("vectors, oracle", [
         ([[1.0, -2.0], [0.0, 0.0], [0.5, 0.25]], [0.0, 0.0]),  # zero query, zero row
@@ -222,9 +221,10 @@ class TestSparseL2:
     def test_edge_paths(self):
         assert sparse_path(np.array([[-0.0, 1.0]]), [-0.0, 1.0]) is not None
         assert sparse_path(np.zeros((2, 3)), np.zeros(3)) is not None
-        for vectors, oracle in [([[5e-324]], [0.0]), ([[np.nan]], [0.0]),
-                                ([[1.0]], [np.inf]), ([[1e200]], [0.0])]:
+        for vectors, oracle in [([[5e-324]], [0.0]), ([[1.0]], [np.inf]), ([[1e200]], [0.0])]:
             assert sparse_path(np.array(vectors), oracle) is None
+        with pytest.raises(DataError, match="non-finite"):  # refused where the matrix is made
+            sparse_path(np.array([[np.nan]]), [0.0])
 
     def test_refused_at_the_bound(self):
         # integers (e = 0): the bound is max_row sum(v^2) + sum(q^2) < 2^51
@@ -277,22 +277,22 @@ class TestSparseL2:
             made = embed_catalog(catalog, embedder)
             save_embeddings_tsv(tmp_path / "emb.tsv", made, catalog)
             for matrix in (made, load_embeddings(tmp_path / "emb.tsv", catalog),
-                           EmbeddingMatrix(16, rows)):
-                plan = matrix.plan  # there before the first distance query
-                assert (plan.rows is not None) is held
+                           EmbeddingMatrix.of(rows)):
+                plan = matrix.rows  # there before the first distance query
+                assert (plan is not None) is held
                 assert (matrix._vectors is None) is held
                 assert all(np.array_equal(d, expected)
                            for d in self.raced(lambda m=matrix: l2_distances(m, query)))
-                assert matrix.plan is plan
+                assert matrix.rows is plan
 
     def test_plan_held_vectors_made_once(self):
         catalog = make_catalog({f"i{k}": f"w{k} w{k % 3}" for k in range(50)})
         matrix = embed_catalog(catalog, HashEmbedder(dim=16, seed=1))
         assert matrix._vectors is None  # held as its plan alone
-        plan = matrix.plan
+        plan = matrix.rows
         arrays = self.raced(lambda: matrix.vectors)
         assert all(a is arrays[0] for a in arrays)
-        assert matrix.vectors is arrays[0] and matrix.plan is plan
+        assert matrix.vectors is arrays[0] and matrix.rows is plan
 
 
 # values from a small set, so tie groups are large

@@ -22,7 +22,13 @@ import pytest
 
 from groundrec import cli, ingest, tune
 from groundrec.collab import fit_cooccurrence, save_scorer
-from groundrec.embed import HashEmbedder, embed_catalog, load_embeddings, save_embeddings_bin
+from groundrec.embed import (
+    HashEmbedder,
+    embed_catalog,
+    load_embeddings,
+    load_embeddings_tsv,
+    save_embeddings_bin,
+)
 from groundrec.generate import OracleEchoGenerator, train_ngram
 from groundrec.ground import L2_BLOCK, BM25Index
 from groundrec.harness import Pipeline
@@ -112,6 +118,23 @@ def test_catalog_matrix_read_as_its_plan(wide_catalog, tmp_path):
                         embed_catalog(catalog, HashEmbedder(dim=256, seed=3)))
     _, _, peak = traced(lambda: load_embeddings(tmp_path / "items.emb", catalog))
     assert peak < 0.25 * dense_bytes
+
+
+def test_off_grid_tsv_held_as_the_array_it_was_read_into(tmp_path):
+    """A TSV the plan refuses is held as the one float32 array it was read
+    into, with no copy beside it."""
+    n, dim = 40_000, 16
+    rng = np.random.default_rng(11)
+    values = rng.integers(-99, 100, size=(n, dim)) / 100  # k/100: off the plan's grid
+    catalog = ItemCatalog({f"m{k:05d}": f"t{k}" for k in range(n)})
+    path = tmp_path / "emb.tsv"
+    path.write_text("".join(item + "".join(f"\t{v:.2f}" for v in row) + "\n"
+                            for item, row in zip(catalog.ids, values.tolist())))
+    matrix, _, peak = traced(lambda: load_embeddings_tsv(path, catalog))
+    assert matrix.rows is None
+    assert np.array_equal(matrix.vectors, values.astype(np.float32))
+    # 1.25 here; a copy of the array would add 1
+    assert peak < 1.5 * matrix.vectors.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -204,7 +204,7 @@ def assert_sweep_matches_reference(injection, threads, dense=False):
     matrix = embed_catalog(catalog, provider)
     if dense:  # +0.1 puts every entry off the grid: every distance takes the dense path
         matrix = held(matrix.vectors + np.float32(0.1))
-    assert (matrix.plan.rows is None) is dense
+    assert (matrix.rows is None) is dense
 
     class OneTextGen:  # the weights, not the text, decide most ranks
         def generate(self, sample):
