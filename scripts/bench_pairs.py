@@ -20,7 +20,10 @@ and the median difference; for each command, the median over runs of its
 per-run median peak RSS; each run's per-command peak RSS and the command
 that set the run's peak (the largest of them, as the benchmark takes it),
 and how often each command set it on each side, so that a flip of one
-command's heap layout shows as one; failed operations; and whether every
+command's heap layout shows as one; for each command, the median over runs
+of its per-run median wall time and the pairs in which the change's was
+lower, so a slowdown of one command shows even where round_s, a sum of
+them, spreads too widely to tell; failed operations; and whether every
 artifact sha256 is the same in every run of both sides. The summary goes under
 ``workloads.<workload>.seed<seed>`` of --out, which is updated in place if it
 exists (other workloads and seeds are kept), after every pair, so a stopped
@@ -43,8 +46,8 @@ SIDES = ("parent", "change")
 
 def run_once(checkout, workload, seed, seconds):
     """One benchmark run: its JSON result plus, from its detail file, the
-    per-command peak RSS medians, the command with the largest (which sets
-    the run's peak_rss_mib) and the artifact digests."""
+    per-command peak RSS and wall-time medians, the command with the largest
+    peak RSS (which sets the run's peak_rss_mib) and the artifact digests."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -55,10 +58,11 @@ def run_once(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     detail_line = next(line for line in lines if line.startswith("detail: "))
     detail = json.loads((checkout / detail_line[len("detail: "):]).read_text())
-    rss = {}
+    rss, wall = {}, {}
     for rec in detail["commands"]:
         if rec["phase"] != "warm-up":
             rss.setdefault(rec["step"], []).append(rec["rss_mib"])
+            wall.setdefault(rec["step"], []).append(rec["wall_s"])
     command_rss = {step: statistics.median(v) for step, v in rss.items()}
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -66,6 +70,7 @@ def run_once(checkout, workload, seed, seconds):
         "attempted": result["attempted"],
         "command_rss_mib": command_rss,
         "peak_command": max(command_rss, key=command_rss.get),
+        "command_wall_s": {step: statistics.median(v) for step, v in wall.items()},
         "artifacts_sha256": detail.get("artifacts_sha256", {}),
     }
 
@@ -100,16 +105,27 @@ def summarize(runs, end_to_end):
     per_command = {step: {side: round(statistics.median(
         [p[side]["command_rss_mib"][step] for p in runs]), 4) for side in SIDES}
         for step in steps}
+    per_command_wall = {}
+    for step in steps:
+        pairs = [(p["parent"]["command_wall_s"][step], p["change"]["command_wall_s"][step])
+                 for p in runs]
+        per_command_wall[step] = {
+            **{side: round(statistics.median(w[i] for w in pairs), 4)
+               for i, side in enumerate(SIDES)},
+            "change_wins": sum(c < p for p, c in pairs)}
     digests = [p[side]["artifacts_sha256"] for p in runs for side in SIDES]
     return {
         "pairs": len(runs),
         "end_to_end": metrics,
         "per_command_peak_rss_mib": per_command,
+        "per_command_wall_s": per_command_wall,
         "peak_command_counts": {side: dict(Counter(
             p[side]["peak_command"] for p in runs).most_common()) for side in SIDES},
         "runs": {side: [{"peak_command": p[side]["peak_command"],
                          "command_rss_mib": {step: round(v, 4) for step, v
-                                             in p[side]["command_rss_mib"].items()}}
+                                             in p[side]["command_rss_mib"].items()},
+                         "command_wall_s": {step: round(v, 4) for step, v
+                                            in p[side]["command_wall_s"].items()}}
                         for p in runs] for side in SIDES},
         "failed": {side: sum(p[side]["failed"] for p in runs) for side in SIDES},
         "attempted": {side: sum(p[side]["attempted"] for p in runs) for side in SIDES},
@@ -164,6 +180,11 @@ def main(argv=None):
         print(f"{name}: {m['parent']['median']} -> {m['change']['median']} "
               f"(change better in {m['change_wins']}/{summary['pairs']}, "
               f"parent IQR {m['parent']['iqr']})")
+    for step, w in summary["per_command_wall_s"].items():
+        print(f"{step}: wall {w['parent']} -> {w['change']} s (change lower in "
+              f"{w['change_wins']}/{summary['pairs']}); peak RSS "
+              f"{summary['per_command_peak_rss_mib'][step]['parent']} -> "
+              f"{summary['per_command_peak_rss_mib'][step]['change']} MiB")
     for side in SIDES:
         counts = summary["peak_command_counts"][side]
         counts = ", ".join(f"{step} {k}" for step, k in counts.items())

@@ -10,8 +10,8 @@ Three generators, all deterministic under a fixed config/seed:
 The n-gram model keeps the titles as a text.TermColumn and the column's
 positions grouped by term, not a dict of successors per context: a
 context's successor counts are read from the positions of its last token
-when the walk first needs them, and the walk memoizes its choice per
-context. No numpy is loaded.
+when the walk first needs them, and the walk memoizes per context the term
+ids of its tied successors, not their text. No numpy is loaded.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class NGramModel:
     """The titles as a text.TermColumn, with the column's positions grouped
     by term id (TITLE_END first): term t's positions, ascending, are
     positions[starts[t]:starts[t + 1]]. Successor counts are read from it
-    per context, as successors() is asked."""
+    per context, as successor_ids() (or successors(), by text) is asked."""
 
     order: int
     column: TermColumn
@@ -86,17 +86,22 @@ class NGramModel:
         appearance; empty where ctx never occurs. A context of `order`
         tokens is counted wherever it occurs, a shorter one only as a
         title's first tokens."""
+        counts = self.successor_ids(ctx)
+        return dict(zip(map(self.column.terms.__getitem__, counts), counts.values()))
+
+    def successor_ids(self, ctx) -> Counter:
+        """successors(ctx) by term id (TITLE_END for END)."""
         column, n = self.column, len(ctx)
         tokens = column.tokens
         if n > self.order:
-            return {}
+            return Counter()
         if n == 0:  # the TITLE_END before each title; the first title's is at -1
             ends = self.positions[self.starts[TITLE_END]:self.starts[TITLE_END + 1]]
             heads = [-1, *ends[:-1]] if ends else []
         else:
-            ids = [column.vocab.get(t) for t in ctx]
+            ids = [column.terms.get(t) for t in ctx]
             if None in ids:
-                return {}
+                return Counter()
             heads = self.positions[self.starts[ids[-1]]:self.starts[ids[-1] + 1]]
             # a head p that survives step j has p >= j, so p - j - 1 >= -1,
             # and tokens[-1] is TITLE_END: no index runs off the column's start
@@ -105,8 +110,7 @@ class NGramModel:
                 heads = [p for p in heads if tokens[p - j] == want]
             if n < self.order:
                 heads = [p for p in heads if tokens[p - n] == TITLE_END]
-        counts = Counter([tokens[p + 1] for p in heads])
-        return dict(zip(map(column.terms.__getitem__, counts), counts.values()))
+        return Counter([tokens[p + 1] for p in heads])
 
 
 def train_ngram(titles, order=1) -> NGramModel:
@@ -130,21 +134,27 @@ def train_ngram(titles, order=1) -> NGramModel:
 
 
 class NGramGenerator:
-    """Greedy walk with a seeded tie-break, seeded from the last history title."""
+    """Greedy walk with a seeded tie-break, seeded from the last history title.
+
+    Each context's choices are memoized on first use as the term ids of its
+    most frequent successors, sorted by term text, in an array("i"); only
+    the id drawn at a step is turned into text. A model with no term (every
+    title tokenizes to nothing) is refused.
+    """
 
     name = "ngram"
 
     def __init__(self, catalog: ItemCatalog, model: NGramModel, seed=0):
-        if not model.column.tokens:
-            raise DataError("n-gram model is empty")
+        if len(model.column.terms) == 1:
+            raise DataError("n-gram model is empty: no catalog title has a token")
         self.catalog = catalog
         self.model = model
         self.seed = seed
-        # context -> the sorted most-frequent successors of its longest suffix
-        # that occurs, filled on first use, one fill at a time: threads sharing the
-        # generator start on the same contexts, and two concurrent fills of a
+        # context -> the term ids of the most-frequent successors of its longest
+        # suffix that occurs, filled on first use, one fill at a time: threads sharing
+        # the generator start on the same contexts, and two concurrent fills of a
         # context whose last token is in every title each held a catalog-long list
-        self._tied: dict[tuple[str, ...], list[str]] = {}
+        self._tied: dict[tuple[str, ...], array] = {}
         self._filling = threading.Lock()
 
     def _next(self, ctx, rng):
@@ -154,13 +164,16 @@ class NGramGenerator:
                 tied = self._tied.get(ctx)  # filled while this thread waited?
                 if tied is None:  # back off to the longest suffix of ctx that
                     suffix = ctx  # occurs; () does, in every model the constructor takes
-                    choices = self.model.successors(suffix)
+                    choices = self.model.successor_ids(suffix)
                     while not choices:
                         suffix = suffix[1:]
-                        choices = self.model.successors(suffix)
+                        choices = self.model.successor_ids(suffix)
                     best = max(choices.values())
-                    tied = self._tied[ctx] = sorted(t for t, c in choices.items() if c == best)
-        return tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+                    tied = self._tied[ctx] = array("i", sorted(
+                        (t for t, c in choices.items() if c == best),
+                        key=self.model.column.terms.__getitem__))
+        t = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+        return self.model.column.terms[t]
 
     def generate(self, sample: SequenceSample) -> GeneratedText:
         # str seeding is deterministic across processes (tuple hashing is not)

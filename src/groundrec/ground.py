@@ -388,17 +388,18 @@ def target_position(values, target) -> int:
 class BM25Index:
     """Okapi BM25 over catalog titles, read from their text.TermColumn.
 
-    Stored as posting lists by term id (vocab maps a token to its id): with
-    lo, hi = offsets[i], offsets[i + 1], term i's doc indices (ascending) are
-    post_docs[lo:hi] and its term frequencies (float64) post_tf[lo:hi], and
-    its idf is idf[i]. norm holds each doc's k1*(1 - b + b*dl/avgdl).
+    Stored as posting lists by term id (vocab, the column's text.Terms, maps
+    a token to its id): with lo, hi = offsets[i], offsets[i + 1], term i's
+    doc indices (ascending) are post_docs[lo:hi] and its term frequencies
+    (float64) post_tf[lo:hi], and its idf is idf[i]. norm holds each doc's
+    k1*(1 - b + b*dl/avgdl).
     """
 
     def __init__(self, catalog: ItemCatalog, k1=1.5, b=0.75):
         self.k1 = k1
         self.b = b
         column = TermColumn(catalog.titles())
-        self.vocab = column.vocab
+        self.vocab = column.terms
         ids = np.frombuffer(column.tokens, dtype=np.intc)
         ends = np.flatnonzero(ids == TITLE_END)
         self.n_docs = len(ends)

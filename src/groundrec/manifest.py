@@ -11,9 +11,10 @@ hashed under its name. Re-running the recorded command on the same inputs
 must reproduce byte-identical outputs.
 
 cli.run writes a command's manifest once the command has returned, so its
-data is freed before any input is hashed. hashlib is imported only by
-sha256_file: it maps OpenSSL's libcrypto (about 3.5 MiB of RSS), which then
-adds to what the process holds after its work, not to its work's peak.
+data is freed before any input is hashed, and digests hands the freed heap
+back to the system first. hashlib is imported only by sha256_file: it maps
+OpenSSL's libcrypto (about 3.5 MiB of RSS), which then adds to what the
+process holds after its work, not to its work's peak.
 """
 
 from __future__ import annotations
@@ -40,9 +41,24 @@ class InputPath(str):
     """The argparse type of a flag that names a file the command reads."""
 
 
+def _trim_heap():
+    """Hand the heap that the command's freed data left back to the system
+    (glibc's malloc_trim; nothing elsewhere). Freed memory that malloc keeps
+    stays resident, so without this the process's peak could be set while
+    its inputs are hashed, by how the command's frees happened to fall
+    rather than by what it holds, once libcrypto is mapped on top."""
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):  # no glibc
+        pass
+
+
 def digests(args):
     """Input name -> sha256 hex digest, for each InputPath flag of the parsed
-    args that was given a non-empty path."""
+    args that was given a non-empty path. Freed heap is handed back first."""
+    _trim_heap()
     return {name: sha256_file(value) for name, value in vars(args).items()
             if isinstance(value, InputPath) and value}
 

@@ -1002,6 +1002,26 @@ class TestEvalInputs:
                 "--inject", inject, "--seed", 3, "--out", tmp_path / "o.tsv"])
         assert parsed == [str(out / "train.tsv")]
 
+    @pytest.mark.parametrize("command", ["generate", "eval", "tune-gamma"])
+    def test_ngram_of_titles_without_a_token_exits_2(self, tmp_path, capsys, command):
+        """A catalog whose every title tokenizes to nothing gives the n-gram
+        walk no term: refused before --out is opened, not written as the
+        placeholder text for every sample."""
+        inter, cat = write_fixture(tmp_path)
+        ids = [line.split("\t")[0] for line in cat.read_text().splitlines()]
+        cat.write_text("".join(f"{i}\t{('!!!', '???')[k % 2]}\n" for k, i in enumerate(ids)))
+        out = tmp_path / "splits"
+        run_ok(["split", "--interactions", inter, "--out", out])
+        emb = embed(cat, tmp_path / "emb.bin", 16, 3)
+        samples = {"generate": ["--samples", out / "samples_test.tsv"],
+                   "eval": ["--test", out / "samples_test.tsv", "--emb", emb],
+                   "tune-gamma": ["--valid", out / "samples_valid.tsv", "--emb", emb]}
+        argv = [command, *samples[command], "--catalog", cat, "--generator", "ngram",
+                "--seed", 3, "--out", tmp_path / "o.tsv"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert "no catalog title has a token" in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
+
     @pytest.mark.parametrize("command, flags, message", [
         ("generate", ["--generator", "pop"], "--generator pop requires --train"),
         ("eval", ["--generator", "pop"], "--generator pop requires --train"),
@@ -1371,6 +1391,33 @@ def test_cli_surface_is_pinned():
     }
     assert surface == CLI_SURFACE
     assert sum(map(len, surface.values())) == 63
+
+
+class FakeLibc:
+    """ctypes.CDLL(None) with malloc_trim recorded, or missing."""
+
+    def __init__(self, trims):
+        self.trims = trims
+
+    def __call__(self, name):
+        return self
+
+    def malloc_trim(self, pad):
+        if self.trims is None:
+            raise AttributeError("malloc_trim")
+        self.trims.append(pad)
+
+
+@pytest.mark.parametrize("trims", [[], None], ids=["glibc", "no-malloc-trim"])
+def test_freed_heap_handed_back_before_inputs_are_hashed(tmp_path, monkeypatch, trims):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibc(trims))
+    path = tmp_path / "catalog.tsv"
+    path.write_text("i0\ttale\n")
+    args = argparse.Namespace(command="embed", catalog=manifest.InputPath(path))
+    assert manifest.digests(args) == {"catalog": manifest.sha256_file(path)}
+    assert trims in ([0], None)
 
 
 class TestManifests:

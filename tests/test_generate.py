@@ -129,6 +129,12 @@ class TestNGram:
         with pytest.raises(DataError):
             NGramGenerator(cat, train_ngram([], order=1), seed=0)
 
+    def test_titles_without_a_token_error(self):
+        # the column holds a TITLE_END per title, but no term
+        cat = make_catalog({"a": "!!!", "b": "-- --"})
+        with pytest.raises(DataError, match="no catalog title has a token"):
+            NGramGenerator(cat, train_ngram(["!!!", "-- --"]), seed=0)
+
     def test_length_cap(self):
         cat = make_catalog({"a": "loop", "b": "other"})
         model = train_ngram(["loop loop loop loop"], order=1)
@@ -185,8 +191,8 @@ class TestNGramTiedMemo:
 
         def run(threads):
             model = train_ngram(cat.titles(), order=2)
-            asked, successors = [], model.successors
-            model.successors = lambda ctx: asked.append(ctx) or successors(ctx)
+            asked, successor_ids = [], model.successor_ids
+            model.successor_ids = lambda ctx: asked.append(ctx) or successor_ids(ctx)
             gen = NGramGenerator(cat, model, seed=3)
             start = threading.Barrier(threads)
 

@@ -2,9 +2,10 @@
 its matrix built and written, or read, or made dense from its plan, an
 interaction log parsed or put in timestamp order, samples read or drawn from
 a samples file, or walked into the samples files, popularity counted, the
-co-occurrence scorer fitted and written, and the BM25 index and n-gram model
-of the catalog's titles; and the order in which a command that fits --train reads
-its inputs, so the parsed log is freed before the samples arrive.
+co-occurrence scorer fitted and written, the term column, BM25 index and
+n-gram model of the catalog's titles and the n-gram walk's memo; and the
+order in which a command that fits --train reads its inputs, so the parsed
+log is freed before the samples arrive.
 
 Memory is measured with tracemalloc (what Python and numpy allocate, not the
 process RSS), so each ratio repeats on any machine. Each bound sits between
@@ -20,6 +21,7 @@ from array import array
 import numpy as np
 import pytest
 
+from conftest import make_sample
 from groundrec import cli, ingest, tune
 from groundrec.collab import fit_cooccurrence, save_scorer
 from groundrec.embed import (
@@ -29,7 +31,7 @@ from groundrec.embed import (
     load_embeddings_tsv,
     save_embeddings_bin,
 )
-from groundrec.generate import OracleEchoGenerator, train_ngram
+from groundrec.generate import NGramGenerator, OracleEchoGenerator, train_ngram
 from groundrec.ground import L2_BLOCK, BM25Index
 from groundrec.harness import Pipeline
 from groundrec.ingest import (
@@ -42,6 +44,7 @@ from groundrec.ingest import (
     write_sample_files,
 )
 from groundrec.pop import compute_popularity
+from groundrec.text import TermColumn
 
 
 def traced(fn):
@@ -179,13 +182,23 @@ def test_plan_held_matrix_made_dense_without_a_sort_order(titled_catalog):
     assert np.array_equal(vectors.view(np.uint32), rows.view(np.uint32))
 
 
+def test_term_column_holds_its_terms_as_text(titled_catalog):
+    """Each distinct term once, in one string with an array of end offsets
+    and a table of ids: no dict of the terms, no list of them."""
+    catalog, size = titled_catalog
+    _, held, _ = traced(lambda: TermColumn(catalog.titles()))
+    assert held < 2.5 * size  # 1.42 here, 5.28 with a dict and a list of the terms
+
+
 def test_bm25_index_holds_posting_arrays(titled_catalog):
     """Built from the titles' term column: no token list per title, and no
     dict of postings or idf per term."""
     catalog, size = titled_catalog
     _, held, peak = traced(lambda: BM25Index(catalog))
-    assert held < 10 * size  # 7.9 here, 12.5 with per-term dicts
-    assert peak < 20 * size  # 14.1 here, 30.7 with a token list per title
+    # 4.4 here, 7.9 with a dict of the terms, 12.5 with per-term dicts
+    assert held < 6 * size
+    # 10.3 here, 14.1 with a dict of the terms, 30.7 with a token list per title
+    assert peak < 12 * size
 
 
 def test_ngram_model_holds_the_term_column(titled_catalog):
@@ -193,8 +206,23 @@ def test_ngram_model_holds_the_term_column(titled_catalog):
     successors per context."""
     catalog, size = titled_catalog
     _, held, peak = traced(lambda: train_ngram(catalog.titles()))
-    assert held < 9.5 * size  # 6.3 here, 13.2 with a dict per context
-    assert peak < 11.5 * size  # 9.0 here, 13.6 with a dict per context
+    # 2.4 here, 6.3 with a dict of the terms, 13.2 with a dict per context
+    assert held < 4.5 * size
+    # 5.8 here, 9.0 with a dict of the terms, 13.6 with a dict per context
+    assert peak < 7.5 * size
+
+
+def test_ngram_memo_holds_term_ids(titled_catalog):
+    """The first walk fills the memo of the context ("volume",), whose 20k
+    successors tie: held as an array of their term ids, not as text."""
+    catalog, _ = titled_catalog
+    generator = NGramGenerator(catalog, train_ngram(catalog.titles()), seed=3)
+    sample = make_sample(catalog, ["m00005"], "m00000")
+    text, held, _ = traced(lambda: generator.generate(sample))
+    assert text.tokens[2] == "volume"
+    # bytes an item: 4.4 here, 9.0 with a list of the term dict's strings,
+    # 62 with a list of strings sliced from the terms' text
+    assert held < 6 * len(catalog)
 
 
 def test_drawn_samples_hold_the_draw_not_the_file(inputs):
