@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Code lines of each src/groundrec module, and their total.
 
-    python3 scripts/loc.py
+    python3 scripts/loc.py [--against REV]
+
+With --against, each module's code lines at the git revision REV (read
+with `git show`, so the working tree is not touched) are printed beside the
+working tree's, with the change; a module on one side only counts 0 on the
+other.
 
 A line counts if it holds a token other than a comment, a newline or an
 indent, and is not part of a module, class or function docstring; a string
@@ -12,13 +17,16 @@ library only.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "groundrec"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "groundrec"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -43,13 +51,35 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main():
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+def git(*args):
+    return subprocess.run(["git", "-C", str(REPO), *args], capture_output=True,
+                          text=True, check=True).stdout
+
+
+def counts_at(rev):
+    """Module name -> code lines at the git revision rev."""
+    names = git("ls-tree", "--name-only", f"{rev}:src/groundrec").split()
+    return {name: code_lines(git("show", f"{rev}:src/groundrec/{name}"))
+            for name in names if name.endswith(".py")}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="print each module's code lines at REV beside the working tree's")
+    opts = parser.parse_args(argv)
+    now = {path.name: code_lines(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+    if opts.against is None:
+        for name, n in [*now.items(), ("total", sum(now.values()))]:
+            print(f"{n:6d}  {name}")
+        return 0
+    before = counts_at(opts.against)
+    rows = [(name, before.get(name, 0), now.get(name, 0)) for name in sorted({*before, *now})]
+    rows.append(("total", sum(before.values()), sum(now.values())))
+    print(f"{opts.against[:6]:>6s} {'now':>6s} {'change':>7s}  module")
+    for name, b, n in rows:
+        print(f"{b:6d} {n:6d} {n - b:+7d}  {name}")
     return 0
 
 

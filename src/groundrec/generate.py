@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import threading
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -73,24 +74,19 @@ class NGramModel:
     """The titles as a text.TermColumn, with the column's positions grouped
     by term id (TITLE_END first): term t's positions, ascending, are
     positions[starts[t]:starts[t + 1]]. Successor counts are read from it
-    per context, as successor_ids() (or successors(), by text) is asked."""
+    per context, as successor_ids() is asked."""
 
     order: int
     column: TermColumn
     positions: array
     starts: array
 
-    def successors(self, ctx) -> dict[str, int]:
-        """The tokens that follow the context ctx (a tuple of tokens) in the
-        titles, each closed by END, with their counts, in order of first
+    def successor_ids(self, ctx) -> Counter:
+        """The term ids (TITLE_END for END) that follow the context ctx (a
+        tuple of tokens) in the titles, with their counts, in order of first
         appearance; empty where ctx never occurs. A context of `order`
         tokens is counted wherever it occurs, a shorter one only as a
         title's first tokens."""
-        counts = self.successor_ids(ctx)
-        return dict(zip(map(self.column.terms.__getitem__, counts), counts.values()))
-
-    def successor_ids(self, ctx) -> Counter:
-        """successors(ctx) by term id (TITLE_END for END)."""
         column, n = self.column, len(ctx)
         tokens = column.tokens
         if n > self.order:
@@ -169,9 +165,14 @@ class NGramGenerator:
                         suffix = suffix[1:]
                         choices = self.model.successor_ids(suffix)
                     best = max(choices.values())
-                    tied = self._tied[ctx] = array("i", sorted(
-                        (t for t, c in choices.items() if c == best),
-                        key=self.model.column.terms.__getitem__))
+                    # ids are numbered in text order, but END is id 0: it goes
+                    # after the ids of the tokens that sort below it (digits)
+                    tied = sorted(t for t, c in choices.items() if c == best)
+                    if tied[0] == TITLE_END:
+                        del tied[0]
+                        above = bisect_left(self.model.column.terms, END, 1)
+                        tied.insert(bisect_left(tied, above), TITLE_END)
+                    tied = self._tied[ctx] = array("i", tied)
         t = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
         return self.model.column.terms[t]
 

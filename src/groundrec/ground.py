@@ -390,9 +390,9 @@ class BM25Index:
 
     Stored as posting lists by term id (vocab, the column's text.Terms, maps
     a token to its id): with lo, hi = offsets[i], offsets[i + 1], term i's
-    doc indices (ascending) are post_docs[lo:hi] and its term frequencies
-    (float64) post_tf[lo:hi], and its idf is idf[i]. norm holds each doc's
-    k1*(1 - b + b*dl/avgdl).
+    doc indices (int32, ascending) are post_docs[lo:hi] and its term
+    frequencies (float64) post_tf[lo:hi], and its idf is idf[i]. norm holds
+    each doc's k1*(1 - b + b*dl/avgdl).
     """
 
     def __init__(self, catalog: ItemCatalog, k1=1.5, b=0.75):
@@ -411,7 +411,7 @@ class BM25Index:
         terms = ids[ids != TITLE_END]
         order = np.argsort(terms, kind="stable")
         terms = terms[order]
-        docs = np.repeat(np.arange(self.n_docs), lens)[order]
+        docs = np.repeat(np.arange(self.n_docs, dtype=np.intc), lens)[order]
         del ids, order
         first = np.flatnonzero((np.diff(terms, prepend=-1) != 0)
                                | (np.diff(docs, prepend=-1) != 0))

@@ -26,9 +26,9 @@ and splits only the drawn lines in a second. A SequenceSample holds its items
 as catalog indices: the readers map each id once (one row-to-sample function)
 and write_samples maps them back; the split side needs no catalog. The
 catalog keeps no id -> title dict and no string per title: its titles are
-one string in canonical order with an array("i") of end offsets, and
-titles() yields one at a time, so the term column and the embedder never
-hold a list of every title.
+one text.Strings in canonical order (one string and an array("i") of end
+offsets), and titles() yields one at a time, so the term column and the
+embedder never hold a list of every title.
 
 Samples come from one lazy walk per user timeline, linear in its length
 (_walk), merged into global (timestamp, user) order (_sample_rows). Each
@@ -48,11 +48,12 @@ from bisect import bisect_left, insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import DataError, parse_int, rows
+from .text import Strings
 
 PAD = "<PAD>"
 PAD_INDEX = -1  # a history slot before the user's first item
@@ -113,9 +114,8 @@ class ItemCatalog:
     of its id in sorted id order.
 
     Built from an item_id -> title dict, which it does not keep. The titles
-    are one string, joined in canonical order, and `_ends` holds each title's
-    end offset in it (in characters), so the catalog holds no object per
-    title: title(item_id) slices one, and titles() yields them one at a
+    are one text.Strings in canonical order, so the catalog holds no object
+    per title: title(item_id) slices one, and titles() yields them one at a
     time.
     """
 
@@ -129,22 +129,17 @@ class ItemCatalog:
                 raise DataError(f"catalog item {item_id!r} has an empty title")
         self.ids = sorted(entries)
         self.index_of = {item_id: i for i, item_id in enumerate(self.ids)}
-        self._text = "".join(map(entries.__getitem__, self.ids))
-        self._ends = array("i", accumulate(map(len, map(entries.__getitem__, self.ids))))
+        self._titles = Strings([entries[item_id] for item_id in self.ids])
 
     def __len__(self):
         return len(self.ids)
 
     def title(self, item_id):
-        i = self.index_of[item_id]
-        return self._text[self._ends[i - 1] if i else 0:self._ends[i]]
+        return self._titles[self.index_of[item_id]]
 
     def titles(self):
         """The titles in canonical order, one string at a time."""
-        text, start = self._text, 0
-        for end in self._ends:
-            yield text[start:end]
-            start = end
+        return iter(self._titles)
 
     def indices(self, item_ids) -> np.ndarray:
         """Canonical index of each id, -1 for an id not in the catalog."""

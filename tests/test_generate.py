@@ -179,6 +179,20 @@ class TestNGramTiedMemo:
             assert memo.generate(make_sample(cat, [], "m000")) == \
                 scan.generate(make_sample(cat, [], "m000"))
 
+    def test_end_tied_with_digit_tokens_keeps_its_text_place(self):
+        # after "part": "1", "2" and END once each, and "x" once; END ("</s>")
+        # sorts after the digits and before the letters, though its id is 0
+        cat = make_catalog({"a": "part 1", "b": "part 2", "c": "part", "d": "part x"})
+        titles = list(cat.titles())
+        for seed in range(12):
+            memo = NGramGenerator(cat, train_ngram(titles), seed=seed)
+            scan = ScanEveryStep(cat, titles, 1, seed)
+            for k in range(8):
+                sample = make_sample(cat, ["a"], "b", ts=k)
+                assert memo.generate(sample) == scan.generate(sample)
+        tied = memo._tied[("part",)]
+        assert [memo.model.column.terms[t] for t in tied] == ["1", "2", END, "x"]
+
     def test_threads_fill_each_context_once(self):
         """A generator shared by a caller's threads fills each context
         once: 8 threads that switch as often as they can, started together
@@ -253,6 +267,8 @@ class TestTrainNGramOnePass:
         reference = train_ngram_reference(titles, order=order)
         every = contexts(order)
         assert set(reference) <= set(every)
+        terms = model.column.terms
         for ctx in every:  # each context's successors in first-seen order
-            assert list(model.successors(ctx).items()) == \
+            counts = model.successor_ids(ctx)
+            assert list(zip(map(terms.__getitem__, counts), counts.values())) == \
                 list(reference.get(ctx, {}).items())

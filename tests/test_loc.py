@@ -1,6 +1,7 @@
 """scripts/loc.py: the code lines of each src/groundrec module and their total."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +50,37 @@ class A:
 '''
     # import, class, def, the two lines of s and the two of the return
     assert load_loc().code_lines(source) == 7
+
+
+def test_against_a_revision_prints_both_sides_and_the_change(tmp_path):
+    """In a repository of its own: a module grown, one deleted and one
+    added since the commit, each beside its count there."""
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(SCRIPT, tmp_path / "scripts" / "loc.py")
+    src = tmp_path / "src" / "groundrec"
+    src.mkdir(parents=True)
+    (src / "kept.py").write_text("a = 1\n")
+    (src / "gone.py").write_text("b = 1\nc = 2\n")
+    (src / "notes.txt").write_text("not a module\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@example.com", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (src / "kept.py").write_text('"""Doc."""\na = 1\nd = 4\n')
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text("e = 5\n")
+    out = subprocess.run([sys.executable, str(tmp_path / "scripts" / "loc.py"),
+                          "--against", "HEAD"], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[0].split() == ["HEAD", "now", "change", "module"]
+    assert [line.split() for line in out[1:]] == [
+        ["2", "0", "-2", "gone.py"],
+        ["1", "2", "+1", "kept.py"],
+        ["0", "1", "+1", "new.py"],
+        ["3", "3", "+0", "total"],
+    ]

@@ -183,11 +183,13 @@ def test_plan_held_matrix_made_dense_without_a_sort_order(titled_catalog):
 
 
 def test_term_column_holds_its_terms_as_text(titled_catalog):
-    """Each distinct term once, in one string with an array of end offsets
-    and a table of ids: no dict of the terms, no list of them."""
+    """Each distinct term once, in one string with an array of end offsets:
+    no dict of the terms, no list of them, no table of ids."""
     catalog, size = titled_catalog
     _, held, _ = traced(lambda: TermColumn(catalog.titles()))
-    assert held < 2.5 * size  # 1.42 here, 5.28 with a dict and a list of the terms
+    # 1.14 here, 1.42 with a hash table of ids, 5.28 with a dict and a list of
+    # the terms
+    assert held < 1.3 * size
 
 
 def test_bm25_index_holds_posting_arrays(titled_catalog):
@@ -195,10 +197,12 @@ def test_bm25_index_holds_posting_arrays(titled_catalog):
     dict of postings or idf per term."""
     catalog, size = titled_catalog
     _, held, peak = traced(lambda: BM25Index(catalog))
-    # 4.4 here, 7.9 with a dict of the terms, 12.5 with per-term dicts
-    assert held < 6 * size
-    # 10.3 here, 14.1 with a dict of the terms, 30.7 with a token list per title
-    assert peak < 12 * size
+    # 3.5 here, 4.4 with int64 doc indices, 7.9 with a dict of the terms, 12.5
+    # with per-term dicts
+    assert held < 4 * size
+    # 8.7 here, 10.3 with int64 doc indices and a hash table of term ids, 14.1
+    # with a dict of the terms, 30.7 with a token list per title
+    assert peak < 9.5 * size
 
 
 def test_ngram_model_holds_the_term_column(titled_catalog):
@@ -206,23 +210,28 @@ def test_ngram_model_holds_the_term_column(titled_catalog):
     successors per context."""
     catalog, size = titled_catalog
     _, held, peak = traced(lambda: train_ngram(catalog.titles()))
-    # 2.4 here, 6.3 with a dict of the terms, 13.2 with a dict per context
+    # 2.2 here, 2.4 with a hash table of term ids, 6.3 with a dict of the
+    # terms, 13.2 with a dict per context
     assert held < 4.5 * size
-    # 5.8 here, 9.0 with a dict of the terms, 13.6 with a dict per context
+    # 5.4 here, 5.8 with a hash table of term ids, 9.0 with a dict of the
+    # terms, 13.6 with a dict per context
     assert peak < 7.5 * size
 
 
 def test_ngram_memo_holds_term_ids(titled_catalog):
     """The first walk fills the memo of the context ("volume",), whose 20k
-    successors tie: held as an array of their term ids, not as text."""
+    successors tie: held as an array of their term ids, not as text, and
+    sorted by id, which is text order, with no key string per successor."""
     catalog, _ = titled_catalog
     generator = NGramGenerator(catalog, train_ngram(catalog.titles()), seed=3)
     sample = make_sample(catalog, ["m00005"], "m00000")
-    text, held, _ = traced(lambda: generator.generate(sample))
+    text, held, peak = traced(lambda: generator.generate(sample))
     assert text.tokens[2] == "volume"
     # bytes an item: 4.4 here, 9.0 with a list of the term dict's strings,
     # 62 with a list of strings sliced from the terms' text
     assert held < 6 * len(catalog)
+    # 1.78 MB here, 2.79 with the ids sorted by a key string sliced per id
+    assert peak < 2.0e6
 
 
 def test_drawn_samples_hold_the_draw_not_the_file(inputs):
