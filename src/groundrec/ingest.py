@@ -26,7 +26,7 @@ and splits only the drawn lines in a second. A SequenceSample holds its items
 as catalog indices: the readers map each id once (one row-to-sample function)
 and write_samples maps them back; the split side needs no catalog. The
 catalog keeps no id -> title dict and no string per title: its titles are
-one text.Strings in canonical order (one string and an array("i") of end
+one Strings in canonical order (one string and an array("i") of end
 offsets), and titles() yields one at a time, so the term column and the
 embedder never hold a list of every title.
 
@@ -48,12 +48,11 @@ from bisect import bisect_left, insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import DataError, parse_int, rows
-from .text import Strings
 
 PAD = "<PAD>"
 PAD_INDEX = -1  # a history slot before the user's first item
@@ -109,12 +108,40 @@ class InteractionLog:
         return np.argsort(self.user_codes, kind="stable")
 
 
+class Strings:
+    """A list of strings held as one: `_text` joins them, and `_ends` holds
+    each one's end offset in it (in characters), so no object per string is
+    held. s[i] slices one out; iterating yields them one at a time. Built
+    from a sequence of strings, which it reads twice and does not keep.
+
+    The catalog's titles and the title terms (text.Terms) are held in one.
+    It lives here, not in text.py, so that a command that reads a catalog
+    but never tokenizes (split, popularity, collab-fit) does not load the
+    tokenizer's module."""
+
+    def __init__(self, strings):
+        self._text = "".join(strings)
+        self._ends = array("i", accumulate(map(len, strings)))
+
+    def __len__(self):
+        return len(self._ends)
+
+    def __getitem__(self, i):
+        return self._text[self._ends[i - 1] if i else 0:self._ends[i]]
+
+    def __iter__(self):
+        text, start = self._text, 0
+        for end in self._ends:
+            yield text[start:end]
+            start = end
+
+
 class ItemCatalog:
     """The catalog's ids and titles, each at its canonical index: the index
     of its id in sorted id order.
 
     Built from an item_id -> title dict, which it does not keep. The titles
-    are one text.Strings in canonical order, so the catalog holds no object
+    are one Strings in canonical order, so the catalog holds no object
     per title: title(item_id) slices one, and titles() yields them one at a
     time.
     """

@@ -1,6 +1,5 @@
 """Shared tokenizer (the runs of letters and digits, in any script, of the
-lowercased text), the joined-string list that catalog titles and title terms
-are held in, and the term-id column that BM25 and the n-gram walk read
+lowercased text), and the term-id column that BM25 and the n-gram walk read
 titles from.
 
 A TermColumn holds a list of titles as one array("i") of term ids, in title
@@ -18,7 +17,9 @@ numpy is loaded, so the `generate` command builds a column without it.
 import re
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, count
+from itertools import count
+
+from .ingest import Strings
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of letters and digits, in any script
 
@@ -30,32 +31,9 @@ def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
 
 
-class Strings:
-    """A list of strings held as one: `_text` joins them, and `_ends` holds
-    each one's end offset in it (in characters), so no object per string is
-    held. s[i] slices one out; iterating yields them one at a time. Built
-    from a sequence of strings, which it reads twice and does not keep."""
-
-    def __init__(self, strings):
-        self._text = "".join(strings)
-        self._ends = array("i", accumulate(map(len, strings)))
-
-    def __len__(self):
-        return len(self._ends)
-
-    def __getitem__(self, i):
-        return self._text[self._ends[i - 1] if i else 0:self._ends[i]]
-
-    def __iter__(self):
-        text, start = self._text, 0
-        for end in self._ends:
-            yield text[start:end]
-            start = end
-
-
 class Terms(Strings):
     """The distinct terms, id -> token (terms[i]) and token -> id (get): END,
-    then the tokens in text order."""
+    then the tokens in text order, held as one ingest.Strings."""
 
     def get(self, token, default=None):
         """The id of token, or default where it is no term (END and "" are
