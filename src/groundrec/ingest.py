@@ -116,7 +116,7 @@ class Strings:
 
     The catalog's titles and the title terms (text.Terms) are held in one.
     It lives here, not in text.py, so that a command that reads a catalog
-    but never tokenizes (split, popularity, collab-fit) does not load the
+    but never tokenizes (popularity, collab-fit) does not load the
     tokenizer's module."""
 
     def __init__(self, strings):
