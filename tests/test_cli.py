@@ -422,7 +422,6 @@ class TestImportsPerCommand:
                         "--train", tmp_path / "train.tsv", "--out", tmp_path / "gen.tsv"])
         assert run_probe(NUMPY_PROBE, argv) == f"numpy imported: {command == 'pop'}"
 
-
     @pytest.mark.parametrize("command", ["popularity", "collab-fit", "embed"])
     def test_tokenizer_loaded_only_where_titles_are_tokenized(self, tmp_path, command):
         """Commands that read the catalog but tokenize no title leave
