@@ -65,7 +65,8 @@ def test_against_a_revision_prints_both_sides_and_the_change(tmp_path):
 
     def git(*args):
         subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
-                        "-c", "user.email=t@example.com", *args],
+                        "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+                        *args],
                        check=True, capture_output=True)
 
     git("init", "-q")
